@@ -28,11 +28,16 @@ P_RADIUS_LIMIT = 1.5
 
 @dataclass(frozen=True)
 class RatioValue:
-    """Value of the ratio P at a point, with optional zero-distance context."""
+    """Value of the ratio P at a point, with optional zero-distance context.
+
+    abs_error propagates the certified tails of g and g' to first order:
+    (|z| |dg'| + |P| |dg|) / |g|.
+    """
 
     z: complex
     P: complex
     nearest_zero_distance: float | None = None
+    abs_error: float = 0.0
 
 
 def eval_p(
@@ -65,7 +70,9 @@ def eval_p(
             f"|z| = {abs(z):.4g} exceeds the diagnostic radius {P_RADIUS_LIMIT}"
         )
     gp = eval_g_prime(params, z, tol)
-    return RatioValue(z=z, P=z * gp.value / g.value, nearest_zero_distance=nearest)
+    P = z * gp.value / g.value
+    abs_error = (abs(z) * gp.abs_error + abs(P) * g.abs_error) / abs(g.value)
+    return RatioValue(z=z, P=P, nearest_zero_distance=nearest, abs_error=abs_error)
 
 
 def ode_residual_g(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) -> float:

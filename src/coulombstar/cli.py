@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -42,31 +41,12 @@ from .series import (
     CoulombParams,
     eval_f,
     eval_g,
-    eval_g_prime,
     make_coefficients,
 )
 from .starlike import ScanGrid, StarlikeClass, certify, parameter_scan
 from .zeros import find_zeros
 
 LEMMA_GAP_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved invocation settings shared by the subcommands."""
-
-    tol: float = DEFAULT_TOL
-    trust_radius: float = 10.0
-    rings: int = 40
-    angles_per_ring: int = 720
-    r_max: float = 0.999
-    output_format: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise click.UsageError(f"tolerance must be positive, got {self.tol}")
-        if self.output_format not in ("json", "csv"):
-            raise click.UsageError(f"unknown output format {self.output_format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +99,7 @@ COMPLEX = ComplexParam()
 
 _tol_option = click.option(
     "--tol",
-    type=float,
+    type=click.FloatRange(min=0, min_open=True),
     default=DEFAULT_TOL,
     envvar="COULOMB_TOL",
     show_default=True,
@@ -173,25 +153,13 @@ def cmd_eval(L: complex, eta: complex, z: complex, function: str, tol: float) ->
     """Evaluate f, g or P at a point and print value plus error bound."""
 
     def body() -> int:
-        config = CliConfig(tol=tol)
         params = CoulombParams(L=L, eta=eta)
-        if function == "g":
-            result = eval_g(params, z, config.tol)
-            value, abs_error = result.value, result.abs_error
-        elif function == "f":
-            result = eval_f(params, z, config.tol)
-            value, abs_error = result.value, result.abs_error
+        if function == "P":
+            ratio = eval_p(params, z, tol)
+            value, abs_error = ratio.P, ratio.abs_error
         else:
-            ratio = eval_p(params, z, config.tol)
-            value = ratio.P
-            if z == 0:
-                abs_error = 0.0
-            else:
-                g = eval_g(params, z, config.tol)
-                gp = eval_g_prime(params, z, config.tol)
-                abs_error = (
-                    abs(z) * gp.abs_error + abs(value) * g.abs_error
-                ) / abs(g.value)
+            result = (eval_g if function == "g" else eval_f)(params, z, tol)
+            value, abs_error = result.value, result.abs_error
         click.echo(
             render_json({"value": _complex_dict(value), "abs_error": abs_error})
         )
@@ -227,9 +195,8 @@ def cmd_zeros(L: complex, eta: complex, radius: float, tol: float) -> None:
     """List zeros inside the trust radius (winding-count validated)."""
 
     def body() -> int:
-        config = CliConfig(tol=tol, trust_radius=radius)
         params = CoulombParams(L=L, eta=eta)
-        zs = find_zeros(params, config.trust_radius, config.tol)
+        zs = find_zeros(params, radius, tol)
         click.echo(render_json(zs.to_jsonable()))
         return 0
 
@@ -256,10 +223,9 @@ def cmd_certify(
     """Scan the disk grid and certify the requested starlikeness flavor."""
 
     def body() -> int:
-        config = CliConfig(tol=tol, rings=rings, angles_per_ring=angles, r_max=r_max)
         params = CoulombParams(L=L, eta=eta)
-        grid = ScanGrid.default(config.rings, config.angles_per_ring, config.r_max)
-        report = certify(params, StarlikeClass(flavor), grid, config.tol)
+        grid = ScanGrid.default(rings, angles, r_max)
+        report = certify(params, StarlikeClass(flavor), grid, tol)
         click.echo(render_json(report.to_jsonable()))
         return 0 if report.certified else 1
 
@@ -291,17 +257,13 @@ def cmd_scan(
     """Sweep a real parameter rectangle and emit one CSV row per pair."""
 
     def body() -> int:
-        config = CliConfig(
-            tol=tol, rings=rings, angles_per_ring=angles, r_max=r_max,
-            output_format="csv",
-        )
-        grid = ScanGrid.default(config.rings, config.angles_per_ring, config.r_max)
+        grid = ScanGrid.default(rings, angles, r_max)
         rows = parameter_scan(
             (L_min, L_max, L_step),
             (eta_min, eta_max, eta_step),
             StarlikeClass(flavor),
             grid,
-            config.tol,
+            tol,
         )
         lines = ["L,eta,slack,min_margin,certified"]
         for row in rows:

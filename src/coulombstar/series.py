@@ -22,8 +22,9 @@ rigorous abs_error bound rather than a guess.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -89,12 +90,14 @@ class ComplexValue:
             raise ValueError("abs_error must be nonnegative")
 
 
-def _recurrence_coefficients(params: CoulombParams, order: int) -> list[complex]:
+def _recurrence_coefficients(
+    params: CoulombParams, order: int, coeffs: list[complex] | None = None
+) -> list[complex]:
+    """a_0 .. a_order (order >= 1); extends the prefix `coeffs` in place when given."""
     L, eta = params.L, params.eta
-    coeffs = [complex(1.0)]
-    if order >= 1:
-        coeffs.append(eta / (L + 1))
-    for n in range(2, order + 1):
+    if coeffs is None:
+        coeffs = [complex(1.0), eta / (L + 1)]
+    for n in range(len(coeffs), order + 1):
         denom = n * (n + 2 * L + 1)
         coeffs.append((2 * eta * coeffs[n - 1] - coeffs[n - 2]) / denom)
     return coeffs
@@ -149,16 +152,18 @@ class CoefficientTable:
     order: int
     tail_bound: float
     radius: float
-    _dcoeffs: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    _ddcoeffs: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.tail_bound >= 0 and math.isfinite(self.tail_bound)):
             raise ValueError("tail_bound must be finite and nonnegative")
-        d1 = tuple((n + 1) * a for n, a in enumerate(self.coeffs))
-        d2 = tuple((n + 1) * n * a for n, a in enumerate(self.coeffs) if n >= 1)
-        object.__setattr__(self, "_dcoeffs", d1)
-        object.__setattr__(self, "_ddcoeffs", d2)
+
+    @functools.cached_property
+    def _dcoeffs(self) -> tuple[complex, ...]:
+        return tuple((n + 1) * a for n, a in enumerate(self.coeffs))
+
+    @functools.cached_property
+    def _ddcoeffs(self) -> tuple[complex, ...]:
+        return tuple((n + 1) * n * a for n, a in enumerate(self.coeffs) if n >= 1)
 
     def g_values(self, z):
         """g at scalar or ndarray argument, by Horner on the stored table."""
@@ -188,6 +193,28 @@ def _horner(coeffs, z):
     return acc
 
 
+_SCHEDULE_REFUSAL = "series tail at radius {radius} not below {tol} by order {order}"
+
+
+def _grow_table(
+    params: CoulombParams, radius: float, orders, tol: float = math.inf,
+    deriv: int = 0, refusal: str = _SCHEDULE_REFUSAL,
+) -> tuple[CoefficientTable, tuple[float, float, float]]:
+    """First table along `orders` whose tail for derivative `deriv` is < tol.
+
+    One coefficient list grows through the increasing orders, so each a_n is
+    computed once.  Returns the table with its (g, g', g'') tail bounds, or
+    raises NoConvergence with `refusal` formatted at the last order.
+    """
+    coeffs = None
+    for order in orders:
+        coeffs = _recurrence_coefficients(params, order, coeffs)
+        bounds = _tail_bounds(coeffs, params, radius)
+        if bounds is not None and bounds[deriv] < tol:
+            return CoefficientTable(params, tuple(coeffs), order, bounds[0], radius), bounds
+    raise NoConvergence(refusal.format(radius=radius, tol=tol, order=order))
+
+
 def make_coefficients(params: CoulombParams, order: int, radius: float) -> CoefficientTable:
     """Coefficient table through `order` with a certified tail bound at `radius`.
 
@@ -200,96 +227,44 @@ def make_coefficients(params: CoulombParams, order: int, radius: float) -> Coeff
         raise InvalidParams(f"order must be <= {MAX_ORDER}, got {order}")
     if not (radius >= 0 and math.isfinite(radius)):
         raise InvalidParams(f"radius must be finite and nonnegative, got {radius}")
-    coeffs = _recurrence_coefficients(params, order)
-    bounds = _tail_bounds(coeffs, params, radius)
-    if bounds is None:
-        raise NoConvergence(
-            f"tail majorization fails at order {order}, radius {radius}; "
-            "increase the order"
-        )
-    return CoefficientTable(
-        params=params,
-        coeffs=tuple(coeffs),
-        order=order,
-        tail_bound=bounds[0],
-        radius=radius,
+    refusal = (
+        "tail majorization fails at order {order}, radius {radius}; increase the order"
     )
+    return _grow_table(params, radius, (order,), refusal=refusal)[0]
 
 
 def table_for_radius(
     params: CoulombParams, radius: float, tol: float = DEFAULT_TOL, deriv: int = 0
 ) -> CoefficientTable:
     """Smallest scheduled table whose tail (for the given derivative) is < tol."""
-    last_exc: Exception | None = None
-    for order in _ORDER_SCHEDULE:
-        try:
-            coeffs = _recurrence_coefficients(params, order)
-        except ZeroDivisionError as exc:  # pragma: no cover - params block this
-            raise InvalidParams(str(exc)) from exc
-        bounds = _tail_bounds(coeffs, params, radius)
-        if bounds is not None and bounds[deriv] < tol:
-            return CoefficientTable(
-                params=params,
-                coeffs=tuple(coeffs),
-                order=order,
-                tail_bound=bounds[0],
-                radius=radius,
-            )
-        last_exc = NoConvergence(
-            f"series tail at radius {radius} not below {tol} by order {order}"
-        )
-    raise last_exc if last_exc is not None else NoConvergence("empty order schedule")
+    return _grow_table(params, radius, _ORDER_SCHEDULE, tol, deriv)[0]
 
 
 # ---------------------------------------------------------------------------
 # complex gamma
 
-_LANCZOS_G = 7
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 _GAMMA_BOX = 20.0
 _GAMMA_REL = 1e-12
 
 
-def _sinpi(w: complex) -> complex:
-    # reduce the real part exactly so sin(pi w) stays accurate near integers
-    k = round(w.real)
-    s = cmath.sin(cmath.pi * (w - k))
-    return -s if k % 2 else s
-
-
-def _lanczos(w: complex) -> complex:
-    if w.real < 0.5:
-        return cmath.pi / (_sinpi(w) * _lanczos(1 - w))
-    w = w - 1
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
-
-
 def gamma_complex(w: complex) -> ComplexValue:
-    """Complex gamma via a 9-term Lanczos sum with reflection for Re w < 0.5.
+    """Complex gamma by mpmath's double-precision `fp.gamma`.
 
     Relative accuracy is about 1e-13 for |Re w|, |Im w| <= 20; outside that
     box the value is still returned but abs_error is widened proportionally
     to |w| / 20 as a coarse error model.  Nonpositive integers raise
-    PoleError.
+    PoleError; a value that overflows or underflows a double raises
+    NoConvergence.
     """
     w = complex(w)
     if _is_nonpositive_integer(w):
         raise PoleError(f"gamma pole at {w!r}")
-    value = _lanczos(w)
+    try:
+        value = complex(mp.fp.gamma(w))
+    except OverflowError:
+        value = complex(math.inf)
+    if not (cmath.isfinite(value) and value != 0):
+        raise NoConvergence(f"gamma({w!r}) is out of double range")
     scale = max(abs(w.real), abs(w.imag))
     rel = _GAMMA_REL * max(1.0, scale / _GAMMA_BOX)
     return ComplexValue(value=value, abs_error=abs(value) * rel)
@@ -322,16 +297,9 @@ def _eval_series(params: CoulombParams, z: complex, tol: float, deriv: int) -> C
     if z == 0:
         exact = {0: 0.0 + 0.0j, 1: 1.0 + 0.0j, 2: 2.0 * params.eta / (params.L + 1)}
         return ComplexValue(value=exact[deriv], abs_error=0.0)
-    table = table_for_radius(params, abs(z), tol, deriv=deriv)
-    bounds = _tail_bounds(list(table.coeffs), params, abs(z))
-    assert bounds is not None
-    if deriv == 0:
-        value = table.g_values(z)
-    elif deriv == 1:
-        value = table.g_prime_values(z)
-    else:
-        value = table.g_second_values(z)
-    return ComplexValue(value=complex(value), abs_error=bounds[deriv])
+    table, bounds = _grow_table(params, abs(z), _ORDER_SCHEDULE, tol, deriv)
+    evaluate = (table.g_values, table.g_prime_values, table.g_second_values)[deriv]
+    return ComplexValue(value=complex(evaluate(z)), abs_error=bounds[deriv])
 
 
 def eval_g(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) -> ComplexValue:
@@ -417,17 +385,10 @@ def kummer_oracle(params: CoulombParams, order: int) -> CoefficientTable:
             coeffs.append(complex(acc))
     # attach a tail bound at the widest radius the majorization certifies
     radius = 1.0
-    bounds = _tail_bounds(coeffs, params, radius) if order >= 1 else None
+    bounds = _tail_bounds(coeffs, params, radius)
     while bounds is None and radius > 1e-6:
         radius /= 2
-        bounds = _tail_bounds(coeffs, params, radius) if order >= 1 else None
-    tail = bounds[0] if bounds is not None else 0.0
+        bounds = _tail_bounds(coeffs, params, radius)
     if bounds is None:
-        radius = 0.0
-    return CoefficientTable(
-        params=params,
-        coeffs=tuple(coeffs),
-        order=order,
-        tail_bound=tail,
-        radius=radius,
-    )
+        radius, bounds = 0.0, (0.0, 0.0, 0.0)
+    return CoefficientTable(params, tuple(coeffs), order, bounds[0], radius)

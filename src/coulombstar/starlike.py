@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import CoulombError, InvalidParams
 from .series import DEFAULT_TOL, CoulombParams, table_for_radius
 
 SQRT2 = math.sqrt(2.0)
@@ -86,6 +86,15 @@ def exponential_condition(params: CoulombParams) -> tuple[bool, float]:
         - 2 * abs(params.eta)
     )
     return (slack > 0, slack)
+
+
+def _condition(params: CoulombParams, flavor: StarlikeClass) -> tuple[bool, float]:
+    """The flavor's sufficient condition; the classical flavor has none."""
+    if flavor is StarlikeClass.LEMNISCATE:
+        return lemniscate_condition(params)
+    if flavor is StarlikeClass.EXPONENTIAL:
+        return exponential_condition(params)
+    return (False, math.nan)
 
 
 @dataclass(frozen=True)
@@ -205,19 +214,13 @@ def certify(
     flat = int(np.argmin(margins))
     ring_index, angle_index = divmod(flat, grid.angles_per_ring)
     min_margin = float(margins[ring_index, angle_index])
-    if flavor is StarlikeClass.LEMNISCATE:
-        hypothesis = lemniscate_condition(params)[0]
-    elif flavor is StarlikeClass.EXPONENTIAL:
-        hypothesis = exponential_condition(params)[0]
-    else:
-        hypothesis = False
     return CertificationReport(
         params=params,
         starlike_class=flavor,
         grid=grid,
         min_margin=min_margin,
         worst_point=complex(z[ring_index, angle_index]),
-        hypothesis_satisfied=hypothesis,
+        hypothesis_satisfied=_condition(params, flavor)[0],
         certified=bool(min_margin > 0),
         per_ring_margins=tuple(float(m) for m in margins.min(axis=1)),
         zero_in_disk=bool(near_zero.any()),
@@ -256,8 +259,9 @@ def parameter_scan(
     """Certify every lattice point of a real parameter rectangle.
 
     Ranges are (min, max, step) with inclusive endpoints; an empty range
-    yields an empty table.  Rows never abort the sweep: parameter or
-    evaluation failures are recorded as NaN margins with certified False.
+    yields an empty table.  Library refusals (CoulombError) never abort the
+    sweep: they are recorded as NaN margins with certified False.  Any other
+    exception is a fault and propagates.
     """
     flavor = StarlikeClass(starlike_class)
     if grid is None:
@@ -267,12 +271,7 @@ def parameter_scan(
         for eta in _lattice(eta_range):
             try:
                 params = CoulombParams(L=L, eta=eta)
-                if flavor is StarlikeClass.LEMNISCATE:
-                    slack = lemniscate_condition(params)[1]
-                elif flavor is StarlikeClass.EXPONENTIAL:
-                    slack = exponential_condition(params)[1]
-                else:
-                    slack = math.nan
+                slack = _condition(params, flavor)[1]
                 report = certify(params, flavor, grid, tol)
                 rows.append(
                     ScanRow(
@@ -283,7 +282,7 @@ def parameter_scan(
                         certified=report.certified,
                     )
                 )
-            except Exception:
+            except CoulombError:
                 rows.append(
                     ScanRow(
                         L=L, eta=eta, slack=math.nan,

@@ -26,6 +26,7 @@ from .series import (
     CoefficientTable,
     ComplexValue,
     CoulombParams,
+    _horner,
     table_for_radius,
 )
 
@@ -87,10 +88,7 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
 
 def _abs_series_sum(table: CoefficientTable, r: float) -> float:
     """sum |a_n| r^{n+1}: the conditioning scale of the series at radius r."""
-    acc = 0.0
-    for c in reversed(table.coeffs):
-        acc = acc * r + abs(c)
-    return acc * r
+    return _horner([abs(c) for c in table.coeffs], r) * r
 
 
 def _newton_double(table: CoefficientTable, seed: complex, target: float) -> complex | None:
@@ -130,21 +128,14 @@ def _refine_mp(table: CoefficientTable, root: complex) -> tuple[complex, float]:
         coeffs = [mp.mpc(c) for c in table.coeffs]
         dcoeffs = [(n + 1) * c for n, c in enumerate(coeffs)]
         z = mp.mpc(root)
-
-        def horner(cs, w):
-            acc = mp.mpc(0)
-            for c in reversed(cs):
-                acc = acc * w + c
-            return acc
-
-        g = horner(coeffs, z) * z
+        g = _horner(coeffs, z) * z
         for _ in range(6):
-            gp = horner(dcoeffs, z)
+            gp = _horner(dcoeffs, z)
             if gp == 0:
                 break
             step = g / gp
             z = z - step
-            g = horner(coeffs, z) * z
+            g = _horner(coeffs, z) * z
             if abs(step) < mp.mpf("1e-30"):
                 break
         return complex(z), float(abs(g))
@@ -168,7 +159,14 @@ def find_zeros(
     real_coeffs = params.L.imag == 0.0 and params.eta.imag == 0.0
     # roots of the cofactor polynomial h with g = z * h
     h_coeffs = np.array(table.coeffs, dtype=complex)
-    seeds = np.roots(h_coeffs[::-1])
+    try:
+        with np.errstate(all="ignore"):
+            seeds = np.roots(h_coeffs[::-1])
+    except np.linalg.LinAlgError as exc:
+        # underflowed trailing coefficients overflow the companion matrix
+        raise NoConvergence(
+            f"companion-matrix roots fail at radius {trust_radius}: {exc}"
+        ) from exc
     noise_floor = 8 * _EPS * _abs_series_sum(table, trust_radius)
     target = max(tol, noise_floor)
     polished: list[complex] = []

@@ -74,6 +74,14 @@ class TestEvalP:
         plain = eval_p(params, 0.9)
         assert plain.nearest_zero_distance is None
 
+    def test_abs_error_propagates_series_tails(self):
+        params, z = CoulombParams(0.5, 0.1), 0.3 + 0.4j
+        g, gp = eval_g(params, z), eval_g_prime(params, z)
+        got = eval_p(params, z)
+        expected = (abs(z) * gp.abs_error + abs(got.P) * g.abs_error) / abs(g.value)
+        assert got.abs_error == expected
+        assert eval_p(params, 0.0).abs_error == 0.0
+
     def test_expansion_slope(self):
         # P(z) = 1 + eta/(L+1) z + O(z^2); the quadratic term contributes
         # about 0.25 h to the one-sided quotient, so h = 1e-6 is the largest

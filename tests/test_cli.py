@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -16,6 +17,9 @@ from coulombstar.cli import main, render_json
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def invoke(runner, args, env=None):
@@ -53,6 +57,24 @@ class TestEval:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload == {"value": {"re": 1.0, "im": 0.0}, "abs_error": 0.0}
+
+    def test_p_matches_golden(self, runner):
+        # value and abs_error of P, byte for byte
+        result = invoke(
+            runner,
+            ["eval", "--L", "0.5", "--eta", "0.1", "--z", "0.3+0.4i", "--function", "P"],
+        )
+        assert result.exit_code == 0
+        assert result.stdout == (GOLDEN_DIR / "eval_p.txt").read_text()
+
+    def test_gamma_overflow_exit_four(self, runner):
+        result = invoke(
+            runner,
+            ["eval", "--L", "85", "--eta", "0.1", "--z", "0.5", "--function", "f"],
+        )
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert "gamma" in result.stderr
 
     def test_f_matches_g_for_sine(self, runner):
         result = invoke(
@@ -119,6 +141,10 @@ class TestEval:
             runner, ["eval", "--L", "0", "--eta", "0", "--z", "1", "--tol", "-1"]
         )
         assert result.exit_code == 2
+        result = invoke(
+            runner, ["eval", "--L", "0", "--eta", "0", "--z", "1"], env={"COULOMB_TOL": "0"}
+        )
+        assert result.exit_code == 2
 
 
 class TestCoeffs:
@@ -157,6 +183,11 @@ class TestZeros:
     def test_hopeless_radius_exit_four(self, runner):
         result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", "200"])
         assert result.exit_code == 4
+
+    def test_underflowed_table_exit_four(self, runner):
+        result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", "38"])
+        assert result.exit_code == 4
+        assert result.stdout == ""
 
     def test_winding_mismatch_exit_five(self, runner, monkeypatch):
         def broken(params, radius, tol):

@@ -145,6 +145,29 @@ class TestMakeCoefficients:
         assert d1 <= bounds[1]
         assert d2 <= bounds[2]
 
+    def test_scheduled_table_matches_fresh_recurrence(self):
+        # growing one list through the schedule gives the same bits as a
+        # recurrence run from scratch at the chosen order
+        rng = random.Random(1107)
+        for _ in range(10):
+            params = random_params(rng, box=2.0)
+            table = table_for_radius(params, rng.uniform(0.3, 6.0))
+            assert table.coeffs == tuple(_recurrence_coefficients(params, table.order))
+
+    def test_recurrence_extends_prefix_in_place(self):
+        params = CoulombParams(0.3 + 0.1j, -0.7)
+        prefix = _recurrence_coefficients(params, 16)
+        grown = _recurrence_coefficients(params, 40, prefix)
+        assert grown is prefix
+        assert grown == _recurrence_coefficients(params, 40)
+
+    def test_derivative_tables_built_once(self):
+        table = table_for_radius(CoulombParams(0.5, 0.1), 1.0)
+        assert table._dcoeffs is table._dcoeffs
+        assert table._ddcoeffs is table._ddcoeffs
+        assert table._dcoeffs[3] == 4 * table.coeffs[3]
+        assert table._ddcoeffs[2] == 12 * table.coeffs[3]
+
     def test_vectorized_evaluation_matches_scalar(self):
         import numpy as np
 
@@ -189,6 +212,12 @@ class TestGammaComplex:
                 rel = abs(got.value - complex(ref)) / abs(complex(ref))
                 assert rel <= 1e-12, f"gamma rel error {rel:.2e} at {w}"
 
+    @pytest.mark.parametrize("w", [172.0, -190.5, 1 + 500j])
+    def test_out_of_double_range_refuses(self, w):
+        # Gamma(172) overflows; Gamma(-190.5) and |Gamma(1 + 500i)| underflow
+        with pytest.raises(NoConvergence):
+            gamma_complex(w)
+
     def test_error_widens_outside_box(self):
         inside = gamma_complex(5.0 + 5.0j)
         outside = gamma_complex(42.0)
@@ -198,6 +227,11 @@ class TestGammaComplex:
 
 
 class TestNormalizationConstant:
+    def test_gamma_overflow_refuses_eval_f(self):
+        # Gamma(2L + 2) = Gamma(172) exceeds the double range
+        with pytest.raises(NoConvergence):
+            eval_f(CoulombParams(85.0, 0.1), 0.5)
+
     def test_trivial_case(self):
         c = normalization_constant(CoulombParams(0.0, 0.0))
         assert abs(c.value - 1.0) <= 1e-13

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import coulombstar.starlike as starlike
 from coulombstar import (
     EXPONENTIAL_THRESHOLD,
     LEMNISCATE_THRESHOLD,
     CoulombParams,
     InvalidParams,
+    NoConvergence,
     ScanGrid,
     StarlikeClass,
     certify,
@@ -213,6 +215,24 @@ class TestParameterScan:
         assert len(rows) == 1
         assert math.isnan(rows[0].min_margin)
         assert not rows[0].certified
+
+    def test_refusal_recorded_as_nan_row(self, monkeypatch):
+        def refuse(*args):
+            raise NoConvergence("forced refusal")
+
+        monkeypatch.setattr(starlike, "certify", refuse)
+        rows = parameter_scan((0.5, 0.5, 0.1), (0.0, 0.0, 0.1), StarlikeClass.LEMNISCATE)
+        assert len(rows) == 1
+        assert math.isnan(rows[0].min_margin) and math.isnan(rows[0].slack)
+        assert not rows[0].certified
+
+    def test_non_library_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("a fault, not a refusal")
+
+        monkeypatch.setattr(starlike, "certify", broken)
+        with pytest.raises(ValueError, match="a fault"):
+            parameter_scan((0.5, 0.5, 0.1), (0.0, 0.0, 0.1), StarlikeClass.LEMNISCATE)
 
     def test_classical_rows_have_nan_slack(self):
         rows = parameter_scan(

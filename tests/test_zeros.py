@@ -8,6 +8,7 @@ import pytest
 from coulombstar import (
     CoulombParams,
     InvalidParams,
+    NoConvergence,
     ZeroSet,
     eval_g,
     find_zeros,
@@ -97,6 +98,12 @@ class TestFindZeros:
             find_zeros(SINE, 0.0)
         with pytest.raises(InvalidParams):
             find_zeros(SINE, -3.0)
+
+    def test_underflowed_table_refuses(self):
+        # at radius 38 the table's trailing coefficients underflow to
+        # subnormals, and the companion matrix of np.roots overflows
+        with pytest.raises(NoConvergence):
+            find_zeros(SINE, 38.0)
 
     def test_jsonable_shape(self):
         zs = find_zeros(SINE, 4.0)
