@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -247,14 +248,19 @@ _GAMMA_BOX = 20.0
 _GAMMA_REL = 1e-12
 
 
+def _normal_range(w: complex) -> bool:
+    """Whether w is finite and |w| is at least the smallest normal double."""
+    return cmath.isfinite(w) and math.hypot(w.real, w.imag) >= sys.float_info.min
+
+
 def gamma_complex(w: complex) -> ComplexValue:
     """Complex gamma by mpmath's double-precision `fp.gamma`.
 
     Relative accuracy is about 1e-13 for |Re w|, |Im w| <= 20; outside that
     box the value is still returned but abs_error is widened proportionally
     to |w| / 20 as a coarse error model.  Nonpositive integers raise
-    PoleError; a value that overflows or underflows a double raises
-    NoConvergence.
+    PoleError; a value that overflows, or whose modulus is subnormal or 0
+    (where the relative error model fails), raises NoConvergence.
     """
     w = complex(w)
     if _is_nonpositive_integer(w):
@@ -263,7 +269,7 @@ def gamma_complex(w: complex) -> ComplexValue:
         value = complex(mp.fp.gamma(w))
     except OverflowError:
         value = complex(math.inf)
-    if not (cmath.isfinite(value) and value != 0):
+    if not _normal_range(value):
         raise NoConvergence(f"gamma({w!r}) is out of double range")
     scale = max(abs(w.real), abs(w.imag))
     rel = _GAMMA_REL * max(1.0, scale / _GAMMA_BOX)
@@ -275,12 +281,22 @@ def normalization_constant(params: CoulombParams) -> ComplexValue:
 
     The modulus bars on the first gamma factor are applied literally, also
     for complex parameters.  PoleError propagates from either gamma factor.
+    A factor or product that overflows, or underflows below the normal
+    double range, raises NoConvergence: a subnormal intermediate loses
+    relative accuracy, so the relative error model would not bound it.
     """
     L, eta = params.L, params.eta
     top = gamma_complex(L + 1 + 1j * eta)
     bottom = gamma_complex(2 * L + 2)
-    prefactor = cmath.exp(L * math.log(2.0)) * cmath.exp(-cmath.pi * eta / 2)
-    value = prefactor * abs(top.value) / bottom.value
+    try:
+        power, damping = cmath.exp(L * math.log(2.0)), cmath.exp(-cmath.pi * eta / 2)
+    except OverflowError as exc:
+        raise NoConvergence(f"C(L, eta) overflows at {params!r}") from exc
+    prefactor = power * damping
+    numerator = prefactor * abs(top.value)
+    value = numerator / bottom.value
+    if not all(map(_normal_range, (power, damping, prefactor, numerator, value))):
+        raise NoConvergence(f"C(L, eta) is out of double range at {params!r}")
     rel = (
         top.abs_error / abs(top.value)
         + bottom.abs_error / abs(bottom.value)

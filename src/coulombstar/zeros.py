@@ -17,7 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InvalidParams, NoConvergence, WindingMismatch
@@ -31,6 +30,7 @@ from .series import (
 )
 
 _NEWTON_MAX_STEPS = 100
+_REFINE_MAX_STEPS = 4
 _DEDUP_SEPARATION = 1e-8
 _WINDING_START_SAMPLES = 4096
 _WINDING_MAX_SAMPLES = 1 << 18
@@ -40,7 +40,12 @@ _EPS = 2.220446049250313e-16
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Zeros of g inside a trust radius, ordered by modulus then argument."""
+    """Zeros of g inside a trust radius, ordered by modulus then argument.
+
+    residuals[k] is |g(zeros[k])| for the truncated series at the returned
+    double zeros[k], evaluated by compensated Horner (about twice double
+    precision; see _compensated_horner for its error).
+    """
 
     params: CoulombParams
     trust_radius: float
@@ -117,28 +122,91 @@ def _newton_double(table: CoefficientTable, seed: complex, target: float) -> com
     return best if best_abs <= target else None
 
 
+_SPLITTER = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
+
+
+def _compensated_horner(coeffs, z: complex) -> complex:
+    """sum_n coeffs[n] z^n, as accurate as Horner in twice double precision.
+
+    Compensated complex Horner (Graillat, Langlois and Louvet 2005; Graillat
+    and Menissier-Morain 2008): each step's product and sum are split by
+    error-free transformations, TwoProduct through Dekker's split (there is
+    no math.fma before Python 3.13) and Knuth's TwoSum, and their rounding
+    errors are summed by a second Horner recurrence run alongside.  The
+    result is within about eps |h| + (4 n eps)^2 sum |a_n| |z|^n of the
+    exact value for double coefficients.
+    """
+    x, y = z.real, z.imag
+    t = _SPLITTER * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLITTER * y
+    yh = t - (t - y)
+    yl = y - yh
+    sr = si = cr = ci = 0.0
+    for a in reversed(coeffs):
+        ar, ai = a.real, a.imag
+        t = _SPLITTER * sr
+        sh = t - (t - sr)
+        sl = sr - sh
+        t = _SPLITTER * si
+        th = t - (t - si)
+        tl = si - th
+        # the four real products of s * z and their exact rounding errors
+        p1 = sr * x
+        e1 = sl * xl - (((p1 - sh * xh) - sl * xh) - sh * xl)
+        p2 = si * y
+        e2 = tl * yl - (((p2 - th * yh) - tl * yh) - th * yl)
+        p3 = sr * y
+        e3 = sl * yl - (((p3 - sh * yh) - sl * yh) - sh * yl)
+        p4 = si * x
+        e4 = tl * xl - (((p4 - th * xh) - tl * xh) - th * xl)
+        # TwoSum for p1 - p2, p3 + p4, and the additions of a_n
+        qr = p1 - p2
+        b = qr - p1
+        e5 = (p1 - (qr - b)) + (-p2 - b)
+        qi = p3 + p4
+        b = qi - p3
+        e6 = (p3 - (qi - b)) + (p4 - b)
+        sr = qr + ar
+        b = sr - qr
+        e7 = (qr - (sr - b)) + (ar - b)
+        si = qi + ai
+        b = si - qi
+        e8 = (qi - (si - b)) + (ai - b)
+        cr, ci = (cr * x - ci * y + (e1 - e2 + e5 + e7),
+                  cr * y + ci * x + (e3 + e4 + e6 + e8))
+    return complex(sr + cr, si + ci)
+
+
 def _refine_mp(table: CoefficientTable, root: complex) -> tuple[complex, float]:
-    """A few extended-precision Newton steps; returns (root, true residual).
+    """Newton on compensated residuals; returns (root, residual).
 
     Double-precision evaluation of the series bottoms out at its roundoff
-    floor, so the final position and the reported residual are computed with
-    40-digit arithmetic on the same truncated polynomial.
+    floor, so each step z <- z - g(z)/g'(z) takes g = z h from the
+    compensated Horner kernel (about twice double precision) and g' from
+    the double table.  Iteration stops when the update rounds to no change
+    or after _REFINE_MAX_STEPS steps, and returns the iterate of smallest
+    residual.  The residual is the compensated |g| at that returned double,
+    for the truncated series with the table's double coefficients.  (The
+    name predates the double kernel; perfbench/crosscheck.py times the
+    refinement under it.)
     """
-    with mp.workdps(40):
-        coeffs = [mp.mpc(c) for c in table.coeffs]
-        dcoeffs = [(n + 1) * c for n, c in enumerate(coeffs)]
-        z = mp.mpc(root)
-        g = _horner(coeffs, z) * z
-        for _ in range(6):
-            gp = _horner(dcoeffs, z)
-            if gp == 0:
-                break
-            step = g / gp
-            z = z - step
-            g = _horner(coeffs, z) * z
-            if abs(step) < mp.mpf("1e-30"):
-                break
-        return complex(z), float(abs(g))
+    z = root
+    g = z * _compensated_horner(table.coeffs, z)
+    best, best_residual = z, abs(g)
+    for _ in range(_REFINE_MAX_STEPS):
+        gp = complex(table.g_prime_values(z))
+        if gp == 0:
+            break
+        nxt = z - g / gp
+        if nxt == z:
+            break
+        z = nxt
+        g = z * _compensated_horner(table.coeffs, z)
+        if abs(g) < best_residual:
+            best, best_residual = z, abs(g)
+    return best, best_residual
 
 
 def find_zeros(
@@ -149,7 +217,10 @@ def find_zeros(
     The origin zero is structural (g(z) = z + ...) and is excluded from the
     list; the winding count over the trust circle must equal the list length
     plus one, otherwise WindingMismatch is raised.  Zeros are sorted by
-    modulus, ties broken by principal-branch argument.
+    modulus, ties broken by principal-branch argument.  Each zero is the
+    double that Newton on compensated residuals settles on, and its residual
+    is the compensated |g| there; any residual above 1e-10 max |a_n| raises
+    NoConvergence.
     """
     if not (trust_radius > 0 and math.isfinite(trust_radius)):
         raise InvalidParams(
@@ -182,11 +253,14 @@ def find_zeros(
     refined: list[complex] = []
     residuals: list[float] = []
     for root in polished:
+        # a real zero of a real series is refined on the real axis: off it,
+        # Newton shrinks im quadratically but never to 0, so the update
+        # would never round to no change
+        if real_coeffs and abs(root.imag) <= 1e-10 * max(1.0, abs(root.real)):
+            root = complex(root.real, 0.0)
         better, residual = _refine_mp(table, root)
         if abs(better) > trust_radius:
             continue
-        if real_coeffs and abs(better.imag) <= 1e-10 * max(1.0, abs(better.real)):
-            better = complex(better.real, 0.0)
         # normalize signed zeros so sort order does not depend on -0.0
         better = complex(better.real + 0.0, better.imag + 0.0)
         refined.append(better)

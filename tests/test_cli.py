@@ -76,6 +76,15 @@ class TestEval:
         assert result.stdout == ""
         assert "gamma" in result.stderr
 
+    @pytest.mark.parametrize("eta", ["-452", "-455"])
+    def test_normalization_overflow_exit_four(self, runner, eta):
+        result = invoke(
+            runner,
+            ["eval", "--L", "0", "--eta", eta, "--z", "0.5", "--function", "f"],
+        )
+        assert result.exit_code == 4
+        assert result.stdout == ""
+
     def test_f_matches_g_for_sine(self, runner):
         result = invoke(
             runner, ["eval", "--L", "0", "--eta", "0", "--z", "1", "--function", "f"]

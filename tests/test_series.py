@@ -212,9 +212,10 @@ class TestGammaComplex:
                 rel = abs(got.value - complex(ref)) / abs(complex(ref))
                 assert rel <= 1e-12, f"gamma rel error {rel:.2e} at {w}"
 
-    @pytest.mark.parametrize("w", [172.0, -190.5, 1 + 500j])
+    @pytest.mark.parametrize("w", [172.0, -190.5, 1 + 500j, 1 + 455j])
     def test_out_of_double_range_refuses(self, w):
         # Gamma(172) overflows; Gamma(-190.5) and |Gamma(1 + 500i)| underflow
+        # to 0, and |Gamma(1 + 455i)| ~ 2e-309 is subnormal
         with pytest.raises(NoConvergence):
             gamma_complex(w)
 
@@ -231,6 +232,29 @@ class TestNormalizationConstant:
         # Gamma(2L + 2) = Gamma(172) exceeds the double range
         with pytest.raises(NoConvergence):
             eval_f(CoulombParams(85.0, 0.1), 0.5)
+
+    @pytest.mark.parametrize("eta", [-452.0, -455.0, -470.0])
+    def test_exponential_overflow_refuses(self, eta):
+        # e^{-pi eta / 2} overflows while |Gamma(1 + i eta)| is still nonzero
+        with pytest.raises(NoConvergence):
+            normalization_constant(CoulombParams(0.0, eta))
+        with pytest.raises(NoConvergence):
+            eval_f(CoulombParams(0.0, eta), 0.5)
+
+    @pytest.mark.parametrize("eta", [240.0, 300.0, 455.0])
+    def test_underflow_refuses(self, eta):
+        # the true C ~ sqrt(2 pi eta) e^{-pi eta} is below the normal range,
+        # where a 0 or subnormal value with a relative bound bounds nothing
+        with pytest.raises(NoConvergence):
+            normalization_constant(CoulombParams(0.0, eta))
+
+    @pytest.mark.parametrize("eta", [-450.0, 200.0])
+    def test_large_eta_in_range_is_bounded(self, eta):
+        # C^2 = 2 pi eta / (e^{2 pi eta} - 1) for L = 0
+        c = normalization_constant(CoulombParams(0.0, eta))
+        with mp.workdps(30):
+            exact = mp.sqrt(2 * mp.pi * eta / mp.expm1(2 * mp.pi * eta))
+            assert float(abs(c.value - exact)) <= c.abs_error
 
     def test_trivial_case(self):
         c = normalization_constant(CoulombParams(0.0, 0.0))

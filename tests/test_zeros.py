@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from coulombstar import (
@@ -17,8 +18,22 @@ from coulombstar import (
     weierstrass_eval,
     winding_number,
 )
+from coulombstar.zeros import _compensated_horner
 
 SINE = CoulombParams(0.0, 0.0)
+EPS = 2.220446049250313e-16
+
+# (L, eta, trust radius): sine, real and complex parameters, radii 4-20
+REFERENCE_CASES = [
+    (0.0, 0.0, 4.0),
+    (0.0, 0.0, 20.0),
+    (0.5, 0.3, 9.0),
+    (0.7, -0.4, 8.0),
+    (0.2 + 0.1j, 0.3, 6.0),
+    (1.2, -0.9, 15.0),
+    (-0.3 + 0.2j, 0.8 - 0.1j, 12.0),
+    (0.9 + 0.25j, -0.6 + 0.2j, 18.0),
+]
 
 # |partial product - g| at z = 0.5 for the sine case over zeros |rho| <= 20,
 # one entry per included zero; frozen from an independent product evaluation
@@ -112,6 +127,66 @@ class TestFindZeros:
         assert d["trust_radius"] == 4.0
         for entry in d["zeros"]:
             assert set(entry.keys()) == {"re", "im", "residual"}
+
+
+def _mp_g(coeffs, z):
+    """z * sum a_n z^n in the current mpmath precision."""
+    z = mp.mpc(z)
+    return z * mp.polyval([mp.mpc(c) for c in reversed(coeffs)], z)
+
+
+def _mp_newton_zero(params, coeffs, start):
+    """40-digit Newton on the truncated series, rounded as find_zeros rounds."""
+    with mp.workdps(40):
+        dcoeffs = [(n + 1) * mp.mpc(c) for n, c in enumerate(coeffs)]
+        z = mp.mpc(start)
+        for _ in range(6):
+            step = _mp_g(coeffs, z) / mp.polyval(dcoeffs[::-1], z)
+            z -= step
+            if abs(step) < mp.mpf("1e-30"):
+                break
+        w = complex(z)
+    real = params.L.imag == 0.0 and params.eta.imag == 0.0
+    if real and abs(w.imag) <= 1e-10 * max(1.0, abs(w.real)):
+        w = complex(w.real, 0.0)
+    return complex(w.real + 0.0, w.imag + 0.0)
+
+
+class TestCompensatedRefinement:
+    @pytest.mark.parametrize(
+        "params", [SINE, CoulombParams(0.5, 0.3), CoulombParams(0.2 + 0.1j, 0.3 - 0.2j)]
+    )
+    @pytest.mark.parametrize("radius", [5.0, 10.0, 15.0, 20.0])
+    def test_kernel_matches_50_digits(self, params, radius):
+        coeffs = table_for_radius(params, radius).coeffs
+        for k in range(12):
+            z = radius * (0.3 + 0.06 * k) * cmath.exp(1j * (0.7 + 2.1 * k))
+            got = _compensated_horner(coeffs, z)
+            scale = sum(abs(c) * abs(z) ** n for n, c in enumerate(coeffs))
+            with mp.workdps(50):
+                exact = mp.polyval([mp.mpc(c) for c in reversed(coeffs)], mp.mpc(z))
+                err = float(abs(mp.mpc(got) - exact))
+                assert err <= EPS * float(abs(exact)) + 1e-20 * scale, (z, err)
+
+    @pytest.mark.parametrize("L, eta, radius", REFERENCE_CASES)
+    def test_zeros_match_40_digit_newton(self, L, eta, radius):
+        params = CoulombParams(L, eta)
+        zs = find_zeros(params, radius)
+        coeffs = table_for_radius(params, radius).coeffs
+        assert zs.zeros
+        for rho in zs.zeros:
+            ref = _mp_newton_zero(params, coeffs, rho)
+            assert (rho.real.hex(), rho.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+    @pytest.mark.parametrize("L, eta, radius", REFERENCE_CASES)
+    def test_residual_is_g_at_the_returned_zero(self, L, eta, radius):
+        params = CoulombParams(L, eta)
+        zs = find_zeros(params, radius)
+        coeffs = table_for_radius(params, radius).coeffs
+        for rho, residual in zip(zs.zeros, zs.residuals):
+            with mp.workdps(50):
+                exact = float(abs(_mp_g(coeffs, rho)))
+            assert residual == pytest.approx(exact, rel=1e-6)
 
 
 class TestWindingNumber:
