@@ -24,7 +24,6 @@ from .errors import (
     NoConvergence,
     PoleError,
     WindingMismatch,
-    ZeroInDisk,
 )
 from .series import (
     DEFAULT_TOL,

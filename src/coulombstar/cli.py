@@ -107,6 +107,14 @@ _tol_option = click.option(
 )
 
 
+def _certify_options(command):
+    """--class, --angles and --r-max, shared by certify and scan."""
+    classes = click.Choice([c.value for c in StarlikeClass])
+    command = click.option("--r-max", type=float, default=0.999, show_default=True)(command)
+    command = click.option("--angles", type=int, default=720, show_default=True)(command)
+    return click.option("--class", "flavor", type=classes, required=True)(command)
+
+
 def _exit_for(exc: Exception) -> int:
     if isinstance(exc, (InvalidParams, PoleError)):
         return 3
@@ -206,25 +214,16 @@ def cmd_zeros(L: complex, eta: complex, radius: float, tol: float) -> None:
 @main.command("certify")
 @click.option("--L", "L", type=COMPLEX, required=True)
 @click.option("--eta", type=COMPLEX, required=True)
-@click.option(
-    "--class",
-    "flavor",
-    type=click.Choice([c.value for c in StarlikeClass]),
-    required=True,
-)
-@click.option("--rings", type=int, default=40, show_default=True)
-@click.option("--angles", type=int, default=720, show_default=True)
-@click.option("--r-max", type=float, default=0.999, show_default=True)
+@_certify_options
 @_tol_option
 def cmd_certify(
-    L: complex, eta: complex, flavor: str, rings: int, angles: int,
-    r_max: float, tol: float,
+    L: complex, eta: complex, flavor: str, angles: int, r_max: float, tol: float,
 ) -> None:
-    """Scan the disk grid and certify the requested starlikeness flavor."""
+    """Certify the requested starlikeness flavor on the circle |z| = r-max."""
 
     def body() -> int:
         params = CoulombParams(L=L, eta=eta)
-        grid = ScanGrid.default(rings, angles, r_max)
+        grid = ScanGrid(angles, r_max)
         report = certify(params, StarlikeClass(flavor), grid, tol)
         click.echo(render_json(report.to_jsonable()))
         return 0 if report.certified else 1
@@ -239,25 +238,17 @@ def cmd_certify(
 @click.option("--eta-min", type=float, required=True)
 @click.option("--eta-max", type=float, required=True)
 @click.option("--eta-step", type=float, required=True)
-@click.option(
-    "--class",
-    "flavor",
-    type=click.Choice([c.value for c in StarlikeClass]),
-    required=True,
-)
-@click.option("--rings", type=int, default=40, show_default=True)
-@click.option("--angles", type=int, default=720, show_default=True)
-@click.option("--r-max", type=float, default=0.999, show_default=True)
+@_certify_options
 @_tol_option
 def cmd_scan(
     L_min: float, L_max: float, L_step: float,
     eta_min: float, eta_max: float, eta_step: float,
-    flavor: str, rings: int, angles: int, r_max: float, tol: float,
+    flavor: str, angles: int, r_max: float, tol: float,
 ) -> None:
     """Sweep a real parameter rectangle and emit one CSV row per pair."""
 
     def body() -> int:
-        grid = ScanGrid.default(rings, angles, r_max)
+        grid = ScanGrid(angles, r_max)
         rows = parameter_scan(
             (L_min, L_max, L_step),
             (eta_min, eta_max, eta_step),

@@ -35,9 +35,5 @@ class WindingMismatch(CoulombError):
     """Argument-principle count disagrees with the list of located zeros."""
 
 
-class ZeroInDisk(CoulombError):
-    """A zero of the function lies on the scanned certification grid."""
-
-
 class DomainError(CoulombError):
     """Argument outside the admissible domain of a boundary-locus function."""

@@ -168,7 +168,10 @@ class CoefficientTable:
 
     def g_values(self, z):
         """g at scalar or ndarray argument, by Horner on the stored table."""
-        return z * _horner(self.coeffs, z)
+        # h * z, not z * h: numpy multiplies into a large temporary in place,
+        # temporary first, and rounds by operand order; so g's bits do not
+        # depend on the number of points
+        return _horner(self.coeffs, z) * z
 
     def g_prime_values(self, z):
         return _horner(self._dcoeffs, z)

@@ -1,4 +1,4 @@
-"""Starlikeness certification of g on the unit disk by grid scanning.
+"""Starlikeness certification of g on the unit disk from its boundary circle.
 
 A normalized function is starlike of a given flavor exactly when its ratio
 P(z) = z g'(z) / g(z) keeps its values inside the corresponding target
@@ -9,9 +9,16 @@ region for all |z| < 1:
     exponential   |Log w| < 1             (image of the unit disk under exp)
 
 Each region membership is expressed as a margin that is positive inside and
-negative outside, so a scan only has to check that the minimum margin over a
-polar grid stays positive.  Closed-form sufficient conditions on (L, eta)
-are provided alongside as fast pre-checks.
+negative outside.  Once g has no zero in 0 < |z| <= r_max, P is analytic on
+that disk, and each region is simply connected, so P maps the disk into the
+region as soon as the circle |z| = r_max does (the boundary argument of
+differential subordination; Miller and Mocanu, Differential Subordinations,
+2000).  Each margin is then harmonic or superharmonic, so its minimum over
+the disk sits on the circle.  certify therefore samples P on that circle only
+and proves the disk zero-free apart from the origin with the
+argument-principle count of zeros.winding_number.  Positivity on the arcs
+between samples is not proven.  Closed-form sufficient conditions on
+(L, eta) are provided alongside as fast pre-checks.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoulombError, InvalidParams
+from .errors import CoulombError, InvalidParams, NoConvergence
 from .series import DEFAULT_TOL, CoulombParams, table_for_radius
+from .zeros import winding_number
 
 SQRT2 = math.sqrt(2.0)
 #: Hypothesis threshold of the lemniscate sufficient condition.
@@ -99,54 +107,29 @@ def _condition(params: CoulombParams, flavor: StarlikeClass) -> tuple[bool, floa
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Polar certification grid: rings of equally spaced angles."""
+    """Certification circle |z| = r_max with equally spaced sample angles."""
 
-    radii: tuple[float, ...]
     angles_per_ring: int = 720
     r_max: float = 0.999
 
     def __post_init__(self) -> None:
-        if not self.radii:
-            raise InvalidParams("grid needs at least one ring")
         if self.angles_per_ring < 1:
             raise InvalidParams("angles_per_ring must be >= 1")
         if not (0 < self.r_max < 1):
             raise InvalidParams("r_max must sit in (0, 1)")
-        previous = 0.0
-        for r in self.radii:
-            if not (previous < r <= self.r_max):
-                raise InvalidParams(
-                    "radii must increase strictly inside (0, r_max]"
-                )
-            previous = r
-
-    @property
-    def rings(self) -> int:
-        return len(self.radii)
-
-    @classmethod
-    def default(cls, rings: int = 40, angles_per_ring: int = 720, r_max: float = 0.999):
-        radii = tuple(r_max * (j + 1) / rings for j in range(rings))
-        return cls(radii=radii, angles_per_ring=angles_per_ring, r_max=r_max)
 
     def points(self) -> np.ndarray:
-        """Complex sample points, shape (rings, angles_per_ring)."""
+        """Complex sample points on the circle, shape (angles_per_ring,)."""
         theta = 2 * np.pi * np.arange(self.angles_per_ring) / self.angles_per_ring
-        ring = np.exp(1j * theta)
-        return np.asarray(self.radii)[:, None] * ring[None, :]
+        return self.r_max * np.exp(1j * theta)
 
     def to_jsonable(self) -> dict:
-        return {
-            "rings": self.rings,
-            "angles_per_ring": self.angles_per_ring,
-            "r_max": self.r_max,
-            "radii": list(self.radii),
-        }
+        return {"angles_per_ring": self.angles_per_ring, "r_max": self.r_max}
 
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of a grid scan for one parameter pair and one flavor."""
+    """Outcome of a circle scan for one parameter pair and one flavor."""
 
     params: CoulombParams
     starlike_class: StarlikeClass
@@ -155,7 +138,6 @@ class CertificationReport:
     worst_point: complex
     hypothesis_satisfied: bool
     certified: bool
-    per_ring_margins: tuple[float, ...]
     zero_in_disk: bool = False
 
     def to_jsonable(self) -> dict:
@@ -168,7 +150,6 @@ class CertificationReport:
             "hypothesis_satisfied": self.hypothesis_satisfied,
             "certified": self.certified,
             "zero_in_disk": self.zero_in_disk,
-            "per_ring_margins": list(self.per_ring_margins),
         }
 
 
@@ -192,16 +173,19 @@ def certify(
     grid: ScanGrid | None = None,
     tol: float = DEFAULT_TOL,
 ) -> CertificationReport:
-    """Scan P over the grid and report the minimum membership margin.
+    """Sample P on |z| = r_max and report the minimum membership margin.
 
-    certified is exactly min_margin > 0.  Grid points where g (numerically)
-    vanishes poison the ratio; they are recorded with margin -inf and flip
-    zero_in_disk, so the report survives but cannot certify.  Ties for the
-    worst point resolve to the lowest (ring, angle) index pair.
+    certified is exactly min_margin > 0.  It means: the winding count shows
+    g has no zero in 0 < |z| <= r_max, and the margin is positive at every
+    sample of the circle; the arcs between samples are not proven.  A zero in
+    the disk, or a sample where g (numerically) vanishes, sets zero_in_disk
+    and min_margin -inf, so the report survives but cannot certify.
+    worst_point is the sample of least margin, ties resolving to the lowest
+    angle index.
     """
     flavor = StarlikeClass(starlike_class)
     if grid is None:
-        grid = ScanGrid.default()
+        grid = ScanGrid()
     table = table_for_radius(params, grid.r_max, tol, deriv=1)
     z = grid.points()
     g = table.g_values(z)
@@ -211,19 +195,23 @@ def certify(
         P = np.where(near_zero, 1.0, z * gp / g)
     margins = _margin_field(P, flavor)
     margins[near_zero] = -np.inf
-    flat = int(np.argmin(margins))
-    ring_index, angle_index = divmod(flat, grid.angles_per_ring)
-    min_margin = float(margins[ring_index, angle_index])
+    worst = int(np.argmin(margins))
+    zero_in_disk = bool(near_zero.any())
+    if not zero_in_disk:
+        try:
+            zero_in_disk = winding_number(table, grid.r_max) != 1
+        except NoConvergence:  # a zero within a few 1e-6 of the circle
+            zero_in_disk = True
+    min_margin = -math.inf if zero_in_disk else float(margins[worst])
     return CertificationReport(
         params=params,
         starlike_class=flavor,
         grid=grid,
         min_margin=min_margin,
-        worst_point=complex(z[ring_index, angle_index]),
+        worst_point=complex(z[worst]),
         hypothesis_satisfied=_condition(params, flavor)[0],
         certified=bool(min_margin > 0),
-        per_ring_margins=tuple(float(m) for m in margins.min(axis=1)),
-        zero_in_disk=bool(near_zero.any()),
+        zero_in_disk=zero_in_disk,
     )
 
 
@@ -265,7 +253,7 @@ def parameter_scan(
     """
     flavor = StarlikeClass(starlike_class)
     if grid is None:
-        grid = ScanGrid.default()
+        grid = ScanGrid()
     rows: list[ScanRow] = []
     for L in _lattice(L_range):
         for eta in _lattice(eta_range):

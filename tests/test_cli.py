@@ -246,12 +246,21 @@ class TestCertify:
         result = invoke(
             runner,
             ["certify", "--L", "0.5", "--eta", "0.1", "--class", "lemniscate",
-             "--rings", "10", "--angles", "90", "--r-max", "0.9"],
+             "--angles", "90", "--r-max", "0.9"],
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert payload["grid"]["rings"] == 10
-        assert payload["grid"]["angles_per_ring"] == 90
+        assert payload["grid"] == {"angles_per_ring": 90, "r_max": 0.9}
+
+    @pytest.mark.parametrize("command", [
+        ["certify", "--L", "0.5", "--eta", "0.1"],
+        ["scan", "--L-min", "0.5", "--L-max", "0.5", "--L-step", "0.1",
+         "--eta-min", "0", "--eta-max", "0", "--eta-step", "0.1"],
+    ])
+    def test_rings_flag_is_gone(self, runner, command):
+        result = invoke(runner, command + ["--class", "lemniscate", "--rings", "10"])
+        assert result.exit_code == 2
+        assert "--rings" in result.output
 
 
 class TestScan:
@@ -260,7 +269,7 @@ class TestScan:
             runner,
             ["scan", "--L-min", "0.4", "--L-max", "0.6", "--L-step", "0.1",
              "--eta-min", "0", "--eta-max", "0.1", "--eta-step", "0.05",
-             "--class", "lemniscate", "--rings", "10", "--angles", "90"],
+             "--class", "lemniscate", "--angles", "90"],
         )
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
@@ -278,7 +287,7 @@ class TestScan:
             runner,
             ["scan", "--l-min", "0.5", "--l-max", "0.5", "--l-step", "0.1",
              "--eta-min", "0", "--eta-max", "0", "--eta-step", "0.1",
-             "--class", "classical", "--rings", "5", "--angles", "36"],
+             "--class", "classical", "--angles", "36"],
         )
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 2

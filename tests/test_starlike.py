@@ -7,6 +7,7 @@ import pytest
 
 import coulombstar.starlike as starlike
 from coulombstar import (
+    DEFAULT_TOL,
     EXPONENTIAL_THRESHOLD,
     LEMNISCATE_THRESHOLD,
     CoulombParams,
@@ -21,6 +22,7 @@ from coulombstar import (
     lemniscate_condition,
     lemniscate_margin,
     parameter_scan,
+    table_for_radius,
 )
 
 INSTANCE = CoulombParams(0.5, 0.1)
@@ -91,22 +93,43 @@ class TestConditions:
 
 class TestScanGrid:
     def test_default_shape(self):
-        grid = ScanGrid.default()
-        assert grid.rings == 40
+        grid = ScanGrid()
         assert grid.angles_per_ring == 720
-        assert grid.radii[-1] == pytest.approx(0.999)
-        assert all(b > a for a, b in zip(grid.radii, grid.radii[1:]))
-        assert grid.points().shape == (40, 720)
+        assert grid.r_max == 0.999
+        assert grid.points().shape == (720,)
+        assert np.allclose(np.abs(grid.points()), 0.999, rtol=0, atol=1e-15)
 
     def test_invalid_grids(self):
         with pytest.raises(InvalidParams):
-            ScanGrid(radii=())
+            ScanGrid(r_max=1.0)
         with pytest.raises(InvalidParams):
-            ScanGrid(radii=(0.5, 0.4))
+            ScanGrid(r_max=0.0)
         with pytest.raises(InvalidParams):
-            ScanGrid(radii=(0.5,), r_max=1.0)
-        with pytest.raises(InvalidParams):
-            ScanGrid(radii=(0.5,), angles_per_ring=0)
+            ScanGrid(angles_per_ring=0)
+
+
+def interior_grid_min(params, flavor, grid):
+    """Least margin over a 40-ring polar grid filling |z| <= r_max.
+
+    The reference for the maximum principle: certify samples only the outer
+    ring, and no interior ring may go lower.  The sine case uses the exact
+    P = z cot z; other parameters use the series table.
+    """
+    radii = np.array([grid.r_max * (j + 1) / 40 for j in range(40)])
+    n = grid.angles_per_ring
+    z = radii[:, None] * np.exp(2j * np.pi * np.arange(n) / n)[None, :]
+    if params.L == 0 and params.eta == 0:
+        P = z * np.cos(z) / np.sin(z)
+    else:
+        table = table_for_radius(params, grid.r_max, DEFAULT_TOL, deriv=1)
+        P = z * table.g_prime_values(z) / table.g_values(z)
+    if flavor is StarlikeClass.CLASSICAL:
+        margins = np.vectorize(classical_margin)(P)
+    elif flavor is StarlikeClass.LEMNISCATE:
+        margins = np.minimum(np.vectorize(lemniscate_margin)(P), P.real)
+    else:
+        margins = np.vectorize(exponential_margin)(P)
+    return float(margins.min())
 
 
 class TestCertify:
@@ -144,32 +167,58 @@ class TestCertify:
         margin = min(lemniscate_margin(P), P.real)
         assert margin == pytest.approx(report.min_margin, abs=1e-12)
 
-    def test_per_ring_margin_continuity(self):
-        for flavor in (
-            StarlikeClass.LEMNISCATE,
-            StarlikeClass.EXPONENTIAL,
-            StarlikeClass.CLASSICAL,
-        ):
-            report = certify(INSTANCE, flavor)
-            margins = report.per_ring_margins
-            assert len(margins) == 40
-            for a, b in zip(margins, margins[1:]):
-                assert abs(b - a) < 0.1
+    @pytest.mark.parametrize(
+        "L, eta, flavor",
+        [(0.0, 0.0, c) for c in StarlikeClass]
+        + [(0.5, 0.1, c) for c in StarlikeClass]
+        + [
+            (0.3, -0.1, StarlikeClass.LEMNISCATE),
+            (0.6, 0.05, StarlikeClass.EXPONENTIAL),
+            (0.2, 0.3, StarlikeClass.CLASSICAL),
+        ],
+    )
+    def test_circle_minimum_bounds_interior(self, L, eta, flavor):
+        params = CoulombParams(L, eta)
+        report = certify(params, flavor)
+        interior = interior_grid_min(params, flavor, report.grid)
+        assert report.min_margin <= interior + 1e-12
+        assert report.certified == (interior > 0)
 
     def test_complex_parameters_accepted(self):
         report = certify(CoulombParams(0.5 + 0.05j, 0.1), StarlikeClass.LEMNISCATE)
         assert math.isfinite(report.min_margin)
 
     def test_zero_on_grid_is_flagged(self):
-        # g for (L=0, eta=5) vanishes at about -0.3627, inside the disk;
-        # aim a two-point ring exactly at it
+        # g for (L=0, eta=5) vanishes at about -0.3627, inside the disk; aim
+        # a two-point circle exactly at it
         params = CoulombParams(0.0, 5.0)
-        x0 = -0.362658574621303
-        grid = ScanGrid(radii=(abs(x0),), angles_per_ring=2, r_max=0.999)
+        grid = ScanGrid(angles_per_ring=2, r_max=0.362658574621303)
         report = certify(params, StarlikeClass.CLASSICAL, grid)
         assert report.zero_in_disk
         assert not report.certified
         assert report.min_margin == -math.inf
+
+    def test_zero_between_circle_samples_is_flagged(self):
+        # the same zero on a three-point circle: no sample comes near it, and
+        # the winding count cannot settle, which is reported, not raised
+        params = CoulombParams(0.0, 5.0)
+        grid = ScanGrid(angles_per_ring=3, r_max=0.362658574621303)
+        report = certify(params, StarlikeClass.CLASSICAL, grid)
+        assert report.zero_in_disk
+        assert not report.certified
+        assert report.min_margin == -math.inf
+        assert report.worst_point in grid.points()
+
+    @pytest.mark.parametrize("L, eta", [(0.0, 5.0), (-0.4, 0.8)])
+    @pytest.mark.parametrize("flavor", list(StarlikeClass))
+    def test_zero_inside_disk_is_flagged(self, L, eta, flavor):
+        # g has a real zero inside |z| < 0.999, at -0.3627 and at -0.9911,
+        # that no circle sample lands on; only the winding count sees it
+        report = certify(CoulombParams(L, eta), flavor)
+        assert report.zero_in_disk
+        assert report.min_margin == -math.inf
+        assert not report.certified
+        assert abs(report.worst_point) == pytest.approx(0.999, abs=1e-15)
 
     def test_jsonable_shape(self):
         report = certify(INSTANCE, StarlikeClass.LEMNISCATE)
@@ -177,12 +226,13 @@ class TestCertify:
         assert d["class"] == "lemniscate"
         assert d["certified"] is True
         assert set(d["worst_point"].keys()) == {"re", "im"}
-        assert len(d["per_ring_margins"]) == 40
+        assert d["grid"] == {"angles_per_ring": 720, "r_max": 0.999}
+        assert "per_ring_margins" not in d
 
 
 class TestParameterScan:
     def test_rows_match_certify(self):
-        grid = ScanGrid.default(rings=10, angles_per_ring=90)
+        grid = ScanGrid(angles_per_ring=90)
         rows = parameter_scan(
             (0.4, 0.6, 0.1), (0.0, 0.1, 0.05), StarlikeClass.LEMNISCATE, grid
         )
@@ -202,7 +252,7 @@ class TestParameterScan:
     def test_single_point_slack(self):
         rows = parameter_scan(
             (0.5, 0.5, 0.1), (0.0, 0.0, 0.1), StarlikeClass.LEMNISCATE,
-            ScanGrid.default(rings=5, angles_per_ring=36),
+            ScanGrid(angles_per_ring=36),
         )
         assert len(rows) == 1
         assert rows[0].slack == pytest.approx(math.sqrt(2.0) / 4, abs=1e-15)
@@ -210,7 +260,7 @@ class TestParameterScan:
     def test_invalid_point_recorded_not_raised(self):
         rows = parameter_scan(
             (-1.0, -1.0, 0.5), (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL,
-            ScanGrid.default(rings=5, angles_per_ring=36),
+            ScanGrid(angles_per_ring=36),
         )
         assert len(rows) == 1
         assert math.isnan(rows[0].min_margin)
@@ -237,6 +287,6 @@ class TestParameterScan:
     def test_classical_rows_have_nan_slack(self):
         rows = parameter_scan(
             (0.5, 0.5, 0.1), (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL,
-            ScanGrid.default(rings=5, angles_per_ring=36),
+            ScanGrid(angles_per_ring=36),
         )
         assert math.isnan(rows[0].slack)
