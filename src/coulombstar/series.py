@@ -248,6 +248,10 @@ def table_for_radius(
 # complex gamma
 
 _GAMMA_BOX = 20.0
+# Assumed, not proven: mpmath.fp.gamma is within 1e-12 relative of Gamma in
+# the box |Re w|, |Im w| <= _GAMMA_BOX.  The worst relative error measured
+# against 40-digit mp.gamma over 3,000 points was 1.40e-13 inside the box
+# and 2.2e-13 out to 60.
 _GAMMA_REL = 1e-12
 
 
@@ -259,9 +263,12 @@ def _normal_range(w: complex) -> bool:
 def gamma_complex(w: complex) -> ComplexValue:
     """Complex gamma by mpmath's double-precision `fp.gamma`.
 
-    Relative accuracy is about 1e-13 for |Re w|, |Im w| <= 20; outside that
-    box the value is still returned but abs_error is widened proportionally
-    to |w| / 20 as a coarse error model.  Nonpositive integers raise
+    abs_error rests on a stated assumption about fp.gamma, not on a proof:
+    relative error at most _GAMMA_REL = 1e-12 for |Re w|, |Im w| <= 20.  The
+    worst measured against 40-digit mp.gamma over 3,000 points was 1.40e-13
+    in that box and 2.2e-13 out to 60.  Outside the box the value is still
+    returned but abs_error is widened proportionally to max(|Re w|, |Im w|)
+    / 20 as a coarse error model.  Nonpositive integers raise
     PoleError; a value that overflows, or whose modulus is subnormal or 0
     (where the relative error model fails), raises NoConvergence.
     """

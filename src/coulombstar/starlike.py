@@ -15,23 +15,30 @@ region as soon as the circle |z| = r_max does (the boundary argument of
 differential subordination; Miller and Mocanu, Differential Subordinations,
 2000).  Each margin is then harmonic or superharmonic, so its minimum over
 the disk sits on the circle.  certify therefore samples P on that circle only
-and proves the disk zero-free apart from the origin with the
-argument-principle count of zeros.winding_number.  Positivity on the arcs
-between samples is not proven.  Closed-form sufficient conditions on
-(L, eta) are provided alongside as fast pre-checks.
+and proves the disk zero-free apart from the origin from the circle's own g
+samples: a bound on |g'| over the disk shows that g keeps away from 0 on each
+arc between samples, so the sampled argument steps add up to the exact
+argument-principle count (arcs that fail the bound are bisected).  Positivity
+of the margin on the arcs between samples is not proven.  Closed-form
+sufficient conditions on (L, eta) are provided alongside as fast pre-checks.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoulombError, InvalidParams, NoConvergence
-from .series import DEFAULT_TOL, CoulombParams, table_for_radius
-from .zeros import winding_number
+from .errors import CoulombError, InvalidParams
+from .series import _ORDER_SCHEDULE, DEFAULT_TOL, CoefficientTable, CoulombParams, _grow_table
+
+_EPS = math.ulp(1.0)
+# g samples allowed on the circle, bisection midpoints included; the same
+# cap as zeros.winding_number's
+_MAX_CIRCLE_SAMPLES = 1 << 18
 
 SQRT2 = math.sqrt(2.0)
 #: Hypothesis threshold of the lemniscate sufficient condition.
@@ -118,10 +125,16 @@ class ScanGrid:
         if not (0 < self.r_max < 1):
             raise InvalidParams("r_max must sit in (0, 1)")
 
-    def points(self) -> np.ndarray:
-        """Complex sample points on the circle, shape (angles_per_ring,)."""
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
         theta = 2 * np.pi * np.arange(self.angles_per_ring) / self.angles_per_ring
-        return self.r_max * np.exp(1j * theta)
+        points = self.r_max * np.exp(1j * theta)
+        points.flags.writeable = False  # shared by every call on this grid
+        return points
+
+    def points(self) -> np.ndarray:
+        """Complex sample points on the circle, shape (angles_per_ring,); read-only."""
+        return self._points
 
     def to_jsonable(self) -> dict:
         return {"angles_per_ring": self.angles_per_ring, "r_max": self.r_max}
@@ -167,6 +180,57 @@ def _margin_field(P: np.ndarray, flavor: StarlikeClass) -> np.ndarray:
     return margin
 
 
+def _circle_winding(
+    table: CoefficientTable, bounds: tuple[float, float, float],
+    grid: ScanGrid, g: np.ndarray,
+) -> int | None:
+    """Proven count of the zeros of g in |z| < r_max, from its circle samples.
+
+    g holds the table's values at grid.points().  M1 = sum (n+1)|a_n| r^n
+    + tail1 bounds |g'| on the closed disk, and err = tail0
+    + 8 (order+2) eps S(r), S(r) = sum |a_n| r^(n+1), is the rounding
+    allowance of each sample: the series tail plus complex Horner's rounding
+    and that of the sample point (about 5 and 3 (order+1) eps S).  The
+    rounding of the coefficients themselves is not in it yet.
+
+    The arc of angular width w that starts at a sample g_k is proven when
+    |g_k| - 2 err > 2 M1 r w.  Then the exact g on the arc, and both computed
+    endpoint values, lie in one disk around the exact g(z_k) that excludes 0,
+    so the principal angle of g_(k+1)/g_k is the true change of arg g along
+    the arc, and the steps add up to exactly 2 pi times the count.  Arcs
+    that fail are bisected, evaluating g at their midpoints only.  Returns
+    None when an arc cannot close: a sample within 2 err of 0, a midpoint
+    angle that rounds onto its arc's start, or more than _MAX_CIRCLE_SAMPLES
+    samples.
+    """
+    r = grid.r_max
+    a = np.abs(np.array(table.coeffs))
+    rn = r ** np.arange(a.size)
+    err = bounds[0] + 8 * (table.order + 2) * _EPS * r * float(a @ rn)
+    m1 = float((np.arange(1, a.size + 1) * a) @ rn) + bounds[1]
+    n = grid.angles_per_ring
+    theta = 2 * np.pi * np.arange(n) / n
+    width = np.full(n, 2 * np.pi / n)
+    start, end = g, np.roll(g, -1)
+    total, samples = 0.0, n
+    while True:
+        closed = np.abs(start) - 2 * err > 2 * m1 * r * width
+        total += float(np.angle(end[closed] / start[closed]).sum())
+        if closed.all():
+            return round(total / (2 * np.pi))
+        theta, width, start, end = (x[~closed] for x in (theta, width, start, end))
+        width = width / 2
+        mid = theta + width
+        samples += mid.size
+        if (samples > _MAX_CIRCLE_SAMPLES or np.any(np.abs(start) <= 2 * err)
+                or np.any(mid == theta)):
+            return None
+        g_mid = table.g_values(r * np.exp(1j * mid))
+        theta = np.concatenate((theta, mid))
+        width = np.concatenate((width, width))
+        start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
+
+
 def certify(
     params: CoulombParams,
     starlike_class: StarlikeClass,
@@ -175,18 +239,19 @@ def certify(
 ) -> CertificationReport:
     """Sample P on |z| = r_max and report the minimum membership margin.
 
-    certified is exactly min_margin > 0.  It means: the winding count shows
-    g has no zero in 0 < |z| <= r_max, and the margin is positive at every
-    sample of the circle; the arcs between samples are not proven.  A zero in
-    the disk, or a sample where g (numerically) vanishes, sets zero_in_disk
-    and min_margin -inf, so the report survives but cannot certify.
-    worst_point is the sample of least margin, ties resolving to the lowest
-    angle index.
+    certified is exactly min_margin > 0.  It means: g has no zero in
+    0 < |z| <= r_max, proven from the circle's own g samples (see
+    _circle_winding), and the margin is positive at every sample of the
+    circle; the margins on the arcs between samples are not proven.  A zero
+    in the disk, a sample where g (numerically) vanishes, or an arc whose
+    count cannot close sets zero_in_disk and min_margin -inf, so the report
+    survives but cannot certify.  worst_point is the sample of least margin,
+    ties resolving to the lowest angle index.
     """
     flavor = StarlikeClass(starlike_class)
     if grid is None:
         grid = ScanGrid()
-    table = table_for_radius(params, grid.r_max, tol, deriv=1)
+    table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, tol, 1)
     z = grid.points()
     g = table.g_values(z)
     gp = table.g_prime_values(z)
@@ -196,12 +261,7 @@ def certify(
     margins = _margin_field(P, flavor)
     margins[near_zero] = -np.inf
     worst = int(np.argmin(margins))
-    zero_in_disk = bool(near_zero.any())
-    if not zero_in_disk:
-        try:
-            zero_in_disk = winding_number(table, grid.r_max) != 1
-        except NoConvergence:  # a zero within a few 1e-6 of the circle
-            zero_in_disk = True
+    zero_in_disk = bool(near_zero.any()) or _circle_winding(table, bounds, grid, g) != 1
     min_margin = -math.inf if zero_in_disk else float(margins[worst])
     return CertificationReport(
         params=params,
@@ -228,11 +288,16 @@ class ScanRow:
 
 def _lattice(bounds: tuple[float, float, float]) -> list[float]:
     lo, hi, step = bounds
+    if not all(map(math.isfinite, bounds)):
+        raise InvalidParams(f"range bounds and step must be finite, got {bounds}")
     if step <= 0:
         raise InvalidParams(f"step must be positive, got {step}")
     if hi < lo:
         return []
-    count = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise InvalidParams(f"range {bounds} has too many steps")
+    count = int(round(span)) + 1
     values = [lo + k * step for k in range(count)]
     return [v for v in values if v <= hi + step * 1e-9]
 

@@ -69,7 +69,11 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
 
     Trapezoidal integration of g'(z) z / g(z) over uniform boundary samples,
     starting at 4096 and doubling until the estimate lands within 0.25 of an
-    integer.  The origin zero is always included in the count.
+    integer.  The origin zero is always included in the count.  This is an
+    estimate, not a proof: with a zero close to the circle the trapezoid sum
+    can land near a wrong integer and be accepted.  For (L, eta) = (0, 5),
+    whose zero sits at |rho| = 0.362658574621303, it returns -9 at radius
+    0.36265 and 17 at 0.36266, where the true counts are 1 and 2.
     """
     samples = _WINDING_START_SAMPLES
     while samples <= _WINDING_MAX_SAMPLES:

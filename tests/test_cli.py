@@ -282,6 +282,23 @@ class TestScan:
             if float(fields[2]) > 0:
                 assert fields[4] == "true"
 
+    @pytest.mark.parametrize("axis", ["L", "eta"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("step", "nan"), ("step", "inf"), ("min", "-inf"), ("max", "inf"), ("min", "nan")],
+    )
+    def test_nonfinite_range_exit_three(self, runner, axis, flag, value):
+        keys = ("min", "max", "step")
+        ranges = {"L": ["0.4", "0.5", "0.1"], "eta": ["0", "0", "0.1"]}
+        ranges[axis][keys.index(flag)] = value
+        args = ["scan", "--class", "classical", "--angles", "12"]
+        for name, values in ranges.items():
+            for key, text in zip(keys, values):
+                args += [f"--{name}-{key}", text]
+        result = invoke(runner, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+
     def test_lowercase_flag_aliases(self, runner):
         result = invoke(
             runner,

@@ -1,6 +1,7 @@
 """Unit tests for region margins, hypothesis slacks, and disk certification."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from coulombstar import (
     lemniscate_margin,
     parameter_scan,
     table_for_radius,
+    winding_number,
 )
+from coulombstar.series import _ORDER_SCHEDULE, CoefficientTable, _grow_table
 
 INSTANCE = CoulombParams(0.5, 0.1)
 
@@ -98,6 +101,11 @@ class TestScanGrid:
         assert grid.r_max == 0.999
         assert grid.points().shape == (720,)
         assert np.allclose(np.abs(grid.points()), 0.999, rtol=0, atol=1e-15)
+
+    def test_points_are_computed_once(self):
+        grid = ScanGrid(angles_per_ring=12)
+        assert grid.points() is grid.points()
+        assert not grid.points().flags.writeable
 
     def test_invalid_grids(self):
         with pytest.raises(InvalidParams):
@@ -200,7 +208,7 @@ class TestCertify:
 
     def test_zero_between_circle_samples_is_flagged(self):
         # the same zero on a three-point circle: no sample comes near it, and
-        # the winding count cannot settle, which is reported, not raised
+        # no arc around it can close, which is reported, not raised
         params = CoulombParams(0.0, 5.0)
         grid = ScanGrid(angles_per_ring=3, r_max=0.362658574621303)
         report = certify(params, StarlikeClass.CLASSICAL, grid)
@@ -220,6 +228,33 @@ class TestCertify:
         assert not report.certified
         assert abs(report.worst_point) == pytest.approx(0.999, abs=1e-15)
 
+    @pytest.mark.parametrize("angles", [1, 3, 720])
+    @pytest.mark.parametrize("r_max, inside", [(0.36265, False), (0.36266, True)])
+    def test_zero_near_circle_is_placed_exactly(self, angles, r_max, inside):
+        # the zero of (0, 5) sits at |rho| = 0.362658574621303: 8.6e-6 outside
+        # the first circle and 1.4e-6 inside the second
+        report = certify(CoulombParams(0.0, 5.0), StarlikeClass.CLASSICAL,
+                         ScanGrid(angles, r_max))
+        assert report.zero_in_disk is inside
+
+    def test_zero_just_outside_is_not_flagged(self):
+        report = certify(CoulombParams(0.0, 5.0), StarlikeClass.CLASSICAL,
+                         ScanGrid(720, 0.3626))
+        assert not report.zero_in_disk
+        assert -math.inf < report.min_margin < 0  # P's pole sits near the circle
+
+    def test_samples_only_the_circle_when_no_arc_fails(self, monkeypatch):
+        sizes = []
+        g_values = CoefficientTable.g_values
+
+        def counted(table, z):
+            sizes.append(np.size(z))
+            return g_values(table, z)
+
+        monkeypatch.setattr(CoefficientTable, "g_values", counted)
+        certify(INSTANCE, StarlikeClass.LEMNISCATE)
+        assert sizes == [720]
+
     def test_jsonable_shape(self):
         report = certify(INSTANCE, StarlikeClass.LEMNISCATE)
         d = report.to_jsonable()
@@ -228,6 +263,36 @@ class TestCertify:
         assert set(d["worst_point"].keys()) == {"re", "im"}
         assert d["grid"] == {"angles_per_ring": 720, "r_max": 0.999}
         assert "per_ring_margins" not in d
+
+
+def circle_count(params, grid):
+    """_circle_winding on the table and samples certify builds, and the table."""
+    table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
+    g = table.g_values(grid.points())
+    return starlike._circle_winding(table, bounds, grid, g), table
+
+
+class TestCircleWinding:
+    @pytest.mark.parametrize("angles", [3, 12, 720])
+    def test_matches_winding_number(self, angles):
+        rng = random.Random(20261018)
+        pairs = [(rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)) for _ in range(500)]
+        pairs += [(-0.4, 0.8), (-0.4, -0.8), (-0.3954, 0.8)]
+        grid = ScanGrid(angles)
+        for L, eta in pairs:
+            count, table = circle_count(CoulombParams(L, eta), grid)
+            assert count == winding_number(table, grid.r_max), (L, eta)
+
+    @pytest.mark.parametrize("angles", [3, 12, 720])
+    def test_corner_zero_is_counted(self, angles):
+        # a real zero at -0.9911 lies inside the default circle
+        for eta in (0.8, -0.8):
+            assert circle_count(CoulombParams(-0.4, eta), ScanGrid(angles))[0] == 2
+
+    def test_zero_on_the_circle_is_unresolved(self):
+        # a midpoint lands on the zero itself, where no arc can close
+        grid = ScanGrid(angles_per_ring=3, r_max=0.362658574621303)
+        assert circle_count(CoulombParams(0.0, 5.0), grid)[0] is None
 
 
 class TestParameterScan:
@@ -245,6 +310,13 @@ class TestParameterScan:
             assert row.certified == report.certified
             if row.slack > 0:
                 assert row.certified
+
+    @pytest.mark.parametrize("bad", [(0.4, 0.5, math.nan), (0.4, 0.5, math.inf),
+                                     (-math.inf, 0.5, 0.1), (0.4, math.inf, 0.1),
+                                     (-1e308, 1e308, 1e-300)])
+    def test_nonfinite_range_refuses(self, bad):
+        with pytest.raises(InvalidParams):
+            parameter_scan(bad, (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL)
 
     def test_empty_range(self):
         assert parameter_scan((0.5, 0.4, 0.1), (0.0, 0.1, 0.1), StarlikeClass.CLASSICAL) == []
