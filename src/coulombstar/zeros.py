@@ -1,9 +1,15 @@
 """Zero location inside a trust radius and the Hadamard product rebuild.
 
-Zeros of the entire function g are found from the roots of its truncated
-series polynomial (companion-matrix eigenvalues), polished by Newton steps
-on the full series, and then cross-checked against an argument-principle
-winding count over the trust circle.  The located zeros feed the product
+Zeros of the entire function g are seeded by the roots of a short prefix
+of its series polynomial (companion-matrix eigenvalues), polished by Newton
+steps on the full series, and then cross-checked against an
+argument-principle winding count over the trust circle.  The prefix ends at
+the last term that still matters on the circle |z| = 1.05 R: beyond it,
+|a_n| (1.05 R)^n stays below _SEED_CUT times the largest such term.  For
+real L and eta the prefix goes to the real companion matrix, and a real
+zero is refined in real arithmetic.  Should the prefix's seeds miss a zero,
+the winding count disagrees and the seeding is repeated once on the whole
+table before WindingMismatch is raised.  The located zeros feed the product
 representation
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
@@ -35,6 +41,9 @@ _DEDUP_SEPARATION = 1e-8
 _WINDING_START_SAMPLES = 4096
 _WINDING_MAX_SAMPLES = 1 << 18
 _RESIDUAL_FACTOR = 1e-10
+# seed-polynomial cut: keep a_n while |a_n| (1.05 R)^n > _SEED_CUT * max
+_SEED_CUT = 1e-9
+_SEED_REACH = 1.05
 _EPS = 2.220446049250313e-16
 
 
@@ -103,12 +112,9 @@ def _abs_series_sum(table: CoefficientTable, r: float) -> float:
 def _newton_double(table: CoefficientTable, seed: complex, target: float) -> complex | None:
     """Newton iteration in doubles down to the series' own noise floor."""
     z = seed
-    best = z
-    best_abs = abs(complex(table.g_values(z)))
+    g = complex(table.g_values(z))
+    best, best_abs = z, abs(g)
     for _ in range(_NEWTON_MAX_STEPS):
-        g = complex(table.g_values(z))
-        if abs(g) < best_abs:
-            best, best_abs = z, abs(g)
         if abs(g) <= target:
             return z
         gp = complex(table.g_prime_values(z))
@@ -118,10 +124,10 @@ def _newton_double(table: CoefficientTable, seed: complex, target: float) -> com
         z = z - step
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             break
+        g = complex(table.g_values(z))
+        if abs(g) < best_abs:
+            best, best_abs = z, abs(g)
         if abs(step) <= 1e-15 * max(1.0, abs(z)):
-            g = complex(table.g_values(z))
-            if abs(g) < best_abs:
-                best, best_abs = z, abs(g)
             break
     return best if best_abs <= target else None
 
@@ -183,7 +189,34 @@ def _compensated_horner(coeffs, z: complex) -> complex:
     return complex(sr + cr, si + ci)
 
 
-def _refine_mp(table: CoefficientTable, root: complex) -> tuple[complex, float]:
+def _compensated_horner_real(coeffs, x: float) -> float:
+    """sum_n coeffs[n] x^n for real coeffs and real x, compensated.
+
+    The real lane of _compensated_horner: with y = 0 and zero imaginary
+    coefficients every imaginary product and sum there is an exact zero, so
+    its real part reduces to p1, e1 and e7 below and has the same bits as
+    this result.
+    """
+    t = _SPLITTER * x
+    xh = t - (t - x)
+    xl = x - xh
+    s = c = 0.0
+    for a in reversed(coeffs):
+        t = _SPLITTER * s
+        sh = t - (t - s)
+        sl = s - sh
+        p1 = s * x
+        e1 = sl * xl - (((p1 - sh * xh) - sl * xh) - sh * xl)
+        s = p1 + a
+        b = s - p1
+        e7 = (p1 - (s - b)) + (a - b)
+        c = c * x + (e1 + e7)
+    return s + c
+
+
+def _refine_mp(
+    table: CoefficientTable, root: complex, real_coeffs: list[float] | None = None
+) -> tuple[complex, float]:
     """Newton on compensated residuals; returns (root, residual).
 
     Double-precision evaluation of the series bottoms out at its roundoff
@@ -192,12 +225,21 @@ def _refine_mp(table: CoefficientTable, root: complex) -> tuple[complex, float]:
     the double table.  Iteration stops when the update rounds to no change
     or after _REFINE_MAX_STEPS steps, and returns the iterate of smallest
     residual.  The residual is the compensated |g| at that returned double,
-    for the truncated series with the table's double coefficients.  (The
-    name predates the double kernel; perfbench/crosscheck.py times the
+    for the truncated series with the table's double coefficients.  Given
+    the table's coefficients as floats (`real_coeffs`, for a real table), a
+    root on the real axis stays there and h comes from the real kernel,
+    whose value has the complex kernel's bits at a quarter of its products.
+    (The name predates the double kernel; perfbench/crosscheck.py times the
     refinement under it.)
     """
+    if real_coeffs is not None and root.imag == 0.0:
+        def h(z):
+            return _compensated_horner_real(real_coeffs, z.real)
+    else:
+        def h(z):
+            return _compensated_horner(table.coeffs, z)
     z = root
-    g = z * _compensated_horner(table.coeffs, z)
+    g = z * h(z)
     best, best_residual = z, abs(g)
     for _ in range(_REFINE_MAX_STEPS):
         gp = complex(table.g_prime_values(z))
@@ -207,46 +249,54 @@ def _refine_mp(table: CoefficientTable, root: complex) -> tuple[complex, float]:
         if nxt == z:
             break
         z = nxt
-        g = z * _compensated_horner(table.coeffs, z)
+        g = z * h(z)
         if abs(g) < best_residual:
             best, best_residual = z, abs(g)
     return best, best_residual
 
 
-def find_zeros(
-    params: CoulombParams, trust_radius: float, tol: float = DEFAULT_TOL
-) -> ZeroSet:
-    """Locate every zero of g with 0 < |rho| <= trust_radius.
+def _seed_degree(h: np.ndarray, trust_radius: float) -> int:
+    """Degree of the prefix of h whose roots seed the zeros within R.
 
-    The origin zero is structural (g(z) = z + ...) and is excluded from the
-    list; the winding count over the trust circle must equal the list length
-    plus one, otherwise WindingMismatch is raised.  Zeros are sorted by
-    modulus, ties broken by principal-branch argument.  Each zero is the
-    double that Newton on compensated residuals settles on, and its residual
-    is the compensated |g| there; any residual above 1e-10 max |a_n| raises
-    NoConvergence.
+    The last n with |a_n| (1.05 R)^n > _SEED_CUT max_k |a_k| (1.05 R)^k,
+    compared in logarithms so that no power overflows.
     """
-    if not (trust_radius > 0 and math.isfinite(trust_radius)):
-        raise InvalidParams(
-            f"trust_radius must be positive and finite, got {trust_radius}"
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(np.abs(h)) + np.arange(h.size) * math.log(
+            _SEED_REACH * trust_radius
         )
-    table = table_for_radius(params, trust_radius, tol)
-    real_coeffs = params.L.imag == 0.0 and params.eta.imag == 0.0
-    # roots of the cofactor polynomial h with g = z * h
-    h_coeffs = np.array(table.coeffs, dtype=complex)
+    keep = log_terms > log_terms.max() + math.log(_SEED_CUT)
+    return int(np.flatnonzero(keep)[-1])
+
+
+def _seed_roots(h: np.ndarray, degree: int, trust_radius: float) -> np.ndarray:
+    """Companion-matrix roots of sum_{n <= degree} h[n] z^n."""
     try:
         with np.errstate(all="ignore"):
-            seeds = np.roots(h_coeffs[::-1])
+            return np.roots(h[degree::-1])
     except np.linalg.LinAlgError as exc:
         # underflowed trailing coefficients overflow the companion matrix
         raise NoConvergence(
             f"companion-matrix roots fail at radius {trust_radius}: {exc}"
         ) from exc
-    noise_floor = 8 * _EPS * _abs_series_sum(table, trust_radius)
-    target = max(tol, noise_floor)
+
+
+def _polish(
+    table: CoefficientTable,
+    seeds: np.ndarray,
+    trust_radius: float,
+    target: float,
+    real_coeffs: list[float] | None,
+) -> tuple[list[complex], list[float]]:
+    """Zeros within trust_radius reached from the seeds, with residuals.
+
+    Seeds beyond 1.05 R are dropped; the rest go through Newton in doubles,
+    deduplication and the compensated refinement, and come back sorted by
+    modulus, then argument.
+    """
     polished: list[complex] = []
     for seed in seeds:
-        if abs(seed) > trust_radius * 1.05:
+        if abs(seed) > trust_radius * _SEED_REACH:
             continue
         root = _newton_double(table, complex(seed), target)
         if root is None:
@@ -260,9 +310,9 @@ def find_zeros(
         # a real zero of a real series is refined on the real axis: off it,
         # Newton shrinks im quadratically but never to 0, so the update
         # would never round to no change
-        if real_coeffs and abs(root.imag) <= 1e-10 * max(1.0, abs(root.real)):
+        if real_coeffs is not None and abs(root.imag) <= 1e-10 * max(1.0, abs(root.real)):
             root = complex(root.real, 0.0)
-        better, residual = _refine_mp(table, root)
+        better, residual = _refine_mp(table, root, real_coeffs)
         if abs(better) > trust_radius:
             continue
         # normalize signed zeros so sort order does not depend on -0.0
@@ -272,9 +322,50 @@ def find_zeros(
     order = sorted(
         range(len(refined)), key=lambda i: (abs(refined[i]), cmath.phase(refined[i]))
     )
-    refined = [refined[i] for i in order]
-    residuals = [residuals[i] for i in order]
+    return [refined[i] for i in order], [residuals[i] for i in order]
+
+
+def find_zeros(
+    params: CoulombParams, trust_radius: float, tol: float = DEFAULT_TOL
+) -> ZeroSet:
+    """Locate every zero of g with 0 < |rho| <= trust_radius.
+
+    The origin zero is structural (g(z) = z + ...) and is excluded from the
+    list; the winding count over the trust circle must equal the list length
+    plus one.  Seeds are the roots of g = z h's cofactor h cut after its
+    last term above _SEED_CUT of the largest on |z| = 1.05 R; for real L
+    and eta that prefix is a float64 array, so np.roots takes LAPACK's real
+    eigensolver.  When the polished list disagrees with the winding count,
+    the whole table is seeded once more and compared against the same
+    count, and only a second disagreement raises WindingMismatch.  Zeros
+    are sorted by modulus, ties broken by principal-branch argument.  Each
+    zero is the double that Newton on compensated residuals settles on (a
+    real zero of a real table in the real kernel), and its residual is the
+    compensated |g| there; any residual above 1e-10 max |a_n| raises
+    NoConvergence.
+    """
+    if not (trust_radius > 0 and math.isfinite(trust_radius)):
+        raise InvalidParams(
+            f"trust_radius must be positive and finite, got {trust_radius}"
+        )
+    table = table_for_radius(params, trust_radius, tol)
+    h = np.array(table.coeffs, dtype=complex)
+    real_coeffs = None
+    if params.L.imag == 0.0 and params.eta.imag == 0.0:
+        h = h.real
+        real_coeffs = h.tolist()
+    degree = _seed_degree(h, trust_radius)
+    target = max(tol, 8 * _EPS * _abs_series_sum(table, trust_radius))
+    refined, residuals = _polish(
+        table, _seed_roots(h, degree, trust_radius), trust_radius, target, real_coeffs
+    )
     count = winding_number(table, trust_radius)
+    if count != len(refined) + 1 and degree < h.size - 1:
+        # the prefix may have lost a zero: reseed once from the whole table
+        refined, residuals = _polish(
+            table, _seed_roots(h, h.size - 1, trust_radius), trust_radius, target,
+            real_coeffs,
+        )
     if count != len(refined) + 1:
         raise WindingMismatch(
             f"winding count {count} over |z| = {trust_radius} disagrees with "

@@ -2,9 +2,13 @@
 
 import cmath
 import math
+import random
 
 import mpmath as mp
+import numpy as np
 import pytest
+
+import coulombstar.zeros as zeros_module
 
 from coulombstar import (
     CoulombParams,
@@ -18,7 +22,7 @@ from coulombstar import (
     weierstrass_eval,
     winding_number,
 )
-from coulombstar.zeros import _compensated_horner
+from coulombstar.zeros import _compensated_horner, _compensated_horner_real
 
 SINE = CoulombParams(0.0, 0.0)
 EPS = 2.220446049250313e-16
@@ -187,6 +191,105 @@ class TestCompensatedRefinement:
             with mp.workdps(50):
                 exact = float(abs(_mp_g(coeffs, rho)))
             assert residual == pytest.approx(exact, rel=1e-6)
+
+
+def _full_complex_seeding(monkeypatch):
+    """Seed from the whole table as complex128 and refine in the complex kernel."""
+    roots = np.roots
+    monkeypatch.setattr(zeros_module, "_seed_degree", lambda h, radius: h.size - 1)
+    monkeypatch.setattr(np, "roots", lambda p: roots(np.asarray(p, dtype=complex)))
+    monkeypatch.setattr(
+        zeros_module,
+        "_compensated_horner_real",
+        lambda coeffs, x: _compensated_horner([complex(c) for c in coeffs], complex(x)).real,
+    )
+
+
+def _bits(zero_set):
+    return [
+        (z.real.hex(), z.imag.hex(), r.hex())
+        for z, r in zip(zero_set.zeros, zero_set.residuals)
+    ]
+
+
+SEEDING_PARAMS = [
+    SINE,
+    CoulombParams(0.5, 0.3),
+    CoulombParams(1.2, -0.9),
+    CoulombParams(0.2 + 0.1j, 0.3),
+    CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j),
+]
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("params", SEEDING_PARAMS)
+    @pytest.mark.parametrize("radius", [5.0, 12.0, 20.0])
+    def test_bits_match_full_complex_seeding(self, params, radius, monkeypatch):
+        got = _bits(find_zeros(params, radius))
+        with monkeypatch.context() as m:
+            _full_complex_seeding(m)
+            reference = _bits(find_zeros(params, radius))
+        assert got and got == reference
+
+    @pytest.mark.parametrize("params", SEEDING_PARAMS)
+    @pytest.mark.parametrize("radius", [5.0, 12.0, 20.0])
+    def test_prefix_ends_at_the_last_term_above_the_cut(self, params, radius):
+        coeffs = table_for_radius(params, radius).coeffs
+        degree = zeros_module._seed_degree(np.array(coeffs), radius)
+        terms = [abs(c) * (1.05 * radius) ** n for n, c in enumerate(coeffs)]
+        floor = 1e-9 * max(terms)
+        assert degree < len(coeffs) - 1
+        assert terms[degree] > floor
+        assert all(t <= floor for t in terms[degree + 1 :])
+
+    @pytest.mark.parametrize(
+        "params, radius", [(SINE, 20.0), (CoulombParams(0.5, 0.3), 20.0),
+                           (CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 15.0)]
+    )
+    def test_aggressive_cut_retries_at_full_degree(self, params, radius, monkeypatch):
+        expected = _bits(find_zeros(params, radius))
+        degrees = []
+        seed_roots = zeros_module._seed_roots
+
+        def recorded(h, degree, trust_radius):
+            degrees.append((degree, len(h) - 1))
+            return seed_roots(h, degree, trust_radius)
+
+        monkeypatch.setattr(zeros_module, "_SEED_CUT", 1e-2)
+        monkeypatch.setattr(zeros_module, "_seed_roots", recorded)
+        assert _bits(find_zeros(params, radius)) == expected
+        (cut, full), (retry, _) = degrees
+        assert cut < full and retry == full
+
+    @pytest.mark.parametrize(
+        "params, dtype", [(SINE, np.float64), (CoulombParams(0.7, -0.4), np.float64),
+                          (CoulombParams(0.2 + 0.1j, 0.3), np.complex128),
+                          (CoulombParams(0.5, 0.3 - 0.2j), np.complex128)]
+    )
+    def test_companion_dtype(self, params, dtype, monkeypatch):
+        dtypes = []
+        roots = np.roots
+
+        def recorded(p):
+            dtypes.append(np.asarray(p).dtype)
+            return roots(p)
+
+        monkeypatch.setattr(np, "roots", recorded)
+        find_zeros(params, 9.0)
+        assert dtypes == [dtype]
+
+    def test_real_kernel_is_the_complex_kernels_real_part(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            params = CoulombParams(rng.uniform(-0.4, 1.4), rng.uniform(-1, 1))
+            radius = rng.uniform(5, 20)
+            coeffs = table_for_radius(params, radius).coeffs
+            real = [c.real for c in coeffs]
+            assert all(c.imag == 0.0 for c in coeffs)
+            for _ in range(5):
+                x = rng.uniform(-radius, radius)
+                got = _compensated_horner_real(real, x)
+                assert got.hex() == _compensated_horner(coeffs, complex(x)).real.hex()
 
 
 class TestWindingNumber:
