@@ -197,6 +197,21 @@ def _horner(coeffs, z):
     return acc
 
 
+_EPS = math.ulp(1.0)  # machine epsilon, 2^-52
+# g samples allowed on one circle, by winding_number and by certify's arcs
+_MAX_CIRCLE_SAMPLES = 1 << 18
+
+
+def _abs_sums(table: CoefficientTable, r: float) -> tuple[float, float]:
+    """S(r) = sum |a_n| r^(n+1) and M1(r) = sum (n+1) |a_n| r^n, by Horner.
+
+    S is the scale of the rounding in g's double evaluation on |z| = r, and
+    M1 plus the g' tail bound majorizes |g'| on the closed disk |z| <= r.
+    """
+    a = [abs(c) for c in table.coeffs]
+    return _horner(a, r) * r, _horner([(n + 1) * x for n, x in enumerate(a)], r)
+
+
 _SCHEDULE_REFUSAL = "series tail at radius {radius} not below {tol} by order {order}"
 
 

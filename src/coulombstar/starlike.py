@@ -33,12 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoulombError, InvalidParams
-from .series import _ORDER_SCHEDULE, DEFAULT_TOL, CoefficientTable, CoulombParams, _grow_table
-
-_EPS = math.ulp(1.0)
-# g samples allowed on the circle, bisection midpoints included; the same
-# cap as zeros.winding_number's
-_MAX_CIRCLE_SAMPLES = 1 << 18
+from .series import (
+    _EPS, _MAX_CIRCLE_SAMPLES, _ORDER_SCHEDULE, DEFAULT_TOL, CoefficientTable, CoulombParams,
+    _abs_sums, _grow_table,
+)
 
 SQRT2 = math.sqrt(2.0)
 #: Hypothesis threshold of the lemniscate sufficient condition.
@@ -53,15 +51,22 @@ class StarlikeClass(str, enum.Enum):
     EXPONENTIAL = "exponential"
 
 
+def _scalar_margin(w: complex, flavor: StarlikeClass) -> float:
+    return float(_margin_field(np.array([complex(w)]), flavor)[0])
+
+
 def classical_margin(w: complex) -> float:
     """Distance-like margin for the right half plane: Re w."""
-    return complex(w).real
+    return _scalar_margin(w, StarlikeClass.CLASSICAL)
 
 
 def lemniscate_margin(w: complex) -> float:
-    """1 - |w^2 - 1|; positive inside the full Bernoulli lemniscate."""
-    w = complex(w)
-    return 1.0 - abs(w * w - 1.0)
+    """min(1 - |w^2 - 1|, Re w); positive exactly inside the right loop.
+
+    The left loop of the Bernoulli lemniscate (Re w < 0) is outside the
+    region, so w = -1 gets margin -1.
+    """
+    return _scalar_margin(w, StarlikeClass.LEMNISCATE)
 
 
 def exponential_margin(w: complex) -> float:
@@ -70,10 +75,7 @@ def exponential_margin(w: complex) -> float:
     The closed negative real axis (including 0) has no principal logarithm
     worth comparing, so those points return -inf as a sentinel.
     """
-    w = complex(w)
-    if w.imag == 0.0 and w.real <= 0.0:
-        return -math.inf
-    return 1.0 - abs(np.log(complex(w)))
+    return _scalar_margin(w, StarlikeClass.EXPONENTIAL)
 
 
 def lemniscate_condition(params: CoulombParams) -> tuple[bool, float]:
@@ -167,6 +169,7 @@ class CertificationReport:
 
 
 def _margin_field(P: np.ndarray, flavor: StarlikeClass) -> np.ndarray:
+    """Signed membership margins of the values P: positive inside the region."""
     if flavor is StarlikeClass.CLASSICAL:
         return P.real.copy()
     if flavor is StarlikeClass.LEMNISCATE:
@@ -204,10 +207,9 @@ def _circle_winding(
     samples.
     """
     r = grid.r_max
-    a = np.abs(np.array(table.coeffs))
-    rn = r ** np.arange(a.size)
-    err = bounds[0] + 8 * (table.order + 2) * _EPS * r * float(a @ rn)
-    m1 = float((np.arange(1, a.size + 1) * a) @ rn) + bounds[1]
+    s, m1 = _abs_sums(table, r)
+    err = bounds[0] + 8 * (table.order + 2) * _EPS * s
+    m1 += bounds[1]
     n = grid.angles_per_ring
     theta = 2 * np.pi * np.arange(n) / n
     width = np.full(n, 2 * np.pi / n)

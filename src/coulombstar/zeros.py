@@ -1,16 +1,18 @@
 """Zero location inside a trust radius and the Hadamard product rebuild.
 
 Zeros of the entire function g are seeded by the roots of a short prefix
-of its series polynomial (companion-matrix eigenvalues), polished by Newton
-steps on the full series, and then cross-checked against an
-argument-principle winding count over the trust circle.  The prefix ends at
-the last term that still matters on the circle |z| = 1.05 R: beyond it,
-|a_n| (1.05 R)^n stays below _SEED_CUT times the largest such term.  For
-real L and eta the prefix goes to the real companion matrix, and a real
-zero is refined in real arithmetic.  Should the prefix's seeds miss a zero,
-the winding count disagrees and the seeding is repeated once on the whole
-table before WindingMismatch is raised.  The located zeros feed the product
-representation
+of its series polynomial (companion-matrix eigenvalues) and polished one
+seed at a time by a single Newton loop, _newton: first in doubles on the
+full series, where a root that repeats an earlier seed's is dropped, then
+on compensated residuals (_refine_mp).  The list is cross-checked against
+an argument-principle winding count over the trust circle.  The prefix
+ends at the last term that still matters on the circle |z| = 1.05 R:
+beyond it, |a_n| (1.05 R)^n stays below _SEED_CUT times the largest such
+term.  For real L and eta the prefix goes to the real companion matrix,
+and a real zero is refined in real arithmetic.  Should the prefix's seeds
+miss a zero, the winding count disagrees and the seeding is repeated once
+on the whole table before WindingMismatch is raised.  The located zeros
+feed the product representation
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
 
@@ -27,11 +29,13 @@ import numpy as np
 
 from .errors import InvalidParams, NoConvergence, WindingMismatch
 from .series import (
+    _EPS,
+    _MAX_CIRCLE_SAMPLES,
     DEFAULT_TOL,
     CoefficientTable,
     ComplexValue,
     CoulombParams,
-    _horner,
+    _abs_sums,
     table_for_radius,
 )
 
@@ -39,12 +43,10 @@ _NEWTON_MAX_STEPS = 100
 _REFINE_MAX_STEPS = 4
 _DEDUP_SEPARATION = 1e-8
 _WINDING_START_SAMPLES = 4096
-_WINDING_MAX_SAMPLES = 1 << 18
 _RESIDUAL_FACTOR = 1e-10
 # seed-polynomial cut: keep a_n while |a_n| (1.05 R)^n > _SEED_CUT * max
 _SEED_CUT = 1e-9
 _SEED_REACH = 1.05
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
     0.36265 and 17 at 0.36266, where the true counts are 1 and 2.
     """
     samples = _WINDING_START_SAMPLES
-    while samples <= _WINDING_MAX_SAMPLES:
+    while samples <= _MAX_CIRCLE_SAMPLES:
         theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
         z = radius * np.exp(1j * theta)
         g = table.g_values(z)
@@ -99,37 +101,34 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
             return int(round(estimate))
         samples *= 2
     raise NoConvergence(
-        f"winding estimate failed to stabilize by {_WINDING_MAX_SAMPLES} samples "
+        f"winding estimate failed to stabilize by {_MAX_CIRCLE_SAMPLES} samples "
         f"on |z| = {radius}"
     )
 
 
-def _abs_series_sum(table: CoefficientTable, r: float) -> float:
-    """sum |a_n| r^{n+1}: the conditioning scale of the series at radius r."""
-    return _horner([abs(c) for c in table.coeffs], r) * r
+def _newton(g, g_prime, z: complex, steps: int, target: float = 0.0) -> tuple[complex, float]:
+    """Newton steps z <- z - g(z)/g'(z); returns (best iterate, its |g|).
 
-
-def _newton_double(table: CoefficientTable, seed: complex, target: float) -> complex | None:
-    """Newton iteration in doubles down to the series' own noise floor."""
-    z = seed
-    g = complex(table.g_values(z))
-    best, best_abs = z, abs(g)
-    for _ in range(_NEWTON_MAX_STEPS):
-        if abs(g) <= target:
-            return z
-        gp = complex(table.g_prime_values(z))
-        if gp == 0:
+    Stops once |g| <= target, when g' vanishes, when the update rounds to no
+    change or leaves the finite doubles, or after `steps` steps.  The
+    returned iterate is the one of smallest |g| met on the way.
+    """
+    value = g(z)
+    best, best_abs = z, abs(value)
+    for _ in range(steps):
+        if abs(value) <= target:
             break
-        step = g / gp
-        z = z - step
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        slope = g_prime(z)
+        if slope == 0:
             break
-        g = complex(table.g_values(z))
-        if abs(g) < best_abs:
-            best, best_abs = z, abs(g)
-        if abs(step) <= 1e-15 * max(1.0, abs(z)):
+        nxt = z - value / slope
+        if nxt == z or not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
             break
-    return best if best_abs <= target else None
+        z = nxt
+        value = g(z)
+        if abs(value) < best_abs:
+            best, best_abs = z, abs(value)
+    return best, best_abs
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
@@ -217,42 +216,31 @@ def _compensated_horner_real(coeffs, x: float) -> float:
 def _refine_mp(
     table: CoefficientTable, root: complex, real_coeffs: list[float] | None = None
 ) -> tuple[complex, float]:
-    """Newton on compensated residuals; returns (root, residual).
+    """Compensated Newton from a double-Newton root; returns (root, residual).
 
     Double-precision evaluation of the series bottoms out at its roundoff
-    floor, so each step z <- z - g(z)/g'(z) takes g = z h from the
-    compensated Horner kernel (about twice double precision) and g' from
-    the double table.  Iteration stops when the update rounds to no change
-    or after _REFINE_MAX_STEPS steps, and returns the iterate of smallest
-    residual.  The residual is the compensated |g| at that returned double,
-    for the truncated series with the table's double coefficients.  Given
-    the table's coefficients as floats (`real_coeffs`, for a real table), a
-    root on the real axis stays there and h comes from the real kernel,
-    whose value has the complex kernel's bits at a quarter of its products.
-    (The name predates the double kernel; perfbench/crosscheck.py times the
-    refinement under it.)
+    floor, so these at most _REFINE_MAX_STEPS steps of _newton take g = z h
+    from the compensated Horner kernel (about twice double precision) and g'
+    from the double table, and return the iterate of smallest residual.  The
+    residual is the compensated |g| at that returned double, for the
+    truncated series with the table's double coefficients.  Given the
+    table's coefficients as floats (`real_coeffs`, for a real table), a root
+    within 1e-10 of the real axis is put on it and h comes from the real
+    kernel, whose value has the complex kernel's bits at a quarter of its
+    products; off the axis Newton would shrink im quadratically but never to
+    0, so the update would never round to no change.  (The name predates
+    the double kernel; perfbench/crosscheck.py times the refinement under
+    it.)
     """
-    if real_coeffs is not None and root.imag == 0.0:
-        def h(z):
-            return _compensated_horner_real(real_coeffs, z.real)
+    if real_coeffs is not None and abs(root.imag) <= 1e-10 * max(1.0, abs(root.real)):
+        root = complex(root.real, 0.0)
+
+        def g(z):
+            return z * _compensated_horner_real(real_coeffs, z.real)
     else:
-        def h(z):
-            return _compensated_horner(table.coeffs, z)
-    z = root
-    g = z * h(z)
-    best, best_residual = z, abs(g)
-    for _ in range(_REFINE_MAX_STEPS):
-        gp = complex(table.g_prime_values(z))
-        if gp == 0:
-            break
-        nxt = z - g / gp
-        if nxt == z:
-            break
-        z = nxt
-        g = z * h(z)
-        if abs(g) < best_residual:
-            best, best_residual = z, abs(g)
-    return best, best_residual
+        def g(z):
+            return z * _compensated_horner(table.coeffs, z)
+    return _newton(g, table.g_prime_values, root, _REFINE_MAX_STEPS)
 
 
 def _seed_degree(h: np.ndarray, trust_radius: float) -> int:
@@ -282,47 +270,33 @@ def _seed_roots(h: np.ndarray, degree: int, trust_radius: float) -> np.ndarray:
 
 
 def _polish(
-    table: CoefficientTable,
-    seeds: np.ndarray,
-    trust_radius: float,
-    target: float,
-    real_coeffs: list[float] | None,
+    table: CoefficientTable, h: np.ndarray, degree: int, trust_radius: float,
+    target: float, real_coeffs: list[float] | None,
 ) -> tuple[list[complex], list[float]]:
-    """Zeros within trust_radius reached from the seeds, with residuals.
+    """Zeros within trust_radius reached from the seeds of h's degree prefix.
 
-    Seeds beyond 1.05 R are dropped; the rest go through Newton in doubles,
-    deduplication and the compensated refinement, and come back sorted by
-    modulus, then argument.
+    One pass per seed, as find_zeros describes; the zeros come back with
+    their residuals, sorted by modulus, then argument.
     """
-    polished: list[complex] = []
-    for seed in seeds:
+    found: list[complex] = []
+    zeros: list[complex] = []
+    residuals: list[float] = []
+    for seed in _seed_roots(h, degree, trust_radius):
         if abs(seed) > trust_radius * _SEED_REACH:
             continue
-        root = _newton_double(table, complex(seed), target)
-        if root is None:
+        root, size = _newton(
+            table.g_values, table.g_prime_values, complex(seed), _NEWTON_MAX_STEPS, target
+        )
+        if not size <= target or any(abs(root - kept) <= _DEDUP_SEPARATION for kept in found):
             continue
-        if any(abs(root - kept) <= _DEDUP_SEPARATION for kept in polished):
-            continue
-        polished.append(root)
-    refined: list[complex] = []
-    residuals: list[float] = []
-    for root in polished:
-        # a real zero of a real series is refined on the real axis: off it,
-        # Newton shrinks im quadratically but never to 0, so the update
-        # would never round to no change
-        if real_coeffs is not None and abs(root.imag) <= 1e-10 * max(1.0, abs(root.real)):
-            root = complex(root.real, 0.0)
-        better, residual = _refine_mp(table, root, real_coeffs)
-        if abs(better) > trust_radius:
-            continue
-        # normalize signed zeros so sort order does not depend on -0.0
-        better = complex(better.real + 0.0, better.imag + 0.0)
-        refined.append(better)
-        residuals.append(residual)
-    order = sorted(
-        range(len(refined)), key=lambda i: (abs(refined[i]), cmath.phase(refined[i]))
-    )
-    return [refined[i] for i in order], [residuals[i] for i in order]
+        found.append(root)
+        root, residual = _refine_mp(table, root, real_coeffs)
+        if abs(root) <= trust_radius:
+            # normalize signed zeros so sort order does not depend on -0.0
+            zeros.append(complex(root.real + 0.0, root.imag + 0.0))
+            residuals.append(residual)
+    order = sorted(range(len(zeros)), key=lambda i: (abs(zeros[i]), cmath.phase(zeros[i])))
+    return [zeros[i] for i in order], [residuals[i] for i in order]
 
 
 def find_zeros(
@@ -335,7 +309,11 @@ def find_zeros(
     plus one.  Seeds are the roots of g = z h's cofactor h cut after its
     last term above _SEED_CUT of the largest on |z| = 1.05 R; for real L
     and eta that prefix is a float64 array, so np.roots takes LAPACK's real
-    eigensolver.  When the polished list disagrees with the winding count,
+    eigensolver.  Each seed within 1.05 R takes one pass: Newton in doubles
+    down to max(tol, 8 eps S(R)), S(R) = sum |a_n| R^(n+1), then, unless
+    its root lies within 1e-8 of an earlier seed's, the compensated
+    refinement of _refine_mp, and the refined zero is kept when it lies
+    within R.  When the polished list disagrees with the winding count,
     the whole table is seeded once more and compared against the same
     count, and only a second disagreement raises WindingMismatch.  Zeros
     are sorted by modulus, ties broken by principal-branch argument.  Each
@@ -355,17 +333,12 @@ def find_zeros(
         h = h.real
         real_coeffs = h.tolist()
     degree = _seed_degree(h, trust_radius)
-    target = max(tol, 8 * _EPS * _abs_series_sum(table, trust_radius))
-    refined, residuals = _polish(
-        table, _seed_roots(h, degree, trust_radius), trust_radius, target, real_coeffs
-    )
+    target = max(tol, 8 * _EPS * _abs_sums(table, trust_radius)[0])
+    refined, residuals = _polish(table, h, degree, trust_radius, target, real_coeffs)
     count = winding_number(table, trust_radius)
     if count != len(refined) + 1 and degree < h.size - 1:
         # the prefix may have lost a zero: reseed once from the whole table
-        refined, residuals = _polish(
-            table, _seed_roots(h, h.size - 1, trust_radius), trust_radius, target,
-            real_coeffs,
-        )
+        refined, residuals = _polish(table, h, h.size - 1, trust_radius, target, real_coeffs)
     if count != len(refined) + 1:
         raise WindingMismatch(
             f"winding count {count} over |z| = {trust_radius} disagrees with "

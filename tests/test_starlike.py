@@ -55,6 +55,22 @@ class TestMargins:
         assert lemniscate_margin(1.0) == 1.0
         assert exponential_margin(1.0) == 1.0
 
+    def test_lemniscate_left_loop_is_outside(self):
+        # |w^2 - 1| < 1 holds on the left loop too; Re w > 0 excludes it
+        assert lemniscate_margin(-1.0) < 0
+        assert lemniscate_margin(-1.2 + 0.1j) < 0
+
+    @pytest.mark.parametrize("flavor", list(StarlikeClass))
+    def test_scalar_margins_agree_with_the_field(self, flavor):
+        scalar = {StarlikeClass.CLASSICAL: classical_margin,
+                  StarlikeClass.LEMNISCATE: lemniscate_margin,
+                  StarlikeClass.EXPONENTIAL: exponential_margin}[flavor]
+        rng = random.Random(11)
+        points = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(200)]
+        points += [0.0, -1.0, 1.0, 1j, -1j, -1.2 + 0.1j, math.sqrt(2.0), math.e]
+        field = starlike._margin_field(np.array(points, dtype=complex), flavor)
+        assert [scalar(w) for w in points] == field.tolist()
+
 
 class TestConditions:
     def test_thresholds(self):

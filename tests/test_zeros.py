@@ -292,6 +292,90 @@ class TestSeeding:
                 assert got.hex() == _compensated_horner(coeffs, complex(x)).real.hex()
 
 
+# (L, eta) = (2.2, 2.7) at radius 19, where Newton in doubles rejects the
+# seed near -19.87: (re, im, residual) of each zero as float.hex, frozen
+REJECTED_SEED_BITS = [
+    ("-0x1.8102bbfdf33c9p+1", "0x0.0p+0", "0x1.b0977bc705f37p-57"),
+    ("-0x1.529f8f41aa122p+2", "0x0.0p+0", "0x1.0d08a17a36c34p-59"),
+    ("-0x1.ee6e6a2928a7dp+2", "0x0.0p+0", "0x1.1a1a2986d5f6fp-58"),
+    ("-0x1.48eb36f97e03ep+3", "0x0.0p+0", "0x1.e9af06958d18ep-60"),
+    ("0x1.6757cc9d927d8p+3", "0x0.0p+0", "0x1.bb9dd023ded74p-48"),
+    ("-0x1.9d77c4e97a38ep+3", "0x0.0p+0", "0x1.39f6834f758a2p-60"),
+    ("0x1.ee5da5306aa28p+3", "0x0.0p+0", "0x1.7af1cf55c96c9p-53"),
+    ("-0x1.f42e876536f76p+3", "0x0.0p+0", "0x1.7f7b3b47a075ep-63"),
+    ("-0x1.264a4c41046b5p+4", "0x0.0p+0", "0x1.aa24af0674b5fp-59"),
+]
+
+
+def _extra_seeds(monkeypatch, extend):
+    """Pass the companion roots through `extend` before _polish sees them."""
+    seed_roots = zeros_module._seed_roots
+
+    def extended(h, degree, radius):
+        return extend(seed_roots(h, degree, radius))
+
+    monkeypatch.setattr(zeros_module, "_seed_roots", extended)
+
+
+def _spy(monkeypatch, name):
+    """Record (args, result) of every call to the zeros-module function `name`."""
+    calls = []
+    fn = getattr(zeros_module, name)
+
+    def recorded(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(zeros_module, name, recorded)
+    return calls
+
+
+class TestPolishPaths:
+    """_polish branches that the seeded benchmark traffic never takes."""
+
+    @pytest.mark.parametrize(
+        "params, radius", [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0),
+                           (CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 12.0)]
+    )
+    def test_each_seed_twice_gives_the_same_bits(self, params, radius, monkeypatch):
+        with monkeypatch.context() as m:
+            refined = _spy(m, "_refine_mp")
+            expected = _bits(find_zeros(params, radius))
+        _extra_seeds(monkeypatch, lambda roots: np.repeat(roots, 2))
+        refined_twice = _spy(monkeypatch, "_refine_mp")
+        assert _bits(find_zeros(params, radius)) == expected
+        # every second copy stopped at the dedup, before the refinement
+        assert len(refined_twice) == len(refined)
+
+    def test_seed_beyond_reach_is_skipped(self, monkeypatch):
+        # Newton from 21.2i walks down the imaginary axis onto the origin
+        far = 21.2j
+        expected = _bits(find_zeros(SINE, 20.0))
+        _extra_seeds(monkeypatch, lambda roots: np.append(roots, far))
+        newton = _spy(monkeypatch, "_newton")
+        assert _bits(find_zeros(SINE, 20.0)) == expected
+        assert newton and far not in [args[2] for args, _ in newton]
+
+    def test_zero_beyond_the_radius_is_dropped(self, monkeypatch):
+        # 20.9 is within 1.05 R, and Newton from it converges to 7 pi > 20
+        expected = _bits(find_zeros(SINE, 20.0))
+        _extra_seeds(monkeypatch, lambda roots: np.append(roots, 20.9))
+        refined = _spy(monkeypatch, "_refine_mp")
+        assert _bits(find_zeros(SINE, 20.0)) == expected
+        (beyond,) = [root for _, (root, _) in refined if abs(root) > 20.0]
+        # the table is truncated for |z| <= 20, so 7 pi is met only to 1e-8
+        assert beyond == pytest.approx(7 * math.pi, abs=1e-7)
+
+    def test_rejected_seed_frozen_bits(self, monkeypatch):
+        newton = _spy(monkeypatch, "_newton")
+        assert _bits(find_zeros(CoulombParams(2.2, 2.7), 19.0)) == REJECTED_SEED_BITS
+        # (g, g', seed, steps, target) -> (root, |g(root)|)
+        rejected = [args[2] for args, (_, size) in newton
+                    if len(args) == 5 and not size <= args[4]]
+        assert len(rejected) == 1 and abs(rejected[0]) > 19.0
+
+
 class TestWindingNumber:
     def test_counts_origin_only(self):
         table = table_for_radius(SINE, 1.0)
