@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -161,15 +161,7 @@ class ExtremumReport:
     abs_gap: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "function_tag": self.function_tag,
-            "m": self.m,
-            "mode": self.mode,
-            "located_arg": self.located_arg,
-            "located_value": self.located_value,
-            "closed_form": self.closed_form,
-            "abs_gap": self.abs_gap,
-        }
+        return asdict(self)
 
 
 def _golden_section(f, a: float, b: float, xtol: float) -> float:
@@ -269,12 +261,7 @@ class PsiBound:
     chain_value: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "abs_psi": self.abs_psi,
-            "offset_abs": self.offset_abs,
-            "shift_abs": self.shift_abs,
-            "chain_value": self.chain_value,
-        }
+        return asdict(self)
 
 
 def psi_lower_bound(
@@ -292,28 +279,11 @@ def psi_lower_bound(
         raise DomainError(f"z must lie in the open unit disk, got |z| = {abs(z)}")
     point = admissible_point(locus, theta, m)
     L, eta = params.L, params.eta
-    psi = (
-        point.s
-        + point.r**2
-        + (2 * L - 1) * point.r
-        + z * z
-        - 2 * eta * z
-        - 2 * L
-    )
+    psi = point.s + point.r**2 + (2 * L - 1) * point.r + z * z - 2 * eta * z - 2 * L
     offset_abs = abs(point.s + point.r**2 - 1)
     shift_abs = abs(point.r - 1)
-    chain = (
-        offset_abs
-        - abs(2 * L - 1) * shift_abs
-        - abs(z) ** 2
-        - 2 * abs(eta) * abs(z)
-    )
-    return psi, PsiBound(
-        abs_psi=abs(psi),
-        offset_abs=offset_abs,
-        shift_abs=shift_abs,
-        chain_value=chain,
-    )
+    chain = offset_abs - abs(2 * L - 1) * shift_abs - abs(z) ** 2 - 2 * abs(eta) * abs(z)
+    return psi, PsiBound(abs(psi), offset_abs, shift_abs, chain)
 
 
 def constant_checks() -> list[dict]:

@@ -258,17 +258,8 @@ def cmd_scan(
         )
         lines = ["L,eta,slack,min_margin,certified"]
         for row in rows:
-            lines.append(
-                ",".join(
-                    (
-                        _render_float(row.L),
-                        _render_float(row.eta),
-                        _render_float(row.slack),
-                        _render_float(row.min_margin),
-                        "true" if row.certified else "false",
-                    )
-                )
-            )
+            fields = map(_render_float, (row.L, row.eta, row.slack, row.min_margin))
+            lines.append(",".join((*fields, "true" if row.certified else "false")))
         click.echo("\n".join(lines))
         return 0
 
@@ -300,10 +291,7 @@ def cmd_verify_lemmas(m_list: str) -> None:
             raise click.UsageError(f"m must be >= 1, got {m}")
 
     def body() -> int:
-        reports = []
-        for m in ms:
-            for tag in ("U", "V", "A", "B"):
-                reports.append(extremize(tag, m).to_jsonable())
+        reports = [extremize(tag, m).to_jsonable() for m in ms for tag in "UVAB"]
         checks = constant_checks()
         click.echo(render_json({"reports": reports, "constant_checks": checks}))
         all_pass = all(r["abs_gap"] <= LEMMA_GAP_TOL for r in reports) and all(

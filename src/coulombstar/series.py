@@ -198,15 +198,14 @@ def _horner(coeffs, z):
 
 
 _EPS = math.ulp(1.0)  # machine epsilon, 2^-52
-# g samples allowed on one circle, by winding_number and by certify's arcs
-_MAX_CIRCLE_SAMPLES = 1 << 18
 
 
 def _abs_sums(table: CoefficientTable, r: float) -> tuple[float, float]:
     """S(r) = sum |a_n| r^(n+1) and M1(r) = sum (n+1) |a_n| r^n, by Horner.
 
     S is the scale of the rounding in g's double evaluation on |z| = r, and
-    M1 plus the g' tail bound majorizes |g'| on the closed disk |z| <= r.
+    M1 that of g''s; M1 plus the g' tail bound also majorizes |g'| on the
+    closed disk |z| <= r, one of the two arc bounds of zeros._arc_count.
     """
     a = [abs(c) for c in table.coeffs]
     return _horner(a, r) * r, _horner([(n + 1) * x for n, x in enumerate(a)], r)
@@ -263,11 +262,7 @@ def table_for_radius(
 # complex gamma
 
 _GAMMA_BOX = 20.0
-# Assumed, not proven: mpmath.fp.gamma is within 1e-12 relative of Gamma in
-# the box |Re w|, |Im w| <= _GAMMA_BOX.  The worst relative error measured
-# against 40-digit mp.gamma over 3,000 points was 1.40e-13 inside the box
-# and 2.2e-13 out to 60.
-_GAMMA_REL = 1e-12
+_GAMMA_REL = 1e-12  # assumed relative accuracy of mpmath.fp.gamma; see gamma_complex
 
 
 def _normal_range(w: complex) -> bool:

@@ -16,10 +16,9 @@ differential subordination; Miller and Mocanu, Differential Subordinations,
 2000).  Each margin is then harmonic or superharmonic, so its minimum over
 the disk sits on the circle.  certify therefore samples P on that circle only
 and proves the disk zero-free apart from the origin from the circle's own g
-samples: a bound on |g'| over the disk shows that g keeps away from 0 on each
-arc between samples, so the sampled argument steps add up to the exact
-argument-principle count (arcs that fail the bound are bisected).  Positivity
-of the margin on the arcs between samples is not proven.  Closed-form
+and g' samples, through the proven arc count zeros._arc_count that
+winding_number also uses.  Positivity of the margin on the arcs between
+samples is not proven.  Closed-form
 sufficient conditions on (L, eta) are provided alongside as fast pre-checks.
 """
 
@@ -34,9 +33,9 @@ import numpy as np
 
 from .errors import CoulombError, InvalidParams
 from .series import (
-    _EPS, _MAX_CIRCLE_SAMPLES, _ORDER_SCHEDULE, DEFAULT_TOL, CoefficientTable, CoulombParams,
-    _abs_sums, _grow_table,
+    _EPS, _ORDER_SCHEDULE, DEFAULT_TOL, CoulombParams, _abs_sums, _grow_table,
 )
+from .zeros import _arc_count
 
 SQRT2 = math.sqrt(2.0)
 #: Hypothesis threshold of the lemniscate sufficient condition.
@@ -183,54 +182,26 @@ def _margin_field(P: np.ndarray, flavor: StarlikeClass) -> np.ndarray:
     return margin
 
 
-def _circle_winding(
-    table: CoefficientTable, bounds: tuple[float, float, float],
-    grid: ScanGrid, g: np.ndarray,
-) -> int | None:
-    """Proven count of the zeros of g in |z| < r_max, from its circle samples.
+def _circle_count(table, bounds, grid: ScanGrid, g: np.ndarray, gp: np.ndarray) -> int | None:
+    """zeros._arc_count from certify's own g and g' samples on |z| = r_max.
 
-    g holds the table's values at grid.points().  M1 = sum (n+1)|a_n| r^n
-    + tail1 bounds |g'| on the closed disk, and err = tail0
-    + 8 (order+2) eps S(r), S(r) = sum |a_n| r^(n+1), is the rounding
-    allowance of each sample: the series tail plus complex Horner's rounding
-    and that of the sample point (about 5 and 3 (order+1) eps S).  The
-    rounding of the coefficients themselves is not in it yet.
-
-    The arc of angular width w that starts at a sample g_k is proven when
-    |g_k| - 2 err > 2 M1 r w.  Then the exact g on the arc, and both computed
-    endpoint values, lie in one disk around the exact g(z_k) that excludes 0,
-    so the principal angle of g_(k+1)/g_k is the true change of arg g along
-    the arc, and the steps add up to exactly 2 pi times the count.  Arcs
-    that fail are bisected, evaluating g at their midpoints only.  Returns
-    None when an arc cannot close: a sample within 2 err of 0, a midpoint
-    angle that rounds onto its arc's start, or more than _MAX_CIRCLE_SAMPLES
-    samples.
+    Each g value carries the a-priori allowance tail + 8 (order+2) eps S and
+    each g' value tail1 + 8 (order+2) eps M1 (_abs_sums), which cover complex
+    Horner's rounding (about 5 (order+1) eps times the scale) with room to
+    spare.  Midpoints get g only, with |g'| bounded by the disk's M1 + tail1,
+    so an arc from a midpoint closes by the disk-wide bound.
     """
     r = grid.r_max
     s, m1 = _abs_sums(table, r)
-    err = bounds[0] + 8 * (table.order + 2) * _EPS * s
-    m1 += bounds[1]
-    n = grid.angles_per_ring
-    theta = 2 * np.pi * np.arange(n) / n
-    width = np.full(n, 2 * np.pi / n)
-    start, end = g, np.roll(g, -1)
-    total, samples = 0.0, n
-    while True:
-        closed = np.abs(start) - 2 * err > 2 * m1 * r * width
-        total += float(np.angle(end[closed] / start[closed]).sum())
-        if closed.all():
-            return round(total / (2 * np.pi))
-        theta, width, start, end = (x[~closed] for x in (theta, width, start, end))
-        width = width / 2
-        mid = theta + width
-        samples += mid.size
-        if (samples > _MAX_CIRCLE_SAMPLES or np.any(np.abs(start) <= 2 * err)
-                or np.any(mid == theta)):
-            return None
-        g_mid = table.g_values(r * np.exp(1j * mid))
-        theta = np.concatenate((theta, mid))
-        width = np.concatenate((width, width))
-        start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
+    rounding = 8 * (table.order + 2) * _EPS
+    err, err_p, m1 = bounds[0] + rounding * s, bounds[1] + rounding * m1, m1 + bounds[1]
+
+    def evaluate(theta):
+        g_mid = table.g_values(r * np.exp(1j * theta))
+        return g_mid, np.full(theta.size, err), np.abs(g_mid) + (err + m1)
+
+    first = (g, np.full(g.size, err), np.abs(g) + np.abs(gp) + (err + err_p))
+    return _arc_count(table.params, r, m1, evaluate, first)
 
 
 def certify(
@@ -242,8 +213,8 @@ def certify(
     """Sample P on |z| = r_max and report the minimum membership margin.
 
     certified is exactly min_margin > 0.  It means: g has no zero in
-    0 < |z| <= r_max, proven from the circle's own g samples (see
-    _circle_winding), and the margin is positive at every sample of the
+    0 < |z| <= r_max, proven from the circle's own g and g' samples (see
+    _circle_count), and the margin is positive at every sample of the
     circle; the margins on the arcs between samples are not proven.  A zero
     in the disk, a sample where g (numerically) vanishes, or an arc whose
     count cannot close sets zero_in_disk and min_margin -inf, so the report
@@ -263,7 +234,7 @@ def certify(
     margins = _margin_field(P, flavor)
     margins[near_zero] = -np.inf
     worst = int(np.argmin(margins))
-    zero_in_disk = bool(near_zero.any()) or _circle_winding(table, bounds, grid, g) != 1
+    zero_in_disk = bool(near_zero.any()) or _circle_count(table, bounds, grid, g, gp) != 1
     min_margin = -math.inf if zero_in_disk else float(margins[worst])
     return CertificationReport(
         params=params,
@@ -288,6 +259,9 @@ class ScanRow:
     certified: bool
 
 
+_MAX_LATTICE = 10**6  # values allowed on one scan axis
+
+
 def _lattice(bounds: tuple[float, float, float]) -> list[float]:
     lo, hi, step = bounds
     if not all(map(math.isfinite, bounds)):
@@ -297,9 +271,9 @@ def _lattice(bounds: tuple[float, float, float]) -> list[float]:
     if hi < lo:
         return []
     span = (hi - lo) / step
-    if not math.isfinite(span):
-        raise InvalidParams(f"range {bounds} has too many steps")
-    count = int(round(span)) + 1
+    if not math.isfinite(span) or round(span) >= _MAX_LATTICE:
+        raise InvalidParams(f"range {bounds} has more than {_MAX_LATTICE} values")
+    count = round(span) + 1
     values = [lo + k * step for k in range(count)]
     return [v for v in values if v <= hi + step * 1e-9]
 

@@ -1,18 +1,18 @@
-"""Zero location inside a trust radius and the Hadamard product rebuild.
+"""Zero location, the proven zero count, and the Hadamard product rebuild.
 
 Zeros of the entire function g are seeded by the roots of a short prefix
 of its series polynomial (companion-matrix eigenvalues) and polished one
 seed at a time by a single Newton loop, _newton: first in doubles on the
 full series, where a root that repeats an earlier seed's is dropped, then
-on compensated residuals (_refine_mp).  The list is cross-checked against
-an argument-principle winding count over the trust circle.  The prefix
-ends at the last term that still matters on the circle |z| = 1.05 R:
-beyond it, |a_n| (1.05 R)^n stays below _SEED_CUT times the largest such
-term.  For real L and eta the prefix goes to the real companion matrix,
-and a real zero is refined in real arithmetic.  Should the prefix's seeds
-miss a zero, the winding count disagrees and the seeding is repeated once
-on the whole table before WindingMismatch is raised.  The located zeros
-feed the product representation
+on compensated residuals (_refine_mp).  The prefix ends at the last term
+that still matters on |z| = 1.05 R (_SEED_CUT); for real L and eta it
+goes to the real companion matrix, and a real zero is refined in real
+arithmetic.  The list must match the argument-principle count of
+winding_number, which, like starlike.certify, counts through _arc_count:
+the principal-angle steps of g between samples on the circle, each arc
+proven to keep g away from 0 by a bound on how far g moves along it.  An
+unproven count or a list that disagrees gets one reseeding from the whole
+table before WindingMismatch.  The located zeros feed the product
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
 
@@ -30,19 +30,18 @@ import numpy as np
 from .errors import InvalidParams, NoConvergence, WindingMismatch
 from .series import (
     _EPS,
-    _MAX_CIRCLE_SAMPLES,
     DEFAULT_TOL,
     CoefficientTable,
     ComplexValue,
     CoulombParams,
     _abs_sums,
+    _tail_bounds,
     table_for_radius,
 )
 
 _NEWTON_MAX_STEPS = 100
 _REFINE_MAX_STEPS = 4
 _DEDUP_SEPARATION = 1e-8
-_WINDING_START_SAMPLES = 4096
 _RESIDUAL_FACTOR = 1e-10
 # seed-polynomial cut: keep a_n while |a_n| (1.05 R)^n > _SEED_CUT * max
 _SEED_CUT = 1e-9
@@ -75,35 +74,118 @@ class ZeroSet:
         }
 
 
-def winding_number(table: CoefficientTable, radius: float) -> int:
-    """Argument-principle count of zeros of g inside |z| = radius.
+_CIRCLE_SAMPLES = 720  # winding_number's first samples on its circle
+_MAX_CIRCLE_SAMPLES = 1 << 18  # samples allowed on one circle, bisection included
+_MAX_GROWTH = 50.0  # the ODE arc bound is used while e^(c s) stays below e^50
 
-    Trapezoidal integration of g'(z) z / g(z) over uniform boundary samples,
-    starting at 4096 and doubling until the estimate lands within 0.25 of an
-    integer.  The origin zero is always included in the count.  This is an
-    estimate, not a proof: with a zero close to the circle the trapezoid sum
-    can land near a wrong integer and be accepted.  For (L, eta) = (0, 5),
-    whose zero sits at |rho| = 0.362658574621303, it returns -9 at radius
-    0.36265 and 17 at 0.36266, where the true counts are 1 and 2.
+
+def _bounded_horner(coeffs, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """series._horner's value (same bits) of sum coeffs[n] z^n on |z| = r, and its rounding bound.
+
+    Running error bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 5.1): the step s_k = s_(k+1) z + a_k rounds its
+    complex product by at most sqrt(2) gamma_2 |s_(k+1)| r and its sum by u |s_k|,
+    so the error is below (2 sqrt(2) + 1) u mu < 2.5 eps mu, mu = sum |s_k| r^k.
     """
-    samples = _WINDING_START_SAMPLES
-    while samples <= _MAX_CIRCLE_SAMPLES:
-        theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    acc = np.zeros_like(z)
+    mu, size = np.zeros(z.shape), np.empty(z.shape)
+    for a in reversed(coeffs):
+        acc *= z
+        acc += a
+        mu *= r
+        mu += np.abs(acc, out=size)
+    return acc, 2.5 * _EPS * mu
+
+
+def _arc_count(params: CoulombParams, r: float, m1: float, evaluate, first) -> int | None:
+    """Proven count of the zeros of g in |z| < r from samples on that circle.
+
+    evaluate(theta) returns arrays: g at r e^(i theta) as computed, a bound
+    err on its distance from the exact g at the computed point (within 4 eps
+    r of its circle point), and a bound u on the exact |g| + |g'| there;
+    first is its result at theta_k = 2 pi k / n.  The path from one computed
+    point along the circle to the next has length s <= r (width + 8 eps),
+    and g moves along it by at most D_k = min(m1 s, u_k expm1(c s) / c):
+    m1 majorizes |g'| on the disk, and |g| + |g'| grows at rate at most c,
+    since z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives
+    |g''| <= a |g'| + b |g| with a = 2|L|/r, b = 1 + 2|eta|/r + 2|L|/r^2, so
+    c = max(1 + a, b).  An arc is proven when |g_k| - err_k - err_(k+1) >
+    2 D_k (the factor 2 also covers the path's 4 eps r excursions): then the
+    exact g on it and both computed ends lie in one disk about g_k that
+    excludes 0, so the principal angle of g_(k+1)/g_k is the true change of
+    arg g, and the steps add up to exactly 2 pi times the count.  Failing
+    arcs are bisected at their midpoints only.  None when an arc cannot
+    close: a sample within 2 err of 0 (or not finite), a midpoint angle that
+    rounds onto its arc's start, or over _MAX_CIRCLE_SAMPLES samples.
+    """
+    L, eta = abs(params.L), abs(params.eta)
+    c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
+    start, err, u = first
+    n = start.size
+    theta = 2 * np.pi * np.arange(n) / n
+    width = np.full(n, 2 * np.pi / n)
+    end, end_err = np.concatenate((start[1:], start[:1])), np.concatenate((err[1:], err[:1]))
+    total, samples = 0.0, n
+    while True:
+        size = np.abs(start)
+        slack = size - err - end_err
+        length = r * (width + 8 * _EPS)
+        closed = slack > 2 * m1 * length
+        rest = np.flatnonzero(~closed)
+        if rest.size:  # D_k is the ODE bound exactly where m1 s fails
+            grow = c * length[rest]
+            ode = u[rest] * np.expm1(np.minimum(grow, _MAX_GROWTH)) / c
+            ode[grow > _MAX_GROWTH] = math.inf
+            closed[rest] = slack[rest] > 2 * ode
+        total += float(np.angle(end[closed] / start[closed]).sum())
+        if closed.all():
+            return round(total / (2 * np.pi))
+        keep = ~closed
+        theta, width, start, end, err, end_err, u, size = (
+            x[keep] for x in (theta, width, start, end, err, end_err, u, size))
+        width = width / 2
+        mid = theta + width
+        samples += mid.size
+        if (samples > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
+                or np.any(mid == theta)):
+            return None
+        g_mid, err_mid, u_mid = evaluate(mid)
+        theta, width = np.concatenate((theta, mid)), np.concatenate((width, width))
+        start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
+        err, end_err = np.concatenate((err, err_mid)), np.concatenate((err_mid, end_err))
+        u = np.concatenate((u, u_mid))
+
+
+def winding_number(table: CoefficientTable, radius: float) -> int:
+    """Proven argument-principle count of the zeros of g in |z| < radius.
+
+    The origin zero is included.  g is sampled at 720 angles by Horner with
+    a running rounding bound, g' by plain Horner with the a-priori allowance
+    8 (order+2) eps M1 (it only enters |g| + |g'|), and _arc_count closes the
+    count.  NoConvergence when it cannot be proven: a zero within rounding
+    distance of the circle, a tail not certified at this radius, or over
+    2^18 samples.  The coefficients' own rounding is not in the bound yet.
+    """
+    if not (radius > 0 and math.isfinite(radius)):
+        raise InvalidParams(f"radius must be positive and finite, got {radius}")
+    bounds = _tail_bounds(table.coeffs, table.params, radius)
+    if bounds is None:
+        raise NoConvergence(f"series tail is not certified at radius {radius}")
+    m1 = _abs_sums(table, radius)[1]
+    err_p = bounds[1] + 8 * (table.order + 2) * _EPS * m1
+    g_coeffs = (0.0,) + table.coeffs
+
+    def evaluate(theta):
         z = radius * np.exp(1j * theta)
-        g = table.g_values(z)
-        gp = table.g_prime_values(z)
-        if np.any(g == 0):
-            samples *= 2
-            continue
-        integrand = gp * z / g
-        estimate = float(np.mean(integrand.real))
-        if abs(estimate - round(estimate)) <= 0.25:
-            return int(round(estimate))
-        samples *= 2
-    raise NoConvergence(
-        f"winding estimate failed to stabilize by {_MAX_CIRCLE_SAMPLES} samples "
-        f"on |z| = {radius}"
-    )
+        g, err = _bounded_horner(g_coeffs, z, radius)
+        err += bounds[0]
+        return g, err, np.abs(g) + np.abs(table.g_prime_values(z)) + err + err_p
+
+    theta = 2 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
+    count = _arc_count(table.params, radius, m1 + bounds[1], evaluate, evaluate(theta))
+    if count is None:
+        raise NoConvergence(f"winding count on |z| = {radius} cannot be proven")
+    return count
 
 
 def _newton(g, g_prime, z: complex, steps: int, target: float = 0.0) -> tuple[complex, float]:
@@ -218,19 +300,13 @@ def _refine_mp(
 ) -> tuple[complex, float]:
     """Compensated Newton from a double-Newton root; returns (root, residual).
 
-    Double-precision evaluation of the series bottoms out at its roundoff
-    floor, so these at most _REFINE_MAX_STEPS steps of _newton take g = z h
-    from the compensated Horner kernel (about twice double precision) and g'
-    from the double table, and return the iterate of smallest residual.  The
-    residual is the compensated |g| at that returned double, for the
-    truncated series with the table's double coefficients.  Given the
-    table's coefficients as floats (`real_coeffs`, for a real table), a root
-    within 1e-10 of the real axis is put on it and h comes from the real
-    kernel, whose value has the complex kernel's bits at a quarter of its
-    products; off the axis Newton would shrink im quadratically but never to
-    0, so the update would never round to no change.  (The name predates
-    the double kernel; perfbench/crosscheck.py times the refinement under
-    it.)
+    At most _REFINE_MAX_STEPS steps of _newton with g = z h from the
+    compensated Horner kernel and g' from the double table; the residual is
+    the compensated |g| at the returned double.  Given a real table's
+    coefficients as floats (`real_coeffs`), a root within 1e-10 of the real
+    axis is put on it and h comes from the real kernel (same bits, a quarter
+    of the products), since off the axis the update never rounds to no
+    change.  (perfbench/crosscheck.py times the refinement under this name.)
     """
     if real_coeffs is not None and abs(root.imag) <= 1e-10 * max(1.0, abs(root.real)):
         root = complex(root.real, 0.0)
@@ -305,17 +381,17 @@ def find_zeros(
     """Locate every zero of g with 0 < |rho| <= trust_radius.
 
     The origin zero is structural (g(z) = z + ...) and is excluded from the
-    list; the winding count over the trust circle must equal the list length
-    plus one.  Seeds are the roots of g = z h's cofactor h cut after its
+    list; the proven winding count over the trust circle must equal the list
+    length plus one.  Seeds are the roots of g = z h's cofactor h cut after its
     last term above _SEED_CUT of the largest on |z| = 1.05 R; for real L
     and eta that prefix is a float64 array, so np.roots takes LAPACK's real
     eigensolver.  Each seed within 1.05 R takes one pass: Newton in doubles
     down to max(tol, 8 eps S(R)), S(R) = sum |a_n| R^(n+1), then, unless
     its root lies within 1e-8 of an earlier seed's, the compensated
     refinement of _refine_mp, and the refined zero is kept when it lies
-    within R.  When the polished list disagrees with the winding count,
-    the whole table is seeded once more and compared against the same
-    count, and only a second disagreement raises WindingMismatch.  Zeros
+    within R.  When the polished list disagrees with the winding count, or
+    the count cannot be proven, the whole table is seeded once more, and only
+    a second disagreement raises WindingMismatch.  Zeros
     are sorted by modulus, ties broken by principal-branch argument.  Each
     zero is the double that Newton on compensated residuals settles on (a
     real zero of a real table in the real kernel), and its residual is the
@@ -323,9 +399,7 @@ def find_zeros(
     NoConvergence.
     """
     if not (trust_radius > 0 and math.isfinite(trust_radius)):
-        raise InvalidParams(
-            f"trust_radius must be positive and finite, got {trust_radius}"
-        )
+        raise InvalidParams(f"trust_radius must be positive and finite, got {trust_radius}")
     table = table_for_radius(params, trust_radius, tol)
     h = np.array(table.coeffs, dtype=complex)
     real_coeffs = None
@@ -335,13 +409,17 @@ def find_zeros(
     degree = _seed_degree(h, trust_radius)
     target = max(tol, 8 * _EPS * _abs_sums(table, trust_radius)[0])
     refined, residuals = _polish(table, h, degree, trust_radius, target, real_coeffs)
-    count = winding_number(table, trust_radius)
+    try:
+        count = winding_number(table, trust_radius)
+    except NoConvergence:
+        count = None  # an unproven count agrees with no list
     if count != len(refined) + 1 and degree < h.size - 1:
         # the prefix may have lost a zero: reseed once from the whole table
         refined, residuals = _polish(table, h, h.size - 1, trust_radius, target, real_coeffs)
     if count != len(refined) + 1:
+        detail = "is unproven" if count is None else f"is {count}"
         raise WindingMismatch(
-            f"winding count {count} over |z| = {trust_radius} disagrees with "
+            f"winding count over |z| = {trust_radius} {detail}, against "
             f"{len(refined)} listed zeros plus the origin"
         )
     scale = max(abs(c) for c in table.coeffs)
@@ -351,13 +429,7 @@ def find_zeros(
             f"polished zero residual {max(bad):.3e} exceeds "
             f"{_RESIDUAL_FACTOR * scale:.3e}"
         )
-    return ZeroSet(
-        params=params,
-        trust_radius=trust_radius,
-        truncation_order=table.order,
-        zeros=tuple(refined),
-        residuals=tuple(residuals),
-    )
+    return ZeroSet(params, trust_radius, table.order, tuple(refined), tuple(residuals))
 
 
 def weierstrass_eval(

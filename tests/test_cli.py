@@ -299,6 +299,17 @@ class TestScan:
         assert result.exit_code == 3
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("axis", ["L", "eta"])
+    def test_too_many_steps_exit_three(self, runner, axis):
+        # 1e299 lattice values would be listed before the first pair is scanned
+        args = ["scan", "--class", "classical", "--angles", "12",
+                "--L-min", "0.4", "--L-max", "0.5", "--L-step", "0.1",
+                "--eta-min", "0", "--eta-max", "0.1", "--eta-step", "0.1"]
+        args[args.index(f"--{axis}-step") + 1] = "1e-300"
+        result = invoke(runner, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+
     def test_lowercase_flag_aliases(self, runner):
         result = invoke(
             runner,

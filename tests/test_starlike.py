@@ -253,6 +253,13 @@ class TestCertify:
                          ScanGrid(angles, r_max))
         assert report.zero_in_disk is inside
 
+    @pytest.mark.parametrize("flavor", list(StarlikeClass))
+    def test_tiny_disk_certifies(self, flavor):
+        # 2|L|/r^2 makes the ODE arc bound useless at r = 1e-6; the disk-wide
+        # |g'| bound must still close every arc
+        report = certify(CoulombParams(1.4, 0.8), flavor, ScanGrid(720, 1e-6))
+        assert report.certified and not report.zero_in_disk
+
     def test_zero_just_outside_is_not_flagged(self):
         report = certify(CoulombParams(0.0, 5.0), StarlikeClass.CLASSICAL,
                          ScanGrid(720, 0.3626))
@@ -282,10 +289,11 @@ class TestCertify:
 
 
 def circle_count(params, grid):
-    """_circle_winding on the table and samples certify builds, and the table."""
+    """_circle_count on the table and samples certify builds, and the table."""
     table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
-    g = table.g_values(grid.points())
-    return starlike._circle_winding(table, bounds, grid, g), table
+    z = grid.points()
+    g, gp = table.g_values(z), table.g_prime_values(z)
+    return starlike._circle_count(table, bounds, grid, g, gp), table
 
 
 class TestCircleWinding:
@@ -329,7 +337,8 @@ class TestParameterScan:
 
     @pytest.mark.parametrize("bad", [(0.4, 0.5, math.nan), (0.4, 0.5, math.inf),
                                      (-math.inf, 0.5, 0.1), (0.4, math.inf, 0.1),
-                                     (-1e308, 1e308, 1e-300)])
+                                     (-1e308, 1e308, 1e-300), (0.0, 1.0, 1e-300),
+                                     (0.0, 1.0, 1e-6)])
     def test_nonfinite_range_refuses(self, bad):
         with pytest.raises(InvalidParams):
             parameter_scan(bad, (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL)

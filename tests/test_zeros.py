@@ -14,6 +14,7 @@ from coulombstar import (
     CoulombParams,
     InvalidParams,
     NoConvergence,
+    WindingMismatch,
     ZeroSet,
     eval_g,
     find_zeros,
@@ -22,6 +23,7 @@ from coulombstar import (
     weierstrass_eval,
     winding_number,
 )
+from coulombstar.series import _horner
 from coulombstar.zeros import _compensated_horner, _compensated_horner_real
 
 SINE = CoulombParams(0.0, 0.0)
@@ -391,6 +393,68 @@ class TestWindingNumber:
         zs = find_zeros(params, radius)
         table = table_for_radius(params, radius)
         assert winding_number(table, radius) == len(zs.zeros) + 1
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(InvalidParams):
+            winding_number(table_for_radius(SINE, 1.0), radius)
+
+    def test_uncertified_tail_refuses(self):
+        # a table built for |z| <= 1 has no tail bound on |z| = 20
+        with pytest.raises(NoConvergence):
+            winding_number(table_for_radius(SINE, 1.0), 20.0)
+
+    def test_sine_grid_is_right_or_refuses(self):
+        # zeros at k pi; a trapezoid estimate returned wrong integers on 36 of
+        # these radii, e.g. -10632, where a proven count can only refuse
+        radii = [0.5 + 0.25 * k for k in range(127)]
+        near = [k * math.pi + d for k in range(1, 11) for d in (-1e-3, 1e-3, -1e-6, 1e-6)]
+        for radius in radii + near:
+            expected = 2 * math.floor(radius / math.pi) + 1
+            try:
+                count = winding_number(table_for_radius(SINE, radius), radius)
+            except NoConvergence:
+                assert abs(radius - round(radius / math.pi) * math.pi) < 2e-3, radius
+                continue
+            assert count == expected, radius
+        for radius in near[:32:4] + near[1:32:4]:  # k pi -+ 1e-3 for k <= 8
+            expected = 2 * math.floor(radius / math.pi) + 1
+            assert winding_number(table_for_radius(SINE, radius), radius) == expected
+
+    @pytest.mark.parametrize("radius, count", [(0.3626, 1), (0.36265, 1), (0.36266, 2)])
+    def test_zero_near_the_circle(self, radius, count):
+        # the zero of (0, 5) sits at |rho| = 0.362658574621303
+        params = CoulombParams(0.0, 5.0)
+        assert winding_number(table_for_radius(params, radius), radius) == count
+        assert len(find_zeros(params, radius).zeros) == count - 1
+
+    def test_counts_what_a_trapezoid_missed(self):
+        # an input of the zeros benchmark (seed 2, input 190) whose trapezoid
+        # estimate was -1; the zero list has 8 entries
+        params = CoulombParams(float.fromhex("-0x1.5483e171f9200p-2"),
+                               float.fromhex("0x1.a34b576f83680p-1"))
+        radius = float.fromhex("0x1.db2c5ff0b8e08p+3")
+        assert winding_number(table_for_radius(params, radius), radius) == 9
+        assert len(find_zeros(params, radius).zeros) == 8
+
+    def test_unproven_count_is_a_mismatch(self):
+        # the double pi lies 1.2e-16 inside the zero pi: no arc near it closes
+        with pytest.raises(NoConvergence):
+            winding_number(table_for_radius(SINE, math.pi), math.pi)
+        with pytest.raises(WindingMismatch, match="unproven"):
+            find_zeros(SINE, math.pi)
+
+    def test_bounded_horner_bound_holds(self):
+        # against the exact sum of the same double coefficients at the same
+        # double points, in 60 digits
+        table = table_for_radius(CoulombParams(0.3, -0.7), 25.0)
+        z = 25.0 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 41))
+        value, bound = zeros_module._bounded_horner(table.coeffs, z, 25.0)
+        assert np.array_equal(value, _horner(table.coeffs, z))
+        with mp.workdps(60):
+            for w, v, b in zip(z, value, bound):
+                exact = mp.polyval([mp.mpc(a) for a in reversed(table.coeffs)], mp.mpc(w))
+                assert abs(exact - mp.mpc(v)) <= b
 
 
 class TestWeierstrassEval:
