@@ -287,11 +287,21 @@ def cmd_verify_lemmas(m_list: str) -> None:
     if not ms:
         raise click.UsageError("m list is empty")
     for m in ms:
+        if not math.isfinite(m):
+            raise click.UsageError(f"m must be finite, got {m}")
         if m < 1:
             raise click.UsageError(f"m must be >= 1, got {m}")
 
     def body() -> int:
-        reports = [extremize(tag, m).to_jsonable() for m in ms for tag in "UVAB"]
+        # V and B do not depend on m, and a list may repeat a value
+        found: dict[tuple, dict] = {}
+        reports = []
+        for m in ms:
+            for tag in "UVAB":
+                key = (tag, m if tag in "UA" else None)
+                if key not in found:
+                    found[key] = extremize(tag, m).to_jsonable()
+                reports.append(found[key])
         checks = constant_checks()
         click.echo(render_json({"reports": reports, "constant_checks": checks}))
         all_pass = all(r["abs_gap"] <= LEMMA_GAP_TOL for r in reports) and all(

@@ -27,8 +27,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .errors import BranchPoint, InvalidParams, NoConvergence, PoleError
 
 # Hard cap on the series truncation order; requests that cannot be certified
@@ -282,6 +280,8 @@ def gamma_complex(w: complex) -> ComplexValue:
     PoleError; a value that overflows, or whose modulus is subnormal or 0
     (where the relative error model fails), raises NoConvergence.
     """
+    import mpmath as mp  # only gamma and the Kummer oracle pay mpmath's import
+
     w = complex(w)
     if _is_nonpositive_integer(w):
         raise PoleError(f"gamma pole at {w!r}")
@@ -400,6 +400,8 @@ def kummer_oracle(params: CoulombParams, order: int) -> CoefficientTable:
         raise InvalidParams(f"order must be >= 0, got {order}")
     if order > MAX_ORDER:
         raise InvalidParams(f"order must be <= {MAX_ORDER}, got {order}")
+    import mpmath as mp
+
     L, eta = params.L, params.eta
     with mp.workdps(50):
         a = mp.mpc(L.real, L.imag) + 1 - mp.mpc(0, 1) * mp.mpc(eta.real, eta.imag)

@@ -468,8 +468,11 @@ def product_convergence_report(
 
     z = complex(z)
     reference = eval_g(params, z, tol).value
+    # one running product: the same factors in the same order as
+    # weierstrass_eval, so each prefix keeps its bits
+    value = z * cmath.exp(params.eta * z / (params.L + 1))
     report = []
-    for n in range(1, len(zero_set.zeros) + 1):
-        approx = weierstrass_eval(params, z, zero_set, n).value
-        report.append((n, abs(approx - reference)))
+    for n, rho in enumerate(zero_set.zeros, 1):
+        value *= (1 - z / rho) * cmath.exp(z / rho)
+        report.append((n, abs(value - reference)))
     return report

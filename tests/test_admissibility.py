@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from coulombstar import (
@@ -18,6 +19,7 @@ from coulombstar import (
     lemniscate_shift_sq,
     psi_lower_bound,
 )
+from coulombstar import admissibility
 
 E = math.e
 SQRT2 = math.sqrt(2.0)
@@ -41,6 +43,12 @@ class TestAdmissiblePoint:
     def test_m_below_one(self):
         with pytest.raises(DomainError):
             admissible_point("lemniscate", 0.0, 0.5)
+
+    @pytest.mark.parametrize("locus", ["lemniscate", "exponential"])
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_nonfinite_m(self, locus, m):
+        with pytest.raises(DomainError):
+            admissible_point(locus, 0.0, m)
 
     def test_theta_ranges(self):
         with pytest.raises(DomainError):
@@ -189,6 +197,66 @@ class TestExtremize:
     def test_m_below_one(self):
         with pytest.raises(DomainError):
             extremize("U", 0.25)
+
+    @pytest.mark.parametrize("tag", ["U", "V", "A", "B"])
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_m(self, tag, m):
+        with pytest.raises(DomainError):
+            extremize(tag, m)
+
+    @pytest.mark.parametrize("tag, m", [("U", 1e152), ("U", 1e308), ("A", 1e200)])
+    def test_profile_not_finite_on_grid(self, tag, m):
+        # the numpy grid overflows quietly and is refused; the scalar U
+        # profile raised a bare OverflowError here
+        with pytest.raises(DomainError, match="not finite"):
+            extremize(tag, m)
+
+    # at U's last m the two grid points either side of theta = 0 tie to an
+    # ulp, and the numpy grid values alone pick the other one
+    @pytest.mark.parametrize(
+        "tag, m",
+        [(tag, m) for tag in "UVAB" for m in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 10.0, 100.0)]
+        + [("U", 837086.5830555093)],
+    )
+    def test_matches_scalar_grid_search(self, tag, m):
+        got, want = extremize(tag, m), _scalar_extremize(tag, m)
+        assert got.located_arg.hex() == want.located_arg.hex()
+        assert got.located_value.hex() == want.located_value.hex()
+        assert got == want
+
+
+def _scalar_extremize(tag, m):
+    """extremize with every grid point evaluated by the scalar profile."""
+    profile = admissibility._PROFILES[tag]
+    sign = 1.0 if admissibility.EXTREMIZE_MODES[tag] == "min" else -1.0
+    n = admissibility._GRID_POINTS
+    if tag in ("U", "V"):
+        lo = -math.pi / 4 + admissibility.EDGE_MARGIN
+        hi = math.pi / 4 - admissibility.EDGE_MARGIN
+        xs = np.linspace(lo, hi, n)
+    else:
+        xs = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    values = np.array([profile(float(x), m) for x in xs])
+    best = int(np.argmin(sign * values))
+    step = float(xs[1] - xs[0])
+    a, b = float(xs[best]) - step, float(xs[best]) + step
+    if tag in ("U", "V"):
+        a, b = max(a, lo), min(b, hi)
+    arg = admissibility._golden_section(
+        lambda t: sign * profile(t, m), a, b, admissibility._GOLDEN_XTOL
+    )
+    if tag in ("A", "B") and arg >= 2 * math.pi:
+        arg -= 2 * math.pi
+    if tag in ("U", "V"):
+        for end in (lo, hi):
+            if a <= end <= b and sign * profile(end, m) < sign * profile(arg, m):
+                arg = end
+    value = profile(arg, m)
+    reference = admissibility.closed_form_value(tag, m)
+    return admissibility.ExtremumReport(
+        tag, m if tag in ("U", "A") else None, admissibility.EXTREMIZE_MODES[tag],
+        arg, value, reference, abs(value - reference),
+    )
 
 
 class TestPsiLowerBound:

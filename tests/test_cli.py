@@ -352,8 +352,35 @@ class TestVerifyLemmas:
         result = invoke(runner, ["verify-lemmas", "--m", "one"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("m_list", ["nan", "inf", "-inf", "1,nan"])
+    def test_nonfinite_m_exit_two(self, runner, m_list):
+        result = invoke(runner, ["verify-lemmas", "--m", m_list])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("m", ["1e308", "1e152"])
+    def test_huge_m_exit_four(self, runner, m):
+        # U overflows on the grid's ends; a refusal, not a traceback
+        result = invoke(runner, ["verify-lemmas", "--m", m])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+
+    def test_repeated_m_repeats_reports(self, runner):
+        single = json.loads(invoke(runner, ["verify-lemmas", "--m", "1"]).stdout)
+        result = invoke(runner, ["verify-lemmas", "--m", "1,1"])
+        assert result.exit_code == 1
+        payload = json.loads(result.stdout)
+        assert payload["reports"] == single["reports"] * 2
+        assert payload["constant_checks"] == single["constant_checks"]
+
 
 class TestDeterminism:
+    def test_import_leaves_mpmath_unloaded(self):
+        # only gamma and the Kummer oracle import mpmath, on first use
+        code = "import coulombstar, sys; sys.exit('mpmath' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
     def test_repeated_invocations_byte_identical(self):
         cmd = [
             sys.executable, "-m", "coulombstar",

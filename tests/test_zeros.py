@@ -504,6 +504,21 @@ class TestProductConvergenceReport:
         report = product_convergence_report(SINE, 0.0, zs)
         assert all(err == 0.0 for _, err in report)
 
+    @pytest.mark.parametrize(
+        "params, radius, z",
+        [(SINE, 20.0, 0.5), (CoulombParams(0.3 + 0.2j, -0.6 + 0.1j), 12.0, 2.5 - 3.0j)],
+    )
+    def test_bits_of_every_prefix_product(self, params, radius, z):
+        # the running product multiplies the factors weierstrass_eval does,
+        # in the same order
+        zs = find_zeros(params, radius)
+        reference = eval_g(params, z).value
+        report = product_convergence_report(params, z, zs)
+        assert [err.hex() for _, err in report] == [
+            abs(weierstrass_eval(params, z, zs, n).value - reference).hex()
+            for n in range(1, len(zs.zeros) + 1)
+        ]
+
     def test_shape_single_zero_pair(self):
         zs = find_zeros(SINE, 4.0)
         report = product_convergence_report(SINE, 0.25, zs)
