@@ -91,14 +91,24 @@ def admissible_point(locus: str, theta: float, m: float) -> AdmissiblePoint:
 # ---------------------------------------------------------------------------
 # profile functions along the loci
 
+def _offset_sq(point: AdmissiblePoint) -> float:
+    """|s + r^2 - 1|^2 at an admissible point; DomainError when it overflows."""
+    try:
+        value = abs(point.s + point.r**2 - 1) ** 2
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"offset profile overflows at m = {point.m}")
+    return value
+
+
 def lemniscate_offset_sq(theta: float, m: float) -> float:
     """|s + r^2 - 1|^2 on the lemniscate locus.
 
     Closed form m^2/(8 cos 2 theta) + m cos theta / sqrt(2 cos 2 theta) + 1;
     diverges toward the interval ends.
     """
-    point = admissible_point(LEMNISCATE, theta, m)
-    return abs(point.s + point.r**2 - 1) ** 2
+    return _offset_sq(admissible_point(LEMNISCATE, theta, m))
 
 
 def lemniscate_shift_sq(theta: float) -> float:
@@ -116,8 +126,7 @@ def lemniscate_shift_sq(theta: float) -> float:
 
 def exponential_offset_sq(theta: float, m: float) -> float:
     """|s + r^2 - 1|^2 on the exponential locus."""
-    point = admissible_point(EXPONENTIAL, theta, m)
-    return abs(point.s + point.r**2 - 1) ** 2
+    return _offset_sq(admissible_point(EXPONENTIAL, theta, m))
 
 
 def exponential_shift_sq(theta: float) -> float:

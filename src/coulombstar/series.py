@@ -112,8 +112,9 @@ def _tail_bounds(
     with q = (2|eta| r + r^2) / ((N+1) * (N+1 - |2L+1|)),
     because the denominators n*|n + 2L + 1| only grow past that point.
     Pairs of successive tail terms then decay geometrically, which yields
-    closed-form bounds for the tails of g, g' and g''.  Returns None when
-    the majorization does not certify (q >= 1 or N too small).
+    closed-form bounds for the tails of g, g' and g''.  For r > 0 no bound
+    is 0: one that underflows is floored at the least subnormal.  Returns
+    None when the majorization does not certify (q >= 1 or N too small).
     """
     N = len(coeffs) - 1
     r = radius
@@ -129,17 +130,23 @@ def _tail_bounds(
         t_last = abs(coeffs[N]) * r ** (N + 1)
         t_prev = abs(coeffs[N - 1]) * r**N
         mu = max(t_last, t_prev)
+        if mu >= sys.float_info.min:
+            mu1, mu2 = mu / r, mu / r / r
+        else:  # mu has lost bits to underflow: divide r out of the powers instead
+            mu1 = max(abs(coeffs[N]) * r**N, abs(coeffs[N - 1]) * r ** (N - 1))
+            mu2 = max(abs(coeffs[N]) * r ** (N - 1), abs(coeffs[N - 1]) * r ** (N - 2))
         s0 = q / (1 - q)
         s1 = q / (1 - q) ** 2
         s2 = q * (1 + q) / (1 - q) ** 3
         tail0 = 2 * mu * s0
-        tail1 = (mu / r) * ((2 * N + 1) * s0 + 4 * s1)
-        tail2 = (2 * mu / r**2) * ((N * N + N) * s0 + (4 * N + 2) * s1 + 4 * s2)
+        tail1 = mu1 * ((2 * N + 1) * s0 + 4 * s1)
+        tail2 = 2 * mu2 * ((N * N + N) * s0 + (4 * N + 2) * s1 + 4 * s2)
     except OverflowError:
         return None
     if not all(math.isfinite(t) for t in (tail0, tail1, tail2)):
         return None
-    return (tail0, tail1, tail2)
+    least = math.ulp(0.0)
+    return (max(tail0, least), max(tail1, least), max(tail2, least))
 
 
 @dataclass(frozen=True)

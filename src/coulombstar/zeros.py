@@ -1,18 +1,19 @@
 """Zero location, the proven zero count, and the Hadamard product rebuild.
 
-Zeros of the entire function g are seeded by the roots of a short prefix
-of its series polynomial (companion-matrix eigenvalues) and polished one
-seed at a time by a single Newton loop, _newton: first in doubles on the
-full series, where a root that repeats an earlier seed's is dropped, then
-on compensated residuals (_refine_mp).  The prefix ends at the last term
-that still matters on |z| = 1.05 R (_SEED_CUT); for real L and eta it
-goes to the real companion matrix, and a real zero is refined in real
-arithmetic.  The list must match the argument-principle count of
-winding_number, which, like starlike.certify, counts through _arc_count:
-the principal-angle steps of g between samples on the circle, each arc
-proven to keep g away from 0 by a bound on how far g moves along it.  An
-unproven count or a list that disagrees gets one reseeding from the whole
-table before WindingMismatch.  The located zeros feed the product
+Zeros of the entire function g are counted first, by the argument
+principle: winding_number, like starlike.certify, counts through
+_arc_count, the principal-angle steps of g between samples on the circle,
+each arc proven to keep g away from 0 by a bound on how far g moves along
+it.  They are then seeded once, by the roots of a short prefix of the
+series polynomial (companion-matrix eigenvalues), and polished one seed at
+a time by a single Newton loop, _newton: first in doubles on the full
+series, then on compensated residuals (_refine_mp), and a refined root
+that fails the residual gate or repeats one already kept is dropped.  The
+prefix ends at the last term that still matters on |z| = 1.05 R
+(_SEED_CUT); for real L and eta it goes to the real companion matrix, and
+a real zero is refined in real arithmetic.  An unproven count, or a list
+that disagrees with it, raises WindingMismatch.  The located zeros feed
+the product
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
 
@@ -40,7 +41,7 @@ from .series import (
 )
 
 _NEWTON_MAX_STEPS = 100
-_REFINE_MAX_STEPS = 4
+_REFINE_MAX_STEPS = 8
 _DEDUP_SEPARATION = 1e-8
 _RESIDUAL_FACTOR = 1e-10
 # seed-polynomial cut: keep a_n while |a_n| (1.05 R)^n > _SEED_CUT * max
@@ -304,19 +305,26 @@ def _refine_mp(
     compensated Horner kernel and g' from the double table; the residual is
     the compensated |g| at the returned double.  Given a real table's
     coefficients as floats (`real_coeffs`), a root within 1e-10 of the real
-    axis is put on it and h comes from the real kernel (same bits, a quarter
-    of the products), since off the axis the update never rounds to no
-    change.  (perfbench/crosscheck.py times the refinement under this name.)
+    axis, before or after the complex steps, is put on it and refined with
+    h from the real kernel (same bits, a quarter of the products), since
+    off the axis the update never rounds to no change; for real L > -1
+    every zero is real (Ikebe, Math. Comp. 29, 1975), so a near-real pair
+    of seeds ends on one real zero.  (perfbench/crosscheck.py times the
+    refinement under this name.)
     """
-    if real_coeffs is not None and abs(root.imag) <= 1e-10 * max(1.0, abs(root.real)):
-        root = complex(root.real, 0.0)
+    def near_real(z):
+        return real_coeffs is not None and abs(z.imag) <= 1e-10 * max(1.0, abs(z.real))
 
-        def g(z):
-            return z * _compensated_horner_real(real_coeffs, z.real)
-    else:
+    if not near_real(root):
         def g(z):
             return z * _compensated_horner(table.coeffs, z)
-    return _newton(g, table.g_prime_values, root, _REFINE_MAX_STEPS)
+        root, residual = _newton(g, table.g_prime_values, root, _REFINE_MAX_STEPS)
+        if not near_real(root):
+            return root, residual
+
+    def g_real(z):
+        return z * _compensated_horner_real(real_coeffs, z.real)
+    return _newton(g_real, table.g_prime_values, complex(root.real, 0.0), _REFINE_MAX_STEPS)
 
 
 def _seed_degree(h: np.ndarray, trust_radius: float) -> int:
@@ -345,91 +353,65 @@ def _seed_roots(h: np.ndarray, degree: int, trust_radius: float) -> np.ndarray:
         ) from exc
 
 
-def _polish(
-    table: CoefficientTable, h: np.ndarray, degree: int, trust_radius: float,
-    target: float, real_coeffs: list[float] | None,
-) -> tuple[list[complex], list[float]]:
-    """Zeros within trust_radius reached from the seeds of h's degree prefix.
-
-    One pass per seed, as find_zeros describes; the zeros come back with
-    their residuals, sorted by modulus, then argument.
-    """
-    found: list[complex] = []
-    zeros: list[complex] = []
-    residuals: list[float] = []
-    for seed in _seed_roots(h, degree, trust_radius):
-        if abs(seed) > trust_radius * _SEED_REACH:
-            continue
-        root, size = _newton(
-            table.g_values, table.g_prime_values, complex(seed), _NEWTON_MAX_STEPS, target
-        )
-        if not size <= target or any(abs(root - kept) <= _DEDUP_SEPARATION for kept in found):
-            continue
-        found.append(root)
-        root, residual = _refine_mp(table, root, real_coeffs)
-        if abs(root) <= trust_radius:
-            # normalize signed zeros so sort order does not depend on -0.0
-            zeros.append(complex(root.real + 0.0, root.imag + 0.0))
-            residuals.append(residual)
-    order = sorted(range(len(zeros)), key=lambda i: (abs(zeros[i]), cmath.phase(zeros[i])))
-    return [zeros[i] for i in order], [residuals[i] for i in order]
-
-
 def find_zeros(
     params: CoulombParams, trust_radius: float, tol: float = DEFAULT_TOL
 ) -> ZeroSet:
     """Locate every zero of g with 0 < |rho| <= trust_radius.
 
     The origin zero is structural (g(z) = z + ...) and is excluded from the
-    list; the proven winding count over the trust circle must equal the list
-    length plus one.  Seeds are the roots of g = z h's cofactor h cut after its
-    last term above _SEED_CUT of the largest on |z| = 1.05 R; for real L
-    and eta that prefix is a float64 array, so np.roots takes LAPACK's real
-    eigensolver.  Each seed within 1.05 R takes one pass: Newton in doubles
-    down to max(tol, 8 eps S(R)), S(R) = sum |a_n| R^(n+1), then, unless
-    its root lies within 1e-8 of an earlier seed's, the compensated
-    refinement of _refine_mp, and the refined zero is kept when it lies
-    within R.  When the polished list disagrees with the winding count, or
-    the count cannot be proven, the whole table is seeded once more, and only
-    a second disagreement raises WindingMismatch.  Zeros
-    are sorted by modulus, ties broken by principal-branch argument.  Each
-    zero is the double that Newton on compensated residuals settles on (a
-    real zero of a real table in the real kernel), and its residual is the
-    compensated |g| there; any residual above 1e-10 max |a_n| raises
-    NoConvergence.
+    list; the winding count over the trust circle is proven first, and an
+    unproven count raises WindingMismatch before any seeding.  Seeds are the
+    roots of g = z h's cofactor h cut after its last term above _SEED_CUT of
+    the largest on |z| = 1.05 R; for real L and eta that prefix is a float64
+    array, so np.roots takes LAPACK's real eigensolver.  Each seed within
+    1.05 R takes one pass: Newton in doubles down to max(tol, 8 eps S(R)),
+    S(R) = sum |a_n| R^(n+1), then the compensated refinement of _refine_mp.
+    The refined root is kept when its residual, the compensated |g| there,
+    is at most 1e-10 max |a_n| (where 8 eps S(R) is large, double Newton can
+    stop where g is not small), 0 < |rho| <= R, and it lies more than 1e-8
+    from every zero already kept.  The list plus the origin must match the
+    count, or WindingMismatch.  Zeros are sorted by modulus, ties broken by
+    principal-branch argument; each is the double that Newton on
+    compensated residuals settles on (a real zero of a real table in the
+    real kernel).
     """
     if not (trust_radius > 0 and math.isfinite(trust_radius)):
         raise InvalidParams(f"trust_radius must be positive and finite, got {trust_radius}")
     table = table_for_radius(params, trust_radius, tol)
+    try:
+        count = winding_number(table, trust_radius)
+    except NoConvergence as exc:
+        raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven") from exc
     h = np.array(table.coeffs, dtype=complex)
     real_coeffs = None
     if params.L.imag == 0.0 and params.eta.imag == 0.0:
         h = h.real
         real_coeffs = h.tolist()
-    degree = _seed_degree(h, trust_radius)
     target = max(tol, 8 * _EPS * _abs_sums(table, trust_radius)[0])
-    refined, residuals = _polish(table, h, degree, trust_radius, target, real_coeffs)
-    try:
-        count = winding_number(table, trust_radius)
-    except NoConvergence:
-        count = None  # an unproven count agrees with no list
-    if count != len(refined) + 1 and degree < h.size - 1:
-        # the prefix may have lost a zero: reseed once from the whole table
-        refined, residuals = _polish(table, h, h.size - 1, trust_radius, target, real_coeffs)
-    if count != len(refined) + 1:
-        detail = "is unproven" if count is None else f"is {count}"
+    gate = _RESIDUAL_FACTOR * max(abs(c) for c in table.coeffs)
+    found: list[tuple[complex, float]] = []
+    for seed in _seed_roots(h, _seed_degree(h, trust_radius), trust_radius):
+        if abs(seed) > trust_radius * _SEED_REACH:
+            continue
+        root, size = _newton(
+            table.g_values, table.g_prime_values, complex(seed), _NEWTON_MAX_STEPS, target
+        )
+        if not size <= target:
+            continue
+        root, residual = _refine_mp(table, root, real_coeffs)
+        if residual <= gate and 0 < abs(root) <= trust_radius and all(
+            abs(root - kept) > _DEDUP_SEPARATION for kept, _ in found
+        ):
+            # normalize signed zeros so sort order does not depend on -0.0
+            found.append((complex(root.real + 0.0, root.imag + 0.0), residual))
+    if count != len(found) + 1:
         raise WindingMismatch(
-            f"winding count over |z| = {trust_radius} {detail}, against "
-            f"{len(refined)} listed zeros plus the origin"
+            f"winding count over |z| = {trust_radius} is {count}, against "
+            f"{len(found)} listed zeros plus the origin"
         )
-    scale = max(abs(c) for c in table.coeffs)
-    bad = [r for r in residuals if r > _RESIDUAL_FACTOR * scale]
-    if bad:
-        raise NoConvergence(
-            f"polished zero residual {max(bad):.3e} exceeds "
-            f"{_RESIDUAL_FACTOR * scale:.3e}"
-        )
-    return ZeroSet(params, trust_radius, table.order, tuple(refined), tuple(residuals))
+    found.sort(key=lambda pair: (abs(pair[0]), cmath.phase(pair[0])))
+    zeros, residuals = zip(*found) if found else ((), ())
+    return ZeroSet(params, trust_radius, table.order, zeros, residuals)
 
 
 def weierstrass_eval(

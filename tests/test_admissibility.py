@@ -70,6 +70,14 @@ class TestProfileClosedForms:
             closed = m * m / (8 * c2) + m * math.cos(theta) / math.sqrt(2 * c2) + 1
             assert got == pytest.approx(closed, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "profile, theta", [(lemniscate_offset_sq, 0.7), (exponential_offset_sq, 3.0)]
+    )
+    def test_offset_overflow_is_a_domain_error(self, profile, theta):
+        # |s + r^2 - 1| ~ 1e200 here, so its square leaves the doubles
+        with pytest.raises(DomainError, match="overflows"):
+            profile(theta, 1e200)
+
     def test_lemniscate_shift_formula(self):
         rng = random.Random(6602)
         for _ in range(50):

@@ -193,9 +193,10 @@ class TestZeros:
         result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", "200"])
         assert result.exit_code == 4
 
-    def test_underflowed_table_exit_four(self, runner):
+    def test_underflowed_table_exit_five(self, runner):
+        # the count at 38 is unproven, which refuses before any seeding
         result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", "38"])
-        assert result.exit_code == 4
+        assert result.exit_code == 5
         assert result.stdout == ""
 
     def test_winding_mismatch_exit_five(self, runner, monkeypatch):
@@ -206,6 +207,27 @@ class TestZeros:
         result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", "4"])
         assert result.exit_code == 5
         assert "forced" in result.stderr
+
+
+class TestTinyRadius:
+    @pytest.mark.parametrize("args", [
+        ["eval", "--z", "1e-200"],
+        ["eval", "--z", "1e-200", "--function", "f"],
+        ["eval", "--z", "1e-200", "--function", "P"],
+        ["coeffs", "--radius", "1e-200"],
+        ["zeros", "--radius", "1e-300"],
+    ])
+    def test_answers_or_refuses(self, runner, args):
+        # r^2 underflows to 0 here; a crash would raise through invoke
+        result = invoke(runner, args + ["--L", "0.3", "--eta", "0.2"])
+        assert result.exit_code in (0, 4)
+
+    def test_certify_reports(self, runner):
+        args = ["certify", "--class", "classical", "--r-max", "1e-200"]
+        result = invoke(runner, args + ["--L", "0.3", "--eta", "0.2"])
+        # exit 1 is certify's negative verdict, with its report on stdout
+        assert result.exit_code in (0, 1)
+        assert json.loads(result.stdout)["grid"]["r_max"] == 1e-200
 
 
 class TestCertify:

@@ -18,11 +18,15 @@ from coulombstar import (
     eval_g,
     eval_g_prime,
     eval_g_second,
+    find_zeros,
     gamma_complex,
     kummer_oracle,
     make_coefficients,
     normalization_constant,
     table_for_radius,
+    ScanGrid,
+    StarlikeClass,
+    certify,
 )
 from coulombstar.series import _recurrence_coefficients, _tail_bounds
 
@@ -180,6 +184,37 @@ class TestMakeCoefficients:
 
 # ---------------------------------------------------------------------------
 # complex gamma
+
+
+class TestTinyRadius:
+    """Below r ~ 2.2e-162, r^2 underflows to 0 in doubles."""
+
+    @pytest.mark.parametrize("radius", [1e-163, 1e-200, 1e-320])
+    def test_tail_bounds_dominate_the_discarded_terms(self, radius):
+        # at order 2 and eta = 50, mu = |a_1| r^2 underflows to 0 at 1e-163
+        # while the g'' tail, 12 |a_3| r^2 and on, is still a subnormal
+        params = CoulombParams(0.3, 50.0)
+        coeffs = _recurrence_coefficients(params, 40)
+        bounds = _tail_bounds(coeffs[:3], params, radius)
+        with mp.workdps(60):
+            r = mp.mpf(radius)
+            a = [(n, mp.mpf(abs(c))) for n, c in enumerate(coeffs) if n > 2]
+            exact = (
+                sum(x * r ** (n + 1) for n, x in a),
+                sum((n + 1) * x * r**n for n, x in a),
+                sum((n + 1) * n * x * r ** (n - 1) for n, x in a),
+            )
+            assert all(exact[k] <= bounds[k] for k in range(3))
+        assert min(bounds) > 0.0
+
+    def test_entry_points_answer(self):
+        params = CoulombParams(0.3, 0.2)
+        for evaluate in (eval_g, eval_g_prime, eval_g_second, eval_f):
+            got = evaluate(params, 1e-200)
+            assert cmath.isfinite(got.value) and 0.0 < got.abs_error < 1e-200
+        assert make_coefficients(params, 20, 1e-200).tail_bound > 0.0
+        certify(params, StarlikeClass.CLASSICAL, ScanGrid(720, 1e-200))
+        assert find_zeros(CoulombParams(0.0, 0.0), 1e-300).zeros == ()
 
 
 class TestGammaComplex:

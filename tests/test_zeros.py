@@ -122,8 +122,8 @@ class TestFindZeros:
 
     def test_underflowed_table_refuses(self):
         # at radius 38 the table's trailing coefficients underflow to
-        # subnormals, and the companion matrix of np.roots overflows
-        with pytest.raises(NoConvergence):
+        # subnormals, and double Horner cannot prove the count
+        with pytest.raises(WindingMismatch, match="unproven"):
             find_zeros(SINE, 38.0)
 
     def test_jsonable_shape(self):
@@ -244,24 +244,14 @@ class TestSeeding:
         assert terms[degree] > floor
         assert all(t <= floor for t in terms[degree + 1 :])
 
-    @pytest.mark.parametrize(
-        "params, radius", [(SINE, 20.0), (CoulombParams(0.5, 0.3), 20.0),
-                           (CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 15.0)]
-    )
-    def test_aggressive_cut_retries_at_full_degree(self, params, radius, monkeypatch):
-        expected = _bits(find_zeros(params, radius))
-        degrees = []
-        seed_roots = zeros_module._seed_roots
-
-        def recorded(h, degree, trust_radius):
-            degrees.append((degree, len(h) - 1))
-            return seed_roots(h, degree, trust_radius)
-
+    @pytest.mark.parametrize("params", [SINE, CoulombParams(0.5, 0.3)])
+    def test_aggressive_cut_is_caught_by_the_count(self, params, monkeypatch):
+        # a prefix cut at 1e-2 loses zeros within 20; there is no reseed
+        seeds = _spy(monkeypatch, "_seed_roots")
         monkeypatch.setattr(zeros_module, "_SEED_CUT", 1e-2)
-        monkeypatch.setattr(zeros_module, "_seed_roots", recorded)
-        assert _bits(find_zeros(params, radius)) == expected
-        (cut, full), (retry, _) = degrees
-        assert cut < full and retry == full
+        with pytest.raises(WindingMismatch, match="listed zeros"):
+            find_zeros(params, 20.0)
+        assert len(seeds) == 1
 
     @pytest.mark.parametrize(
         "params, dtype", [(SINE, np.float64), (CoulombParams(0.7, -0.4), np.float64),
@@ -309,8 +299,50 @@ REJECTED_SEED_BITS = [
 ]
 
 
+# three seeds refine onto one double near 22.997 + 1.998i, though their
+# double-Newton roots lie more than 1e-8 apart: (re, im, residual) as
+# float.hex, frozen
+REPEATED_ROOT_CASE = (
+    CoulombParams(1.4118535290308283 + 0.4454536876451387j,
+                  -1.380293748335779 + 0.3857113276789218j),
+    24.248861388532575,
+)
+REPEATED_ROOT_BITS = [
+    ("0x1.88c4abda0bb90p+1", "0x1.00a09e63efa69p+0", "0x1.557f3bc3c1a94p-56"),
+    ("0x1.6cf02f2563671p+2", "0x1.4e116d4b6687dp+0", "0x1.0a7053d7aea5bp-57"),
+    ("-0x1.ec7914b6f892ep+2", "0x1.c12074e85e422p-2", "0x1.0ce4b195e6fb0p-50"),
+    ("0x1.0e710564cf968p+3", "0x1.81110fbfeed61p+0", "0x1.3e25e201caac2p-55"),
+    ("0x1.68e7de0a91096p+3", "0x1.a658569110249p+0", "0x1.e7f1c3a25ef25p-57"),
+    ("-0x1.706bfa61b4d7ep+3", "0x1.1efda7efb9269p-1", "0x1.a3e8117502b8bp-51"),
+    ("0x1.c515c1c5247d7p+3", "0x1.c35823a0f21edp+0", "0x1.895d417ddc878p-57"),
+    ("-0x1.e2b39bc1d43fbp+3", "0x1.4b12c9698aab1p-1", "0x1.00c7b61b9dc98p-52"),
+    ("0x1.11401d387bcb5p+4", "0x1.dae1479427498p+0", "0x1.bdd89fd2f1c2bp-58"),
+    ("-0x1.28b871b62f8f9p+4", "0x1.6dc97e4b9bb7ep-1", "0x1.4ef428a7e8867p-50"),
+    ("0x1.406c313ad29e3p+4", "0x1.ee9402fb58c20p+0", "0x1.6bbe4de2808d1p-56"),
+    ("-0x1.5f10d4a5b7445p+4", "0x1.8aa00dae79974p-1", "0x1.05fbc1ab485e1p-51"),
+    ("0x1.6ff47728ecc50p+4", "0x1.ff73db2ca8374p+0", "0x1.5ee7797639adfp-56"),
+]
+
+# a seed of the prefix refines onto the origin, which is not listed
+ORIGIN_SEED_CASE = (CoulombParams(1.8511862098523975, 0.9454507213612549), 23.196229781781994)
+ORIGIN_SEED_BITS = [
+    ("-0x1.0cde569bbc588p+2", "0x0.0p+0", "0x1.c37e5c1dc4c1bp-54"),
+    ("-0x1.c6ebe7199da26p+2", "0x0.0p+0", "0x1.314badef87652p-57"),
+    ("0x1.d338126a343e7p+2", "0x0.0p+0", "0x1.432602fdbf076p-51"),
+    ("-0x1.4141b89763084p+3", "0x0.0p+0", "0x1.e2c631587a7d2p-56"),
+    ("0x1.5f6c8509a625fp+3", "0x0.0p+0", "0x1.f04e7fe8e838ep-52"),
+    ("-0x1.a00f8ba2ca473p+3", "0x0.0p+0", "0x1.389253183a48dp-58"),
+    ("0x1.ce9160c824e1bp+3", "0x0.0p+0", "0x1.6841ce32d1b3bp-53"),
+    ("-0x1.ffadb9b585405p+3", "0x0.0p+0", "0x1.a4a791a31bfd7p-60"),
+    ("0x1.1d69344532296p+4", "0x0.0p+0", "0x1.17049e728d034p-51"),
+    ("-0x1.2ff70ee07edbdp+4", "0x0.0p+0", "0x1.ae5ab290b52b1p-56"),
+    ("0x1.52b881e42c2c7p+4", "0x0.0p+0", "0x1.79382b9fa5260p-52"),
+    ("-0x1.60570cb5e5a6dp+4", "0x0.0p+0", "0x1.66003b5f66006p-58"),
+]
+
+
 def _extra_seeds(monkeypatch, extend):
-    """Pass the companion roots through `extend` before _polish sees them."""
+    """Pass the companion roots through `extend` before find_zeros polishes them."""
     seed_roots = zeros_module._seed_roots
 
     def extended(h, degree, radius):
@@ -334,7 +366,7 @@ def _spy(monkeypatch, name):
 
 
 class TestPolishPaths:
-    """_polish branches that the seeded benchmark traffic never takes."""
+    """find_zeros seed paths that the seeded benchmark traffic never takes."""
 
     @pytest.mark.parametrize(
         "params, radius", [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0),
@@ -347,8 +379,8 @@ class TestPolishPaths:
         _extra_seeds(monkeypatch, lambda roots: np.repeat(roots, 2))
         refined_twice = _spy(monkeypatch, "_refine_mp")
         assert _bits(find_zeros(params, radius)) == expected
-        # every second copy stopped at the dedup, before the refinement
-        assert len(refined_twice) == len(refined)
+        # every copy is refined, and the second is dropped at the dedup
+        assert len(refined_twice) == 2 * len(refined)
 
     def test_seed_beyond_reach_is_skipped(self, monkeypatch):
         # Newton from 21.2i walks down the imaginary axis onto the origin
@@ -376,6 +408,36 @@ class TestPolishPaths:
         rejected = [args[2] for args, (_, size) in newton
                     if len(args) == 5 and not size <= args[4]]
         assert len(rejected) == 1 and abs(rejected[0]) > 19.0
+
+    @pytest.mark.parametrize(
+        "case, bits", [(REPEATED_ROOT_CASE, REPEATED_ROOT_BITS),
+                       (ORIGIN_SEED_CASE, ORIGIN_SEED_BITS)]
+    )
+    def test_refined_roots_are_deduplicated_in_one_pass(self, case, bits, monkeypatch):
+        seeds = _spy(monkeypatch, "_seed_roots")
+        assert _bits(find_zeros(*case)) == bits
+        assert len(seeds) == 1
+
+    def test_stalled_seed_is_dropped(self, monkeypatch):
+        # double Newton accepts a seed near 26.66 - 0.47i where 8 eps S(R)
+        # is about 13, and the refinement cannot bring its residual down
+        params = CoulombParams(-0.7900670430628439 + 0.28532436369200254j,
+                               -2.782519439704094 - 0.4188287569262903j)
+        seeds = _spy(monkeypatch, "_seed_roots")
+        refined = _spy(monkeypatch, "_refine_mp")
+        zs = find_zeros(params, 29.842465075198522)
+        coeffs = table_for_radius(params, zs.trust_radius).coeffs
+        gate = zeros_module._RESIDUAL_FACTOR * max(abs(c) for c in coeffs)
+        stalled = [root for _, (root, residual) in refined if residual > gate]
+        assert len(stalled) == 1 and abs(stalled[0] - (26.66 - 0.47j)) < 0.01
+        assert len(zs.zeros) == 19 and len(seeds) == 1
+        assert max(zs.residuals) <= gate
+
+    def test_tiny_tol_gives_the_same_bits(self):
+        # at 1e-300 the longer table's trailing coefficients underflow
+        expected = _bits(find_zeros(SINE, 29.99))
+        assert len(expected) == 18
+        assert _bits(find_zeros(SINE, 29.99, tol=1e-300)) == expected
 
 
 class TestWindingNumber:
