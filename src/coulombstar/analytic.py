@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NearZeroOfG
 from .series import (
     DEFAULT_TOL,
+    ComplexValue,
     CoulombParams,
     eval_g,
     eval_g_prime,
@@ -40,6 +41,21 @@ class RatioValue:
     abs_error: float = 0.0
 
 
+def _g_off_zero(params: CoulombParams, z: complex, tol: float) -> ComplexValue:
+    """g(z), refused with NearZeroOfG where |g(z)| < 10 * tol * min(1, |z|).
+
+    g(z) ~ z at the origin, so below |z| = 1 the floor shrinks with |z|:
+    there a small g is the origin's own zero, where P -> 1, not a zero of g.
+    """
+    g = eval_g(params, z, tol)
+    floor = 10 * tol * min(1.0, abs(z))
+    if abs(g.value) < floor:
+        raise NearZeroOfG(
+            f"|g({z!r})| = {abs(g.value):.3e} is below 10*tol*min(1, |z|) = {floor:.3e}"
+        )
+    return g
+
+
 def eval_p(
     params: CoulombParams,
     z: complex,
@@ -48,9 +64,9 @@ def eval_p(
 ) -> RatioValue:
     """Evaluate P(z) = z g'(z) / g(z); exactly 1 at the origin.
 
-    Raises NearZeroOfG when |g(z)| < 10 * tol, where the ratio loses all
-    accuracy.  When a zero set is supplied, the distance from z to its
-    closest listed zero is reported alongside the value.
+    Raises NearZeroOfG when |g(z)| < 10 * tol * min(1, |z|), where the
+    ratio loses all accuracy.  When a zero set is supplied, the distance
+    from z to its closest listed zero is reported alongside the value.
     """
     z = complex(z)
     nearest = None
@@ -58,13 +74,9 @@ def eval_p(
         nearest = min(abs(z - rho) for rho in zero_set.zeros)
     if z == 0:
         return RatioValue(z=z, P=1.0 + 0.0j, nearest_zero_distance=nearest)
-    g = eval_g(params, z, tol)
     # the pole guard outranks the radius guard: a request at a zero of g is
     # diagnosed as such even when the point also lies outside the window
-    if abs(g.value) < 10 * tol:
-        raise NearZeroOfG(
-            f"|g({z!r})| = {abs(g.value):.3e} is below 10*tol = {10 * tol:.3e}"
-        )
+    g = _g_off_zero(params, z, tol)
     if abs(z) > P_RADIUS_LIMIT:
         raise DomainError(
             f"|z| = {abs(z):.4g} exceeds the diagnostic radius {P_RADIUS_LIMIT}"
@@ -88,21 +100,18 @@ def ode_residual_g(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) 
 def ode_residual_p(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) -> float:
     """Residual of the Riccati-type equation satisfied by P.
 
-    P' is formed analytically as (g' + z g'') / g - z (g'/g)^2, which stays
-    finite wherever g does not vanish; the origin is exact by construction.
+    z P' is formed analytically as (z g' + z^2 g'') / g - P^2, which stays
+    finite wherever g does not vanish, also at tiny |z| where (g'/g)^2
+    would overflow; the origin is exact by construction.
     """
     z = complex(z)
     L, eta = params.L, params.eta
     if z == 0:
         # z P' -> 0 and P -> 1, so the residual collapses to |1 + (2L-1) - 2L|
         return abs(1 + (2 * L - 1) - 2 * L)
-    g = eval_g(params, z, tol).value
-    if abs(g) < 10 * tol:
-        raise NearZeroOfG(
-            f"|g({z!r})| = {abs(g):.3e} is below 10*tol = {10 * tol:.3e}"
-        )
+    g = _g_off_zero(params, z, tol).value
     gp = eval_g_prime(params, z, tol).value
     gpp = eval_g_second(params, z, tol).value
     P = z * gp / g
-    p_prime = (gp + z * gpp) / g - z * (gp / g) ** 2
-    return abs(z * p_prime + P * P + (2 * L - 1) * P + z * z - 2 * eta * z - 2 * L)
+    z_p_prime = (z * gp + z * z * gpp) / g - P * P
+    return abs(z_p_prime + P * P + (2 * L - 1) * P + z * z - 2 * eta * z - 2 * L)

@@ -25,7 +25,6 @@ import sys
 
 import click
 
-from .admissibility import constant_checks, extremize
 from .analytic import eval_p
 from .errors import (
     BranchPoint,
@@ -43,8 +42,6 @@ from .series import (
     eval_g,
     make_coefficients,
 )
-from .starlike import ScanGrid, StarlikeClass, certify, parameter_scan
-from .zeros import find_zeros
 
 LEMMA_GAP_TOL = 1e-8
 
@@ -108,8 +105,12 @@ _tol_option = click.option(
 
 
 def _certify_options(command):
-    """--class, --angles and --r-max, shared by certify and scan."""
-    classes = click.Choice([c.value for c in StarlikeClass])
+    """--class, --angles and --r-max, shared by certify and scan.
+
+    The class names are StarlikeClass's values, spelled out so that building
+    the parser does not load starlike and numpy.
+    """
+    classes = click.Choice(["classical", "lemniscate", "exponential"])
     command = click.option("--r-max", type=float, default=0.999, show_default=True)(command)
     command = click.option("--angles", type=int, default=720, show_default=True)(command)
     return click.option("--class", "flavor", type=classes, required=True)(command)
@@ -203,6 +204,8 @@ def cmd_zeros(L: complex, eta: complex, radius: float, tol: float) -> None:
     """List zeros inside the trust radius (winding-count validated)."""
 
     def body() -> int:
+        from .zeros import find_zeros
+
         params = CoulombParams(L=L, eta=eta)
         zs = find_zeros(params, radius, tol)
         click.echo(render_json(zs.to_jsonable()))
@@ -222,6 +225,8 @@ def cmd_certify(
     """Certify the requested starlikeness flavor on the circle |z| = r-max."""
 
     def body() -> int:
+        from .starlike import ScanGrid, StarlikeClass, certify
+
         params = CoulombParams(L=L, eta=eta)
         grid = ScanGrid(angles, r_max)
         report = certify(params, StarlikeClass(flavor), grid, tol)
@@ -248,6 +253,8 @@ def cmd_scan(
     """Sweep a real parameter rectangle and emit one CSV row per pair."""
 
     def body() -> int:
+        from .starlike import ScanGrid, StarlikeClass, parameter_scan
+
         grid = ScanGrid(angles, r_max)
         rows = parameter_scan(
             (L_min, L_max, L_step),
@@ -293,6 +300,8 @@ def cmd_verify_lemmas(m_list: str) -> None:
             raise click.UsageError(f"m must be >= 1, got {m}")
 
     def body() -> int:
+        from .admissibility import constant_checks, extremize
+
         # V and B do not depend on m, and a list may repeat a value
         found: dict[tuple, dict] = {}
         reports = []

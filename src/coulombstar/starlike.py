@@ -228,7 +228,8 @@ def certify(
     z = grid.points()
     g = table.g_values(z)
     gp = table.g_prime_values(z)
-    near_zero = np.abs(g) < 10 * tol
+    # g ~ z at the origin: the near-zero floor of eval_p, at |z| = r_max
+    near_zero = np.abs(g) < 10 * tol * min(1.0, grid.r_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         P = np.where(near_zero, 1.0, z * gp / g)
     margins = _margin_field(P, flavor)

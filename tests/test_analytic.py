@@ -58,6 +58,22 @@ class TestEvalP:
         with pytest.raises(NearZeroOfG):
             eval_p(CoulombParams(0.0, 0.0), math.pi)
 
+    @pytest.mark.parametrize("z", [1e-20, 1e-100, 1e-200, 1e-200j, -1e-300])
+    def test_tiny_radius_is_no_zero_of_g(self, z):
+        # g ~ z at the origin: the near-zero floor shrinks with |z|, so P -> 1
+        got = eval_p(CoulombParams(0.3, 0.2), z)
+        assert got.P == pytest.approx(1.0, abs=1e-15)
+        assert got.abs_error <= 1e-15
+
+    def test_zero_inside_unit_disk_still_raises(self):
+        # g for (L=0, eta=5) vanishes at about -0.3627; 5e-12 away |g| is
+        # 2.0e-12, below the scaled floor 10 * tol * 0.3627 = 3.6e-12
+        params, z = CoulombParams(0.0, 5.0), -0.362658574621303 + 5e-12
+        with pytest.raises(NearZeroOfG):
+            eval_p(params, z)
+        with pytest.raises(NearZeroOfG):
+            ode_residual_p(params, z)
+
     def test_outside_diagnostic_radius(self):
         with pytest.raises(DomainError):
             eval_p(CoulombParams(0.0, 0.0), 2.0)
@@ -128,6 +144,11 @@ class TestOdeResidualP:
     def test_near_zero_guard(self):
         with pytest.raises(NearZeroOfG):
             ode_residual_p(CoulombParams(0.0, 0.0), math.pi)
+
+    @pytest.mark.parametrize("z", [1e-20, 1e-100, 1e-200, 1e-200j, -1e-300])
+    def test_tiny_radius(self, z):
+        # (g'/g)^2 overflows below |z| = 1e-154; z P' is formed without it
+        assert ode_residual_p(CoulombParams(0.3, 0.2), z) <= 1e-15
 
     def test_contract_on_random_draws(self):
         rng = random.Random(5502)

@@ -260,6 +260,14 @@ class TestCertify:
         report = certify(CoulombParams(1.4, 0.8), flavor, ScanGrid(720, 1e-6))
         assert report.certified and not report.zero_in_disk
 
+    @pytest.mark.parametrize("r_max", [1e-20, 1e-100, 1e-200])
+    def test_origin_disk_certifies(self, r_max):
+        # |g| ~ r_max on the circle is below 10 * tol but is no zero of g
+        report = certify(CoulombParams(0.3, 0.2), StarlikeClass.CLASSICAL,
+                         ScanGrid(720, r_max))
+        assert report.certified and not report.zero_in_disk
+        assert report.min_margin == pytest.approx(1.0)
+
     def test_zero_just_outside_is_not_flagged(self):
         report = certify(CoulombParams(0.0, 5.0), StarlikeClass.CLASSICAL,
                          ScanGrid(720, 0.3626))
