@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, NearZeroOfG
-from .series import (
-    DEFAULT_TOL,
-    ComplexValue,
-    CoulombParams,
-    eval_g,
-    eval_g_prime,
-    eval_g_second,
-)
+from .series import DEFAULT_TOL, CoulombParams, _Growth
 
 # P is a disk diagnostic; allow a little headroom past the unit circle.
 P_RADIUS_LIMIT = 1.5
@@ -41,19 +34,19 @@ class RatioValue:
     abs_error: float = 0.0
 
 
-def _g_off_zero(params: CoulombParams, z: complex, tol: float) -> ComplexValue:
-    """g(z), refused with NearZeroOfG where |g(z)| < 10 * tol * min(1, |z|).
+def _g_off_zero(growth: _Growth, z: complex, tol: float) -> tuple[complex, float]:
+    """g(z) and its tail, refused with NearZeroOfG where |g(z)| < 10 * tol * min(1, |z|).
 
     g(z) ~ z at the origin, so below |z| = 1 the floor shrinks with |z|:
     there a small g is the origin's own zero, where P -> 1, not a zero of g.
     """
-    g = eval_g(params, z, tol)
+    g, tail = growth.value(z, tol, 0)
     floor = 10 * tol * min(1.0, abs(z))
-    if abs(g.value) < floor:
+    if abs(g) < floor:
         raise NearZeroOfG(
-            f"|g({z!r})| = {abs(g.value):.3e} is below 10*tol*min(1, |z|) = {floor:.3e}"
+            f"|g({z!r})| = {abs(g):.3e} is below 10*tol*min(1, |z|) = {floor:.3e}"
         )
-    return g
+    return g, tail
 
 
 def eval_p(
@@ -75,15 +68,17 @@ def eval_p(
     if z == 0:
         return RatioValue(z=z, P=1.0 + 0.0j, nearest_zero_distance=nearest)
     # the pole guard outranks the radius guard: a request at a zero of g is
-    # diagnosed as such even when the point also lies outside the window
-    g = _g_off_zero(params, z, tol)
+    # diagnosed as such even when the point also lies outside the window;
+    # only then does the coefficient list grow on for g'
+    growth = _Growth(params, abs(z))
+    g, g_tail = _g_off_zero(growth, z, tol)
     if abs(z) > P_RADIUS_LIMIT:
         raise DomainError(
             f"|z| = {abs(z):.4g} exceeds the diagnostic radius {P_RADIUS_LIMIT}"
         )
-    gp = eval_g_prime(params, z, tol)
-    P = z * gp.value / g.value
-    abs_error = (abs(z) * gp.abs_error + abs(P) * g.abs_error) / abs(g.value)
+    gp, gp_tail = growth.value(z, tol, 1)
+    P = z * gp / g
+    abs_error = (abs(z) * gp_tail + abs(P) * g_tail) / abs(g)
     return RatioValue(z=z, P=P, nearest_zero_distance=nearest, abs_error=abs_error)
 
 
@@ -91,9 +86,8 @@ def ode_residual_g(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) 
     """|z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2 L) g| from series evaluations."""
     z = complex(z)
     L, eta = params.L, params.eta
-    g = eval_g(params, z, tol).value
-    gp = eval_g_prime(params, z, tol).value
-    gpp = eval_g_second(params, z, tol).value
+    growth = _Growth(params, abs(z))
+    g, gp, gpp = (growth.value(z, tol, deriv)[0] for deriv in (0, 1, 2))
     return abs(z * z * gpp + 2 * L * z * gp + (z * z - 2 * eta * z - 2 * L) * g)
 
 
@@ -109,9 +103,9 @@ def ode_residual_p(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) 
     if z == 0:
         # z P' -> 0 and P -> 1, so the residual collapses to |1 + (2L-1) - 2L|
         return abs(1 + (2 * L - 1) - 2 * L)
-    g = _g_off_zero(params, z, tol).value
-    gp = eval_g_prime(params, z, tol).value
-    gpp = eval_g_second(params, z, tol).value
+    growth = _Growth(params, abs(z))
+    g = _g_off_zero(growth, z, tol)[0]
+    gp, gpp = (growth.value(z, tol, deriv)[0] for deriv in (1, 2))
     P = z * gp / g
     z_p_prime = (z * gp + z * z * gpp) / g - P * P
     return abs(z_p_prime + P * P + (2 * L - 1) * P + z * z - 2 * eta * z - 2 * L)

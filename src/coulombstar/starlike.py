@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,11 @@ class ScanGrid:
     def __post_init__(self) -> None:
         if self.angles_per_ring < 1:
             raise InvalidParams("angles_per_ring must be >= 1")
-        if not (0 < self.r_max < 1):
-            raise InvalidParams("r_max must sit in (0, 1)")
+        # a subnormal radius overflows z g'/g and the arc bounds to inf
+        if not (sys.float_info.min <= self.r_max < 1):
+            raise InvalidParams(
+                f"r_max must sit in [{sys.float_info.min!r}, 1), the normal doubles below 1"
+            )
 
     @functools.cached_property
     def _points(self) -> np.ndarray:

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+import coulombstar.series as series
 from coulombstar import (
     CoulombParams,
     DomainError,
     NearZeroOfG,
+    NoConvergence,
     eval_g,
     eval_g_prime,
     eval_g_second,
@@ -107,6 +109,64 @@ class TestEvalP:
             got = eval_p(params, h).P
             slope = (got - 1.0) / h
             assert abs(slope - params.eta / (params.L + 1)) <= 1e-5
+
+    @pytest.mark.parametrize("z, refusal", [
+        (math.pi, NearZeroOfG),   # a zero of g outside the window, g' unconverged
+        (2.0, DomainError),       # outside the window, g' unconverged
+        (1.4 + 0.1j, NoConvergence),  # only g' fails to converge
+    ])
+    def test_refusal_order(self, monkeypatch, z, refusal):
+        # one scheduled order, and a tol between its g and g' tails: g converges
+        # there and g' does not, so each guard must fire before g' is grown
+        params = CoulombParams(0.0, 0.0)
+        tails = series._tail_bounds(series._recurrence_coefficients(params, 16), params, abs(z))
+        tol = math.sqrt(tails[0] * tails[1])
+        monkeypatch.setattr(series, "_ORDER_SCHEDULE", (16,))
+        eval_g(params, z, tol)
+        with pytest.raises(NoConvergence):
+            eval_g_prime(params, z, tol)
+        with pytest.raises(refusal):
+            eval_p(params, z, tol)
+
+    def test_matches_separate_evaluations(self):
+        rng = random.Random(1303)
+        for k in range(90):
+            params = CoulombParams(0.0, 0.0) if k % 3 == 2 else safe_params(rng)
+            if k % 3 == 0:
+                params = CoulombParams(params.L.real, params.eta.real)
+            z = 1.5 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            tol = rng.choice((1e-12, 1e-15))
+            g, gp = eval_g(params, z, tol), eval_g_prime(params, z, tol)
+            if abs(g.value) < 10 * tol * min(1.0, abs(z)):
+                continue
+            P = z * gp.value / g.value
+            abs_error = (abs(z) * gp.abs_error + abs(P) * g.abs_error) / abs(g.value)
+            got = eval_p(params, z, tol)
+            assert (got.P.real.hex(), got.P.imag.hex()) == (P.real.hex(), P.imag.hex())
+            assert got.abs_error.hex() == abs_error.hex()
+
+
+class TestOdeResidualsMatchSeparateEvaluations:
+    def test_both_residuals(self):
+        rng = random.Random(1317)
+        for k in range(90):
+            params = CoulombParams(0.0, 0.0) if k % 3 == 2 else safe_params(rng)
+            if k % 3 == 0:
+                params = CoulombParams(params.L.real, params.eta.real)
+            L, eta = params.L, params.eta
+            z = 3.0 * math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            tol = rng.choice((1e-12, 1e-15))
+            g = eval_g(params, z, tol).value
+            gp = eval_g_prime(params, z, tol).value
+            gpp = eval_g_second(params, z, tol).value
+            residual_g = abs(z * z * gpp + 2 * L * z * gp + (z * z - 2 * eta * z - 2 * L) * g)
+            assert ode_residual_g(params, z, tol).hex() == residual_g.hex()
+            if abs(g) < 10 * tol * min(1.0, abs(z)):
+                continue
+            P = z * gp / g
+            z_p_prime = (z * gp + z * z * gpp) / g - P * P
+            residual_p = abs(z_p_prime + P * P + (2 * L - 1) * P + z * z - 2 * eta * z - 2 * L)
+            assert ode_residual_p(params, z, tol).hex() == residual_p.hex()
 
 
 class TestOdeResidualG:

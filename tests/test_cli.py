@@ -234,6 +234,13 @@ class TestTinyRadius:
         assert report["zero_in_disk"] is False
         assert report["min_margin"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("r_max", ["5e-324", "1e-310"])
+    def test_certify_refuses_subnormal_radius(self, runner, r_max):
+        args = ["certify", "--class", "classical", "--r-max", r_max]
+        result = invoke(runner, args + ["--L", "0.3", "--eta", "0.2"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+
 
 class TestCertify:
     def test_lemniscate_instance_exit_zero(self, runner):

@@ -182,6 +182,52 @@ class TestMakeCoefficients:
             assert abs(v - table.g_values(complex(z))) < 1e-15
 
 
+def seeded_points(seed, count=60):
+    """(params, z, tol): real, complex and sine parameters with 0 < |z| <= 3."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 3 == 0:
+            params = CoulombParams(rng.uniform(-0.4, 1.4), rng.uniform(-1.0, 1.0))
+        elif k % 3 == 1:
+            params = random_params(rng, box=1.0)
+        else:
+            params = CoulombParams(0.0, 0.0)
+        r = 3.0 * math.sqrt(rng.uniform(1e-6, 1.0))
+        z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        yield params, z, rng.choice((1e-12, 1e-15, 1e-6))
+
+
+def bits(w):
+    w = complex(w)
+    return w.real.hex(), w.imag.hex()
+
+
+class TestScalarEvaluationBits:
+    """The scalar evaluators give the bits of table_for_radius and its methods."""
+
+    def test_matches_table_for_radius(self):
+        methods = ("g_values", "g_prime_values", "g_second_values")
+        evaluators = (eval_g, eval_g_prime, eval_g_second)
+        orders = set()
+        for params, z, tol in seeded_points(1213):
+            for deriv, evaluate in enumerate(evaluators):
+                table = table_for_radius(params, abs(z), tol, deriv)
+                orders.add(table.order)
+                tail = _tail_bounds(list(table.coeffs), params, abs(z))[deriv]
+                got = evaluate(params, z, tol)
+                assert bits(got.value) == bits(getattr(table, methods[deriv])(z))
+                assert got.abs_error.hex() == tail.hex()
+        assert max(orders) > 16
+
+    def test_recurrence_matches_textbook_loop(self):
+        for params, _, _ in seeded_points(1229, count=9):
+            L, eta = params.L, params.eta
+            a = [complex(1.0), eta / (L + 1)]
+            for n in range(2, 501):
+                a.append((2 * eta * a[n - 1] - a[n - 2]) / (n * (n + 2 * L + 1)))
+            assert list(map(bits, _recurrence_coefficients(params, 500))) == list(map(bits, a))
+
+
 # ---------------------------------------------------------------------------
 # complex gamma
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestScanGrid:
             ScanGrid(r_max=0.0)
         with pytest.raises(InvalidParams):
             ScanGrid(angles_per_ring=0)
+
+    @pytest.mark.parametrize("r_max", [5e-324, 1e-310, math.nan])
+    def test_subnormal_radius_is_refused(self, r_max):
+        # certify at such a radius overflowed z g'/g and the arc bounds, and
+        # then reported a zero in the disk
+        with pytest.raises(InvalidParams):
+            ScanGrid(r_max=r_max)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("r_max", [sys.float_info.min, 1e-307])
+    def test_least_normal_radius_certifies(self, r_max):
+        # 1e-308 itself is subnormal, below sys.float_info.min = 2.2e-308
+        report = certify(CoulombParams(0.3, 0.2), StarlikeClass.CLASSICAL, ScanGrid(720, r_max))
+        assert report.certified and not report.zero_in_disk
+        assert report.min_margin == pytest.approx(1.0)
 
 
 def interior_grid_min(params, flavor, grid):
