@@ -47,7 +47,7 @@ _GRID_POINTS = 10_000
 _GOLDEN_XTOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1) / 2
 
-#: Allowed profile/mode pairings for extremize.
+#: The one mode in which extremize treats each profile.
 EXTREMIZE_MODES = {"U": "min", "V": "max", "A": "min", "B": "max"}
 
 
@@ -211,17 +211,18 @@ def _golden_section(f, a: float, b: float, xtol: float) -> float:
     return (a + b) / 2
 
 
-def extremize(function_tag: str, m: float = 1.0, mode: str | None = None) -> ExtremumReport:
+def extremize(function_tag: str, m: float = 1.0) -> ExtremumReport:
     """Locate a profile extremum by dense grid plus golden-section refinement.
 
-    Only the pairings that appear in the sufficient-condition bounds are
-    allowed: minimum of the offset profiles (U, A), maximum of the shift
-    profiles (V, B).  The grid has 10^4 points over the profile's domain
-    (with a 1e-6 stand-off from the open lemniscate ends) and the refinement
-    narrows the bracket to 1e-10.  Where the refinement bracket is clipped at
-    a domain end, that end is compared with the refined point and the better
-    one kept, so an extremum on the edge of the domain is reported at the
-    edge itself rather than at the midpoint of the final bracket.
+    Each profile is extremized as the sufficient-condition bounds use it
+    (EXTREMIZE_MODES): minimum of the offset profiles (U, A), maximum of the
+    shift profiles (V, B).  The grid has 10^4 points over the profile's
+    domain (with a 1e-6 stand-off from the open lemniscate ends) and the
+    refinement narrows the bracket to 1e-10.  Where the refinement bracket
+    is clipped at a domain end, that end is compared with the refined point
+    and the better one kept, so an extremum on the edge of the domain is
+    reported at the edge itself rather than at the midpoint of the final
+    bracket.
 
     The grid is evaluated in numpy from the closed forms; the grid points
     within 1e-9 (relative) of its best are evaluated again with the scalar
@@ -235,13 +236,7 @@ def extremize(function_tag: str, m: float = 1.0, mode: str | None = None) -> Ext
     """
     if function_tag not in EXTREMIZE_MODES:
         raise DomainError(f"unknown function tag {function_tag!r}")
-    expected_mode = EXTREMIZE_MODES[function_tag]
-    if mode is None:
-        mode = expected_mode
-    if mode != expected_mode:
-        raise DomainError(
-            f"profile {function_tag} is only extremized as {expected_mode!r}"
-        )
+    mode = EXTREMIZE_MODES[function_tag]
     uses_m = function_tag in ("U", "A")
     if not math.isfinite(m):
         raise DomainError(f"m must be finite, got {m}")

@@ -34,6 +34,11 @@ class RatioValue:
     abs_error: float = 0.0
 
 
+def _near_zero_floor(tol: float, r: float) -> float:
+    """10 * tol * min(1, r): below it |g| on |z| = r counts as a zero of g."""
+    return 10 * tol * min(1.0, r)
+
+
 def _g_off_zero(growth: _Growth, z: complex, tol: float) -> tuple[complex, float]:
     """g(z) and its tail, refused with NearZeroOfG where |g(z)| < 10 * tol * min(1, |z|).
 
@@ -41,7 +46,7 @@ def _g_off_zero(growth: _Growth, z: complex, tol: float) -> tuple[complex, float
     there a small g is the origin's own zero, where P -> 1, not a zero of g.
     """
     g, tail = growth.value(z, tol, 0)
-    floor = 10 * tol * min(1.0, abs(z))
+    floor = _near_zero_floor(tol, abs(z))
     if abs(g) < floor:
         raise NearZeroOfG(
             f"|g({z!r})| = {abs(g):.3e} is below 10*tol*min(1, |z|) = {floor:.3e}"

@@ -15,11 +15,11 @@ region as soon as the circle |z| = r_max does (the boundary argument of
 differential subordination; Miller and Mocanu, Differential Subordinations,
 2000).  Each margin is then harmonic or superharmonic, so its minimum over
 the disk sits on the circle.  certify therefore samples P on that circle only
-and proves the disk zero-free apart from the origin from the circle's own g
-and g' samples, through the proven arc count zeros._arc_count that
-winding_number also uses.  Positivity of the margin on the arcs between
-samples is not proven.  Closed-form
-sufficient conditions on (L, eta) are provided alongside as fast pre-checks.
+and proves the disk zero-free apart from the origin by handing the circle's
+own g and g' samples to zeros._arc_count, the one proven count, which also
+serves winding_number and holds the rounding allowance.  Positivity of the
+margin on the arcs between samples is not proven.  Closed-form sufficient
+conditions on (L, eta) are provided alongside as fast pre-checks.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _near_zero_floor
 from .errors import CoulombError, InvalidParams
-from .series import (
-    _EPS, _ORDER_SCHEDULE, DEFAULT_TOL, CoulombParams, _abs_sums, _grow_table,
-)
-from .zeros import _arc_count
+from .series import _ORDER_SCHEDULE, DEFAULT_TOL, CoulombParams, _grow_table
+from .zeros import _MAX_CIRCLE_SAMPLES, _arc_count
 
 SQRT2 = math.sqrt(2.0)
 #: Hypothesis threshold of the lemniscate sufficient condition.
@@ -122,8 +121,9 @@ class ScanGrid:
     r_max: float = 0.999
 
     def __post_init__(self) -> None:
-        if self.angles_per_ring < 1:
-            raise InvalidParams("angles_per_ring must be >= 1")
+        # no more angles than the arc count may sample on one circle in all
+        if not 1 <= self.angles_per_ring <= _MAX_CIRCLE_SAMPLES:
+            raise InvalidParams(f"angles_per_ring must lie in [1, {_MAX_CIRCLE_SAMPLES}]")
         # a subnormal radius overflows z g'/g and the arc bounds to inf
         if not (sys.float_info.min <= self.r_max < 1):
             raise InvalidParams(
@@ -186,28 +186,6 @@ def _margin_field(P: np.ndarray, flavor: StarlikeClass) -> np.ndarray:
     return margin
 
 
-def _circle_count(table, bounds, grid: ScanGrid, g: np.ndarray, gp: np.ndarray) -> int | None:
-    """zeros._arc_count from certify's own g and g' samples on |z| = r_max.
-
-    Each g value carries the a-priori allowance tail + 8 (order+2) eps S and
-    each g' value tail1 + 8 (order+2) eps M1 (_abs_sums), which cover complex
-    Horner's rounding (about 5 (order+1) eps times the scale) with room to
-    spare.  Midpoints get g only, with |g'| bounded by the disk's M1 + tail1,
-    so an arc from a midpoint closes by the disk-wide bound.
-    """
-    r = grid.r_max
-    s, m1 = _abs_sums(table, r)
-    rounding = 8 * (table.order + 2) * _EPS
-    err, err_p, m1 = bounds[0] + rounding * s, bounds[1] + rounding * m1, m1 + bounds[1]
-
-    def evaluate(theta):
-        g_mid = table.g_values(r * np.exp(1j * theta))
-        return g_mid, np.full(theta.size, err), np.abs(g_mid) + (err + m1)
-
-    first = (g, np.full(g.size, err), np.abs(g) + np.abs(gp) + (err + err_p))
-    return _arc_count(table.params, r, m1, evaluate, first)
-
-
 def certify(
     params: CoulombParams,
     starlike_class: StarlikeClass,
@@ -217,12 +195,13 @@ def certify(
     """Sample P on |z| = r_max and report the minimum membership margin.
 
     certified is exactly min_margin > 0.  It means: g has no zero in
-    0 < |z| <= r_max, proven from the circle's own g and g' samples (see
-    _circle_count), and the margin is positive at every sample of the
-    circle; the margins on the arcs between samples are not proven.  A zero
-    in the disk, a sample where g (numerically) vanishes, or an arc whose
-    count cannot close sets zero_in_disk and min_margin -inf, so the report
-    survives but cannot certify.  worst_point is the sample of least margin,
+    0 < |z| <= r_max, proven by zeros._arc_count from the circle's own g
+    and g' samples (midpoints of arcs that fail are evaluated there), and
+    the margin is positive at every sample of the circle; the margins on
+    the arcs between samples are not proven.  A zero in the disk, a sample
+    where g (numerically) vanishes, or an arc whose count cannot close sets
+    zero_in_disk and min_margin -inf, so the report survives but cannot
+    certify.  worst_point is the sample of least margin,
     ties resolving to the lowest angle index.
     """
     flavor = StarlikeClass(starlike_class)
@@ -233,13 +212,13 @@ def certify(
     g = table.g_values(z)
     gp = table.g_prime_values(z)
     # g ~ z at the origin: the near-zero floor of eval_p, at |z| = r_max
-    near_zero = np.abs(g) < 10 * tol * min(1.0, grid.r_max)
+    near_zero = np.abs(g) < _near_zero_floor(tol, grid.r_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         P = np.where(near_zero, 1.0, z * gp / g)
     margins = _margin_field(P, flavor)
     margins[near_zero] = -np.inf
     worst = int(np.argmin(margins))
-    zero_in_disk = bool(near_zero.any()) or _circle_count(table, bounds, grid, g, gp) != 1
+    zero_in_disk = bool(near_zero.any()) or _arc_count(table, bounds, grid.r_max, (g, gp)) != 1
     min_margin = -math.inf if zero_in_disk else float(margins[worst])
     return CertificationReport(
         params=params,

@@ -1,19 +1,19 @@
 """Zero location, the proven zero count, and the Hadamard product rebuild.
 
 Zeros of the entire function g are counted first, by the argument
-principle: winding_number, like starlike.certify, counts through
-_arc_count, the principal-angle steps of g between samples on the circle,
-each arc proven to keep g away from 0 by a bound on how far g moves along
-it.  They are then seeded once, by the roots of a short prefix of the
-series polynomial (companion-matrix eigenvalues), and polished one seed at
-a time by a single Newton loop, _newton: first in doubles on the full
-series, then on compensated residuals (_refine_mp), and a refined root
-that fails the residual gate or repeats one already kept is dropped.  The
-prefix ends at the last term that still matters on |z| = 1.05 R
-(_SEED_CUT); for real L and eta it goes to the real companion matrix, and
-a real zero is refined in real arithmetic.  An unproven count, or a list
-that disagrees with it, raises WindingMismatch.  The located zeros feed
-the product
+principle: _arc_count, the one count routine behind winding_number and
+starlike.certify, owns the circle's sampler and rounding allowance and sums
+the principal-angle steps of g between samples, each arc proven to keep g
+away from 0 by a bound on how far g moves along it.  They are then seeded
+once, by the roots of a short prefix of the series polynomial
+(companion-matrix eigenvalues), and polished one seed at a time by a
+single Newton loop, _newton: first in doubles on the full series, then on
+compensated residuals (_refine_mp), and a refined root that fails the
+residual gate or repeats one already kept is dropped.  The prefix ends at
+the last term that still matters on |z| = 1.05 R (_SEED_CUT); for real L
+and eta it goes to the real companion matrix, and a real zero is refined
+in real arithmetic.  An unproven count, or a list that disagrees with it,
+raises WindingMismatch.  The located zeros feed the product
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
 
@@ -98,17 +98,24 @@ def _bounded_horner(coeffs, z: np.ndarray, r: float) -> tuple[np.ndarray, np.nda
     return acc, 2.5 * _EPS * mu
 
 
-def _arc_count(params: CoulombParams, r: float, m1: float, evaluate, first) -> int | None:
+def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | None:
     """Proven count of the zeros of g in |z| < r from samples on that circle.
 
-    evaluate(theta) returns arrays: g at r e^(i theta) as computed, a bound
-    err on its distance from the exact g at the computed point (within 4 eps
-    r of its circle point), and a bound u on the exact |g| + |g'| there;
-    first is its result at theta_k = 2 pi k / n.  The path from one computed
-    point along the circle to the next has length s <= r (width + 8 eps),
-    and g moves along it by at most D_k = min(m1 s, u_k expm1(c s) / c):
-    m1 majorizes |g'| on the disk, and |g| + |g'| grows at rate at most c,
-    since z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives
+    tails are _tail_bounds at r, and g is sampled at theta_k = 2 pi k / n.
+    By default n = 720 and g comes from _bounded_horner, err_k being its
+    running rounding bound plus tail0.  samples = (g, g') passes plain-Horner
+    values instead (certify's grid), each with the a-priori err_k = tail0 +
+    8 (order+2) eps S(r), which covers complex Horner's rounding (about
+    5 (order+1) eps S) with room to spare.  Midpoints are always sampled the
+    default way.  u_k = |g_k| + |g'_k| + err_k + tail1 + 8 (order+2) eps M1(r)
+    bounds the exact |g| + |g'| at the computed point (S and M1 from
+    _abs_sums), which lies within 4 eps r of the circle.
+
+    The path from one computed point along the circle to the next has
+    length s <= r (width + 8 eps), and g moves along it by at most
+    D_k = min(m1 s, u_k expm1(c s) / c): m1 = M1 + tail1 majorizes |g'| on
+    the disk, and |g| + |g'| grows at rate at most c, since
+    z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives
     |g''| <= a |g'| + b |g| with a = 2|L|/r, b = 1 + 2|eta|/r + 2|L|/r^2, so
     c = max(1 + a, b).  An arc is proven when |g_k| - err_k - err_(k+1) >
     2 D_k (the factor 2 also covers the path's 4 eps r excursions): then the
@@ -119,14 +126,31 @@ def _arc_count(params: CoulombParams, r: float, m1: float, evaluate, first) -> i
     close: a sample within 2 err of 0 (or not finite), a midpoint angle that
     rounds onto its arc's start, or over _MAX_CIRCLE_SAMPLES samples.
     """
-    L, eta = abs(params.L), abs(params.eta)
+    L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
-    start, err, u = first
+    s, m1 = _abs_sums(table, r)
+    rounding = 8 * (table.order + 2) * _EPS
+    err_p = tails[1] + rounding * m1
+    m1 += tails[1]
+    g_coeffs = (0.0,) + table.coeffs
+
+    def evaluate(theta):
+        z = r * np.exp(1j * theta)
+        g, err = _bounded_horner(g_coeffs, z, r)
+        err += tails[0]
+        return g, err, np.abs(g) + np.abs(table.g_prime_values(z)) + err + err_p
+
+    if samples is None:
+        start, err, u = evaluate(2 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)
+    else:
+        start, gp = samples
+        err0 = tails[0] + rounding * s
+        err, u = np.full(start.size, err0), np.abs(start) + np.abs(gp) + (err0 + err_p)
     n = start.size
     theta = 2 * np.pi * np.arange(n) / n
     width = np.full(n, 2 * np.pi / n)
     end, end_err = np.concatenate((start[1:], start[:1])), np.concatenate((err[1:], err[:1]))
-    total, samples = 0.0, n
+    total, count = 0.0, n
     while True:
         size = np.abs(start)
         slack = size - err - end_err
@@ -146,8 +170,8 @@ def _arc_count(params: CoulombParams, r: float, m1: float, evaluate, first) -> i
             x[keep] for x in (theta, width, start, end, err, end_err, u, size))
         width = width / 2
         mid = theta + width
-        samples += mid.size
-        if (samples > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
+        count += mid.size
+        if (count > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
                 or np.any(mid == theta)):
             return None
         g_mid, err_mid, u_mid = evaluate(mid)
@@ -160,30 +184,18 @@ def _arc_count(params: CoulombParams, r: float, m1: float, evaluate, first) -> i
 def winding_number(table: CoefficientTable, radius: float) -> int:
     """Proven argument-principle count of the zeros of g in |z| < radius.
 
-    The origin zero is included.  g is sampled at 720 angles by Horner with
-    a running rounding bound, g' by plain Horner with the a-priori allowance
-    8 (order+2) eps M1 (it only enters |g| + |g'|), and _arc_count closes the
-    count.  NoConvergence when it cannot be proven: a zero within rounding
-    distance of the circle, a tail not certified at this radius, or over
-    2^18 samples.  The coefficients' own rounding is not in the bound yet.
+    The origin zero is included.  _arc_count samples g at 720 angles with a
+    running rounding bound and closes the count.  NoConvergence when it
+    cannot be proven: a zero within rounding distance of the circle, a tail
+    not certified at this radius, or over 2^18 samples.  The coefficients'
+    own rounding is not in the bound yet.
     """
     if not (radius > 0 and math.isfinite(radius)):
         raise InvalidParams(f"radius must be positive and finite, got {radius}")
-    bounds = _tail_bounds(table.coeffs, table.params, radius)
-    if bounds is None:
+    tails = _tail_bounds(table.coeffs, table.params, radius)
+    if tails is None:
         raise NoConvergence(f"series tail is not certified at radius {radius}")
-    m1 = _abs_sums(table, radius)[1]
-    err_p = bounds[1] + 8 * (table.order + 2) * _EPS * m1
-    g_coeffs = (0.0,) + table.coeffs
-
-    def evaluate(theta):
-        z = radius * np.exp(1j * theta)
-        g, err = _bounded_horner(g_coeffs, z, radius)
-        err += bounds[0]
-        return g, err, np.abs(g) + np.abs(table.g_prime_values(z)) + err + err_p
-
-    theta = 2 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-    count = _arc_count(table.params, radius, m1 + bounds[1], evaluate, evaluate(theta))
+    count = _arc_count(table, tails, radius)
     if count is None:
         raise NoConvergence(f"winding count on |z| = {radius} cannot be proven")
     return count

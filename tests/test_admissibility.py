@@ -192,12 +192,6 @@ class TestExtremize:
         assert report.located_value > 0.98
         assert report.abs_gap > 0.8
 
-    def test_mode_pairing_enforced(self):
-        with pytest.raises(DomainError):
-            extremize("U", 1.0, mode="max")
-        with pytest.raises(DomainError):
-            extremize("V", mode="min")
-
     def test_unknown_tag(self):
         with pytest.raises(DomainError):
             extremize("W")

@@ -302,6 +302,19 @@ class TestCertify:
         assert result.exit_code == 2
         assert "--rings" in result.output
 
+    @pytest.mark.parametrize("command", [
+        ["certify", "--L", "0.5", "--eta", "0.1"],
+        ["scan", "--L-min", "0.5", "--L-max", "0.5", "--L-step", "0.1",
+         "--eta-min", "0", "--eta-max", "0", "--eta-step", "0.1"],
+    ])
+    def test_huge_angles_exit_three(self, runner, command):
+        # the grid is refused before its sample array is allocated
+        result = invoke(
+            runner, command + ["--class", "lemniscate", "--angles", "1000000000000000"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+
 
 class TestScan:
     def test_csv_output(self, runner):

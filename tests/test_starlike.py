@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coulombstar.starlike as starlike
+import coulombstar.zeros as zeros_module
 from coulombstar import (
     DEFAULT_TOL,
     EXPONENTIAL_THRESHOLD,
@@ -28,6 +29,7 @@ from coulombstar import (
     winding_number,
 )
 from coulombstar.series import _ORDER_SCHEDULE, CoefficientTable, _grow_table
+from coulombstar.zeros import _arc_count
 
 INSTANCE = CoulombParams(0.5, 0.1)
 
@@ -131,6 +133,8 @@ class TestScanGrid:
             ScanGrid(r_max=0.0)
         with pytest.raises(InvalidParams):
             ScanGrid(angles_per_ring=0)
+        with pytest.raises(InvalidParams):
+            ScanGrid(angles_per_ring=2**18 + 1)
 
     @pytest.mark.parametrize("r_max", [5e-324, 1e-310, math.nan])
     def test_subnormal_radius_is_refused(self, r_max):
@@ -298,7 +302,11 @@ class TestCertify:
             sizes.append(np.size(z))
             return g_values(table, z)
 
+        def bisected(*args):
+            raise AssertionError("certify evaluated a midpoint")
+
         monkeypatch.setattr(CoefficientTable, "g_values", counted)
+        monkeypatch.setattr(zeros_module, "_bounded_horner", bisected)
         certify(INSTANCE, StarlikeClass.LEMNISCATE)
         assert sizes == [720]
 
@@ -313,11 +321,11 @@ class TestCertify:
 
 
 def circle_count(params, grid):
-    """_circle_count on the table and samples certify builds, and the table."""
+    """_arc_count on the table and samples certify builds, and the table."""
     table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
     z = grid.points()
     g, gp = table.g_values(z), table.g_prime_values(z)
-    return starlike._circle_count(table, bounds, grid, g, gp), table
+    return _arc_count(table, bounds, grid.r_max, (g, gp)), table
 
 
 class TestCircleWinding:
