@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import click
@@ -85,7 +86,9 @@ class ComplexParam(click.ParamType):
     def convert(self, value, param, ctx):
         if isinstance(value, complex):
             return value
-        text = str(value).strip().replace("i", "j").replace("I", "j")
+        # only a final i (before an optional closing parenthesis) is the
+        # imaginary unit, so inf and Infinity keep theirs
+        text = re.sub(r"[iI](?=\)?$)", "j", str(value).strip())
         try:
             return complex(text)
         except ValueError:

@@ -215,10 +215,26 @@ class CoefficientTable:
 
 
 def _horner(coeffs, z):
-    """Evaluate sum_n coeffs[n] z^n; works for complex scalars and arrays."""
+    """Evaluate sum_n coeffs[n] z^n; works for complex scalars and arrays.
+
+    A Python scalar runs out of place, the faster loop for it.  An array
+    runs in place after one out-of-place step, which gives the accumulator
+    the dtype of z * c (a real grid with complex coefficients), and z is
+    never written.  Both round acc * z + c in the same order, so the bits
+    agree.
+    """
     acc = 0.0 * z
-    for c in reversed(coeffs):
+    if isinstance(z, (float, complex)):
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
+    terms = reversed(coeffs)
+    for c in terms:
         acc = acc * z + c
+        break
+    for c in terms:
+        acc *= z
+        acc += c
     return acc
 
 
@@ -344,9 +360,13 @@ def gamma_complex(w: complex) -> ComplexValue:
     PoleError; a value that overflows, or whose modulus is subnormal or 0
     (where the relative error model fails), raises NoConvergence.
     """
+    return ComplexValue(*_gamma(complex(w)))
+
+
+def _gamma(w: complex) -> tuple[complex, float]:
+    """gamma_complex's value and abs_error."""
     import mpmath as mp  # only gamma and the Kummer oracle pay mpmath's import
 
-    w = complex(w)
     if _is_nonpositive_integer(w):
         raise PoleError(f"gamma pole at {w!r}")
     try:
@@ -357,7 +377,7 @@ def gamma_complex(w: complex) -> ComplexValue:
         raise NoConvergence(f"gamma({w!r}) is out of double range")
     scale = max(abs(w.real), abs(w.imag))
     rel = _GAMMA_REL * max(1.0, scale / _GAMMA_BOX)
-    return ComplexValue(value=value, abs_error=abs(value) * rel)
+    return value, abs(value) * rel
 
 
 def normalization_constant(params: CoulombParams) -> ComplexValue:
@@ -370,22 +390,18 @@ def normalization_constant(params: CoulombParams) -> ComplexValue:
     relative accuracy, so the relative error model would not bound it.
     """
     L, eta = params.L, params.eta
-    top = gamma_complex(L + 1 + 1j * eta)
-    bottom = gamma_complex(2 * L + 2)
+    top, top_error = _gamma(L + 1 + 1j * eta)
+    bottom, bottom_error = _gamma(2 * L + 2)
     try:
         power, damping = cmath.exp(L * math.log(2.0)), cmath.exp(-cmath.pi * eta / 2)
     except OverflowError as exc:
         raise NoConvergence(f"C(L, eta) overflows at {params!r}") from exc
     prefactor = power * damping
-    numerator = prefactor * abs(top.value)
-    value = numerator / bottom.value
+    numerator = prefactor * abs(top)
+    value = numerator / bottom
     if not all(map(_normal_range, (power, damping, prefactor, numerator, value))):
         raise NoConvergence(f"C(L, eta) is out of double range at {params!r}")
-    rel = (
-        top.abs_error / abs(top.value)
-        + bottom.abs_error / abs(bottom.value)
-        + 1e-15
-    )
+    rel = top_error / abs(top) + bottom_error / abs(bottom) + 1e-15
     return ComplexValue(value=value, abs_error=abs(value) * rel)
 
 

@@ -103,13 +103,14 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
 
     tails are _tail_bounds at r, and g is sampled at theta_k = 2 pi k / n.
     By default n = 720 and g comes from _bounded_horner, err_k being its
-    running rounding bound plus tail0.  samples = (g, g') passes plain-Horner
-    values instead (certify's grid), each with the a-priori err_k = tail0 +
-    8 (order+2) eps S(r), which covers complex Horner's rounding (about
-    5 (order+1) eps S) with room to spare.  Midpoints are always sampled the
-    default way.  u_k = |g_k| + |g'_k| + err_k + tail1 + 8 (order+2) eps M1(r)
-    bounds the exact |g| + |g'| at the computed point (S and M1 from
-    _abs_sums), which lies within 4 eps r of the circle.
+    running rounding bound plus tail0.  samples = (g, g', |g|) passes
+    plain-Horner values instead (certify's grid), with one a-priori error
+    err = tail0 + 8 (order+2) eps S(r) for every sample, which covers
+    complex Horner's rounding (about 5 (order+1) eps S) with room to spare.
+    Midpoints are always sampled the default way.  u_k = |g_k| + |g'_k| +
+    err_k + tail1 + 8 (order+2) eps M1(r) bounds the exact |g| + |g'| at the
+    computed point (S and M1 from _abs_sums), which lies within 4 eps r of
+    the circle.
 
     The path from one computed point along the circle to the next has
     length s <= r (width + 8 eps), and g moves along it by at most
@@ -121,10 +122,16 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
     2 D_k (the factor 2 also covers the path's 4 eps r excursions): then the
     exact g on it and both computed ends lie in one disk about g_k that
     excludes 0, so the principal angle of g_(k+1)/g_k is the true change of
-    arg g, and the steps add up to exactly 2 pi times the count.  Failing
-    arcs are bisected at their midpoints only.  None when an arc cannot
-    close: a sample within 2 err of 0 (or not finite), a midpoint angle that
-    rounds onto its arc's start, or over _MAX_CIRCLE_SAMPLES samples.
+    arg g, and the steps add up to exactly 2 pi times the count.
+
+    Each pass tries m1 s first, and a pass that closes every arc sums all its
+    angle steps and returns, so a circle that closes at once costs a handful
+    of array operations.  The per-arc widths and, for certify's samples, the
+    theta_k, u_k and per-sample err_k are built only when an arc first fails
+    m1 s.  Failing arcs try the ODE bound, and those that still fail are
+    bisected at their midpoints.  None when an arc cannot close: a sample
+    within 2 err of 0 (or not finite), a midpoint angle that rounds onto its
+    arc's start, or over _MAX_CIRCLE_SAMPLES samples.
     """
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
@@ -138,30 +145,38 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
         z = r * np.exp(1j * theta)
         g, err = _bounded_horner(g_coeffs, z, r)
         err += tails[0]
-        return g, err, np.abs(g) + np.abs(table.g_prime_values(z)) + err + err_p
+        size = np.abs(g)
+        return g, size, err, size + np.abs(table.g_prime_values(z)) + err + err_p
 
     if samples is None:
-        start, err, u = evaluate(2 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)
-    else:
-        start, gp = samples
-        err0 = tails[0] + rounding * s
-        err, u = np.full(start.size, err0), np.abs(start) + np.abs(gp) + (err0 + err_p)
+        theta = 2 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
+        start, size, err, u = evaluate(theta)
+        end_err = np.concatenate((err[1:], err[:1]))
+    else:  # one scalar err until an arc fails
+        start, gp, size = samples
+        theta = u = None
+        err = end_err = tails[0] + rounding * s
     n = start.size
-    theta = 2 * np.pi * np.arange(n) / n
-    width = np.full(n, 2 * np.pi / n)
-    end, end_err = np.concatenate((start[1:], start[:1])), np.concatenate((err[1:], err[:1]))
+    end = np.concatenate((start[1:], start[:1]))
+    width = 2 * np.pi / n  # every arc's, until the first bisection
     total, count = 0.0, n
     while True:
-        size = np.abs(start)
         slack = size - err - end_err
         length = r * (width + 8 * _EPS)
         closed = slack > 2 * m1 * length
-        rest = np.flatnonzero(~closed)
-        if rest.size:  # D_k is the ODE bound exactly where m1 s fails
-            grow = c * length[rest]
-            ode = u[rest] * np.expm1(np.minimum(grow, _MAX_GROWTH)) / c
-            ode[grow > _MAX_GROWTH] = math.inf
-            closed[rest] = slack[rest] > 2 * ode
+        if closed.all():
+            return round((total + float(np.angle(end / start).sum())) / (2 * np.pi))
+        if isinstance(width, float):  # the first failing pass: lay the grid out per arc
+            width, length = np.full(n, width), np.full(n, length)
+            if u is None:  # certify's samples
+                theta = 2 * np.pi * np.arange(n) / n
+                u = size + np.abs(gp) + (err + err_p)
+                err = end_err = np.full(n, err)
+        rest = np.flatnonzero(~closed)  # D_k is the ODE bound exactly where m1 s fails
+        grow = c * length[rest]
+        ode = u[rest] * np.expm1(np.minimum(grow, _MAX_GROWTH)) / c
+        ode[grow > _MAX_GROWTH] = math.inf
+        closed[rest] = slack[rest] > 2 * ode
         total += float(np.angle(end[closed] / start[closed]).sum())
         if closed.all():
             return round(total / (2 * np.pi))
@@ -174,9 +189,10 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
         if (count > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
                 or np.any(mid == theta)):
             return None
-        g_mid, err_mid, u_mid = evaluate(mid)
+        g_mid, size_mid, err_mid, u_mid = evaluate(mid)
         theta, width = np.concatenate((theta, mid)), np.concatenate((width, width))
         start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
+        size = np.concatenate((size, size_mid))
         err, end_err = np.concatenate((err, err_mid)), np.concatenate((err_mid, end_err))
         u = np.concatenate((u, u_mid))
 

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import coulombstar
 from coulombstar import StarlikeClass, WindingMismatch
-from coulombstar.cli import main, render_json
+from coulombstar.cli import ComplexParam, main, render_json
 
 
 @pytest.fixture()
@@ -101,6 +101,26 @@ class TestEval:
     def test_parse_error_exits_two(self, runner):
         result = invoke(runner, ["eval", "--L", "0", "--eta", "0", "--z", "zebra"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text, value", [
+        ("1+2i", 1 + 2j), ("2I", 2j), ("-i", -1j), ("i", 1j), ("1e-3-2.5i", 0.001 - 2.5j),
+        ("(1+2i)", 1 + 2j), ("1+2j", 1 + 2j), ("inf", complex(math.inf, 0.0)),
+        ("Infinity", complex(math.inf, 0.0)), ("-infi", complex(0.0, -math.inf)),
+    ])
+    def test_complex_param_syntax(self, text, value):
+        # only a final i is the imaginary unit, so the i of inf stays put
+        assert ComplexParam().convert(text, None, None) == value
+
+    @pytest.mark.parametrize("flag, text, code", [
+        ("--L", "inf", 3), ("--L", "nan", 3), ("--eta", "Infinity", 3), ("--eta", "-infi", 3),
+        ("--z", "inf", 4), ("--z", "infi", 4), ("--z", "-Infinity", 4), ("--z", "nan", 4),
+    ])
+    def test_nonfinite_values_are_refused_not_misparsed(self, runner, flag, text, code):
+        # parameters refuse with InvalidParams (3), a point with NoConvergence (4)
+        args = {"--L": "0", "--eta": "0", "--z": "0.5", flag: text}
+        result = invoke(runner, ["eval", *(item for pair in args.items() for item in pair)])
+        assert result.exit_code == code
+        assert result.stdout == ""
 
     def test_invalid_params_exit_three(self, runner):
         result = invoke(runner, ["eval", "--L", "-1", "--eta", "0", "--z", "0.5"])

@@ -28,7 +28,7 @@ from coulombstar import (
     StarlikeClass,
     certify,
 )
-from coulombstar.series import _recurrence_coefficients, _tail_bounds
+from coulombstar.series import _horner, _recurrence_coefficients, _tail_bounds
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -226,6 +226,44 @@ class TestScalarEvaluationBits:
             for n in range(2, 501):
                 a.append((2 * eta * a[n - 1] - a[n - 2]) / (n * (n + 2 * L + 1)))
             assert list(map(bits, _recurrence_coefficients(params, 500))) == list(map(bits, a))
+
+
+def horner_out_of_place(coeffs, z):
+    """The textbook recurrence acc = acc * z + c, a new array each step."""
+    acc = 0.0 * z
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+class TestHornerInPlace:
+    """Array _horner runs in place and keeps the out-of-place bits."""
+
+    @pytest.mark.parametrize("points", [1, 3, 720, 4097])
+    @pytest.mark.parametrize("params", [CoulombParams(0.7, -0.3),
+                                        CoulombParams(0.4 + 0.3j, -0.6 + 0.2j)])
+    def test_array_bits_match_out_of_place(self, points, params):
+        import numpy as np
+
+        table = table_for_radius(params, 3.0)
+        z = 3.0 * np.exp(2j * np.pi * np.arange(points) / points)
+        z.flags.writeable = False  # like ScanGrid.points()
+        before = z.tobytes()
+        real_grid = z.real.copy()
+        real_coeffs = [abs(c) for c in table.coeffs]
+        for coeffs, grid in ((table.coeffs, z), (table._dcoeffs, z), (real_coeffs, z),
+                             (real_coeffs, real_grid), (table.coeffs, real_grid)):
+            got, want = _horner(coeffs, grid), horner_out_of_place(coeffs, grid)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert z.tobytes() == before
+
+    def test_python_scalar_stays_python(self):
+        table = table_for_radius(CoulombParams(0.7, -0.3), 1.0)
+        assert type(_horner(table.coeffs, 0.3 + 0.4j)) is complex
+        assert type(table.g_values(0.3 + 0.4j)) is complex
+        assert type(_horner([1.0, 2.0, 3.0], 0.5)) is float
+        assert _horner([1.0, 2.0, 3.0], 0.5) == 2.75
 
 
 # ---------------------------------------------------------------------------

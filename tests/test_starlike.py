@@ -325,7 +325,7 @@ def circle_count(params, grid):
     table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
     z = grid.points()
     g, gp = table.g_values(z), table.g_prime_values(z)
-    return _arc_count(table, bounds, grid.r_max, (g, gp)), table
+    return _arc_count(table, bounds, grid.r_max, (g, gp, np.abs(g))), table
 
 
 class TestCircleWinding:
@@ -334,6 +334,10 @@ class TestCircleWinding:
         rng = random.Random(20261018)
         pairs = [(rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)) for _ in range(500)]
         pairs += [(-0.4, 0.8), (-0.4, -0.8), (-0.3954, 0.8)]
+        # complex pairs take the same first pass; some put a second zero in the disk
+        pairs += [(complex(rng.uniform(-0.45, 1.4), rng.uniform(-0.3, 0.3)),
+                   complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8)))
+                  for _ in range(250)]
         grid = ScanGrid(angles)
         for L, eta in pairs:
             count, table = circle_count(CoulombParams(L, eta), grid)
