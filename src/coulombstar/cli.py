@@ -86,9 +86,9 @@ class ComplexParam(click.ParamType):
     def convert(self, value, param, ctx):
         if isinstance(value, complex):
             return value
-        # only a final i (before an optional closing parenthesis) is the
-        # imaginary unit, so inf and Infinity keep theirs
-        text = re.sub(r"[iI](?=\)?$)", "j", str(value).strip())
+        # only a final i (before optional spaces and a closing parenthesis)
+        # is the imaginary unit, so inf and Infinity keep theirs
+        text = re.sub(r"[iI](?=\s*\)?$)", "j", str(value).strip())
         try:
             return complex(text)
         except ValueError:

@@ -16,7 +16,7 @@ differential subordination; Miller and Mocanu, Differential Subordinations,
 2000).  Each margin is then harmonic or superharmonic, so its minimum over
 the disk sits on the circle.  certify therefore samples P on that circle only
 and proves the disk zero-free apart from the origin by handing the circle's
-own g, g' and |g| samples to zeros._arc_count, the one proven count, which also
+own g and g' samples to zeros._arc_count, the one proven count, which also
 serves winding_number and holds the rounding allowance.  Positivity of the
 margin on the arcs between samples is not proven.  Closed-form sufficient
 conditions on (L, eta) are provided alongside as fast pre-checks.
@@ -195,8 +195,8 @@ def certify(
     """Sample P on |z| = r_max and report the minimum membership margin.
 
     certified is exactly min_margin > 0.  It means: g has no zero in
-    0 < |z| <= r_max, proven by zeros._arc_count from the circle's own g,
-    g' and |g| samples (midpoints of arcs that fail are evaluated there), and
+    0 < |z| <= r_max, proven by zeros._arc_count from the circle's own g
+    and g' samples (midpoints of arcs that fail are evaluated there), and
     the margin is positive at every sample of the circle; the margins on
     the arcs between samples are not proven.  A zero in the disk, a sample
     where g (numerically) vanishes, or an arc whose count cannot close sets
@@ -204,11 +204,11 @@ def certify(
     certify.  worst_point is the sample of least margin,
     ties resolving to the lowest angle index.
 
-    |g| is computed once, for the near-zero floor and the count.  P is
-    masked only when some sample lies below that floor.  The count sums
-    its angle steps at once when every arc closes by the disk-wide bound
-    m1 s, and builds the angles, arc widths and u_k = |g| + |g'| + ...
-    only once an arc fails it.
+    P = z g' / g is computed unmasked, and the margins of samples below the
+    near-zero floor are then overwritten.  The count sums its angle steps
+    at once when every arc closes by the disk-wide bound m1 s, and builds
+    the angles, arc widths and u_k = |g| + |g'| + ... only once an arc
+    fails it.
     """
     flavor = StarlikeClass(starlike_class)
     if grid is None:
@@ -217,19 +217,13 @@ def certify(
     z = grid.points()
     g = table.g_values(z)
     gp = table.g_prime_values(z)
-    size = np.abs(g)
     # g ~ z at the origin: the near-zero floor of eval_p, at |z| = r_max
-    near_zero = size < _near_zero_floor(tol, grid.r_max)
-    zero_in_disk = bool(near_zero.any())
-    if zero_in_disk:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            P = np.where(near_zero, 1.0, z * gp / g)
-        margins = _margin_field(P, flavor)
-        margins[near_zero] = -np.inf
-    else:
+    near_zero = np.abs(g) < _near_zero_floor(tol, grid.r_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
         margins = _margin_field(z * gp / g, flavor)
+    margins[near_zero] = -np.inf
     worst = int(np.argmin(margins))
-    zero_in_disk = zero_in_disk or _arc_count(table, bounds, grid.r_max, (g, gp, size)) != 1
+    zero_in_disk = bool(near_zero.any()) or _arc_count(table, bounds, grid.r_max, (g, gp)) != 1
     min_margin = -math.inf if zero_in_disk else float(margins[worst])
     return CertificationReport(
         params=params,

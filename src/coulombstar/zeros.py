@@ -98,12 +98,25 @@ def _bounded_horner(coeffs, z: np.ndarray, r: float) -> tuple[np.ndarray, np.nda
     return acc, 2.5 * _EPS * mu
 
 
+def _ode_bound(u: np.ndarray, length: np.ndarray, c: float) -> np.ndarray:
+    """u expm1(c s) / c for arcs of length s: how far g can move along each.
+
+    |g| + |g'| grows at rate at most c along a path (see _arc_count), so g
+    moves by at most u (e^(c s) - 1) / c when u bounds |g| + |g'| at the
+    arc's start.  inf where c s exceeds _MAX_GROWTH.
+    """
+    grow = c * length
+    ode = u * np.expm1(np.minimum(grow, _MAX_GROWTH)) / c
+    ode[grow > _MAX_GROWTH] = math.inf
+    return ode
+
+
 def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | None:
     """Proven count of the zeros of g in |z| < r from samples on that circle.
 
     tails are _tail_bounds at r, and g is sampled at theta_k = 2 pi k / n.
     By default n = 720 and g comes from _bounded_horner, err_k being its
-    running rounding bound plus tail0.  samples = (g, g', |g|) passes
+    running rounding bound plus tail0.  samples = (g, g') passes
     plain-Horner values instead (certify's grid), with one a-priori error
     err = tail0 + 8 (order+2) eps S(r) for every sample, which covers
     complex Horner's rounding (about 5 (order+1) eps S) with room to spare.
@@ -124,14 +137,14 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
     excludes 0, so the principal angle of g_(k+1)/g_k is the true change of
     arg g, and the steps add up to exactly 2 pi times the count.
 
-    Each pass tries m1 s first, and a pass that closes every arc sums all its
-    angle steps and returns, so a circle that closes at once costs a handful
-    of array operations.  The per-arc widths and, for certify's samples, the
-    theta_k, u_k and per-sample err_k are built only when an arc first fails
-    m1 s.  Failing arcs try the ODE bound, and those that still fail are
-    bisected at their midpoints.  None when an arc cannot close: a sample
-    within 2 err of 0 (or not finite), a midpoint angle that rounds onto its
-    arc's start, or over _MAX_CIRCLE_SAMPLES samples.
+    A first pass that closes every arc by m1 s sums its angle steps and
+    returns, so a circle that closes at once costs a handful of array
+    operations; the angles, the per-arc widths and, for certify's samples,
+    u_k and the per-sample err_k are built only after it fails.  Each pass
+    then closes arcs by m1 s or the ODE bound and bisects the rest at their
+    midpoints.  None when an arc cannot close: a sample within 2 err of 0
+    (or not finite), a midpoint angle that rounds onto its arc's start, or
+    over _MAX_CIRCLE_SAMPLES samples.
     """
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
@@ -149,34 +162,27 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
         return g, size, err, size + np.abs(table.g_prime_values(z)) + err + err_p
 
     if samples is None:
-        theta = 2 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
-        start, size, err, u = evaluate(theta)
+        start, size, err, u = evaluate(2 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)
         end_err = np.concatenate((err[1:], err[:1]))
-    else:  # one scalar err until an arc fails
-        start, gp, size = samples
-        theta = u = None
+    else:
+        start, gp = samples
+        size = np.abs(start)
         err = end_err = tails[0] + rounding * s
     n = start.size
     end = np.concatenate((start[1:], start[:1]))
-    width = 2 * np.pi / n  # every arc's, until the first bisection
+    slack = size - err - end_err
+    length = r * (2 * np.pi / n + 8 * _EPS)
+    closed = slack > 2 * m1 * length
+    if closed.all():
+        return round(float(np.angle(end / start).sum()) / (2 * np.pi))
+    if samples is not None:
+        u = size + np.abs(gp) + (err + err_p)
+        err = end_err = np.full(n, err)
+    theta = 2 * np.pi * np.arange(n) / n
+    width, length = np.full(n, 2 * np.pi / n), np.full(n, length)
     total, count = 0.0, n
     while True:
-        slack = size - err - end_err
-        length = r * (width + 8 * _EPS)
-        closed = slack > 2 * m1 * length
-        if closed.all():
-            return round((total + float(np.angle(end / start).sum())) / (2 * np.pi))
-        if isinstance(width, float):  # the first failing pass: lay the grid out per arc
-            width, length = np.full(n, width), np.full(n, length)
-            if u is None:  # certify's samples
-                theta = 2 * np.pi * np.arange(n) / n
-                u = size + np.abs(gp) + (err + err_p)
-                err = end_err = np.full(n, err)
-        rest = np.flatnonzero(~closed)  # D_k is the ODE bound exactly where m1 s fails
-        grow = c * length[rest]
-        ode = u[rest] * np.expm1(np.minimum(grow, _MAX_GROWTH)) / c
-        ode[grow > _MAX_GROWTH] = math.inf
-        closed[rest] = slack[rest] > 2 * ode
+        closed |= slack > 2 * _ode_bound(u, length, c)  # D_k is the smaller bound
         total += float(np.angle(end[closed] / start[closed]).sum())
         if closed.all():
             return round(total / (2 * np.pi))
@@ -195,6 +201,9 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
         size = np.concatenate((size, size_mid))
         err, end_err = np.concatenate((err, err_mid)), np.concatenate((err_mid, end_err))
         u = np.concatenate((u, u_mid))
+        slack = size - err - end_err
+        length = r * (width + 8 * _EPS)
+        closed = slack > 2 * m1 * length
 
 
 def winding_number(table: CoefficientTable, radius: float) -> int:

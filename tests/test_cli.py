@@ -104,7 +104,7 @@ class TestEval:
 
     @pytest.mark.parametrize("text, value", [
         ("1+2i", 1 + 2j), ("2I", 2j), ("-i", -1j), ("i", 1j), ("1e-3-2.5i", 0.001 - 2.5j),
-        ("(1+2i)", 1 + 2j), ("1+2j", 1 + 2j), ("inf", complex(math.inf, 0.0)),
+        ("(1+2i)", 1 + 2j), ("( 1+2i )", 1 + 2j), ("1+2j", 1 + 2j), ("inf", complex(math.inf, 0.0)),
         ("Infinity", complex(math.inf, 0.0)), ("-infi", complex(0.0, -math.inf)),
     ])
     def test_complex_param_syntax(self, text, value):

@@ -325,7 +325,7 @@ def circle_count(params, grid):
     table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
     z = grid.points()
     g, gp = table.g_values(z), table.g_prime_values(z)
-    return _arc_count(table, bounds, grid.r_max, (g, gp, np.abs(g))), table
+    return _arc_count(table, bounds, grid.r_max, (g, gp)), table
 
 
 class TestCircleWinding:

@@ -14,8 +14,11 @@ from coulombstar import (
     CoulombParams,
     InvalidParams,
     NoConvergence,
+    ScanGrid,
+    StarlikeClass,
     WindingMismatch,
     ZeroSet,
+    certify,
     eval_g,
     find_zeros,
     product_convergence_report,
@@ -517,6 +520,84 @@ class TestWindingNumber:
             for w, v, b in zip(z, value, bound):
                 exact = mp.polyval([mp.mpc(a) for a in reversed(table.coeffs)], mp.mpc(w))
                 assert abs(exact - mp.mpc(v)) <= b
+
+
+def _ode_bounds(monkeypatch):
+    """Record each _ode_bound call's (u, arc lengths, bound)."""
+    calls = []
+    ode_bound = zeros_module._ode_bound
+
+    def recorded(u, length, c):
+        bound = ode_bound(u, length, c)
+        calls.append((u.copy(), length.copy(), bound.copy()))
+        return bound
+
+    monkeypatch.setattr(zeros_module, "_ode_bound", recorded)
+    return calls
+
+
+def _circle_count(params, radius, angles):
+    """Run the arc count the way its callers do: certify's samples, or winding_number's."""
+    if angles is None:
+        return winding_number(table_for_radius(params, radius), radius)
+    return certify(params, StarlikeClass.CLASSICAL, ScanGrid(angles, radius))
+
+
+class TestArcCountSoundness:
+    """The inputs of _arc_count's proof, checked against g itself."""
+
+    # (L, eta, radius, certify's angles or None for winding_number's sampler);
+    # each has arcs that fail m1 s and fall back to the ODE bound
+    CASES = [
+        (0.0, 0.0, 0.5, 12),
+        (0.3, 0.2, 0.5, 12),
+        (0.5, 0.1, 0.999, 3),
+        (0.2 + 0.1j, -0.3 + 0.2j, 0.7, 12),
+        (0.0, 0.0, 7.0, None),
+        (0.7, -0.4, 8.0, None),
+        (0.2 + 0.1j, 0.3, 6.0, None),
+    ]
+
+    @pytest.mark.parametrize("L, eta, radius, angles", CASES)
+    def test_ode_bound_covers_each_arc(self, monkeypatch, L, eta, radius, angles):
+        # D_k must bound how far g moves from g(z_k) along arc k, which a
+        # u_k missing |g'_k| does not; the first pass is the equal-width grid
+        params = CoulombParams(L, eta)
+        calls = _ode_bounds(monkeypatch)
+        _circle_count(params, radius, angles)
+        assert calls, "no arc fell back to the ODE bound"
+        u, length, bound = calls[0]
+        n = u.size
+        assert n == (angles or 720)
+        table = table_for_radius(params, radius)
+        steps = np.arange(65) / 64
+        for k in range(n):
+            theta = 2 * np.pi * (k + steps) / n
+            g = table.g_values(radius * np.exp(1j * theta))
+            assert np.max(np.abs(g - g[0])) <= bound[k], k
+            assert length[k] >= radius * 2 * np.pi / n
+
+    @pytest.mark.parametrize("L, eta, radius, angles", CASES + [
+        (0.5, 0.1, 0.999, 720),
+        (-0.3 + 0.2j, 0.8 - 0.1j, 0.999, 720),
+        (1.2, -0.9, 15.0, None),
+    ])
+    def test_angle_steps_add_up_to_whole_turns(self, monkeypatch, L, eta, radius, angles):
+        # the principal angles of g_(k+1)/g_k sum to 2 pi times the count
+        # before rounding; a step left out or counted twice is off by far more
+        turns = []
+
+        def recorded(x):
+            turns.append(x)
+            return round(x)
+
+        monkeypatch.setattr(zeros_module, "round", recorded, raising=False)
+        calls = _ode_bounds(monkeypatch)
+        _circle_count(CoulombParams(L, eta), radius, angles)
+        assert len(turns) == 1
+        assert abs(turns[0] - round(turns[0])) < 1e-9
+        if angles == 720:  # closes in its first pass, which sums every step at once
+            assert not calls
 
 
 class TestWeierstrassEval:
