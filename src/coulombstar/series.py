@@ -244,9 +244,9 @@ _EPS = math.ulp(1.0)  # machine epsilon, 2^-52
 def _abs_sums(table: CoefficientTable, r: float) -> tuple[float, float]:
     """S(r) = sum |a_n| r^(n+1) and M1(r) = sum (n+1) |a_n| r^n, by Horner.
 
-    S is the scale of the rounding in g's double evaluation on |z| = r, and
-    M1 that of g''s; M1 plus the g' tail bound also majorizes |g'| on the
-    closed disk |z| <= r, one of the two arc bounds of zeros._arc_count.
+    S majorizes the truncated |g| on |z| <= r (zeros._arc_count's Rouche
+    test), and M1 is the scale of g''s rounding there; M1 plus the g' tail
+    bound majorizes |g'| on the disk, one of the count's two arc bounds.
     """
     a = [abs(c) for c in table.coeffs]
     return _horner(a, r) * r, _horner(_weighted(a, 1, table.order), r)
@@ -304,8 +304,11 @@ def _grow_table(
     """First table along `orders` whose tail for derivative `deriv` is < tol.
 
     Returns the table with its (g, g', g'') tail bounds, or raises
-    NoConvergence with `refusal` formatted at the last order.
+    NoConvergence with `refusal` formatted at the last order; InvalidParams
+    for a radius that is negative or not finite.
     """
+    if not (radius >= 0 and math.isfinite(radius)):
+        raise InvalidParams(f"radius must be finite and nonnegative, got {radius}")
     growth = _Growth(params, radius, orders)
     order, tails = growth.first_order(tol, deriv, refusal)
     return CoefficientTable(params, tuple(growth.coeffs), order, tails[0], radius), tails
@@ -321,8 +324,6 @@ def make_coefficients(params: CoulombParams, order: int, radius: float) -> Coeff
         raise InvalidParams(f"order must be >= 2, got {order}")
     if order > MAX_ORDER:
         raise InvalidParams(f"order must be <= {MAX_ORDER}, got {order}")
-    if not (radius >= 0 and math.isfinite(radius)):
-        raise InvalidParams(f"radius must be finite and nonnegative, got {radius}")
     refusal = (
         "tail majorization fails at order {order}, radius {radius}; increase the order"
     )

@@ -14,12 +14,13 @@ that disk, and each region is simply connected, so P maps the disk into the
 region as soon as the circle |z| = r_max does (the boundary argument of
 differential subordination; Miller and Mocanu, Differential Subordinations,
 2000).  Each margin is then harmonic or superharmonic, so its minimum over
-the disk sits on the circle.  certify therefore samples P on that circle only
-and proves the disk zero-free apart from the origin by handing the circle's
-own g and g' samples to zeros._arc_count, the one proven count, which also
-serves winding_number and holds the rounding allowance.  Positivity of the
-margin on the arcs between samples is not proven.  Closed-form sufficient
-conditions on (L, eta) are provided alongside as fast pre-checks.
+the disk sits on the circle.  certify therefore samples P on that circle only,
+and proves the disk zero-free apart from the origin through zeros._arc_count,
+the one proven count that also serves winding_number: Rouche's theorem
+against z settles almost every disk in one comparison, and the rest are
+counted on the count's own samples of g.  Positivity of the margin on the
+arcs between P's samples is not proven.  Closed-form sufficient conditions
+on (L, eta) are provided alongside as fast pre-checks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +35,14 @@ import numpy as np
 from .analytic import _near_zero_floor
 from .errors import CoulombError, InvalidParams
 from .series import _ORDER_SCHEDULE, DEFAULT_TOL, CoulombParams, _grow_table
-from .zeros import _MAX_CIRCLE_SAMPLES, _arc_count
+from .zeros import _arc_count, _check_radius
 
 SQRT2 = math.sqrt(2.0)
 #: Hypothesis threshold of the lemniscate sufficient condition.
 LEMNISCATE_THRESHOLD = SQRT2 / 4
 #: Hypothesis threshold of the exponential sufficient condition.
 EXPONENTIAL_THRESHOLD = (math.e - 1) / math.e**2
+_MAX_ANGLES = 1 << 18  # angles on one grid: bounds the memory of its g, g' and P
 
 
 class StarlikeClass(str, enum.Enum):
@@ -121,14 +122,9 @@ class ScanGrid:
     r_max: float = 0.999
 
     def __post_init__(self) -> None:
-        # no more angles than the arc count may sample on one circle in all
-        if not 1 <= self.angles_per_ring <= _MAX_CIRCLE_SAMPLES:
-            raise InvalidParams(f"angles_per_ring must lie in [1, {_MAX_CIRCLE_SAMPLES}]")
-        # a subnormal radius overflows z g'/g and the arc bounds to inf
-        if not (sys.float_info.min <= self.r_max < 1):
-            raise InvalidParams(
-                f"r_max must sit in [{sys.float_info.min!r}, 1), the normal doubles below 1"
-            )
+        if not 1 <= self.angles_per_ring <= _MAX_ANGLES:
+            raise InvalidParams(f"angles_per_ring must lie in [1, {_MAX_ANGLES}]")
+        _check_radius("r_max", self.r_max, 1.0)
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
@@ -195,20 +191,18 @@ def certify(
     """Sample P on |z| = r_max and report the minimum membership margin.
 
     certified is exactly min_margin > 0.  It means: g has no zero in
-    0 < |z| <= r_max, proven by zeros._arc_count from the circle's own g
-    and g' samples (midpoints of arcs that fail are evaluated there), and
-    the margin is positive at every sample of the circle; the margins on
-    the arcs between samples are not proven.  A zero in the disk, a sample
-    where g (numerically) vanishes, or an arc whose count cannot close sets
-    zero_in_disk and min_margin -inf, so the report survives but cannot
-    certify.  worst_point is the sample of least margin,
-    ties resolving to the lowest angle index.
+    0 < |z| <= r_max, proven by zeros._arc_count (by Rouche's theorem when
+    S(r_max) + tail0 < 2 r_max, else by the argument principle on the
+    count's own bounded samples), and the margin is positive at every sample
+    of the circle; the margins on the arcs between samples are not proven.
+    A zero in the disk, a sample where g (numerically) vanishes, or an arc
+    whose count cannot close sets zero_in_disk and min_margin -inf, so the
+    report survives but cannot certify.  worst_point is the sample of least
+    margin, ties resolving to the lowest angle index.
 
-    P = z g' / g is computed unmasked, and the margins of samples below the
-    near-zero floor are then overwritten.  The count sums its angle steps
-    at once when every arc closes by the disk-wide bound m1 s, and builds
-    the angles, arc widths and u_k = |g| + |g'| + ... only once an arc
-    fails it.
+    The grid's g and g' serve the margins only.  P = z g' / g is computed
+    unmasked, and the margins of samples below the near-zero floor are then
+    overwritten.
     """
     flavor = StarlikeClass(starlike_class)
     if grid is None:
@@ -223,7 +217,7 @@ def certify(
         margins = _margin_field(z * gp / g, flavor)
     margins[near_zero] = -np.inf
     worst = int(np.argmin(margins))
-    zero_in_disk = bool(near_zero.any()) or _arc_count(table, bounds, grid.r_max, (g, gp)) != 1
+    zero_in_disk = bool(near_zero.any()) or _arc_count(table, bounds, grid.r_max) != 1
     min_margin = -math.inf if zero_in_disk else float(margins[worst])
     return CertificationReport(
         params=params,

@@ -1,11 +1,12 @@
 """Zero location, the proven zero count, and the Hadamard product rebuild.
 
-Zeros of the entire function g are counted first, by the argument
-principle: _arc_count, the one count routine behind winding_number and
-starlike.certify, owns the circle's sampler and rounding allowance and sums
-the principal-angle steps of g between samples, each arc proven to keep g
-away from 0 by a bound on how far g moves along it.  They are then seeded
-once, by the roots of a short prefix of the series polynomial
+Zeros of the entire function g are counted first, by _arc_count, the one
+count routine behind winding_number and starlike.certify: Rouche's theorem
+against z proves a count of 1 in one comparison when S(r) + tail0 < 2r, and
+otherwise the argument principle sums the principal-angle steps of g between
+the routine's own samples, each arc proven to keep g away from 0 by a bound
+on how far g moves along it.  They are then seeded once, by the roots of a
+short prefix of the series polynomial
 (companion-matrix eigenvalues), and polished one seed at a time by a
 single Newton loop, _newton: first in doubles on the full series, then on
 compensated residuals (_refine_mp), and a refined root that fails the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +77,7 @@ class ZeroSet:
         }
 
 
-_CIRCLE_SAMPLES = 720  # winding_number's first samples on its circle
+_CIRCLE_SAMPLES = 720  # _arc_count's first samples on its circle
 _MAX_CIRCLE_SAMPLES = 1 << 18  # samples allowed on one circle, bisection included
 _MAX_GROWTH = 50.0  # the ODE arc bound is used while e^(c s) stays below e^50
 
@@ -111,19 +113,24 @@ def _ode_bound(u: np.ndarray, length: np.ndarray, c: float) -> np.ndarray:
     return ode
 
 
-def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | None:
-    """Proven count of the zeros of g in |z| < r from samples on that circle.
+def _check_radius(name: str, radius: float, below: float = math.inf) -> None:
+    """The radius rule of winding_number, find_zeros and starlike.ScanGrid: a
+    normal double below `below`, since on a subnormal circle g_(k+1)/g_k overflows."""
+    if not (sys.float_info.min <= radius < below):
+        raise InvalidParams(f"{name} must be a normal double below {below}, got {radius!r}")
 
-    tails are _tail_bounds at r, and g is sampled at theta_k = 2 pi k / n.
-    By default n = 720 and g comes from _bounded_horner, err_k being its
-    running rounding bound plus tail0.  samples = (g, g') passes
-    plain-Horner values instead (certify's grid), with one a-priori error
-    err = tail0 + 8 (order+2) eps S(r) for every sample, which covers
-    complex Horner's rounding (about 5 (order+1) eps S) with room to spare.
-    Midpoints are always sampled the default way.  u_k = |g_k| + |g'_k| +
-    err_k + tail1 + 8 (order+2) eps M1(r) bounds the exact |g| + |g'| at the
-    computed point (S and M1 from _abs_sums), which lies within 4 eps r of
-    the circle.
+
+def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
+    """Proven count of the zeros of g in |z| < r, for a normal double r.
+
+    tails are _tail_bounds at r, and S and M1 come from _abs_sums.  First,
+    Rouche's theorem against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on
+    |z| = r, and S + tail0 < 2r leaves g only the origin's zero in the
+    closed disk.  Otherwise g is sampled at theta_k = 2 pi k / 720 by
+    _bounded_horner, err_k being its running rounding bound plus tail0, and
+    u_k = |g_k| + |g'_k| + err_k + tail1 + 8 (order+2) eps M1 bounds the
+    exact |g| + |g'| at the computed point, within 4 eps r of the circle
+    (complex Horner rounds g' by about 5 (order+1) eps M1).
 
     The path from one computed point along the circle to the next has
     length s <= r (width + 8 eps), and g moves along it by at most
@@ -138,19 +145,25 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
     arg g, and the steps add up to exactly 2 pi times the count.
 
     A first pass that closes every arc by m1 s sums its angle steps and
-    returns, so a circle that closes at once costs a handful of array
-    operations; the angles, the per-arc widths and, for certify's samples,
-    u_k and the per-sample err_k are built only after it fails.  Each pass
-    then closes arcs by m1 s or the ODE bound and bisects the rest at their
-    midpoints.  None when an arc cannot close: a sample within 2 err of 0
-    (or not finite), a midpoint angle that rounds onto its arc's start, or
-    over _MAX_CIRCLE_SAMPLES samples.
+    returns.  Each later pass closes arcs by m1 s or the ODE bound and
+    bisects the rest at their midpoints.  None when an arc cannot close: a
+    sample within 2 err of 0 (or not finite), a midpoint angle that rounds
+    onto its arc's start, or over _MAX_CIRCLE_SAMPLES samples.  Neither
+    proof covers the coefficients' own rounding yet.
     """
+    s, m1 = _abs_sums(table, r)
+    # rho: each nonnegative term of the computed S carries |a_n| (hypot,
+    # within 1 ulp: theta_2), Horner's theta_(2 order) (Higham 2002, eq. 5.3)
+    # and the final * r, so S is exact within gamma_(2 order + 3) (Lemmas 3.1,
+    # 3.3); the sum and product below round twice more.  gamma_k <= (k + 1) u
+    # while k (k + 1) u <= 1, so rho = (2 order + 6) u = (order + 3) eps covers
+    # gamma_(2 order + 5), with u S to spare for underflowed products (2^-1075
+    # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
+    if (s + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
+        return 1
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
-    s, m1 = _abs_sums(table, r)
-    rounding = 8 * (table.order + 2) * _EPS
-    err_p = tails[1] + rounding * m1
+    err_p = tails[1] + 8 * (table.order + 2) * _EPS * m1
     m1 += tails[1]
     g_coeffs = (0.0,) + table.coeffs
 
@@ -161,24 +174,16 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
         size = np.abs(g)
         return g, size, err, size + np.abs(table.g_prime_values(z)) + err + err_p
 
-    if samples is None:
-        start, size, err, u = evaluate(2 * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)
-        end_err = np.concatenate((err[1:], err[:1]))
-    else:
-        start, gp = samples
-        size = np.abs(start)
-        err = end_err = tails[0] + rounding * s
-    n = start.size
+    n = _CIRCLE_SAMPLES
+    theta = 2 * np.pi * np.arange(n) / n
+    start, size, err, u = evaluate(theta)
     end = np.concatenate((start[1:], start[:1]))
+    end_err = np.concatenate((err[1:], err[:1]))
     slack = size - err - end_err
     length = r * (2 * np.pi / n + 8 * _EPS)
     closed = slack > 2 * m1 * length
     if closed.all():
         return round(float(np.angle(end / start).sum()) / (2 * np.pi))
-    if samples is not None:
-        u = size + np.abs(gp) + (err + err_p)
-        err = end_err = np.full(n, err)
-    theta = 2 * np.pi * np.arange(n) / n
     width, length = np.full(n, 2 * np.pi / n), np.full(n, length)
     total, count = 0.0, n
     while True:
@@ -209,14 +214,13 @@ def _arc_count(table: CoefficientTable, tails, r: float, samples=None) -> int | 
 def winding_number(table: CoefficientTable, radius: float) -> int:
     """Proven argument-principle count of the zeros of g in |z| < radius.
 
-    The origin zero is included.  _arc_count samples g at 720 angles with a
-    running rounding bound and closes the count.  NoConvergence when it
+    The origin zero is included; _arc_count proves it by Rouche's theorem or
+    from 720 samples with a running rounding bound.  InvalidParams for a
+    radius that is not a finite normal double; NoConvergence when the count
     cannot be proven: a zero within rounding distance of the circle, a tail
-    not certified at this radius, or over 2^18 samples.  The coefficients'
-    own rounding is not in the bound yet.
+    not certified at this radius, or over 2^18 samples.
     """
-    if not (radius > 0 and math.isfinite(radius)):
-        raise InvalidParams(f"radius must be positive and finite, got {radius}")
+    _check_radius("radius", radius)
     tails = _tail_bounds(table.coeffs, table.params, radius)
     if tails is None:
         raise NoConvergence(f"series tail is not certified at radius {radius}")
@@ -412,8 +416,7 @@ def find_zeros(
     compensated residuals settles on (a real zero of a real table in the
     real kernel).
     """
-    if not (trust_radius > 0 and math.isfinite(trust_radius)):
-        raise InvalidParams(f"trust_radius must be positive and finite, got {trust_radius}")
+    _check_radius("trust_radius", trust_radius)
     table = table_for_radius(params, trust_radius, tol)
     try:
         count = winding_number(table, trust_radius)

@@ -254,6 +254,19 @@ class TestTinyRadius:
         assert report["zero_in_disk"] is False
         assert report["min_margin"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("radius", ["1e-310", "1e-320", "5e-324"])
+    def test_zeros_refuses_subnormal_radius(self, runner, radius):
+        # refused before the count, whose angle steps overflow there
+        result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", radius])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("radius", [repr(sys.float_info.min), "1e-300"])
+    def test_zeros_answers_at_the_least_normal_radius(self, runner, radius):
+        result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", radius])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["zeros"] == []
+
     @pytest.mark.parametrize("r_max", ["5e-324", "1e-310"])
     def test_certify_refuses_subnormal_radius(self, runner, r_max):
         args = ["certify", "--class", "classical", "--r-max", r_max]

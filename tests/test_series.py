@@ -103,6 +103,16 @@ class TestMakeCoefficients:
         with pytest.raises(InvalidParams):
             make_coefficients(CoulombParams(0.0, 0.0), order, 1.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1e-3, -5.0])
+    def test_radius_out_of_range(self, radius):
+        # no tail bound holds at a negative radius: a table there, or a bare
+        # ValueError, would pass a meaningless bound on
+        params = CoulombParams(0.3, 0.2)
+        with pytest.raises(InvalidParams):
+            table_for_radius(params, radius)
+        with pytest.raises(InvalidParams):
+            make_coefficients(params, 20, radius)
+
     def test_majorization_failure_raises(self):
         # radius far too large for a short table
         with pytest.raises(NoConvergence):
@@ -297,6 +307,7 @@ class TestTinyRadius:
             got = evaluate(params, 1e-200)
             assert cmath.isfinite(got.value) and 0.0 < got.abs_error < 1e-200
         assert make_coefficients(params, 20, 1e-200).tail_bound > 0.0
+        assert table_for_radius(params, 1e-320).radius == 1e-320  # subnormal stays legal
         certify(params, StarlikeClass.CLASSICAL, ScanGrid(720, 1e-200))
         assert find_zeros(CoulombParams(0.0, 0.0), 1e-300).zeros == ()
 

@@ -294,7 +294,8 @@ class TestCertify:
         assert not report.zero_in_disk
         assert -math.inf < report.min_margin < 0  # P's pole sits near the circle
 
-    def test_samples_only_the_circle_when_no_arc_fails(self, monkeypatch):
+    def test_rouche_pair_evaluates_no_bounded_sample(self, monkeypatch):
+        # S + tail0 < 2 r_max proves the disk: g is evaluated on the grid only
         sizes = []
         g_values = CoefficientTable.g_values
 
@@ -302,13 +303,29 @@ class TestCertify:
             sizes.append(np.size(z))
             return g_values(table, z)
 
-        def bisected(*args):
-            raise AssertionError("certify evaluated a midpoint")
+        def sampled(*args):
+            raise AssertionError("certify evaluated a bounded sample")
 
         monkeypatch.setattr(CoefficientTable, "g_values", counted)
-        monkeypatch.setattr(zeros_module, "_bounded_horner", bisected)
+        monkeypatch.setattr(zeros_module, "_bounded_horner", sampled)
         certify(INSTANCE, StarlikeClass.LEMNISCATE)
         assert sizes == [720]
+
+    @pytest.mark.parametrize("angles", [3, 720])
+    def test_count_samples_its_own_circle_when_rouche_fails(self, monkeypatch, angles):
+        # (-0.4, 0.8) has a zero in the disk: the count samples g at its own
+        # 720 angles, whatever the grid
+        sizes = []
+        bounded_horner = zeros_module._bounded_horner
+
+        def counted(coeffs, z, r):
+            sizes.append(z.size)
+            return bounded_horner(coeffs, z, r)
+
+        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
+        report = certify(CoulombParams(-0.4, 0.8), StarlikeClass.LEMNISCATE, ScanGrid(angles))
+        assert report.zero_in_disk
+        assert sizes[0] == 720
 
     def test_jsonable_shape(self):
         report = certify(INSTANCE, StarlikeClass.LEMNISCATE)
@@ -320,12 +337,9 @@ class TestCertify:
         assert "per_ring_margins" not in d
 
 
-def circle_count(params, grid):
-    """_arc_count on the table and samples certify builds, and the table."""
-    table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
-    z = grid.points()
-    g, gp = table.g_values(z), table.g_prime_values(z)
-    return _arc_count(table, bounds, grid.r_max, (g, gp)), table
+def certify_table(params, r_max):
+    """The table and tail bounds certify builds for a circle of radius r_max."""
+    return _grow_table(params, r_max, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
 
 
 class TestCircleWinding:
@@ -334,25 +348,31 @@ class TestCircleWinding:
         rng = random.Random(20261018)
         pairs = [(rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)) for _ in range(500)]
         pairs += [(-0.4, 0.8), (-0.4, -0.8), (-0.3954, 0.8)]
-        # complex pairs take the same first pass; some put a second zero in the disk
+        # complex pairs take the same count; some put a second zero in the disk
         pairs += [(complex(rng.uniform(-0.45, 1.4), rng.uniform(-0.3, 0.3)),
                    complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8)))
                   for _ in range(250)]
         grid = ScanGrid(angles)
         for L, eta in pairs:
-            count, table = circle_count(CoulombParams(L, eta), grid)
-            assert count == winding_number(table, grid.r_max), (L, eta)
+            params = CoulombParams(L, eta)
+            report = certify(params, StarlikeClass.CLASSICAL, grid)
+            table = certify_table(params, grid.r_max)[0]
+            assert report.zero_in_disk == (winding_number(table, grid.r_max) != 1), (L, eta)
 
     @pytest.mark.parametrize("angles", [3, 12, 720])
     def test_corner_zero_is_counted(self, angles):
         # a real zero at -0.9911 lies inside the default circle
+        grid = ScanGrid(angles)
         for eta in (0.8, -0.8):
-            assert circle_count(CoulombParams(-0.4, eta), ScanGrid(angles))[0] == 2
+            params = CoulombParams(-0.4, eta)
+            assert winding_number(certify_table(params, grid.r_max)[0], grid.r_max) == 2
+            assert certify(params, StarlikeClass.CLASSICAL, grid).zero_in_disk
 
     def test_zero_on_the_circle_is_unresolved(self):
-        # a midpoint lands on the zero itself, where no arc can close
-        grid = ScanGrid(angles_per_ring=3, r_max=0.362658574621303)
-        assert circle_count(CoulombParams(0.0, 5.0), grid)[0] is None
+        # the circle runs through the zero itself, where no arc can close
+        r = 0.362658574621303
+        table, bounds = certify_table(CoulombParams(0.0, 5.0), r)
+        assert _arc_count(table, bounds, r) is None
 
 
 class TestParameterScan:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +27,7 @@ from coulombstar import (
     weierstrass_eval,
     winding_number,
 )
-from coulombstar.series import _horner
+from coulombstar.series import _ORDER_SCHEDULE, DEFAULT_TOL, _grow_table, _horner, _tail_bounds
 from coulombstar.zeros import _compensated_horner, _compensated_horner_real
 
 SINE = CoulombParams(0.0, 0.0)
@@ -464,6 +465,20 @@ class TestWindingNumber:
         with pytest.raises(InvalidParams):
             winding_number(table_for_radius(SINE, 1.0), radius)
 
+    @pytest.mark.parametrize("radius", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_radius_is_refused(self, radius):
+        # the angle steps g_(k+1)/g_k overflow on a subnormal circle: at
+        # 1e-320 they would sum to a count of 90
+        with pytest.raises(InvalidParams):
+            winding_number(table_for_radius(SINE, radius), radius)
+        with pytest.raises(InvalidParams):
+            find_zeros(SINE, radius)
+
+    @pytest.mark.parametrize("radius", [sys.float_info.min, 1e-300])
+    def test_least_normal_radius_answers(self, radius):
+        assert winding_number(table_for_radius(SINE, radius), radius) == 1
+        assert find_zeros(SINE, radius).zeros == ()
+
     def test_uncertified_tail_refuses(self):
         # a table built for |z| <= 1 has no tail bound on |z| = 20
         with pytest.raises(NoConvergence):
@@ -537,7 +552,7 @@ def _ode_bounds(monkeypatch):
 
 
 def _circle_count(params, radius, angles):
-    """Run the arc count the way its callers do: certify's samples, or winding_number's."""
+    """Run the arc count through a caller: certify on `angles` angles, or winding_number."""
     if angles is None:
         return winding_number(table_for_radius(params, radius), radius)
     return certify(params, StarlikeClass.CLASSICAL, ScanGrid(angles, radius))
@@ -546,17 +561,28 @@ def _circle_count(params, radius, angles):
 class TestArcCountSoundness:
     """The inputs of _arc_count's proof, checked against g itself."""
 
-    # (L, eta, radius, certify's angles or None for winding_number's sampler);
-    # each has arcs that fail m1 s and fall back to the ODE bound
+    # (L, eta, radius, certify's angles or None for winding_number); each
+    # fails Rouche's test and has arcs that fail m1 s and fall back to the
+    # ODE bound.  The count samples its own circle, whatever certify's grid.
     CASES = [
-        (0.0, 0.0, 0.5, 12),
-        (0.3, 0.2, 0.5, 12),
-        (0.5, 0.1, 0.999, 3),
-        (0.2 + 0.1j, -0.3 + 0.2j, 0.7, 12),
+        (-0.4, 0.8, 0.999, 720),
+        (-0.4, -0.8, 0.999, 12),
+        (0.0, 5.0, 0.3626, 3),
+        (-0.3954, 0.8, 0.999, 720),
+        (-0.35 + 0.1j, 0.9 - 0.2j, 0.999, 720),
         (0.0, 0.0, 7.0, None),
         (0.7, -0.4, 8.0, None),
         (0.2 + 0.1j, 0.3, 6.0, None),
     ]
+    # certify pairs whose count Rouche's test proves at once
+    ROUCHE = [
+        (0.0, 0.0, 0.5, 12),
+        (0.3, 0.2, 0.5, 12),
+        (0.5, 0.1, 0.999, 3),
+        (0.2 + 0.1j, -0.3 + 0.2j, 0.7, 12),
+    ]
+    # certify pairs whose samples close every arc by m1 s at once
+    FIRST_PASS = [(0.5, 0.1, 0.999, 720), (-0.3 + 0.2j, 0.8 - 0.1j, 0.999, 720)]
 
     @pytest.mark.parametrize("L, eta, radius, angles", CASES)
     def test_ode_bound_covers_each_arc(self, monkeypatch, L, eta, radius, angles):
@@ -568,7 +594,7 @@ class TestArcCountSoundness:
         assert calls, "no arc fell back to the ODE bound"
         u, length, bound = calls[0]
         n = u.size
-        assert n == (angles or 720)
+        assert n == zeros_module._CIRCLE_SAMPLES
         table = table_for_radius(params, radius)
         steps = np.arange(65) / 64
         for k in range(n):
@@ -577,14 +603,16 @@ class TestArcCountSoundness:
             assert np.max(np.abs(g - g[0])) <= bound[k], k
             assert length[k] >= radius * 2 * np.pi / n
 
-    @pytest.mark.parametrize("L, eta, radius, angles", CASES + [
-        (0.5, 0.1, 0.999, 720),
-        (-0.3 + 0.2j, 0.8 - 0.1j, 0.999, 720),
-        (1.2, -0.9, 15.0, None),
-    ])
+    @pytest.mark.parametrize("L, eta, radius, angles",
+                             CASES + ROUCHE + FIRST_PASS + [(1.2, -0.9, 15.0, None)])
     def test_angle_steps_add_up_to_whole_turns(self, monkeypatch, L, eta, radius, angles):
         # the principal angles of g_(k+1)/g_k sum to 2 pi times the count
-        # before rounding; a step left out or counted twice is off by far more
+        # before rounding; a step left out or counted twice is off by far more.
+        # An infinite S fails Rouche's test, so the sampler, which backs the
+        # test up when it fails, counts the ROUCHE pairs too
+        abs_sums = zeros_module._abs_sums
+        monkeypatch.setattr(zeros_module, "_abs_sums",
+                            lambda table, r: (math.inf, abs_sums(table, r)[1]))
         turns = []
 
         def recorded(x):
@@ -596,8 +624,80 @@ class TestArcCountSoundness:
         _circle_count(CoulombParams(L, eta), radius, angles)
         assert len(turns) == 1
         assert abs(turns[0] - round(turns[0])) < 1e-9
-        if angles == 720:  # closes in its first pass, which sums every step at once
+        if (L, eta, radius, angles) in self.FIRST_PASS:  # sums every step at once
             assert not calls
+
+
+def _mp_coefficients(params, order):
+    """a_0 .. a_order from the recurrence in the current mpmath precision."""
+    L, eta = mp.mpc(params.L), mp.mpc(params.eta)
+    a = [mp.mpc(1), eta / (L + 1)]
+    for n in range(2, order + 1):
+        a.append((2 * eta * a[-1] - a[-2]) / (n * (n + 2 * L + 1)))
+    return a
+
+
+class TestRouche:
+    """The inputs of _arc_count's Rouche test, checked against g itself."""
+
+    @pytest.mark.parametrize("complex_pairs", [False, True])
+    def test_rouche_inputs_bound_g(self, monkeypatch, complex_pairs):
+        # seeded sweep-box pairs on certify's default circle whose count the
+        # test proves: the 40-digit S of the double coefficients stays below
+        # S (1 + rho), the 40-digit coefficients pass the test too, and
+        # |g(z) - z| < r on 1,024 points, g from 40-digit coefficients plus tail0
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(zeros_module, "_bounded_horner", sampled)
+        r, rng, proven = 0.999, random.Random(20261019), 0
+        while proven < 3:
+            L, eta = rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)
+            if complex_pairs:
+                L, eta = complex(L, rng.uniform(-0.3, 0.3)), complex(eta, rng.uniform(-0.8, 0.8))
+            params = CoulombParams(L, eta)
+            table, tails = _grow_table(params, r, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
+            try:
+                count = zeros_module._arc_count(table, tails, r)
+            except Sampled:  # the test failed, and the count sampled the circle
+                continue
+            assert count == 1
+            proven += 1
+            s = zeros_module._abs_sums(table, r)[0]
+            with mp.workdps(40):
+                exact = mp.fsum(abs(mp.mpc(c)) * mp.mpf(r) ** (n + 1)
+                                for n, c in enumerate(table.coeffs))
+                assert exact <= mp.mpf(s) * (1 + (table.order + 3) * mp.mpf(EPS))
+                a = _mp_coefficients(params, table.order)
+                assert mp.fsum(abs(c) * mp.mpf(r) ** (n + 1) for n, c in enumerate(a)) \
+                    + tails[0] < 2 * r
+                # g(z) - z = z^2 sum_(n>=1) a_n z^(n-1), by Horner on all points at once
+                z = np.array([r * mp.expjpi(mp.mpf(k) / 512) for k in range(1024)])
+                acc = np.zeros(z.size, dtype=object)
+                for c in a[:0:-1]:
+                    acc = acc * z + c
+                assert max(abs(w) for w in acc * z * z) + tails[0] < r
+
+    def test_rounding_margin_leaves_a_boundary_circle_to_the_sampler(self, monkeypatch):
+        # on this circle the computed S + tail0 falls 3.6 eps short of 2r,
+        # inside the margin rho, so the test must not prove the count
+        params, r = CoulombParams(0.5, 0.1), 2.248541828667851
+        table = table_for_radius(params, r)
+        tail0 = _tail_bounds(table.coeffs, params, r)[0]
+        assert zeros_module._abs_sums(table, r)[0] + tail0 < 2 * r
+        sampled = []
+        bounded_horner = zeros_module._bounded_horner
+
+        def counted(*args):
+            sampled.append(args)
+            return bounded_horner(*args)
+
+        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
+        assert winding_number(table, r) == 1
+        assert sampled
 
 
 class TestWeierstrassEval:
