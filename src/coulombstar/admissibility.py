@@ -315,7 +315,7 @@ def psi_lower_bound(
     positive over a locus is exactly what the sufficient conditions assert.
     """
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:  # NaN fails too
         raise DomainError(f"z must lie in the open unit disk, got |z| = {abs(z)}")
     point = admissible_point(locus, theta, m)
     L, eta = params.L, params.eta

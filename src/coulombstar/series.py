@@ -87,7 +87,7 @@ class ComplexValue:
     abs_error: float
 
     def __post_init__(self) -> None:
-        if self.abs_error < 0:
+        if not self.abs_error >= 0:  # NaN fails too
             raise ValueError("abs_error must be nonnegative")
 
 
@@ -217,17 +217,13 @@ class CoefficientTable:
 def _horner(coeffs, z):
     """Evaluate sum_n coeffs[n] z^n; works for complex scalars and arrays.
 
-    A Python scalar runs out of place, the faster loop for it.  An array
-    runs in place after one out-of-place step, which gives the accumulator
-    the dtype of z * c (a real grid with complex coefficients), and z is
-    never written.  Both round acc * z + c in the same order, so the bits
-    agree.
+    One loop: the first step runs out of place, which gives an array
+    accumulator the dtype of z * c (a real grid with complex coefficients),
+    and the rest run in place, so z is never written.  On a Python or numpy
+    scalar the in-place operators rebind the name instead.  Every step
+    rounds acc * z + c in the same order, so the bits agree either way.
     """
     acc = 0.0 * z
-    if isinstance(z, (float, complex)):
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
     terms = reversed(coeffs)
     for c in terms:
         acc = acc * z + c
@@ -241,15 +237,15 @@ def _horner(coeffs, z):
 _EPS = math.ulp(1.0)  # machine epsilon, 2^-52
 
 
-def _abs_sums(table: CoefficientTable, r: float) -> tuple[float, float]:
-    """S(r) = sum |a_n| r^(n+1) and M1(r) = sum (n+1) |a_n| r^n, by Horner.
+def _abs_sum(table: CoefficientTable, r: float, deriv: int) -> float:
+    """S(r) = sum |a_n| r^(n+1) or M1(r) = sum (n+1) |a_n| r^n (deriv 0, 1), by Horner.
 
-    S majorizes the truncated |g| on |z| <= r (zeros._arc_count's Rouche
-    test), and M1 is the scale of g''s rounding there; M1 plus the g' tail
-    bound majorizes |g'| on the disk, one of the count's two arc bounds.
+    The majorant of the truncated |g| or |g'| on |z| <= r, on _weighted's
+    weight rule: S is zeros._arc_count's Rouche test and find_zeros' Newton
+    target, and M1 the scale of g''s rounding in the count's samples.
     """
-    a = [abs(c) for c in table.coeffs]
-    return _horner(a, r) * r, _horner(_weighted(a, 1, table.order), r)
+    h = _horner(_weighted([abs(c) for c in table.coeffs], deriv, table.order), r)
+    return h * r if deriv == 0 else h
 
 
 _SCHEDULE_REFUSAL = "series tail at radius {radius} not below {tol} by order {order}"

@@ -30,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence, WindingMismatch
+from .errors import DomainError, InvalidParams, NoConvergence, WindingMismatch
 from .series import (
     _EPS,
     DEFAULT_TOL,
     CoefficientTable,
     ComplexValue,
     CoulombParams,
-    _abs_sums,
+    _abs_sum,
     _tail_bounds,
     table_for_radius,
 )
@@ -123,19 +123,19 @@ def _check_radius(name: str, radius: float, below: float = math.inf) -> None:
 def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     """Proven count of the zeros of g in |z| < r, for a normal double r.
 
-    tails are _tail_bounds at r, and S and M1 come from _abs_sums.  First,
-    Rouche's theorem against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on
-    |z| = r, and S + tail0 < 2r leaves g only the origin's zero in the
-    closed disk.  Otherwise g is sampled at theta_k = 2 pi k / 720 by
-    _bounded_horner, err_k being its running rounding bound plus tail0, and
-    u_k = |g_k| + |g'_k| + err_k + tail1 + 8 (order+2) eps M1 bounds the
-    exact |g| + |g'| at the computed point, within 4 eps r of the circle
-    (complex Horner rounds g' by about 5 (order+1) eps M1).
+    tails are _tail_bounds at r, and S is _abs_sum's.  First, Rouche's
+    theorem against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on |z| = r,
+    and S + tail0 < 2r leaves g only the origin's zero in the closed disk.
+    Otherwise g is sampled at theta_k = 2 pi k / 720 by _bounded_horner,
+    err_k being its running rounding bound plus tail0, and u_k = |g_k| +
+    |g'_k| + err_k + tail1 + 8 (order+2) eps M1 bounds the exact |g| + |g'|
+    at the computed point, within 4 eps r of the circle (complex Horner
+    rounds g' by about 5 (order+1) eps M1).  M1 is _abs_sum's too, computed
+    only once Rouche's test has failed, for this allowance alone.
 
     The path from one computed point along the circle to the next has
     length s <= r (width + 8 eps), and g moves along it by at most
-    D_k = min(m1 s, u_k expm1(c s) / c): m1 = M1 + tail1 majorizes |g'| on
-    the disk, and |g| + |g'| grows at rate at most c, since
+    D_k = u_k expm1(c s) / c: |g| + |g'| grows at rate at most c, since
     z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives
     |g''| <= a |g'| + b |g| with a = 2|L|/r, b = 1 + 2|eta|/r + 2|L|/r^2, so
     c = max(1 + a, b).  An arc is proven when |g_k| - err_k - err_(k+1) >
@@ -144,14 +144,13 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     excludes 0, so the principal angle of g_(k+1)/g_k is the true change of
     arg g, and the steps add up to exactly 2 pi times the count.
 
-    A first pass that closes every arc by m1 s sums its angle steps and
-    returns.  Each later pass closes arcs by m1 s or the ODE bound and
-    bisects the rest at their midpoints.  None when an arc cannot close: a
-    sample within 2 err of 0 (or not finite), a midpoint angle that rounds
-    onto its arc's start, or over _MAX_CIRCLE_SAMPLES samples.  Neither
-    proof covers the coefficients' own rounding yet.
+    One loop runs every pass, the first included: it adds up the angle
+    steps of the arcs it closes and bisects the rest at their midpoints.
+    None when an arc cannot close: a sample within 2 err of 0 (or not
+    finite), a midpoint angle that rounds onto its arc's start, or over
+    _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
+    coefficients' own rounding yet.
     """
-    s, m1 = _abs_sums(table, r)
     # rho: each nonnegative term of the computed S carries |a_n| (hypot,
     # within 1 ulp: theta_2), Horner's theta_(2 order) (Higham 2002, eq. 5.3)
     # and the final * r, so S is exact within gamma_(2 order + 3) (Lemmas 3.1,
@@ -159,12 +158,11 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     # while k (k + 1) u <= 1, so rho = (2 order + 6) u = (order + 3) eps covers
     # gamma_(2 order + 5), with u S to spare for underflowed products (2^-1075
     # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
-    if (s + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
+    if (_abs_sum(table, r, 0) + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
         return 1
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
-    err_p = tails[1] + 8 * (table.order + 2) * _EPS * m1
-    m1 += tails[1]
+    err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
     g_coeffs = (0.0,) + table.coeffs
 
     def evaluate(theta):
@@ -175,19 +173,12 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
         return g, size, err, size + np.abs(table.g_prime_values(z)) + err + err_p
 
     n = _CIRCLE_SAMPLES
-    theta = 2 * np.pi * np.arange(n) / n
+    theta, width = 2 * np.pi * np.arange(n) / n, np.full(n, 2 * np.pi / n)
     start, size, err, u = evaluate(theta)
-    end = np.concatenate((start[1:], start[:1]))
-    end_err = np.concatenate((err[1:], err[:1]))
-    slack = size - err - end_err
-    length = r * (2 * np.pi / n + 8 * _EPS)
-    closed = slack > 2 * m1 * length
-    if closed.all():
-        return round(float(np.angle(end / start).sum()) / (2 * np.pi))
-    width, length = np.full(n, 2 * np.pi / n), np.full(n, length)
+    end, end_err = np.roll(start, -1), np.roll(err, -1)
     total, count = 0.0, n
     while True:
-        closed |= slack > 2 * _ode_bound(u, length, c)  # D_k is the smaller bound
+        closed = size - err - end_err > 2 * _ode_bound(u, r * (width + 8 * _EPS), c)
         total += float(np.angle(end[closed] / start[closed]).sum())
         if closed.all():
             return round(total / (2 * np.pi))
@@ -206,9 +197,6 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
         size = np.concatenate((size, size_mid))
         err, end_err = np.concatenate((err, err_mid)), np.concatenate((err_mid, end_err))
         u = np.concatenate((u, u_mid))
-        slack = size - err - end_err
-        length = r * (width + 8 * _EPS)
-        closed = slack > 2 * m1 * length
 
 
 def winding_number(table: CoefficientTable, radius: float) -> int:
@@ -427,7 +415,7 @@ def find_zeros(
     if params.L.imag == 0.0 and params.eta.imag == 0.0:
         h = h.real
         real_coeffs = h.tolist()
-    target = max(tol, 8 * _EPS * _abs_sums(table, trust_radius)[0])
+    target = max(tol, 8 * _EPS * _abs_sum(table, trust_radius, 0))
     gate = _RESIDUAL_FACTOR * max(abs(c) for c in table.coeffs)
     found: list[tuple[complex, float]] = []
     for seed in _seed_roots(h, _seed_degree(h, trust_radius), trust_radius):
@@ -461,20 +449,29 @@ def weierstrass_eval(
 
     abs_error is a heuristic taken from the last included factor's deviation
     from 1 (zero when no factor is included); it tracks how much the newest
-    factor is still moving the product, not a rigorous bound.
+    factor is still moving the product, not a rigorous bound.  A z that is
+    not finite raises DomainError, and a product or error that overflows
+    raises NoConvergence.
     """
     if n_product < 0 or n_product > len(zero_set.zeros):
         raise ValueError(
             f"n_product must lie in [0, {len(zero_set.zeros)}], got {n_product}"
         )
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     L, eta = params.L, params.eta
-    value = z * cmath.exp(eta * z / (L + 1))
-    last_factor = 1.0 + 0.0j
-    for rho in zero_set.zeros[:n_product]:
-        last_factor = (1 - z / rho) * cmath.exp(z / rho)
-        value *= last_factor
-    abs_error = abs(value) * abs(last_factor - 1) if n_product >= 1 else 0.0
+    try:
+        value = z * cmath.exp(eta * z / (L + 1))
+        last_factor = 1.0 + 0.0j
+        for rho in zero_set.zeros[:n_product]:
+            last_factor = (1 - z / rho) * cmath.exp(z / rho)
+            value *= last_factor
+        abs_error = abs(value) * abs(last_factor - 1) if n_product >= 1 else 0.0
+    except OverflowError:  # from cmath.exp; a product overflows to inf unraised
+        value = abs_error = math.inf
+    if not (cmath.isfinite(value) and math.isfinite(abs_error)):
+        raise NoConvergence(f"the partial product overflows at z = {z!r}")
     return ComplexValue(value=value, abs_error=abs_error)
 
 

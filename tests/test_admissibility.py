@@ -278,6 +278,12 @@ class TestPsiLowerBound:
         with pytest.raises(DomainError):
             psi_lower_bound(CoulombParams(0.5, 0.0), "lemniscate", 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, 0.0)])
+    def test_non_finite_z_is_refused(self, z):
+        with pytest.raises(DomainError):
+            psi_lower_bound(CoulombParams(0.5, 0.1), "lemniscate", 0.1, 1.0, z)
+
     def test_chain_never_exceeds_psi(self):
         rng = random.Random(6605)
         for _ in range(2000):

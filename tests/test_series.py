@@ -9,6 +9,7 @@ import pytest
 
 from coulombstar import (
     CoefficientTable,
+    ComplexValue,
     CoulombParams,
     InvalidParams,
     NoConvergence,
@@ -49,6 +50,16 @@ def random_params(rng, box=3.0, margin=0.2):
 
 # ---------------------------------------------------------------------------
 # parameter validation
+
+
+class TestComplexValue:
+    @pytest.mark.parametrize("bad", [-1e-300, -math.inf, math.nan])
+    def test_rejects_a_negative_or_nan_error(self, bad):
+        with pytest.raises(ValueError):
+            ComplexValue(1.0, bad)
+
+    def test_accepts_zero_error(self):
+        assert ComplexValue(1.0, 0.0).abs_error == 0.0
 
 
 class TestCoulombParams:

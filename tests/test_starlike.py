@@ -275,8 +275,8 @@ class TestCertify:
 
     @pytest.mark.parametrize("flavor", list(StarlikeClass))
     def test_tiny_disk_certifies(self, flavor):
-        # 2|L|/r^2 makes the ODE arc bound useless at r = 1e-6; the disk-wide
-        # |g'| bound must still close every arc
+        # 2|L|/r^2 makes the ODE arc bound useless at r = 1e-6; Rouche's
+        # test must prove the disk without it
         report = certify(CoulombParams(1.4, 0.8), flavor, ScanGrid(720, 1e-6))
         assert report.certified and not report.zero_in_disk
 

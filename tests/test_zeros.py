@@ -13,6 +13,7 @@ import coulombstar.zeros as zeros_module
 
 from coulombstar import (
     CoulombParams,
+    DomainError,
     InvalidParams,
     NoConvergence,
     ScanGrid,
@@ -562,8 +563,8 @@ class TestArcCountSoundness:
     """The inputs of _arc_count's proof, checked against g itself."""
 
     # (L, eta, radius, certify's angles or None for winding_number); each
-    # fails Rouche's test and has arcs that fail m1 s and fall back to the
-    # ODE bound.  The count samples its own circle, whatever certify's grid.
+    # fails Rouche's test, so the ODE bound closes its arcs.  The count
+    # samples its own circle, whatever certify's grid.
     CASES = [
         (-0.4, 0.8, 0.999, 720),
         (-0.4, -0.8, 0.999, 12),
@@ -581,8 +582,8 @@ class TestArcCountSoundness:
         (0.5, 0.1, 0.999, 3),
         (0.2 + 0.1j, -0.3 + 0.2j, 0.7, 12),
     ]
-    # certify pairs whose samples close every arc by m1 s at once
-    FIRST_PASS = [(0.5, 0.1, 0.999, 720), (-0.3 + 0.2j, 0.8 - 0.1j, 0.999, 720)]
+    # certify pairs whose samples close every arc by the ODE bound at once
+    ONE_PASS = [(0.5, 0.1, 0.999, 720), (-0.3 + 0.2j, 0.8 - 0.1j, 0.999, 720)]
 
     @pytest.mark.parametrize("L, eta, radius, angles", CASES)
     def test_ode_bound_covers_each_arc(self, monkeypatch, L, eta, radius, angles):
@@ -604,15 +605,19 @@ class TestArcCountSoundness:
             assert length[k] >= radius * 2 * np.pi / n
 
     @pytest.mark.parametrize("L, eta, radius, angles",
-                             CASES + ROUCHE + FIRST_PASS + [(1.2, -0.9, 15.0, None)])
+                             CASES + ROUCHE + ONE_PASS + [(1.2, -0.9, 15.0, None)])
     def test_angle_steps_add_up_to_whole_turns(self, monkeypatch, L, eta, radius, angles):
         # the principal angles of g_(k+1)/g_k sum to 2 pi times the count
         # before rounding; a step left out or counted twice is off by far more.
         # An infinite S fails Rouche's test, so the sampler, which backs the
-        # test up when it fails, counts the ROUCHE pairs too
-        abs_sums = zeros_module._abs_sums
-        monkeypatch.setattr(zeros_module, "_abs_sums",
-                            lambda table, r: (math.inf, abs_sums(table, r)[1]))
+        # test up when it fails, counts the ROUCHE pairs too; M1, which
+        # scales g''s rounding allowance, stays real
+        abs_sum = zeros_module._abs_sum
+
+        def infinite_s(table, r, deriv):
+            return math.inf if deriv == 0 else abs_sum(table, r, deriv)
+
+        monkeypatch.setattr(zeros_module, "_abs_sum", infinite_s)
         turns = []
 
         def recorded(x):
@@ -624,8 +629,8 @@ class TestArcCountSoundness:
         _circle_count(CoulombParams(L, eta), radius, angles)
         assert len(turns) == 1
         assert abs(turns[0] - round(turns[0])) < 1e-9
-        if (L, eta, radius, angles) in self.FIRST_PASS:  # sums every step at once
-            assert not calls
+        if (L, eta, radius, angles) in self.ONE_PASS:  # closes in one pass
+            assert len(calls) == 1
 
 
 def _mp_coefficients(params, order):
@@ -666,7 +671,7 @@ class TestRouche:
                 continue
             assert count == 1
             proven += 1
-            s = zeros_module._abs_sums(table, r)[0]
+            s = zeros_module._abs_sum(table, r, 0)
             with mp.workdps(40):
                 exact = mp.fsum(abs(mp.mpc(c)) * mp.mpf(r) ** (n + 1)
                                 for n, c in enumerate(table.coeffs))
@@ -687,7 +692,7 @@ class TestRouche:
         params, r = CoulombParams(0.5, 0.1), 2.248541828667851
         table = table_for_radius(params, r)
         tail0 = _tail_bounds(table.coeffs, params, r)[0]
-        assert zeros_module._abs_sums(table, r)[0] + tail0 < 2 * r
+        assert zeros_module._abs_sum(table, r, 0) + tail0 < 2 * r
         sampled = []
         bounded_horner = zeros_module._bounded_horner
 
@@ -720,6 +725,21 @@ class TestWeierstrassEval:
             weierstrass_eval(SINE, 0.5, zs, len(zs.zeros) + 1)
         with pytest.raises(ValueError):
             weierstrass_eval(SINE, 0.5, zs, -1)
+
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(0.0, math.nan),
+                                   complex(-math.inf, math.inf), math.nan])
+    def test_non_finite_z_is_refused(self, z):
+        zs = find_zeros(CoulombParams(0.5, 0.1), 5.0)
+        with pytest.raises(DomainError):
+            weierstrass_eval(CoulombParams(0.5, 0.1), z, zs, 1)
+
+    @pytest.mark.parametrize("z, n_product", [(1e200, 1), (1e200, 0), (-1e150j, 1), (1e100j, 2)])
+    def test_overflowing_product_is_refused(self, z, n_product):
+        # 1e200 overflows cmath.exp; at -1e150j and 1e100j the product or
+        # its error overflows to inf without raising
+        zs = find_zeros(CoulombParams(0.5, 0.1), 5.0)
+        with pytest.raises(NoConvergence, match="overflows"):
+            weierstrass_eval(CoulombParams(0.5, 0.1), z, zs, n_product)
 
     def test_more_zeros_improve_the_sine_product(self):
         zs = find_zeros(SINE, 20.0)
