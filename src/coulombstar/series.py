@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import BranchPoint, InvalidParams, NoConvergence, PoleError
+from .errors import BranchPoint, DomainError, InvalidParams, NoConvergence, PoleError
 
 # Hard cap on the series truncation order; requests that cannot be certified
 # below tolerance by this order raise NoConvergence.
@@ -184,6 +184,17 @@ class CoefficientTable:
             raise ValueError("tail_bound must be finite and nonnegative")
 
     @functools.cached_property
+    def is_real(self) -> bool:
+        """Whether every coefficient is real, so that g(conj z) = conj g(z).
+
+        Then the truncated g takes conjugate values at conjugate points, bit
+        for bit up to the sign of a zero: Horner's complex products and its
+        sums of real coefficients round the real and imaginary parts of the
+        conjugate point by the same operations on negated operands.
+        """
+        return not any(c.imag for c in self.coeffs)
+
+    @functools.cached_property
     def _dcoeffs(self) -> tuple[complex, ...]:
         return tuple(_weighted(self.coeffs, 1, self.order))
 
@@ -262,6 +273,8 @@ class _Growth:
     __slots__ = ("params", "radius", "orders", "coeffs", "bounds")
 
     def __init__(self, params: CoulombParams, radius: float, orders=None) -> None:
+        if not math.isfinite(radius):  # |z| of a z that is not finite
+            raise DomainError(f"z must be finite, got |z| = {radius!r}")
         self.params = params
         self.radius = radius
         self.orders = _ORDER_SCHEDULE if orders is None else orders

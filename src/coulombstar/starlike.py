@@ -19,8 +19,11 @@ and proves the disk zero-free apart from the origin through zeros._arc_count,
 the one proven count that also serves winding_number: Rouche's theorem
 against z settles almost every disk in one comparison, and the rest are
 counted on the count's own samples of g.  Positivity of the margin on the
-arcs between P's samples is not proven.  Closed-form sufficient conditions
-on (L, eta) are provided alongside as fast pre-checks.
+arcs between P's samples is not proven.  For real (L, eta), g has real
+coefficients and g(conj z) = conj g(z), so P and each margin take the same
+value at conjugate points: the grid is conjugate-symmetric, and certify
+reads the margins of its upper half only.  Closed-form sufficient
+conditions on (L, eta) are provided alongside as fast pre-checks.
 """
 
 from __future__ import annotations
@@ -116,7 +119,14 @@ def _condition(params: CoulombParams, flavor: StarlikeClass) -> tuple[bool, floa
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Certification circle |z| = r_max with equally spaced sample angles."""
+    """Certification circle |z| = r_max with equally spaced sample angles.
+
+    The points are exactly conjugate-symmetric: points[n - k] ==
+    conj(points[k]).  The upper half, k <= n // 2, is r_max exp(2 pi i k / n),
+    except that for even n the point k = n / 2 is -r_max itself; the lower
+    half is its mirror image.  So for real (L, eta), where g(conj z) =
+    conj g(z), certify reads the whole circle from the upper half.
+    """
 
     angles_per_ring: int = 720
     r_max: float = 0.999
@@ -128,8 +138,11 @@ class ScanGrid:
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
-        theta = 2 * np.pi * np.arange(self.angles_per_ring) / self.angles_per_ring
-        points = self.r_max * np.exp(1j * theta)
+        n = self.angles_per_ring
+        upper = self.r_max * np.exp(1j * (2 * np.pi * np.arange(n // 2 + 1) / n))
+        if n % 2 == 0:
+            upper[-1] = -self.r_max
+        points = np.concatenate((upper, upper[(n - 1) // 2:0:-1].conj()))
         points.flags.writeable = False  # shared by every call on this grid
         return points
 
@@ -202,13 +215,18 @@ def certify(
 
     The grid's g and g' serve the margins only.  P = z g' / g is computed
     unmasked, and the margins of samples below the near-zero floor are then
-    overwritten.
+    overwritten.  For a real table, g(conj z) = conj g(z) bit for bit, so P
+    and every margin take the same value at the grid's mirrored points
+    n - k and k: they are computed on points[:n // 2 + 1] only, and the
+    lowest-index tie rule still reports the upper-half point.
     """
     flavor = StarlikeClass(starlike_class)
     if grid is None:
         grid = ScanGrid()
     table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, tol, 1)
     z = grid.points()
+    if table.is_real:  # the lower half's margins mirror the upper half's
+        z = z[: z.size // 2 + 1]
     g = table.g_values(z)
     gp = table.g_prime_values(z)
     # g ~ z at the origin: the near-zero floor of eval_p, at |z| = r_max

@@ -5,8 +5,10 @@ count routine behind winding_number and starlike.certify: Rouche's theorem
 against z proves a count of 1 in one comparison when S(r) + tail0 < 2r, and
 otherwise the argument principle sums the principal-angle steps of g between
 the routine's own samples, each arc proven to keep g away from 0 by a bound
-on how far g moves along it.  They are then seeded once, by the roots of a
-short prefix of the series polynomial
+on how far g moves along it.  For real L and eta, g(conj z) = conj g(z),
+so arg g changes on the lower half circle as it does on the upper half,
+and only the upper semicircle is sampled.  They are then seeded once, by
+the roots of a short prefix of the series polynomial
 (companion-matrix eigenvalues), and polished one seed at a time by a
 single Newton loop, _newton: first in doubles on the full series, then on
 compensated residuals (_refine_mp), and a refined root that fails the
@@ -126,12 +128,13 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     tails are _tail_bounds at r, and S is _abs_sum's.  First, Rouche's
     theorem against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on |z| = r,
     and S + tail0 < 2r leaves g only the origin's zero in the closed disk.
-    Otherwise g is sampled at theta_k = 2 pi k / 720 by _bounded_horner,
-    err_k being its running rounding bound plus tail0, and u_k = |g_k| +
-    |g'_k| + err_k + tail1 + 8 (order+2) eps M1 bounds the exact |g| + |g'|
-    at the computed point, within 4 eps r of the circle (complex Horner
-    rounds g' by about 5 (order+1) eps M1).  M1 is _abs_sum's too, computed
-    only once Rouche's test has failed, for this allowance alone.
+    Otherwise g is sampled at theta_k = 2 pi k / 720 (k <= 360 for a real
+    table, see below) by _bounded_horner, err_k being its running rounding
+    bound plus tail0, and u_k = |g_k| + |g'_k| + err_k + tail1 + 8 (order+2)
+    eps M1 bounds the exact |g| + |g'| at the computed point, within 4 eps r
+    of the circle (complex Horner rounds g' by about 5 (order+1) eps M1).  M1
+    is _abs_sum's too, computed only once Rouche's test has failed, for this
+    allowance alone.
 
     The path from one computed point along the circle to the next has
     length s <= r (width + 8 eps), and g moves along it by at most
@@ -143,6 +146,13 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     exact g on it and both computed ends lie in one disk about g_k that
     excludes 0, so the principal angle of g_(k+1)/g_k is the true change of
     arg g, and the steps add up to exactly 2 pi times the count.
+
+    For a real table, g(conj z) = conj g(z), so arg g changes along the
+    lower half of the circle exactly as along the upper half: only the upper
+    semicircle is sampled, from r to -r (both exact, on the real axis where
+    the mirror image of the path begins and ends), and the steps add up to
+    pi times the count.  Otherwise the samples run round the whole circle,
+    and the last one repeats z = r, so the path closes exactly.
 
     One loop runs every pass, the first included: it adds up the angle
     steps of the arcs it closes and bisects the rest at their midpoints.
@@ -165,23 +175,26 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
     g_coeffs = (0.0,) + table.coeffs
 
-    def evaluate(theta):
-        z = r * np.exp(1j * theta)
+    def evaluate(z):
         g, err = _bounded_horner(g_coeffs, z, r)
         err += tails[0]
         size = np.abs(g)
         return g, size, err, size + np.abs(table.g_prime_values(z)) + err + err_p
 
-    n = _CIRCLE_SAMPLES
-    theta, width = 2 * np.pi * np.arange(n) / n, np.full(n, 2 * np.pi / n)
-    start, size, err, u = evaluate(theta)
-    end, end_err = np.roll(start, -1), np.roll(err, -1)
-    total, count = 0.0, n
+    real = table.is_real
+    span, m = (np.pi, _CIRCLE_SAMPLES // 2) if real else (2 * np.pi, _CIRCLE_SAMPLES)
+    theta, width = span * np.arange(m + 1) / m, np.full(m, span / m)
+    z = r * np.exp(1j * theta)
+    z[-1] = -r if real else r  # the path ends on the real axis, or where it began
+    g, size, err, u = evaluate(z)
+    theta, start, end, err, end_err = theta[:-1], g[:-1], g[1:], err[:-1], err[1:]
+    size, u = size[:-1], u[:-1]
+    total, count = 0.0, m + 1
     while True:
         closed = size - err - end_err > 2 * _ode_bound(u, r * (width + 8 * _EPS), c)
         total += float(np.angle(end[closed] / start[closed]).sum())
         if closed.all():
-            return round(total / (2 * np.pi))
+            return round(total / span)
         keep = ~closed
         theta, width, start, end, err, end_err, u, size = (
             x[keep] for x in (theta, width, start, end, err, end_err, u, size))
@@ -191,7 +204,7 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
         if (count > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
                 or np.any(mid == theta)):
             return None
-        g_mid, size_mid, err_mid, u_mid = evaluate(mid)
+        g_mid, size_mid, err_mid, u_mid = evaluate(r * np.exp(1j * mid))
         theta, width = np.concatenate((theta, mid)), np.concatenate((width, width))
         start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
         size = np.concatenate((size, size_mid))
@@ -412,7 +425,7 @@ def find_zeros(
         raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven") from exc
     h = np.array(table.coeffs, dtype=complex)
     real_coeffs = None
-    if params.L.imag == 0.0 and params.eta.imag == 0.0:
+    if table.is_real:
         h = h.real
         real_coeffs = h.tolist()
     target = max(tol, 8 * _EPS * _abs_sum(table, trust_radius, 0))

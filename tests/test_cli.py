@@ -116,7 +116,7 @@ class TestEval:
         ("--z", "inf", 4), ("--z", "infi", 4), ("--z", "-Infinity", 4), ("--z", "nan", 4),
     ])
     def test_nonfinite_values_are_refused_not_misparsed(self, runner, flag, text, code):
-        # parameters refuse with InvalidParams (3), a point with NoConvergence (4)
+        # parameters refuse with InvalidParams (3), a point with DomainError (4)
         args = {"--L": "0", "--eta": "0", "--z": "0.5", flag: text}
         result = invoke(runner, ["eval", *(item for pair in args.items() for item in pair)])
         assert result.exit_code == code

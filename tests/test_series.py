@@ -7,10 +7,12 @@ import random
 import mpmath as mp
 import pytest
 
+import coulombstar.series as series
 from coulombstar import (
     CoefficientTable,
     ComplexValue,
     CoulombParams,
+    DomainError,
     InvalidParams,
     NoConvergence,
     BranchPoint,
@@ -28,6 +30,10 @@ from coulombstar import (
     ScanGrid,
     StarlikeClass,
     certify,
+    eval_p,
+    ode_residual_g,
+    ode_residual_p,
+    product_convergence_report,
 )
 from coulombstar.series import _horner, _recurrence_coefficients, _tail_bounds
 
@@ -321,6 +327,33 @@ class TestTinyRadius:
         assert table_for_radius(params, 1e-320).radius == 1e-320  # subnormal stays legal
         certify(params, StarlikeClass.CLASSICAL, ScanGrid(720, 1e-200))
         assert find_zeros(CoulombParams(0.0, 0.0), 1e-300).zeros == ()
+
+
+class TestNonFiniteZ:
+    """A z that is not finite is a domain error, refused before any coefficient is grown."""
+
+    @pytest.mark.parametrize("entry", [
+        eval_g, eval_g_prime, eval_g_second, eval_f, eval_p,
+        ode_residual_g, ode_residual_p, product_convergence_report,
+    ], ids=lambda entry: entry.__name__)
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf),
+        complex(1.0, math.nan), complex(math.inf, math.nan),
+    ])
+    def test_refused_at_once(self, monkeypatch, entry, z):
+        params = CoulombParams(0.5, 0.1)
+        args = (find_zeros(params, 5.0),) if entry is product_convergence_report else ()
+        recurrence = series._recurrence_coefficients
+        grown = []
+
+        def counted(*args):
+            grown.append(args)
+            return recurrence(*args)
+
+        monkeypatch.setattr(series, "_recurrence_coefficients", counted)
+        with pytest.raises(DomainError, match="finite"):
+            entry(params, z, *args)
+        assert grown == []
 
 
 class TestGammaComplex:

@@ -136,6 +136,27 @@ class TestScanGrid:
         with pytest.raises(InvalidParams):
             ScanGrid(angles_per_ring=2**18 + 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 720, 1440])
+    def test_points_are_conjugate_symmetric(self, n):
+        # points[n - k] = conj(points[k]): the real parts share their bits,
+        # the imaginary parts are exact negatives (the points on the real
+        # axis, k = 0 and k = n / 2, have imaginary part +0.0 on both sides)
+        points = ScanGrid(n, 0.999).points()
+        mirror = points[(n - np.arange(n)) % n]
+        assert np.array_equal(mirror.real.view(np.int64), points.real.view(np.int64))
+        assert np.array_equal(mirror.imag, -points.imag)
+        assert points[0] == 0.999 and (n % 2 or points[n // 2] == -0.999)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 720, 1440])
+    def test_upper_half_keeps_the_angle_formula(self, n):
+        # k <= n // 2 keeps r exp(i 2 pi k / n), bit for bit, but for even n
+        # the point k = n / 2 is -r itself
+        points = ScanGrid(n, 0.999).points()[: n // 2 + 1]
+        expected = 0.999 * np.exp(1j * (2 * np.pi * np.arange(n) / n))[: n // 2 + 1]
+        if n % 2 == 0:
+            expected[-1] = -0.999
+        assert points.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("r_max", [5e-324, 1e-310, math.nan])
     def test_subnormal_radius_is_refused(self, r_max):
         # certify at such a radius overflowed z g'/g and the arc bounds, and
@@ -295,7 +316,8 @@ class TestCertify:
         assert -math.inf < report.min_margin < 0  # P's pole sits near the circle
 
     def test_rouche_pair_evaluates_no_bounded_sample(self, monkeypatch):
-        # S + tail0 < 2 r_max proves the disk: g is evaluated on the grid only
+        # S + tail0 < 2 r_max proves the disk: g is evaluated on the grid
+        # only, on its upper half for a real pair
         sizes = []
         g_values = CoefficientTable.g_values
 
@@ -309,23 +331,51 @@ class TestCertify:
         monkeypatch.setattr(CoefficientTable, "g_values", counted)
         monkeypatch.setattr(zeros_module, "_bounded_horner", sampled)
         certify(INSTANCE, StarlikeClass.LEMNISCATE)
-        assert sizes == [720]
+        assert sizes == [361]
 
     @pytest.mark.parametrize("angles", [3, 720])
     def test_count_samples_its_own_circle_when_rouche_fails(self, monkeypatch, angles):
         # (-0.4, 0.8) has a zero in the disk: the count samples g at its own
-        # 720 angles, whatever the grid
-        sizes = []
-        bounded_horner = zeros_module._bounded_horner
-
-        def counted(coeffs, z, r):
-            sizes.append(z.size)
-            return bounded_horner(coeffs, z, r)
-
-        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
-        report = certify(CoulombParams(-0.4, 0.8), StarlikeClass.LEMNISCATE, ScanGrid(angles))
+        # 720 angles, whatever the grid, and for this real pair its first
+        # pass takes the 361 of them on the upper semicircle
+        report, samples = _first_count_pass(monkeypatch, CoulombParams(-0.4, 0.8), angles)
         assert report.zero_in_disk
-        assert sizes[0] == 720
+        assert samples == 361
+
+    @pytest.mark.parametrize("angles", [3, 720])
+    def test_complex_count_samples_the_whole_circle(self, monkeypatch, angles):
+        # a complex pair that fails Rouche's test: 720 arcs on the whole
+        # circle, their path closed by a repeat of the first sample
+        params = CoulombParams(-0.35 + 0.1j, 0.9 - 0.2j)
+        report, samples = _first_count_pass(monkeypatch, params, angles)
+        assert not report.zero_in_disk
+        assert samples == 721
+
+    @pytest.mark.parametrize("angles", [1, 2, 3, 12, 720, 1440])
+    def test_half_grid_matches_full_grid(self, monkeypatch, angles):
+        # for a real table certify reads g on the upper half of the grid and
+        # the count on the upper semicircle; with the realness predicate
+        # turned off it evaluates the whole circle, and every report field
+        # the half hides must come out the same, bit for bit
+        rng = random.Random(20261019 + angles)
+        pairs = [(0.0, 0.0), (1.0, 0.3), (2.0, -0.5), (-1.3, 0.0), (-1.3, 0.4),
+                 (-0.4, 0.8), (0.5, 0.1)]
+        pairs += [(rng.uniform(-0.45, 1.4), rng.uniform(-0.8, 0.8)) for _ in range(25)]
+        pairs += [(rng.uniform(-1.45, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(15)]
+        grid = ScanGrid(angles)
+
+        def reports():
+            return [
+                (report.min_margin.hex(), report.worst_point.real.hex(),
+                 report.worst_point.imag.hex(), report.zero_in_disk)
+                for L, eta in pairs for flavor in StarlikeClass
+                for report in [certify(CoulombParams(L, eta), flavor, grid)]
+            ]
+
+        half = reports()
+        monkeypatch.setattr(CoefficientTable, "is_real", property(lambda table: False))
+        assert half == reports()
+        assert any(zero for *_, zero in half) and not all(zero for *_, zero in half)
 
     def test_jsonable_shape(self):
         report = certify(INSTANCE, StarlikeClass.LEMNISCATE)
@@ -335,6 +385,19 @@ class TestCertify:
         assert set(d["worst_point"].keys()) == {"re", "im"}
         assert d["grid"] == {"angles_per_ring": 720, "r_max": 0.999}
         assert "per_ring_margins" not in d
+
+
+def _first_count_pass(monkeypatch, params, angles):
+    """certify's report, and the number of samples in its count's first bounded pass."""
+    sizes = []
+    bounded_horner = zeros_module._bounded_horner
+
+    def counted(coeffs, z, r):
+        sizes.append(z.size)
+        return bounded_horner(coeffs, z, r)
+
+    monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
+    return certify(params, StarlikeClass.LEMNISCATE, ScanGrid(angles)), sizes[0]
 
 
 def certify_table(params, r_max):

@@ -28,7 +28,14 @@ from coulombstar import (
     weierstrass_eval,
     winding_number,
 )
-from coulombstar.series import _ORDER_SCHEDULE, DEFAULT_TOL, _grow_table, _horner, _tail_bounds
+from coulombstar.series import (
+    _ORDER_SCHEDULE,
+    DEFAULT_TOL,
+    CoefficientTable,
+    _grow_table,
+    _horner,
+    _tail_bounds,
+)
 from coulombstar.zeros import _compensated_horner, _compensated_horner_real
 
 SINE = CoulombParams(0.0, 0.0)
@@ -525,6 +532,38 @@ class TestWindingNumber:
         with pytest.raises(WindingMismatch, match="unproven"):
             find_zeros(SINE, math.pi)
 
+    def test_semicircle_matches_full_circle(self, monkeypatch):
+        # a real table's count runs on the upper semicircle; with the
+        # realness predicate turned off it runs on the whole circle.  Where
+        # the whole circle answers the semicircle must answer, and the same
+        rng = random.Random(20261020)
+        cases = [(SINE, rng.uniform(0.3, 30.0)) for _ in range(40)]
+        cases += [(CoulombParams(rng.uniform(-0.9, 3.0), rng.uniform(-3.0, 3.0)),
+                   rng.uniform(0.3, 30.0)) for _ in range(220)]
+        # for L < -3/2 some zeros come in conjugate pairs off the real axis
+        cases += [(CoulombParams(rng.uniform(-3.4, -1.05), rng.uniform(-3.0, 3.0)),
+                   rng.uniform(0.3, 30.0)) for _ in range(80)]
+        cases.append((CoulombParams(-1.7, 0.5), 10.0))
+
+        def counts():
+            out = []
+            for params, radius in cases:
+                try:
+                    out.append(winding_number(table_for_radius(params, radius), radius))
+                except NoConvergence:
+                    out.append(None)
+            return out
+
+        half = counts()
+        monkeypatch.setattr(CoefficientTable, "is_real", property(lambda table: False))
+        full = counts()
+        assert sum(count is not None for count in full) >= 300
+        for case, semi, whole in zip(cases, half, full):
+            assert whole is None or semi == whole, case
+        zero_set = find_zeros(*cases[-1])  # a conjugate pair at 0.219 -+ 0.547i
+        assert any(rho.imag != 0.0 for rho in zero_set.zeros)
+        assert half[-1] == full[-1] == len(zero_set.zeros) + 1
+
     def test_bounded_horner_bound_holds(self):
         # against the exact sum of the same double coefficients at the same
         # double points, in 60 digits
@@ -588,21 +627,23 @@ class TestArcCountSoundness:
     @pytest.mark.parametrize("L, eta, radius, angles", CASES)
     def test_ode_bound_covers_each_arc(self, monkeypatch, L, eta, radius, angles):
         # D_k must bound how far g moves from g(z_k) along arc k, which a
-        # u_k missing |g'_k| does not; the first pass is the equal-width grid
+        # u_k missing |g'_k| does not; the first pass is the equal-width grid,
+        # on the upper semicircle for a real table
         params = CoulombParams(L, eta)
         calls = _ode_bounds(monkeypatch)
         _circle_count(params, radius, angles)
         assert calls, "no arc fell back to the ODE bound"
         u, length, bound = calls[0]
         n = u.size
-        assert n == zeros_module._CIRCLE_SAMPLES
         table = table_for_radius(params, radius)
+        span = np.pi if table.is_real else 2 * np.pi
+        assert n == zeros_module._CIRCLE_SAMPLES * span / (2 * np.pi)
         steps = np.arange(65) / 64
         for k in range(n):
-            theta = 2 * np.pi * (k + steps) / n
+            theta = span * (k + steps) / n
             g = table.g_values(radius * np.exp(1j * theta))
             assert np.max(np.abs(g - g[0])) <= bound[k], k
-            assert length[k] >= radius * 2 * np.pi / n
+            assert length[k] >= radius * span / n
 
     @pytest.mark.parametrize("L, eta, radius, angles",
                              CASES + ROUCHE + ONE_PASS + [(1.2, -0.9, 15.0, None)])
