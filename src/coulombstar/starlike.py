@@ -251,13 +251,19 @@ def certify(
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One parameter-sweep entry; slack is NaN for the classical flavor."""
+    """One parameter-sweep entry; slack is NaN for the classical flavor.
+
+    zero_in_disk is the report's: it tells a min_margin of -inf from a zero
+    of g in the disk apart from one where P falls on the exponential class's
+    branch cut.  A refused (NaN) row keeps False.
+    """
 
     L: float
     eta: float
     slack: float
     min_margin: float
     certified: bool
+    zero_in_disk: bool = False
 
 
 _MAX_LATTICE = 10**6  # values allowed on one scan axis
@@ -310,6 +316,7 @@ def parameter_scan(
                         slack=slack,
                         min_margin=report.min_margin,
                         certified=report.certified,
+                        zero_in_disk=report.zero_in_disk,
                     )
                 )
             except CoulombError:

@@ -1,22 +1,34 @@
 """Zero location, the proven zero count, and the Hadamard product rebuild.
 
 Zeros of the entire function g are counted first, by _arc_count, the one
-count routine behind winding_number and starlike.certify: Rouche's theorem
-against z proves a count of 1 in one comparison when S(r) + tail0 < 2r, and
-otherwise the argument principle sums the principal-angle steps of g between
-the routine's own samples, each arc proven to keep g away from 0 by a bound
-on how far g moves along it.  For real L and eta, g(conj z) = conj g(z),
-so arg g changes on the lower half circle as it does on the upper half,
-and only the upper semicircle is sampled.  They are then seeded once, by
-the roots of a short prefix of the series polynomial
-(companion-matrix eigenvalues), and polished one seed at a time by a
-single Newton loop, _newton: first in doubles on the full series, then on
-compensated residuals (_refine_mp), and a refined root that fails the
-residual gate or repeats one already kept is dropped.  The prefix ends at
-the last term that still matters on |z| = 1.05 R (_SEED_CUT); for real L
-and eta it goes to the real companion matrix, and a real zero is refined
-in real arithmetic.  An unproven count, or a list that disagrees with it,
-raises WindingMismatch.  The located zeros feed the product
+count routine behind winding_number, find_zeros and starlike.certify:
+Rouche's theorem against z proves a count of 1 in one comparison when
+S(r) + tail0 < 2r, and otherwise the argument principle sums the
+principal-angle steps of g between the routine's own samples, each arc
+proven to keep g away from 0 by a bound on how far g moves along it.  For
+real L and eta, g(conj z) = conj g(z), so arg g changes on the lower half
+circle as it does on the upper half, and only the upper semicircle is
+sampled.
+
+For real L and eta, g is also real on the real axis, and find_zeros proves
+the zeros from sign changes there: the count's first pass samples g on the
+diameter [-R, R] as well, each sign proven by the count's own error model,
+and when the sign changes (the origin's included) number the count, each
+bracket holds exactly one simple zero and none lies off the axis.  Newton
+in real floats from each bracket's regula-falsi point, then on compensated
+residuals (_refine_mp's real kernel), finds it inside its bracket.  Like
+the count, this proof does not cover the coefficients' own rounding yet.
+
+Complex tables, and real tables whose bracket proof fails, are seeded once
+by the roots of a short prefix of the series polynomial (companion-matrix
+eigenvalues) and polished one seed at a time by a single Newton loop,
+_newton: first in doubles on the full series, then on compensated
+residuals (_refine_mp), and a refined root that fails the residual gate or
+repeats one already kept is dropped.  The prefix ends at the last term that
+still matters on |z| = 1.05 R (_SEED_CUT); for real L and eta it goes to
+the real companion matrix, and a real zero is refined in real arithmetic.
+An unproven count, or a list that disagrees with it, raises
+WindingMismatch.  The located zeros feed the product
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
 
@@ -40,6 +52,7 @@ from .series import (
     ComplexValue,
     CoulombParams,
     _abs_sum,
+    _horner,
     _tail_bounds,
     table_for_radius,
 )
@@ -51,6 +64,8 @@ _RESIDUAL_FACTOR = 1e-10
 # seed-polynomial cut: keep a_n while |a_n| (1.05 R)^n > _SEED_CUT * max
 _SEED_CUT = 1e-9
 _SEED_REACH = 1.05
+_BRACKET_STEP = 0.5  # find_zeros' diameter scan: the most one step spans, the origin's aside
+_NO_POINTS = np.empty(0)  # a complex table's diameter scan: the count's pass gains no point
 
 
 @dataclass(frozen=True)
@@ -85,7 +100,7 @@ _MAX_GROWTH = 50.0  # the ODE arc bound is used while e^(c s) stays below e^50
 
 
 def _bounded_horner(coeffs, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """series._horner's value (same bits) of sum coeffs[n] z^n on |z| = r, and its rounding bound.
+    """series._horner's value (same bits) of sum coeffs[n] z^n, |z| <= r, and its rounding bound.
 
     Running error bound (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, section 5.1): the step s_k = s_(k+1) z + a_k rounds its
@@ -122,7 +137,7 @@ def _check_radius(name: str, radius: float, below: float = math.inf) -> None:
         raise InvalidParams(f"{name} must be a normal double below {below}, got {radius!r}")
 
 
-def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
+def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None = None):
     """Proven count of the zeros of g in |z| < r, for a normal double r.
 
     tails are _tail_bounds at r, and S is _abs_sum's.  First, Rouche's
@@ -160,6 +175,11 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     finite), a midpoint angle that rounds onto its arc's start, or over
     _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
     coefficients' own rounding yet.
+
+    Given real points `axis` in [-r, r] (find_zeros' diameter scan of a real
+    table), the first pass evaluates them in the same _bounded_horner call
+    as the circle, and the result is (count, scan): scan is g there and its
+    err (tail0 included), or None when Rouche's test settles the count.
     """
     # rho: each nonnegative term of the computed S carries |a_n| (hypot,
     # within 1 ulp: theta_2), Horner's theta_(2 order) (Higham 2002, eq. 5.3)
@@ -169,24 +189,28 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     # gamma_(2 order + 5), with u S to spare for underflowed products (2^-1075
     # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
     if (_abs_sum(table, r, 0) + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
-        return 1
+        return 1 if axis is None else (1, None)
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
     err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
     g_coeffs = (0.0,) + table.coeffs
 
-    def evaluate(z):
-        g, err = _bounded_horner(g_coeffs, z, r)
+    def evaluate(z, extra=None):
+        """g, |g|, err and u on the circle points z, and g and err on `extra`."""
+        points = z if extra is None else np.concatenate((z, extra))
+        g, err = _bounded_horner(g_coeffs, points, r)
         err += tails[0]
+        scan = None if extra is None else (g[z.size:].real, err[z.size:])
+        g, err = g[:z.size], err[:z.size]
         size = np.abs(g)
-        return g, size, err, size + np.abs(table.g_prime_values(z)) + err + err_p
+        return g, size, err, size + np.abs(table.g_prime_values(z)) + err + err_p, scan
 
     real = table.is_real
     span, m = (np.pi, _CIRCLE_SAMPLES // 2) if real else (2 * np.pi, _CIRCLE_SAMPLES)
     theta, width = span * np.arange(m + 1) / m, np.full(m, span / m)
     z = r * np.exp(1j * theta)
     z[-1] = -r if real else r  # the path ends on the real axis, or where it began
-    g, size, err, u = evaluate(z)
+    g, size, err, u, scan = evaluate(z, axis)
     theta, start, end, err, end_err = theta[:-1], g[:-1], g[1:], err[:-1], err[1:]
     size, u = size[:-1], u[:-1]
     total, count = 0.0, m + 1
@@ -194,7 +218,8 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
         closed = size - err - end_err > 2 * _ode_bound(u, r * (width + 8 * _EPS), c)
         total += float(np.angle(end[closed] / start[closed]).sum())
         if closed.all():
-            return round(total / span)
+            turns = round(total / span)
+            return turns if axis is None else (turns, scan)
         keep = ~closed
         theta, width, start, end, err, end_err, u, size = (
             x[keep] for x in (theta, width, start, end, err, end_err, u, size))
@@ -203,8 +228,8 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
         count += mid.size
         if (count > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
                 or np.any(mid == theta)):
-            return None
-        g_mid, size_mid, err_mid, u_mid = evaluate(r * np.exp(1j * mid))
+            return None if axis is None else (None, None)
+        g_mid, size_mid, err_mid, u_mid, _ = evaluate(r * np.exp(1j * mid))
         theta, width = np.concatenate((theta, mid)), np.concatenate((width, width))
         start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
         size = np.concatenate((size, size_mid))
@@ -395,40 +420,79 @@ def _seed_roots(h: np.ndarray, degree: int, trust_radius: float) -> np.ndarray:
         ) from exc
 
 
-def find_zeros(
-    params: CoulombParams, trust_radius: float, tol: float = DEFAULT_TOL
-) -> ZeroSet:
-    """Locate every zero of g with 0 < |rho| <= trust_radius.
+def _diameter(r: float) -> np.ndarray:
+    """The real points x_k = r k / n, k = -n .. n but 0, n = ceil(r / _BRACKET_STEP).
 
-    The origin zero is structural (g(z) = z + ...) and is excluded from the
-    list; the winding count over the trust circle is proven first, and an
-    unproven count raises WindingMismatch before any seeding.  Seeds are the
-    roots of g = z h's cofactor h cut after its last term above _SEED_CUT of
-    the largest on |z| = 1.05 R; for real L and eta that prefix is a float64
-    array, so np.roots takes LAPACK's real eigensolver.  Each seed within
-    1.05 R takes one pass: Newton in doubles down to max(tol, 8 eps S(R)),
-    S(R) = sum |a_n| R^(n+1), then the compensated refinement of _refine_mp.
-    The refined root is kept when its residual, the compensated |g| there,
-    is at most 1e-10 max |a_n| (where 8 eps S(R) is large, double Newton can
-    stop where g is not small), 0 < |rho| <= R, and it lies more than 1e-8
-    from every zero already kept.  The list plus the origin must match the
-    count, or WindingMismatch.  Zeros are sorted by modulus, ties broken by
-    principal-branch argument; each is the double that Newton on
-    compensated residuals settles on (a real zero of a real table in the
-    real kernel).
+    k / n rounds to at most 1, so every point lies in [-r, r], the ends are
+    -r and r exactly, and the points increase with k.  Neighbours lie at
+    most _BRACKET_STEP apart, but for the origin's bracket (-r/n, r/n).
     """
-    _check_radius("trust_radius", trust_radius)
-    table = table_for_radius(params, trust_radius, tol)
-    try:
-        count = winding_number(table, trust_radius)
-    except NoConvergence as exc:
-        raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven") from exc
+    n = math.ceil(r / _BRACKET_STEP)
+    k = np.arange(-n, n + 1)
+    return r * (k[k != 0] / n)
+
+
+def _bracketed_zeros(
+    table: CoefficientTable, count: int, axis: np.ndarray, scan, real_coeffs, target: float
+) -> list[tuple[complex, float]] | None:
+    """A real table's zeros from proven sign changes on the diameter, or None.
+
+    scan is g and its err at the points `axis`, from _arc_count's first
+    pass: the sign of g_j is proven when |g_j| > err_j, the count's own
+    error model, tail0 included.  g is real on the real axis, so each pair
+    of neighbouring points with opposite proven signs brackets an odd number
+    of zeros; one of them holds the origin's.  When the proven count equals
+    the number of sign changes, each bracket holds exactly one simple zero
+    and no zero lies off the axis (no appeal to Ikebe's theorem).  A proven
+    count of 1 lists no zero.  Each other bracket's zero is found by double
+    Newton in real floats down to `target`, started from the regula-falsi
+    point of the bracket's two scan values, and refined by _refine_mp's real
+    kernel; it must land strictly inside its bracket.  None on any failure:
+    an undecided sign, a count mismatch, a Newton run that stops short of
+    `target`, or a root outside its bracket.  Like the count, the proof does
+    not cover the coefficients' own rounding yet.
+    """
+    if count == 1:
+        return []
+    values, err = scan
+    if not np.all(np.abs(values) > err):
+        return None
+    positive = values > 0
+    changes = np.flatnonzero(positive[1:] != positive[:-1])
+    if changes.size != count:
+        return None
+    real_prime = [(n + 1) * a for n, a in enumerate(real_coeffs)]
+
+    def g(x):
+        return x * _horner(real_coeffs, x)
+
+    def g_prime(x):
+        return _horner(real_prime, x)
+
+    xs, gs = axis.tolist(), values.tolist()
+    origin = len(xs) // 2 - 1  # the bracket (-r/n, r/n)
+    found = []
+    for j in changes.tolist():
+        if j == origin:
+            continue
+        a, b, ga, gb = xs[j], xs[j + 1], gs[j], gs[j + 1]
+        x, size = _newton(g, g_prime, a - ga * (b - a) / (gb - ga), _NEWTON_MAX_STEPS, target)
+        if not size <= target:
+            return None
+        root, residual = _refine_mp(table, complex(x), real_coeffs)
+        if not a < root.real < b:
+            return None
+        found.append((complex(root.real + 0.0, root.imag + 0.0), residual))
+    return found
+
+
+def _companion_zeros(
+    table: CoefficientTable, trust_radius: float, real_coeffs, target: float
+) -> list[tuple[complex, float]]:
+    """Zeros polished from the companion-matrix roots of h's prefix (see find_zeros)."""
     h = np.array(table.coeffs, dtype=complex)
-    real_coeffs = None
-    if table.is_real:
+    if real_coeffs is not None:
         h = h.real
-        real_coeffs = h.tolist()
-    target = max(tol, 8 * _EPS * _abs_sum(table, trust_radius, 0))
     gate = _RESIDUAL_FACTOR * max(abs(c) for c in table.coeffs)
     found: list[tuple[complex, float]] = []
     for seed in _seed_roots(h, _seed_degree(h, trust_radius), trust_radius):
@@ -445,6 +509,57 @@ def find_zeros(
         ):
             # normalize signed zeros so sort order does not depend on -0.0
             found.append((complex(root.real + 0.0, root.imag + 0.0), residual))
+    return found
+
+
+def find_zeros(
+    params: CoulombParams, trust_radius: float, tol: float = DEFAULT_TOL
+) -> ZeroSet:
+    """Locate every zero of g with 0 < |rho| <= trust_radius.
+
+    The origin zero is structural (g(z) = z + ...) and is excluded from the
+    list; the zero count over the trust circle is proven first, by
+    _arc_count, and an unproven count raises WindingMismatch before any
+    zero is sought.  For real L and eta the count's first pass also samples
+    g on the diameter [-R, R] (the points of _diameter), and
+    _bracketed_zeros proves the zeros from the sign changes there: each
+    lies in its own bracket, found by Newton in real floats and refined in
+    the real compensated kernel, with no companion matrix, residual gate or
+    dedup distance.  Like the count, that proof does not cover the
+    coefficients' own rounding yet.
+
+    Every other table, and a real table whose bracket proof fails (an
+    undecided sign, fewer sign changes than the count, as with the conjugate
+    pair of (-1.7, 0.5), or a root outside its bracket), takes the companion
+    path, _companion_zeros.  Seeds are the roots of g = z h's cofactor h cut
+    after its last term above _SEED_CUT of the largest on |z| = 1.05 R; for
+    real L and eta that prefix is a float64 array, so np.roots takes
+    LAPACK's real eigensolver.  Each seed within 1.05 R takes one pass:
+    Newton in doubles down to max(tol, 8 eps S(R)), S(R) = sum |a_n|
+    R^(n+1), then the compensated refinement of _refine_mp.  The refined
+    root is kept when its residual, the compensated |g| there, is at most
+    1e-10 max |a_n| (where 8 eps S(R) is large, double Newton can stop where
+    g is not small), 0 < |rho| <= R, and it lies more than 1e-8 from every
+    zero already kept.
+
+    The list plus the origin must match the count, or WindingMismatch.
+    Zeros are sorted by modulus, ties broken by principal-branch argument;
+    each is the double that Newton on compensated residuals settles on (a
+    real zero of a real table in the real kernel).
+    """
+    _check_radius("trust_radius", trust_radius)
+    table = table_for_radius(params, trust_radius, tol)
+    tails = _tail_bounds(table.coeffs, params, trust_radius)
+    real = table.is_real
+    axis = _diameter(trust_radius) if real else _NO_POINTS
+    count, scan = (None, None) if tails is None else _arc_count(table, tails, trust_radius, axis)
+    if count is None:
+        raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven")
+    real_coeffs = [c.real for c in table.coeffs] if real else None
+    target = max(tol, 8 * _EPS * _abs_sum(table, trust_radius, 0))
+    found = _bracketed_zeros(table, count, axis, scan, real_coeffs, target) if real else None
+    if found is None:
+        found = _companion_zeros(table, trust_radius, real_coeffs, target)
     if count != len(found) + 1:
         raise WindingMismatch(
             f"winding count over |z| = {trust_radius} is {count}, against "

@@ -500,6 +500,19 @@ class TestParameterScan:
         with pytest.raises(ValueError, match="a fault"):
             parameter_scan((0.5, 0.5, 0.1), (0.0, 0.0, 0.1), StarlikeClass.LEMNISCATE)
 
+    @pytest.mark.parametrize("L, eta, in_disk", [(-0.4, 0.8, True), (-0.4, -0.7, False)])
+    def test_row_tells_a_zero_in_disk_from_the_branch_cut(self, L, eta, in_disk):
+        # both rows read -inf: (-0.4, 0.8) has a zero of g in the disk, and
+        # (-0.4, -0.7) has P on the exponential branch cut at z = -r_max
+        (row,) = parameter_scan((L, L, 0.1), (eta, eta, 0.1), StarlikeClass.EXPONENTIAL)
+        report = certify(CoulombParams(L, eta), StarlikeClass.EXPONENTIAL, ScanGrid())
+        assert row.min_margin == -math.inf and not row.certified
+        assert row.zero_in_disk is report.zero_in_disk is in_disk
+
+    def test_refused_row_has_no_zero_in_disk(self):
+        (row,) = parameter_scan((-1.0, -1.0, 0.5), (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL)
+        assert math.isnan(row.min_margin) and row.zero_in_disk is False
+
     def test_classical_rows_have_nan_slack(self):
         rows = parameter_scan(
             (0.5, 0.5, 0.1), (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL,

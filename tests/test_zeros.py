@@ -1,9 +1,11 @@
 """Unit tests for zero location and the Hadamard product rebuild."""
 
 import cmath
+import importlib
 import math
 import random
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -209,6 +211,7 @@ class TestCompensatedRefinement:
 
 def _full_complex_seeding(monkeypatch):
     """Seed from the whole table as complex128 and refine in the complex kernel."""
+    _companion_only(monkeypatch)
     roots = np.roots
     monkeypatch.setattr(zeros_module, "_seed_degree", lambda h, radius: h.size - 1)
     monkeypatch.setattr(np, "roots", lambda p: roots(np.asarray(p, dtype=complex)))
@@ -259,6 +262,7 @@ class TestSeeding:
     @pytest.mark.parametrize("params", [SINE, CoulombParams(0.5, 0.3)])
     def test_aggressive_cut_is_caught_by_the_count(self, params, monkeypatch):
         # a prefix cut at 1e-2 loses zeros within 20; there is no reseed
+        _companion_only(monkeypatch)
         seeds = _spy(monkeypatch, "_seed_roots")
         monkeypatch.setattr(zeros_module, "_SEED_CUT", 1e-2)
         with pytest.raises(WindingMismatch, match="listed zeros"):
@@ -279,6 +283,7 @@ class TestSeeding:
             return roots(p)
 
         monkeypatch.setattr(np, "roots", recorded)
+        _companion_only(monkeypatch)
         find_zeros(params, 9.0)
         assert dtypes == [dtype]
 
@@ -377,14 +382,24 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _companion_only(monkeypatch):
+    """Make the bracket proof fail, so that a real table takes the companion path."""
+    monkeypatch.setattr(zeros_module, "_bracketed_zeros", lambda *args: None)
+
+
 class TestPolishPaths:
-    """find_zeros seed paths that the seeded benchmark traffic never takes."""
+    """find_zeros seed paths that the seeded benchmark traffic never takes.
+
+    Real tables take the companion path here only when the bracket proof
+    fails, so each real case forces that path.
+    """
 
     @pytest.mark.parametrize(
         "params, radius", [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0),
                            (CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 12.0)]
     )
     def test_each_seed_twice_gives_the_same_bits(self, params, radius, monkeypatch):
+        _companion_only(monkeypatch)
         with monkeypatch.context() as m:
             refined = _spy(m, "_refine_mp")
             expected = _bits(find_zeros(params, radius))
@@ -397,6 +412,7 @@ class TestPolishPaths:
     def test_seed_beyond_reach_is_skipped(self, monkeypatch):
         # Newton from 21.2i walks down the imaginary axis onto the origin
         far = 21.2j
+        _companion_only(monkeypatch)
         expected = _bits(find_zeros(SINE, 20.0))
         _extra_seeds(monkeypatch, lambda roots: np.append(roots, far))
         newton = _spy(monkeypatch, "_newton")
@@ -405,6 +421,7 @@ class TestPolishPaths:
 
     def test_zero_beyond_the_radius_is_dropped(self, monkeypatch):
         # 20.9 is within 1.05 R, and Newton from it converges to 7 pi > 20
+        _companion_only(monkeypatch)
         expected = _bits(find_zeros(SINE, 20.0))
         _extra_seeds(monkeypatch, lambda roots: np.append(roots, 20.9))
         refined = _spy(monkeypatch, "_refine_mp")
@@ -414,6 +431,7 @@ class TestPolishPaths:
         assert beyond == pytest.approx(7 * math.pi, abs=1e-7)
 
     def test_rejected_seed_frozen_bits(self, monkeypatch):
+        _companion_only(monkeypatch)
         newton = _spy(monkeypatch, "_newton")
         assert _bits(find_zeros(CoulombParams(2.2, 2.7), 19.0)) == REJECTED_SEED_BITS
         # (g, g', seed, steps, target) -> (root, |g(root)|)
@@ -426,6 +444,7 @@ class TestPolishPaths:
                        (ORIGIN_SEED_CASE, ORIGIN_SEED_BITS)]
     )
     def test_refined_roots_are_deduplicated_in_one_pass(self, case, bits, monkeypatch):
+        _companion_only(monkeypatch)
         seeds = _spy(monkeypatch, "_seed_roots")
         assert _bits(find_zeros(*case)) == bits
         assert len(seeds) == 1
@@ -450,6 +469,158 @@ class TestPolishPaths:
         expected = _bits(find_zeros(SINE, 29.99))
         assert len(expected) == 18
         assert _bits(find_zeros(SINE, 29.99, tol=1e-300)) == expected
+
+
+# (L, eta) = (-1.7, 0.5) at radius 10 has a conjugate pair at 0.219 -+ 0.547i,
+# and (0.5, -20) at radius 6 nine positive zeros, some closer than the scan's
+# step: (re, im, residual) as float.hex, frozen from the companion path
+CONJUGATE_PAIR_BITS = [
+    ("0x1.bfe6a5dc844bcp-3", "-0x1.182fa33a3ded3p-1", "0x1.0953629fc2711p-55"),
+    ("0x1.bfe6a5dc844bcp-3", "0x1.182fa33a3ded3p-1", "0x1.0953629fc2711p-55"),
+    ("-0x1.0dee5668dae47p+1", "0x0.0p+0", "0x1.7493fa2bcceb3p-50"),
+    ("-0x1.3f82a84836bd5p+2", "0x0.0p+0", "0x1.f77e82a5bd889p-49"),
+    ("0x1.46c8eccc1c921p+2", "0x0.0p+0", "0x1.e4e2fc9283b80p-45"),
+    ("-0x1.fcf07c99d2034p+2", "0x0.0p+0", "0x1.2c3de0a71c149p-47"),
+    ("0x1.11fa71794dd40p+3", "0x0.0p+0", "0x1.1791efe27f5eap-42"),
+]
+DENSE_ZERO_BITS = [
+    ("0x1.51071424fffdep-3", "0x0.0p+0", "0x1.ab170b8ed9fdcp-61"),
+    ("0x1.c3a3cd96204c0p-2", "0x0.0p+0", "0x1.a5f142578e801p-63"),
+    ("0x1.acf0f8e8bd373p-1", "0x0.0p+0", "0x1.17fec783d900ap-60"),
+    ("0x1.5a44e624c6872p+0", "0x0.0p+0", "0x1.1528d6f0a1a59p-58"),
+    ("0x1.fb91b9faa6999p+0", "0x0.0p+0", "0x1.adc8f487bb4ccp-59"),
+    ("0x1.5cbfa3672e78ap+1", "0x0.0p+0", "0x1.ec9c8e1aea2edp-61"),
+    ("0x1.c98908fe4f687p+1", "0x0.0p+0", "0x1.8c2888e8625c6p-60"),
+    ("0x1.21ce571a9ff57p+2", "0x0.0p+0", "0x1.54ad7f84dc699p-59"),
+    ("0x1.65356606789dep+2", "0x0.0p+0", "0x1.beeb92d3a76b8p-62"),
+]
+
+
+def _fingerprint_draw(count):
+    """The real and sine thirds of tools/fingerprint.py's first `count` zero inputs."""
+    rng, cases = random.Random(20261019), []
+    for i in range(count):
+        radius = rng.uniform(0.3, 30.0)
+        if i % 3 == 2:
+            cases.append((SINE, radius))
+            continue
+        L, eta = rng.uniform(-0.9, 3.0), rng.uniform(-3.0, 3.0)
+        if i % 3 == 0:
+            cases.append((CoulombParams(L, eta), radius))
+        else:  # a complex pair's imaginary parts, drawn to keep the sequence in step
+            rng.uniform(-0.5, 0.5)
+            rng.uniform(-1.0, 1.0)
+    return cases
+
+
+def _answer(params, radius):
+    """find_zeros' bits, or the class name of its refusal."""
+    try:
+        return _bits(find_zeros(params, radius))
+    except (NoConvergence, WindingMismatch) as exc:
+        return type(exc).__name__
+
+
+class TestBrackets:
+    """Real tables: zeros from proven sign changes of g on the diameter."""
+
+    def test_brackets_match_the_companion_path(self, monkeypatch):
+        cases = _fingerprint_draw(150)
+        brackets = _spy(monkeypatch, "_bracketed_zeros")
+        got = [_answer(*case) for case in cases]
+        answered = sum(found is not None for _, found in brackets)
+        _companion_only(monkeypatch)
+        assert [_answer(*case) for case in cases] == got
+        assert len(cases) == 100 and answered >= 80
+
+    def test_no_companion_matrix_on_real_benchmark_inputs(self, monkeypatch):
+        # the zeros workload's seed-7 pool: 120 of its 192 inputs are real
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        real = [op.call for op in workloads.Zeros(7).ops
+                if op.call.params.L.imag == 0 and op.call.params.eta.imag == 0]
+        roots = []
+        monkeypatch.setattr(np, "roots", lambda p: roots.append(p))
+        for call in real:
+            find_zeros(call.params, call.radius)
+        assert len(real) == 120 and roots == []
+
+    @pytest.mark.parametrize("params, radius, bits", [
+        (CoulombParams(-1.7, 0.5), 10.0, CONJUGATE_PAIR_BITS),
+        (CoulombParams(0.5, -20.0), 6.0, DENSE_ZERO_BITS),
+    ])
+    def test_too_few_sign_changes_take_the_companion_path(self, params, radius, bits,
+                                                           monkeypatch):
+        brackets = _spy(monkeypatch, "_bracketed_zeros")
+        seeds = _spy(monkeypatch, "_seed_roots")
+        assert _bits(find_zeros(params, radius)) == bits
+        assert [found for _, found in brackets] == [None] and len(seeds) == 1
+
+    def test_undecided_sign_takes_the_companion_path(self, monkeypatch):
+        # the scan point x_7 = R 7/9 lies 10 ulps above the zero near pi, where
+        # |g| = 4.2e-15 is below its err of 1.7e-14: a sign taken from |g| > 0
+        # would bracket the zero from the wrong side of the proof
+        radius = float.fromhex("0x1.0282191998abbp+2")
+        brackets = _spy(monkeypatch, "_bracketed_zeros")
+        seeds = _spy(monkeypatch, "_seed_roots")
+        zs = find_zeros(SINE, radius)
+        (args, found), = brackets
+        values, err = args[3]
+        assert found is None and len(seeds) == 1
+        assert 0 < abs(values[15]) < err[15]
+        assert _bits(zs) == _bits(find_zeros(SINE, 4.0))
+
+    def test_root_outside_its_bracket_takes_the_companion_path(self, monkeypatch):
+        # the first refined root is moved a whole unit, past its bracket's
+        # width of at most 0.5; the companion path then lists the zeros
+        expected = _bits(find_zeros(CoulombParams(0.7, -0.4), 8.0))
+        refine = zeros_module._refine_mp
+        calls = []
+
+        def moved(table, root, real_coeffs=None):
+            out_root, residual = refine(table, root, real_coeffs)
+            calls.append(root)
+            return (out_root + 1.0 if len(calls) == 1 else out_root), residual
+
+        monkeypatch.setattr(zeros_module, "_refine_mp", moved)
+        seeds = _spy(monkeypatch, "_seed_roots")
+        assert _bits(find_zeros(CoulombParams(0.7, -0.4), 8.0)) == expected
+        assert len(seeds) == 1
+
+    def test_diameter_points(self):
+        for radius in (1e-300, 0.3, 0.5, 4.25, 20.0, 29.99):
+            x = zeros_module._diameter(radius)
+            n = math.ceil(radius / 0.5)
+            step = np.diff(x)
+            assert x.size == 2 * n and x[0] == -radius and x[-1] == radius
+            assert np.all(step > 0) and 0.0 not in x
+            # steps of at most 0.5, but the origin's bracket (-R/n, R/n)
+            assert np.all(np.delete(step, n - 1) <= 0.5 * (1 + 1e-15))
+
+    def test_bounded_horner_bound_holds_on_the_diameter(self):
+        # the sign proof's err at real points inside the circle, against the
+        # exact sum of the same double coefficients in 60 digits
+        table = table_for_radius(CoulombParams(0.3, -0.7), 25.0)
+        x = zeros_module._diameter(25.0)
+        value, bound = zeros_module._bounded_horner(table.coeffs, x.astype(complex), 25.0)
+        with mp.workdps(60):
+            for w, v, b in zip(x, value, bound):
+                exact = mp.polyval([mp.mpf(a.real) for a in reversed(table.coeffs)], mp.mpf(w))
+                assert v.imag == 0.0 and abs(exact - mp.mpf(v.real)) <= b
+
+    def test_scan_comes_from_the_count_pass(self, monkeypatch):
+        # one _bounded_horner call carries the semicircle and the diameter
+        calls = []
+        bounded_horner = zeros_module._bounded_horner
+
+        def counted(coeffs, z, r):
+            calls.append(z.size)
+            return bounded_horner(coeffs, z, r)
+
+        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
+        zs = find_zeros(CoulombParams(0.7, -0.4), 8.0)
+        assert calls == [zeros_module._CIRCLE_SAMPLES // 2 + 1 + 2 * 16]
+        assert len(zs.zeros) == 3
 
 
 class TestWindingNumber:
