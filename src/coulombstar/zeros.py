@@ -21,12 +21,15 @@ the count, this proof does not cover the coefficients' own rounding yet.
 
 Complex tables, and real tables whose bracket proof fails, are seeded once
 by the roots of a short prefix of the series polynomial (companion-matrix
-eigenvalues) and polished one seed at a time by a single Newton loop,
-_newton: first in doubles on the full series, then on compensated
-residuals (_refine_mp), and a refined root that fails the residual gate or
-repeats one already kept is dropped.  The prefix ends at the last term that
-still matters on |z| = 1.05 R (_SEED_CUT); for real L and eta it goes to
-the real companion matrix, and a real zero is refined in real arithmetic.
+eigenvalues).  The prefix ends at the last term that still matters on
+|z| = 1.05 R (_SEED_CUT); for real L and eta it goes to the real companion
+matrix.  Either path polishes all its starts together, in phases of one
+lockstep Newton loop each (_newton): first in doubles on the full series,
+then, for every root that reaches the double target, on compensated
+residuals (_refine_mp), where one batched _compensated_horner call per step
+evaluates all the roots still moving, and a real zero is refined in real
+arithmetic.  Only then are the roots checked: against their brackets, or
+against the residual gate and the roots already kept.
 An unproven count, or a list that disagrees with it, raises
 WindingMismatch.  The located zeros feed the product
 
@@ -38,6 +41,7 @@ whose partial products converge to g as more zeros are included.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -54,6 +58,7 @@ from .series import (
     _abs_sum,
     _horner,
     _tail_bounds,
+    _weighted,
     table_for_radius,
 )
 
@@ -256,86 +261,140 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
     return count
 
 
-def _newton(g, g_prime, z: complex, steps: int, target: float = 0.0) -> tuple[complex, float]:
-    """Newton steps z <- z - g(z)/g'(z); returns (best iterate, its |g|).
+def _newton(g, g_prime, starts, steps: int, target: float = 0.0) -> list[tuple[complex, float]]:
+    """Newton steps z <- z - g(z)/g'(z) from every start in lockstep; (best iterate, its |g|) each.
 
-    Stops once |g| <= target, when g' vanishes, when the update rounds to no
-    change or leaves the finite doubles, or after `steps` steps.  The
-    returned iterate is the one of smallest |g| met on the way.
+    g and g_prime map a list of points to the list of their values, so that
+    one call of a batched kernel (_compensated_horner) serves every point
+    still moving.  Each point keeps its own steps and stopping rules: it
+    stops once its |g| <= target, when its g' vanishes, when its update
+    rounds to no change or leaves the finite doubles, or after `steps`
+    steps, while the others go on.  Its returned iterate is the one of
+    smallest |g| it met, so each start ends with the bits it has alone.
     """
-    value = g(z)
-    best, best_abs = z, abs(value)
+    z = list(starts)
+    values = g(z) if z else []
+    best = [(w, abs(value)) for w, value in zip(z, values)]
+    live = range(len(z))
     for _ in range(steps):
-        if abs(value) <= target:
+        live = [k for k in live if not abs(values[k]) <= target]
+        if not live:
             break
-        slope = g_prime(z)
-        if slope == 0:
+        moved = []
+        for k, slope in zip(live, g_prime([z[k] for k in live])):
+            if slope == 0:
+                continue
+            nxt = z[k] - values[k] / slope
+            if nxt == z[k] or not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
+                continue
+            z[k] = nxt
+            moved.append(k)
+        if not moved:
             break
-        nxt = z - value / slope
-        if nxt == z or not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
-            break
-        z = nxt
-        value = g(z)
-        if abs(value) < best_abs:
-            best, best_abs = z, abs(value)
-    return best, best_abs
+        for k, value in zip(moved, g([z[k] for k in moved])):
+            values[k] = value
+            if abs(value) < best[k][1]:
+                best[k] = (z[k], abs(value))
+        live = moved
+    return best
+
+
+def _pointwise(f):
+    """_newton's list form of a function of one point."""
+    return lambda points: [f(z) for z in points]
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
 
 
-def _compensated_horner(coeffs, z: complex) -> complex:
-    """sum_n coeffs[n] z^n, as accurate as Horner in twice double precision.
+@functools.lru_cache(maxsize=4)
+def _lanes(coeffs: tuple) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """coeffs in Horner order, last first, as (re, im) floats and as a (2, 1, n) array.
+
+    Cached, since _refine_mp calls _compensated_horner on one table once per step.
+    """
+    a = np.array(coeffs[::-1], dtype=complex)
+    return [(c.real, c.imag) for c in reversed(coeffs)], a.view(float).reshape(-1, 2).T[:, None]
+
+
+def _compensated_horner(coeffs, points) -> list[complex]:
+    """sum_n coeffs[n] z^n at each z of `points`, as accurate as Horner in twice double precision.
 
     Compensated complex Horner (Graillat, Langlois and Louvet 2005; Graillat
-    and Menissier-Morain 2008): each step's product and sum are split by
-    error-free transformations, TwoProduct through Dekker's split (there is
-    no math.fma before Python 3.13) and Knuth's TwoSum, and their rounding
-    errors are summed by a second Horner recurrence run alongside.  The
-    result is within about eps |h| + (4 n eps)^2 sum |a_n| |z|^n of the
+    and Menissier-Morain 2008): each step s_k = s_(k+1) z + a_k is split by
+    error-free transformations, TwoProduct for its four real products
+    through Dekker's split (there is no math.fma before Python 3.13) and
+    Knuth's TwoSum for its four sums, and their rounding errors e_k are
+    summed by a second Horner recurrence c_k = c_(k+1) z + e_k.  The result
+    s_0 + c_0 is within about eps |h| + (4 n eps)^2 sum |a_n| |z|^n of the
     exact value for double coefficients.
+
+    Each e_k is exact and depends only on s_(k+1), z and a_k, so the points
+    are evaluated together, in three passes: per point, the plain Horner
+    recurrence records every s_(k+1); one numpy pass on float64 arrays
+    (re and im, points, steps) forms every step's errors; per point, the
+    correction Horner adds them up in the step-by-step order, so each result
+    has the bits of the kernel run one point and one step at a time.  The
+    first pass runs in explicit float operations, since the errors are those
+    of separately rounded products: numpy's complex multiply fuses them into
+    FMA on some CPUs, and CPython's complex product is C code that a
+    compiler may contract.  The correction pass uses Python complex
+    arithmetic, where a fused product would move only the correction's own
+    rounding.
     """
-    x, y = z.real, z.imag
-    t = _SPLITTER * x
-    xh = t - (t - x)
-    xl = x - xh
-    t = _SPLITTER * y
-    yh = t - (t - y)
-    yl = y - yh
-    sr = si = cr = ci = 0.0
-    for a in reversed(coeffs):
-        ar, ai = a.real, a.imag
-        t = _SPLITTER * sr
-        sh = t - (t - sr)
-        sl = sr - sh
-        t = _SPLITTER * si
-        th = t - (t - si)
-        tl = si - th
-        # the four real products of s * z and their exact rounding errors
-        p1 = sr * x
-        e1 = sl * xl - (((p1 - sh * xh) - sl * xh) - sh * xl)
-        p2 = si * y
-        e2 = tl * yl - (((p2 - th * yh) - tl * yh) - th * yl)
-        p3 = sr * y
-        e3 = sl * yl - (((p3 - sh * yh) - sl * yh) - sh * yl)
-        p4 = si * x
-        e4 = tl * xl - (((p4 - th * xh) - tl * xh) - th * xl)
-        # TwoSum for p1 - p2, p3 + p4, and the additions of a_n
-        qr = p1 - p2
-        b = qr - p1
-        e5 = (p1 - (qr - b)) + (-p2 - b)
-        qi = p3 + p4
-        b = qi - p3
-        e6 = (p3 - (qi - b)) + (p4 - b)
-        sr = qr + ar
-        b = sr - qr
-        e7 = (qr - (sr - b)) + (ar - b)
-        si = qi + ai
-        b = si - qi
-        e8 = (qi - (si - b)) + (ai - b)
-        cr, ci = (cr * x - ci * y + (e1 - e2 + e5 + e7),
-                  cr * y + ci * x + (e3 + e4 + e6 + e8))
-    return complex(sr + cr, si + ci)
+    lanes, a = _lanes(tuple(coeffs))
+    points = [complex(z) for z in points]
+    factors, record, ends = [], [], []
+    keep = record.append
+    for z in points:
+        x, y = z.real, z.imag
+        t = _SPLITTER * x
+        xh = t - (t - x)
+        t = _SPLITTER * y
+        yh = t - (t - y)
+        xl, yl = x - xh, y - yh
+        factors.append((x, y, y, x, xh, yh, yh, xh, xl, yl, yl, xl))
+        sr = si = 0.0
+        for ar, ai in lanes:
+            keep(sr)
+            keep(si)
+            sr, si = sr * x - si * y + ar, sr * y + si * x + ai
+        keep(sr)
+        keep(si)
+        ends.append((sr, si))
+    # s[lane, point, k]: the re or im lane of s entering Horner step k, and leaving step k - 1
+    s = np.array(record, dtype=float).reshape(len(points), len(lanes) + 1, 2).transpose(2, 0, 1)
+    s_in, s_out = s[:, :, :-1], s[:, :, 1:]
+    # f[lane, part, point]: the factor of s's lane in the real or imaginary
+    # part of s z, [[x, y], [y, x]] for p1 = sr x, p3 = sr y, p2 = si y, p4 = si x
+    f, fh, fl = np.array(factors, dtype=float).reshape(-1, 3, 2, 2).transpose(1, 2, 3, 0)[..., None]
+    with np.errstate(all="ignore"):  # an overflowing step gets the same inf and nan
+        t = _SPLITTER * s_in
+        sh = t - (t - s_in)
+        sl = (s_in - sh)[:, None]
+        sh = sh[:, None]
+        p = s_in[:, None] * f
+        e = sl * fl - (((p - sh * fh) - sl * fh) - sh * fl)
+        # p1 - p2 as p1 + (-p2), and e1 - e2 as e1 + (-e2): the same bits
+        np.negative(p[1, 0], out=p[1, 0])
+        np.negative(e[1, 0], out=e[1, 0])
+        u, v = p
+        q = u + v
+        b = q - u
+        # e1 - e2 + e5 + e7 and e3 + e4 + e6 + e8, summed left to right as
+        # the step-by-step kernel sums them; e7, e8 are the errors of q + a
+        err = (e[0] + e[1]) + ((u - (q - b)) + (v - b))
+        b = s_out - q
+        err += (q - (s_out - b)) + (a - b)
+    corr = np.empty(err.shape[1:], dtype=complex)
+    corr.real, corr.imag = err
+    out = []
+    for z, row, (sr, si) in zip(points, corr.tolist(), ends):
+        c = 0j
+        for e_k in row:
+            c = c * z + e_k
+        out.append(complex(sr + c.real, si + c.imag))
+    return out
 
 
 def _compensated_horner_real(coeffs, x: float) -> float:
@@ -364,34 +423,44 @@ def _compensated_horner_real(coeffs, x: float) -> float:
 
 
 def _refine_mp(
-    table: CoefficientTable, root: complex, real_coeffs: list[float] | None = None
-) -> tuple[complex, float]:
-    """Compensated Newton from a double-Newton root; returns (root, residual).
+    table: CoefficientTable, roots, real_coeffs: list[float] | None = None
+) -> list[tuple[complex, float]]:
+    """Compensated Newton from all of a table's double-Newton roots at once; (root, residual) each.
 
-    At most _REFINE_MAX_STEPS steps of _newton with g = z h from the
-    compensated Horner kernel and g' from the double table; the residual is
-    the compensated |g| at the returned double.  Given a real table's
-    coefficients as floats (`real_coeffs`), a root within 1e-10 of the real
-    axis, before or after the complex steps, is put on it and refined with
-    h from the real kernel (same bits, a quarter of the products), since
-    off the axis the update never rounds to no change; for real L > -1
-    every zero is real (Ikebe, Math. Comp. 29, 1975), so a near-real pair
-    of seeds ends on one real zero.  (perfbench/crosscheck.py times the
-    refinement under this name.)
+    One lockstep _newton of at most _REFINE_MAX_STEPS steps, g = z h from
+    one batched _compensated_horner call per step and g' from the double
+    table; the residual is the compensated |g| at the returned double.
+    Given a real table's coefficients as floats (`real_coeffs`), a root
+    within 1e-10 of the real axis, before or after the complex steps, is put
+    on it and refined in real floats, h from the real kernel (same bits, a
+    quarter of the products) and g' by Horner on the real derivative
+    coefficients, since off the axis the update never rounds to no change;
+    for real L > -1 every zero is real (Ikebe, Math. Comp. 29, 1975), so a
+    near-real pair of seeds ends on one real zero.  (perfbench/crosscheck.py
+    times the refinement under this name.)
     """
     def near_real(z):
         return real_coeffs is not None and abs(z.imag) <= 1e-10 * max(1.0, abs(z.real))
 
-    if not near_real(root):
-        def g(z):
-            return z * _compensated_horner(table.coeffs, z)
-        root, residual = _newton(g, table.g_prime_values, root, _REFINE_MAX_STEPS)
-        if not near_real(root):
-            return root, residual
+    def g(points):
+        return [z * h for z, h in zip(points, _compensated_horner(table.coeffs, points))]
 
-    def g_real(z):
-        return z * _compensated_horner_real(real_coeffs, z.real)
-    return _newton(g_real, table.g_prime_values, complex(root.real, 0.0), _REFINE_MAX_STEPS)
+    refined = [None] * len(roots)
+    off = [k for k, root in enumerate(roots) if not near_real(root)]
+    polished = _newton(g, _pointwise(table.g_prime_values), [roots[k] for k in off],
+                       _REFINE_MAX_STEPS)
+    for k, pair in zip(off, polished):
+        refined[k] = pair
+    on = [k for k, pair in enumerate(refined) if pair is None or near_real(pair[0])]
+    if on:
+        real_prime = _weighted(real_coeffs, 1, table.order)
+        starts = [(roots[k] if refined[k] is None else refined[k][0]).real for k in on]
+        polished = _newton(_pointwise(lambda x: x * _compensated_horner_real(real_coeffs, x)),
+                           _pointwise(lambda x: _horner(real_prime, x)), starts,
+                           _REFINE_MAX_STEPS)
+        for k, (x, residual) in zip(on, polished):
+            refined[k] = (complex(x, 0.0), residual)
+    return refined
 
 
 def _seed_degree(h: np.ndarray, trust_radius: float) -> int:
@@ -444,13 +513,14 @@ def _bracketed_zeros(
     of zeros; one of them holds the origin's.  When the proven count equals
     the number of sign changes, each bracket holds exactly one simple zero
     and no zero lies off the axis (no appeal to Ikebe's theorem).  A proven
-    count of 1 lists no zero.  Each other bracket's zero is found by double
-    Newton in real floats down to `target`, started from the regula-falsi
-    point of the bracket's two scan values, and refined by _refine_mp's real
-    kernel; it must land strictly inside its bracket.  None on any failure:
-    an undecided sign, a count mismatch, a Newton run that stops short of
-    `target`, or a root outside its bracket.  Like the count, the proof does
-    not cover the coefficients' own rounding yet.
+    count of 1 lists no zero.  Every other bracket's zero is found by double
+    Newton in real floats down to `target`, all in one lockstep _newton
+    started from the regula-falsi points of the brackets' scan values; then
+    one _refine_mp call refines them all in its real kernel, and each must
+    land strictly inside its bracket.  None on any failure: an undecided
+    sign, a count mismatch, a Newton run that stops short of `target`, or a
+    root outside its bracket.  Like the count, the proof does not cover the
+    coefficients' own rounding yet.
     """
     if count == 1:
         return []
@@ -461,29 +531,20 @@ def _bracketed_zeros(
     changes = np.flatnonzero(positive[1:] != positive[:-1])
     if changes.size != count:
         return None
-    real_prime = [(n + 1) * a for n, a in enumerate(real_coeffs)]
-
-    def g(x):
-        return x * _horner(real_coeffs, x)
-
-    def g_prime(x):
-        return _horner(real_prime, x)
-
+    real_prime = _weighted(real_coeffs, 1, table.order)
     xs, gs = axis.tolist(), values.tolist()
     origin = len(xs) // 2 - 1  # the bracket (-r/n, r/n)
-    found = []
-    for j in changes.tolist():
-        if j == origin:
-            continue
-        a, b, ga, gb = xs[j], xs[j + 1], gs[j], gs[j + 1]
-        x, size = _newton(g, g_prime, a - ga * (b - a) / (gb - ga), _NEWTON_MAX_STEPS, target)
-        if not size <= target:
-            return None
-        root, residual = _refine_mp(table, complex(x), real_coeffs)
-        if not a < root.real < b:
-            return None
-        found.append((complex(root.real + 0.0, root.imag + 0.0), residual))
-    return found
+    brackets = [(xs[j], xs[j + 1], gs[j], gs[j + 1]) for j in changes.tolist() if j != origin]
+    roots = _newton(_pointwise(lambda x: x * _horner(real_coeffs, x)),
+                    _pointwise(lambda x: _horner(real_prime, x)),
+                    [a - ga * (b - a) / (gb - ga) for a, b, ga, gb in brackets],
+                    _NEWTON_MAX_STEPS, target)
+    if not all(size <= target for _, size in roots):
+        return None
+    refined = _refine_mp(table, [complex(x) for x, _ in roots], real_coeffs)
+    if not all(a < root.real < b for (a, b, _, _), (root, _) in zip(brackets, refined)):
+        return None
+    return [(complex(root.real + 0.0, root.imag + 0.0), residual) for root, residual in refined]
 
 
 def _companion_zeros(
@@ -493,17 +554,14 @@ def _companion_zeros(
     h = np.array(table.coeffs, dtype=complex)
     if real_coeffs is not None:
         h = h.real
+    seeds = [complex(seed) for seed in _seed_roots(h, _seed_degree(h, trust_radius), trust_radius)
+             if not abs(seed) > trust_radius * _SEED_REACH]
+    roots = _newton(_pointwise(table.g_values), _pointwise(table.g_prime_values), seeds,
+                    _NEWTON_MAX_STEPS, target)
+    refined = _refine_mp(table, [root for root, size in roots if size <= target], real_coeffs)
     gate = _RESIDUAL_FACTOR * max(abs(c) for c in table.coeffs)
     found: list[tuple[complex, float]] = []
-    for seed in _seed_roots(h, _seed_degree(h, trust_radius), trust_radius):
-        if abs(seed) > trust_radius * _SEED_REACH:
-            continue
-        root, size = _newton(
-            table.g_values, table.g_prime_values, complex(seed), _NEWTON_MAX_STEPS, target
-        )
-        if not size <= target:
-            continue
-        root, residual = _refine_mp(table, root, real_coeffs)
+    for root, residual in refined:
         if residual <= gate and 0 < abs(root) <= trust_radius and all(
             abs(root - kept) > _DEDUP_SEPARATION for kept, _ in found
         ):
@@ -534,13 +592,13 @@ def find_zeros(
     path, _companion_zeros.  Seeds are the roots of g = z h's cofactor h cut
     after its last term above _SEED_CUT of the largest on |z| = 1.05 R; for
     real L and eta that prefix is a float64 array, so np.roots takes
-    LAPACK's real eigensolver.  Each seed within 1.05 R takes one pass:
-    Newton in doubles down to max(tol, 8 eps S(R)), S(R) = sum |a_n|
-    R^(n+1), then the compensated refinement of _refine_mp.  The refined
-    root is kept when its residual, the compensated |g| there, is at most
-    1e-10 max |a_n| (where 8 eps S(R) is large, double Newton can stop where
-    g is not small), 0 < |rho| <= R, and it lies more than 1e-8 from every
-    zero already kept.
+    LAPACK's real eigensolver.  The seeds within 1.05 R go through Newton
+    in doubles down to max(tol, 8 eps S(R)), S(R) = sum |a_n| R^(n+1), and
+    those that reach it through one compensated refinement, _refine_mp, of
+    them all.  In seed order, a refined root is kept when its residual, the
+    compensated |g| there, is at most 1e-10 max |a_n| (where 8 eps S(R) is
+    large, double Newton can stop where g is not small), 0 < |rho| <= R,
+    and it lies more than 1e-8 from every zero already kept.
 
     The list plus the origin must match the count, or WindingMismatch.
     Zeros are sorted by modulus, ties broken by principal-branch argument;

@@ -179,9 +179,8 @@ class TestCompensatedRefinement:
     @pytest.mark.parametrize("radius", [5.0, 10.0, 15.0, 20.0])
     def test_kernel_matches_50_digits(self, params, radius):
         coeffs = table_for_radius(params, radius).coeffs
-        for k in range(12):
-            z = radius * (0.3 + 0.06 * k) * cmath.exp(1j * (0.7 + 2.1 * k))
-            got = _compensated_horner(coeffs, z)
+        points = [radius * (0.3 + 0.06 * k) * cmath.exp(1j * (0.7 + 2.1 * k)) for k in range(12)]
+        for z, got in zip(points, _compensated_horner(coeffs, points)):
             scale = sum(abs(c) * abs(z) ** n for n, c in enumerate(coeffs))
             with mp.workdps(50):
                 exact = mp.polyval([mp.mpc(c) for c in reversed(coeffs)], mp.mpc(z))
@@ -209,6 +208,197 @@ class TestCompensatedRefinement:
             assert residual == pytest.approx(exact, rel=1e-6)
 
 
+_SPLIT = 134217729.0
+
+
+def _scalar_compensated_horner(coeffs, z):
+    """The compensated complex Horner kernel one point and one step at a time, frozen.
+
+    The batched zeros._compensated_horner must return these bits.
+    """
+    x, y = z.real, z.imag
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLIT * y
+    yh = t - (t - y)
+    yl = y - yh
+    sr = si = cr = ci = 0.0
+    for a in reversed(coeffs):
+        ar, ai = a.real, a.imag
+        t = _SPLIT * sr
+        sh = t - (t - sr)
+        sl = sr - sh
+        t = _SPLIT * si
+        th = t - (t - si)
+        tl = si - th
+        p1 = sr * x
+        e1 = sl * xl - (((p1 - sh * xh) - sl * xh) - sh * xl)
+        p2 = si * y
+        e2 = tl * yl - (((p2 - th * yh) - tl * yh) - th * yl)
+        p3 = sr * y
+        e3 = sl * yl - (((p3 - sh * yh) - sl * yh) - sh * yl)
+        p4 = si * x
+        e4 = tl * xl - (((p4 - th * xh) - tl * xh) - th * xl)
+        qr = p1 - p2
+        b = qr - p1
+        e5 = (p1 - (qr - b)) + (-p2 - b)
+        qi = p3 + p4
+        b = qi - p3
+        e6 = (p3 - (qi - b)) + (p4 - b)
+        sr = qr + ar
+        b = sr - qr
+        e7 = (qr - (sr - b)) + (ar - b)
+        si = qi + ai
+        b = si - qi
+        e8 = (qi - (si - b)) + (ai - b)
+        cr, ci = (cr * x - ci * y + (e1 - e2 + e5 + e7),
+                  cr * y + ci * x + (e3 + e4 + e6 + e8))
+    return complex(sr + cr, si + ci)
+
+
+def _scalar_compensated_horner_real(coeffs, x):
+    """The real compensated Horner kernel, frozen."""
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    s = c = 0.0
+    for a in reversed(coeffs):
+        t = _SPLIT * s
+        sh = t - (t - s)
+        sl = s - sh
+        p1 = s * x
+        e1 = sl * xl - (((p1 - sh * xh) - sl * xh) - sh * xl)
+        s = p1 + a
+        b = s - p1
+        e7 = (p1 - (s - b)) + (a - b)
+        c = c * x + (e1 + e7)
+    return s + c
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _kernel_draw():
+    """(params, radius, batch) on a seeded draw of real and complex tables, R in U(0.3, 30).
+
+    Each table gets batches of 1, 2 and 15 points in the disk, a mix of
+    real and complex points, and a batch of its listed zeros and their
+    conjugates when find_zeros answers.
+    """
+    rng = random.Random(20261021)
+    for i in range(24):
+        radius = rng.uniform(0.3, 30.0)
+        L, eta = rng.uniform(-0.9, 3.0), rng.uniform(-3.0, 3.0)
+        if i % 2:
+            L, eta = complex(L, rng.uniform(-0.5, 0.5)), complex(eta, rng.uniform(-1.0, 1.0))
+        params = CoulombParams(L, eta)
+        for size in (1, 2, 15):
+            yield params, radius, [
+                radius * rng.random() * (cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                                         if rng.random() < 0.5 else rng.choice((1.0, -1.0)))
+                for _ in range(size)
+            ]
+        try:
+            zeros = find_zeros(params, radius).zeros
+        except (NoConvergence, WindingMismatch):
+            continue
+        if zeros:
+            yield params, radius, list(zeros) + [z.conjugate() for z in zeros]
+
+
+class TestBatchedKernel:
+    """The batched compensated kernel and the lockstep Newton loop keep each point's bits."""
+
+    def test_batched_kernel_matches_the_scalar_loop(self):
+        batches, at_zeros, real_points = 0, 0, 0
+        for params, radius, points in _kernel_draw():
+            coeffs = table_for_radius(params, radius).coeffs
+            got = _compensated_horner(coeffs, points)
+            assert len(got) == len(points)
+            for z, value in zip(points, got):
+                assert _hex(value) == _hex(_scalar_compensated_horner(coeffs, complex(z))), (
+                    params, radius, z)
+            batches += 1
+            at_zeros += len(points) not in (1, 2, 15)
+            real_points += sum(isinstance(z, float) for z in points)
+        assert batches >= 80 and at_zeros >= 12 and real_points >= 100
+
+    def test_real_kernel_matches_the_scalar_loop(self):
+        tables = 0
+        for params, radius, points in _kernel_draw():
+            coeffs = table_for_radius(params, radius).coeffs
+            if not all(c.imag == 0.0 for c in coeffs):
+                continue
+            tables += 1
+            real = [c.real for c in coeffs]
+            xs = [z.real for z in points]
+            batched = _compensated_horner(coeffs, xs)
+            for x, value in zip(xs, batched):
+                got = _compensated_horner_real(real, x)
+                assert got.hex() == _scalar_compensated_horner_real(real, x).hex()
+                assert got.hex() == value.real.hex()
+        assert tables >= 36
+
+    def test_empty_batch(self):
+        assert _compensated_horner(table_for_radius(SINE, 5.0).coeffs, []) == []
+        assert zeros_module._newton(lambda points: 1 / 0, lambda points: 1 / 0, [], 8) == []
+
+    def test_overflowing_points_match_the_scalar_loop(self):
+        # h overflows at 1e200, and inf - inf gives nan, without a warning
+        coeffs = table_for_radius(CoulombParams(0.2 + 0.1j, 0.3), 6.0).coeffs
+        points = [1e200 + 0j, 1e200j, 2.0 + 1.0j]
+        for z, value in zip(points, _compensated_horner(coeffs, points)):
+            reference = _scalar_compensated_horner(coeffs, z)
+            for got, ref in zip((value.real, value.imag), (reference.real, reference.imag)):
+                assert got.hex() == ref.hex() or (math.isnan(got) and math.isnan(ref))
+
+    def test_lockstep_newton_gives_each_start_its_bits_alone(self):
+        # the refinement's g on a complex table: starts near its zeros go on,
+        # while 1e200, where h overflows, takes a non-finite step at once
+        params, radius = CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 12.0
+        table = table_for_radius(params, radius)
+        sizes = []
+
+        def g(points):
+            sizes.append(len(points))
+            return [z * h for z, h in zip(points, _compensated_horner(table.coeffs, points))]
+
+        g_prime = zeros_module._pointwise(table.g_prime_values)
+        zeros = find_zeros(params, radius).zeros
+        starts = [z * (1 + 1e-5j) for z in zeros] + [1e200 + 0j] + [z + 0.2 for z in zeros[:3]]
+        together = zeros_module._newton(g, g_prime, starts, 8)
+        lockstep = list(sizes)
+        alone = [zeros_module._newton(g, g_prime, [start], 8)[0] for start in starts]
+        assert [(_hex(z), size.hex()) for z, size in together] == [
+            (_hex(z), size.hex()) for z, size in alone]
+        far = together[len(zeros)]
+        assert far[0] == 1e200 and not far[1] < math.inf
+        assert all(z != start for (z, _), start in zip(together, starts) if start != far[0])
+        # one g call per step for all the points still moving
+        assert lockstep[0] == len(starts) and len(lockstep) <= 9 and lockstep[1] < len(starts)
+
+    def test_lockstep_newton_with_a_vanishing_slope(self):
+        # z^2 - 2 from 0 stops at once (g' = 0), and the other starts reach
+        # +-sqrt 2 to the target with the bits they have alone
+        def g(points):
+            return [z * z - 2.0 for z in points]
+
+        def g_prime(points):
+            return [2.0 * z for z in points]
+
+        starts = [1.0, 0.0, -3.0, 2.5 + 0.5j]
+        together = zeros_module._newton(g, g_prime, starts, 100, 1e-12)
+        alone = [zeros_module._newton(g, g_prime, [start], 100, 1e-12)[0] for start in starts]
+        assert [(_hex(complex(z)), size.hex()) for z, size in together] == [
+            (_hex(complex(z)), size.hex()) for z, size in alone]
+        assert together[1] == (0.0, 2.0)
+        for k in (0, 2, 3):
+            z, size = together[k]
+            assert size <= 1e-12 and abs(abs(z) - math.sqrt(2.0)) < 1e-12
+
+
 def _full_complex_seeding(monkeypatch):
     """Seed from the whole table as complex128 and refine in the complex kernel."""
     _companion_only(monkeypatch)
@@ -218,7 +408,7 @@ def _full_complex_seeding(monkeypatch):
     monkeypatch.setattr(
         zeros_module,
         "_compensated_horner_real",
-        lambda coeffs, x: _compensated_horner([complex(c) for c in coeffs], complex(x)).real,
+        lambda coeffs, x: _compensated_horner([complex(c) for c in coeffs], [x])[0].real,
     )
 
 
@@ -295,10 +485,9 @@ class TestSeeding:
             coeffs = table_for_radius(params, radius).coeffs
             real = [c.real for c in coeffs]
             assert all(c.imag == 0.0 for c in coeffs)
-            for _ in range(5):
-                x = rng.uniform(-radius, radius)
-                got = _compensated_horner_real(real, x)
-                assert got.hex() == _compensated_horner(coeffs, complex(x)).real.hex()
+            xs = [rng.uniform(-radius, radius) for _ in range(5)]
+            for x, value in zip(xs, _compensated_horner(coeffs, xs)):
+                assert _compensated_horner_real(real, x).hex() == value.real.hex()
 
 
 # (L, eta) = (2.2, 2.7) at radius 19, where Newton in doubles rejects the
@@ -382,6 +571,11 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _refined_roots(calls):
+    """The number of roots that the recorded _refine_mp calls refined."""
+    return sum(len(args[1]) for args, _ in calls)
+
+
 def _companion_only(monkeypatch):
     """Make the bracket proof fail, so that a real table takes the companion path."""
     monkeypatch.setattr(zeros_module, "_bracketed_zeros", lambda *args: None)
@@ -407,7 +601,7 @@ class TestPolishPaths:
         refined_twice = _spy(monkeypatch, "_refine_mp")
         assert _bits(find_zeros(params, radius)) == expected
         # every copy is refined, and the second is dropped at the dedup
-        assert len(refined_twice) == 2 * len(refined)
+        assert _refined_roots(refined_twice) == 2 * _refined_roots(refined)
 
     def test_seed_beyond_reach_is_skipped(self, monkeypatch):
         # Newton from 21.2i walks down the imaginary axis onto the origin
@@ -417,7 +611,7 @@ class TestPolishPaths:
         _extra_seeds(monkeypatch, lambda roots: np.append(roots, far))
         newton = _spy(monkeypatch, "_newton")
         assert _bits(find_zeros(SINE, 20.0)) == expected
-        assert newton and far not in [args[2] for args, _ in newton]
+        assert newton and far not in [start for args, _ in newton for start in args[2]]
 
     def test_zero_beyond_the_radius_is_dropped(self, monkeypatch):
         # 20.9 is within 1.05 R, and Newton from it converges to 7 pi > 20
@@ -426,7 +620,7 @@ class TestPolishPaths:
         _extra_seeds(monkeypatch, lambda roots: np.append(roots, 20.9))
         refined = _spy(monkeypatch, "_refine_mp")
         assert _bits(find_zeros(SINE, 20.0)) == expected
-        (beyond,) = [root for _, (root, _) in refined if abs(root) > 20.0]
+        (beyond,) = [root for _, out in refined for root, _ in out if abs(root) > 20.0]
         # the table is truncated for |z| <= 20, so 7 pi is met only to 1e-8
         assert beyond == pytest.approx(7 * math.pi, abs=1e-7)
 
@@ -434,9 +628,9 @@ class TestPolishPaths:
         _companion_only(monkeypatch)
         newton = _spy(monkeypatch, "_newton")
         assert _bits(find_zeros(CoulombParams(2.2, 2.7), 19.0)) == REJECTED_SEED_BITS
-        # (g, g', seed, steps, target) -> (root, |g(root)|)
-        rejected = [args[2] for args, (_, size) in newton
-                    if len(args) == 5 and not size <= args[4]]
+        # (g, g', starts, steps, target) -> [(root, |g(root)|) for each start]
+        rejected = [start for args, out in newton if len(args) == 5
+                    for start, (_, size) in zip(args[2], out) if not size <= args[4]]
         assert len(rejected) == 1 and abs(rejected[0]) > 19.0
 
     @pytest.mark.parametrize(
@@ -459,7 +653,7 @@ class TestPolishPaths:
         zs = find_zeros(params, 29.842465075198522)
         coeffs = table_for_radius(params, zs.trust_radius).coeffs
         gate = zeros_module._RESIDUAL_FACTOR * max(abs(c) for c in coeffs)
-        stalled = [root for _, (root, residual) in refined if residual > gate]
+        stalled = [root for _, out in refined for root, residual in out if residual > gate]
         assert len(stalled) == 1 and abs(stalled[0] - (26.66 - 0.47j)) < 0.01
         assert len(zs.zeros) == 19 and len(seeds) == 1
         assert max(zs.residuals) <= gate
@@ -577,10 +771,13 @@ class TestBrackets:
         refine = zeros_module._refine_mp
         calls = []
 
-        def moved(table, root, real_coeffs=None):
-            out_root, residual = refine(table, root, real_coeffs)
-            calls.append(root)
-            return (out_root + 1.0 if len(calls) == 1 else out_root), residual
+        def moved(table, roots, real_coeffs=None):
+            out = refine(table, roots, real_coeffs)
+            calls.append(roots)
+            if len(calls) == 1:
+                (root, residual), *rest = out
+                out = [(root + 1.0, residual), *rest]
+            return out
 
         monkeypatch.setattr(zeros_module, "_refine_mp", moved)
         seeds = _spy(monkeypatch, "_seed_roots")
