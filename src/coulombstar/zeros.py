@@ -19,17 +19,26 @@ in real floats from each bracket's regula-falsi point, then on compensated
 residuals (_refine_mp's real kernel), finds it inside its bracket.  Like
 the count, this proof does not cover the coefficients' own rounding yet.
 
-Complex tables, and real tables whose bracket proof fails, are seeded once
-by the roots of a short prefix of the series polynomial (companion-matrix
-eigenvalues).  The prefix ends at the last term that still matters on
-|z| = 1.05 R (_SEED_CUT); for real L and eta it goes to the real companion
-matrix.  Either path polishes all its starts together, in phases of one
-lockstep Newton loop each (_newton): first in doubles on the full series,
-then, for every root that reaches the double target, on compensated
-residuals (_refine_mp), where one batched _compensated_horner call per step
-evaluates all the roots still moving, and a real zero is refined in real
-arithmetic.  Only then are the roots checked: against their brackets, or
-against the residual gate and the roots already kept.
+Complex tables, and real tables whose bracket proof fails, are seeded from
+the count's own samples: its first pass has g and g' at 720 uniform points
+of the circle (mirrored from the upper half for a real table), so the power
+sums of the zeros follow from P = z g'/g by the argument principle and the
+trapezoid rule (Delves and Lyness, Math. Comp. 21, 1967; Kravanja and Van
+Barel, Computing the Zeros of Analytic Functions, LNM 1727, 2000), and
+Newton's identities turn them into a polynomial of degree count - 1 whose
+roots are the seeds (_moment_seeds).  When the zeros these seeds give, plus
+the origin, miss the proven count, as when a zero lies within about 0.5 %
+of the circle, the seeds are instead the roots of a short prefix of the
+series polynomial (companion-matrix eigenvalues), as before the moments:
+the prefix ends at the last term that still matters on |z| = 1.05 R
+(_SEED_CUT), and for real L and eta it goes to the real companion matrix.
+Every path polishes all its starts together, in phases of one lockstep
+Newton loop each (_newton): first in doubles on the full series, then, for
+every root that reaches the double target, on compensated residuals
+(_refine_mp), where one batched _compensated_horner call per step evaluates
+all the roots still moving, and a real zero is refined in real arithmetic.
+Only then are the roots checked: against their brackets, or against the
+residual gate, the origin and the roots already kept.
 An unproven count, or a list that disagrees with it, raises
 WindingMismatch.  The located zeros feed the product
 
@@ -182,9 +191,14 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
     coefficients' own rounding yet.
 
     Given real points `axis` in [-r, r] (find_zeros' diameter scan of a real
-    table), the first pass evaluates them in the same _bounded_horner call
-    as the circle, and the result is (count, scan): scan is g there and its
-    err (tail0 included), or None when Rouche's test settles the count.
+    table; empty for a complex one), the first pass evaluates them in the
+    same _bounded_horner call as the circle, and the result is
+    (count, scan, samples): scan is g there and its err (tail0 included),
+    and samples is P = z g'/g at the 720 points z = r e^(2 pi i k / 720) of
+    the first pass (for a real table its 361 upper points, the lower ones by
+    P(conj z) = conj P(z)), for _moment_seeds; both None when Rouche's test
+    settles the count.  Without `axis` (winding_number, starlike.certify)
+    the pass forms no P.
     """
     # rho: each nonnegative term of the computed S carries |a_n| (hypot,
     # within 1 ulp: theta_2), Horner's theta_(2 order) (Higham 2002, eq. 5.3)
@@ -194,28 +208,34 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
     # gamma_(2 order + 5), with u S to spare for underflowed products (2^-1075
     # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
     if (_abs_sum(table, r, 0) + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
-        return 1 if axis is None else (1, None)
+        return 1 if axis is None else (1, None, None)
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
     err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
     g_coeffs = (0.0,) + table.coeffs
 
     def evaluate(z, extra=None):
-        """g, |g|, err and u on the circle points z, and g and err on `extra`."""
+        """g, g', |g|, err and u on the circle points z, and g and err on `extra`."""
         points = z if extra is None else np.concatenate((z, extra))
         g, err = _bounded_horner(g_coeffs, points, r)
         err += tails[0]
         scan = None if extra is None else (g[z.size:].real, err[z.size:])
         g, err = g[:z.size], err[:z.size]
-        size = np.abs(g)
-        return g, size, err, size + np.abs(table.g_prime_values(z)) + err + err_p, scan
+        size, g_prime = np.abs(g), table.g_prime_values(z)
+        return g, g_prime, size, err, size + np.abs(g_prime) + err + err_p, scan
 
     real = table.is_real
     span, m = (np.pi, _CIRCLE_SAMPLES // 2) if real else (2 * np.pi, _CIRCLE_SAMPLES)
     theta, width = span * np.arange(m + 1) / m, np.full(m, span / m)
     z = r * np.exp(1j * theta)
     z[-1] = -r if real else r  # the path ends on the real axis, or where it began
-    g, size, err, u, scan = evaluate(z, axis)
+    g, g_prime, size, err, u, scan = evaluate(z, axis)
+    samples = None
+    if axis is not None:
+        with np.errstate(all="ignore"):  # a zero sample leaves the count unproven anyway
+            p = z * g_prime / g
+        # P(conj z) = conj P(z) fills in the lower half circle; a full circle repeats z = r
+        samples = np.concatenate((p, np.conj(p[-2:0:-1]))) if real else p[:-1]
     theta, start, end, err, end_err = theta[:-1], g[:-1], g[1:], err[:-1], err[1:]
     size, u = size[:-1], u[:-1]
     total, count = 0.0, m + 1
@@ -224,7 +244,7 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
         total += float(np.angle(end[closed] / start[closed]).sum())
         if closed.all():
             turns = round(total / span)
-            return turns if axis is None else (turns, scan)
+            return turns if axis is None else (turns, scan, samples)
         keep = ~closed
         theta, width, start, end, err, end_err, u, size = (
             x[keep] for x in (theta, width, start, end, err, end_err, u, size))
@@ -233,8 +253,8 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
         count += mid.size
         if (count > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
                 or np.any(mid == theta)):
-            return None if axis is None else (None, None)
-        g_mid, size_mid, err_mid, u_mid, _ = evaluate(r * np.exp(1j * mid))
+            return None if axis is None else (None, None, None)
+        g_mid, _, size_mid, err_mid, u_mid, _ = evaluate(r * np.exp(1j * mid))
         theta, width = np.concatenate((theta, mid)), np.concatenate((width, width))
         start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
         size = np.concatenate((size, size_mid))
@@ -547,27 +567,78 @@ def _bracketed_zeros(
     return [(complex(root.real + 0.0, root.imag + 0.0), residual) for root, residual in refined]
 
 
-def _companion_zeros(
-    table: CoefficientTable, trust_radius: float, real_coeffs, target: float
+def _moment_seeds(samples: np.ndarray, count: int, r: float, real: bool) -> np.ndarray:
+    """Seeds for the count - 1 zeros of g in 0 < |z| < r, from P = z g'/g at 720 points on |z| = r.
+
+    By the argument principle, sum rho^k over the zeros in |z| < r is
+    (1/2 pi i) times the integral of z^k g'/g dz on the circle, that is r^k
+    times the mean of e^(i k theta) P over theta: the trapezoid rule on the
+    uniform samples gives it as ifft(P)[k] r^k (Delves and Lyness, Math.
+    Comp. 21, 1967).  So m_k = ifft(P)[k] is sum (rho/r)^k, the origin
+    adding nothing for k >= 1, and Newton's identities turn m_1 ..
+    m_(count-1) into the monic polynomial whose roots are the rho/r.  The
+    rule loses accuracy as a zero nears the circle, from either side; the
+    seeds are then poor, and find_zeros' count check falls back to the
+    companion matrix.  For a real table (`real`) the mirrored samples make
+    the moments real up to rounding, and their real parts are taken, so
+    that np.roots pairs the seeds exactly.  No seeds when the polynomial is
+    not finite.
+    """
+    if count < 2:
+        return np.empty(0)
+    with np.errstate(all="ignore"):
+        m = np.fft.ifft(samples)[1:count]
+        if real:
+            m = m.real
+        c = np.zeros(count, dtype=m.dtype)
+        c[0] = 1.0
+        for k in range(1, count):  # k c_k = -(c_(k-1) m_1 + ... + c_0 m_k)
+            c[k] = -np.dot(c[k - 1::-1], m[:k]) / k
+        if not np.all(np.isfinite(c)):
+            return np.empty(0)
+        return r * np.roots(c)
+
+
+def _polish(
+    table: CoefficientTable, seeds, trust_radius: float, real_coeffs, target: float
 ) -> list[tuple[complex, float]]:
-    """Zeros polished from the companion-matrix roots of h's prefix (see find_zeros)."""
-    h = np.array(table.coeffs, dtype=complex)
-    if real_coeffs is not None:
-        h = h.real
-    seeds = [complex(seed) for seed in _seed_roots(h, _seed_degree(h, trust_radius), trust_radius)
-             if not abs(seed) > trust_radius * _SEED_REACH]
+    """The zeros that one set of seeds polishes into (see find_zeros)."""
+    seeds = [complex(seed) for seed in seeds if not abs(seed) > trust_radius * _SEED_REACH]
     roots = _newton(_pointwise(table.g_values), _pointwise(table.g_prime_values), seeds,
                     _NEWTON_MAX_STEPS, target)
     refined = _refine_mp(table, [root for root, size in roots if size <= target], real_coeffs)
     gate = _RESIDUAL_FACTOR * max(abs(c) for c in table.coeffs)
     found: list[tuple[complex, float]] = []
     for root, residual in refined:
-        if residual <= gate and 0 < abs(root) <= trust_radius and all(
+        # the origin is not listed: it counts as a zero already kept
+        if residual <= gate and _DEDUP_SEPARATION < abs(root) <= trust_radius and all(
             abs(root - kept) > _DEDUP_SEPARATION for kept, _ in found
         ):
             # normalize signed zeros so sort order does not depend on -0.0
             found.append((complex(root.real + 0.0, root.imag + 0.0), residual))
     return found
+
+
+def _companion_zeros(
+    table: CoefficientTable, trust_radius: float, real_coeffs, target: float, count: int,
+    samples: np.ndarray | None,
+) -> list[tuple[complex, float]]:
+    """Zeros polished from the moment seeds, else from the companion-matrix roots of h's prefix.
+
+    The moment seeds (_moment_seeds, from the count's samples of P) are
+    polished first; when the zeros they give plus the origin miss the proven
+    count, the seeds are the companion-matrix roots, polished the same way
+    (see find_zeros).
+    """
+    found = _polish(table, _moment_seeds(samples, count, trust_radius, real_coeffs is not None),
+                    trust_radius, real_coeffs, target)
+    if len(found) + 1 == count:
+        return found
+    h = np.array(table.coeffs, dtype=complex)
+    if real_coeffs is not None:
+        h = h.real
+    seeds = _seed_roots(h, _seed_degree(h, trust_radius), trust_radius)
+    return _polish(table, seeds, trust_radius, real_coeffs, target)
 
 
 def find_zeros(
@@ -588,17 +659,21 @@ def find_zeros(
 
     Every other table, and a real table whose bracket proof fails (an
     undecided sign, fewer sign changes than the count, as with the conjugate
-    pair of (-1.7, 0.5), or a root outside its bracket), takes the companion
-    path, _companion_zeros.  Seeds are the roots of g = z h's cofactor h cut
-    after its last term above _SEED_CUT of the largest on |z| = 1.05 R; for
-    real L and eta that prefix is a float64 array, so np.roots takes
-    LAPACK's real eigensolver.  The seeds within 1.05 R go through Newton
-    in doubles down to max(tol, 8 eps S(R)), S(R) = sum |a_n| R^(n+1), and
-    those that reach it through one compensated refinement, _refine_mp, of
-    them all.  In seed order, a refined root is kept when its residual, the
-    compensated |g| there, is at most 1e-10 max |a_n| (where 8 eps S(R) is
-    large, double Newton can stop where g is not small), 0 < |rho| <= R,
-    and it lies more than 1e-8 from every zero already kept.
+    pair of (-1.7, 0.5), or a root outside its bracket), is seeded by
+    _companion_zeros.  Its first seeds are the roots of a polynomial of
+    degree count - 1 built from the moments of P = z g'/g on the count's
+    720 circle samples (_moment_seeds, after Delves and Lyness 1967).  When
+    the list they give plus the origin misses the count, the seeds are
+    instead the roots of g = z h's cofactor h cut after its last term above
+    _SEED_CUT of the largest on |z| = 1.05 R; for real L and eta that prefix
+    is a float64 array, so np.roots takes LAPACK's real eigensolver.  Either
+    way, the seeds within 1.05 R go through Newton in doubles down to
+    max(tol, 8 eps S(R)), S(R) = sum |a_n| R^(n+1), and those that reach it
+    through one compensated refinement, _refine_mp, of them all.  In seed
+    order, a refined root is kept when its residual, the compensated |g|
+    there, is at most 1e-10 max |a_n| (where 8 eps S(R) is large, double
+    Newton can stop where g is not small), |rho| <= R, and it lies more than
+    1e-8 from the origin and from every zero already kept.
 
     The list plus the origin must match the count, or WindingMismatch.
     Zeros are sorted by modulus, ties broken by principal-branch argument;
@@ -610,14 +685,15 @@ def find_zeros(
     tails = _tail_bounds(table.coeffs, params, trust_radius)
     real = table.is_real
     axis = _diameter(trust_radius) if real else _NO_POINTS
-    count, scan = (None, None) if tails is None else _arc_count(table, tails, trust_radius, axis)
+    count, scan, samples = ((None, None, None) if tails is None
+                            else _arc_count(table, tails, trust_radius, axis))
     if count is None:
         raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven")
     real_coeffs = [c.real for c in table.coeffs] if real else None
     target = max(tol, 8 * _EPS * _abs_sum(table, trust_radius, 0))
     found = _bracketed_zeros(table, count, axis, scan, real_coeffs, target) if real else None
     if found is None:
-        found = _companion_zeros(table, trust_radius, real_coeffs, target)
+        found = _companion_zeros(table, trust_radius, real_coeffs, target, count, samples)
     if count != len(found) + 1:
         raise WindingMismatch(
             f"winding count over |z| = {trust_radius} is {count}, against "

@@ -576,9 +576,16 @@ def _refined_roots(calls):
     return sum(len(args[1]) for args, _ in calls)
 
 
+def _no_moment_seeds(monkeypatch):
+    """Empty the moment seeds, so that find_zeros seeds from the companion matrix."""
+    monkeypatch.setattr(zeros_module, "_moment_seeds", lambda *args: np.empty(0))
+
+
 def _companion_only(monkeypatch):
-    """Make the bracket proof fail, so that a real table takes the companion path."""
+    """Make the bracket proof fail and empty the moment seeds, so that every
+    table is seeded by the companion matrix."""
     monkeypatch.setattr(zeros_module, "_bracketed_zeros", lambda *args: None)
+    _no_moment_seeds(monkeypatch)
 
 
 class TestPolishPaths:
@@ -648,6 +655,7 @@ class TestPolishPaths:
         # is about 13, and the refinement cannot bring its residual down
         params = CoulombParams(-0.7900670430628439 + 0.28532436369200254j,
                                -2.782519439704094 - 0.4188287569262903j)
+        _companion_only(monkeypatch)
         seeds = _spy(monkeypatch, "_seed_roots")
         refined = _spy(monkeypatch, "_refine_mp")
         zs = find_zeros(params, 29.842465075198522)
@@ -663,6 +671,102 @@ class TestPolishPaths:
         expected = _bits(find_zeros(SINE, 29.99))
         assert len(expected) == 18
         assert _bits(find_zeros(SINE, 29.99, tol=1e-300)) == expected
+
+
+def _complex_draw(count):
+    """Seeded complex (L, eta) at R in U(5, 20), from the zeros workload's box."""
+    rng, cases = random.Random(2107), []
+    for _ in range(count):
+        L = complex(rng.uniform(-0.4, 1.4), rng.uniform(-0.3, 0.3))
+        eta = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
+        cases.append((CoulombParams(L, eta), rng.uniform(5.0, 20.0)))
+    return cases
+
+
+# the zeros workload's seed-2 input 173: a zero lies at 1.0006 R, just
+# outside the circle, and spoils the 720-point moments
+NEAR_CIRCLE_CASE = (
+    CoulombParams(0.6667109536551862 + 0.17990928559986796j,
+                  0.7926229503808884 + 0.06695256576816888j),
+    14.224708436520643,
+)
+# tools/fingerprint.py's zeros inputs 2707 and 2863: Newton from a moment
+# seed lands within 1e-18 of the origin, which once took the place of the
+# zero near -0.093 - 0.034i (or -0.025 + 0.085i) while the count still matched
+NEAR_ORIGIN_CASES = [
+    (CoulombParams(-0.8319100257450815 + 0.0633617124206941j,
+                   2.0955025987261697 + 0.12670562278236663j), 28.833063676658654),
+    (CoulombParams(-0.8799850504229626 - 0.14706246702925474j,
+                   2.3384901320786575 + 0.679574190261053j), 25.637124111759782),
+]
+
+
+class TestMomentSeeds:
+    """Seeds from the power sums of the zeros, taken from the count's samples of P."""
+
+    def test_seeds_of_a_known_polynomial(self):
+        # g = z (z - a)(z - b)(z - c): P = z g'/g = 1 + sum z / (z - rho)
+        rho = np.array([0.3 + 0.4j, -1.1 + 0.2j, 0.5 - 1.6j])
+        z = 2.0 * np.exp(2j * np.pi * np.arange(720) / 720)
+        samples = 1 + (z[:, None] / (z[:, None] - rho)).sum(axis=1)
+        seeds = zeros_module._moment_seeds(samples, 4, 2.0, False)
+        assert sorted(seeds, key=abs) == pytest.approx(sorted(rho, key=abs), abs=1e-12)
+        assert zeros_module._moment_seeds(samples, 1, 2.0, False).size == 0
+        samples[5] = np.inf
+        assert zeros_module._moment_seeds(samples, 4, 2.0, False).size == 0
+
+    def test_complex_tables_match_the_companion_path(self, monkeypatch):
+        cases = _complex_draw(20)
+        with monkeypatch.context() as m:
+            seeds = _spy(m, "_seed_roots")
+            got = [_bits(find_zeros(*case)) for case in cases]
+        _companion_only(monkeypatch)
+        assert [_bits(find_zeros(*case)) for case in cases] == got
+        # most tables take the moment seeds alone
+        assert all(got) and len(seeds) <= 3
+
+    def test_real_table_off_the_brackets_takes_the_mirrored_samples(self, monkeypatch):
+        cases = [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0), (CoulombParams(1.2, -0.9), 15.0)]
+        monkeypatch.setattr(zeros_module, "_bracketed_zeros", lambda *args: None)
+        with monkeypatch.context() as m:
+            seeds = _spy(m, "_seed_roots")
+            got = [_bits(find_zeros(*case)) for case in cases]
+        _no_moment_seeds(monkeypatch)
+        assert [_bits(find_zeros(*case)) for case in cases] == got
+        assert all(got) and seeds == []
+
+    @pytest.mark.parametrize("params, radius", [(CoulombParams(0.5, 0.3), 12.0),
+                                                (CoulombParams(-1.7, 0.5), 10.0)])
+    def test_mirrored_samples_match_the_full_circle(self, params, radius, monkeypatch):
+        table = table_for_radius(params, radius)
+        tails = _tail_bounds(table.coeffs, params, radius)
+        count, _, mirrored = zeros_module._arc_count(table, tails, radius, np.empty(0))
+        monkeypatch.setattr(CoefficientTable, "is_real", property(lambda table: False))
+        assert zeros_module._arc_count(table, tails, radius) == count
+        full_count, _, full = zeros_module._arc_count(table, tails, radius, np.empty(0))
+        assert full_count == count and mirrored.size == full.size == 720
+        # the same angles, their points rounded apart by an ulp or two
+        assert np.allclose(mirrored, full, rtol=1e-10, atol=0)
+
+    def test_zero_just_outside_the_circle_falls_back(self, monkeypatch):
+        params, radius = NEAR_CIRCLE_CASE
+        outside = [abs(rho) / radius for rho in find_zeros(params, 1.01 * radius).zeros]
+        assert any(1 < ratio < 1.001 for ratio in outside)
+        seeds = _spy(monkeypatch, "_seed_roots")
+        got = _bits(find_zeros(params, radius))
+        assert len(seeds) == 1 and got
+        _companion_only(monkeypatch)
+        assert _bits(find_zeros(params, radius)) == got
+
+    @pytest.mark.parametrize("params, radius", NEAR_ORIGIN_CASES)
+    def test_root_on_the_origin_is_not_listed(self, params, radius, monkeypatch):
+        refined = _spy(monkeypatch, "_refine_mp")
+        zs = find_zeros(params, radius)
+        assert min(abs(rho) for rho in zs.zeros) > 0.05
+        # the first, moment-seeded refinement met the origin, and the count check caught it
+        assert any(abs(root) < 1e-15 for root, _ in refined[0][1]) and len(refined) == 2
+        _companion_only(monkeypatch)
+        assert _bits(find_zeros(params, radius)) == _bits(zs)
 
 
 # (L, eta) = (-1.7, 0.5) at radius 10 has a conjugate pair at 0.219 -+ 0.547i,
@@ -746,6 +850,7 @@ class TestBrackets:
     def test_too_few_sign_changes_take_the_companion_path(self, params, radius, bits,
                                                            monkeypatch):
         brackets = _spy(monkeypatch, "_bracketed_zeros")
+        _no_moment_seeds(monkeypatch)
         seeds = _spy(monkeypatch, "_seed_roots")
         assert _bits(find_zeros(params, radius)) == bits
         assert [found for _, found in brackets] == [None] and len(seeds) == 1
@@ -756,6 +861,7 @@ class TestBrackets:
         # would bracket the zero from the wrong side of the proof
         radius = float.fromhex("0x1.0282191998abbp+2")
         brackets = _spy(monkeypatch, "_bracketed_zeros")
+        _no_moment_seeds(monkeypatch)
         seeds = _spy(monkeypatch, "_seed_roots")
         zs = find_zeros(SINE, radius)
         (args, found), = brackets
@@ -780,6 +886,7 @@ class TestBrackets:
             return out
 
         monkeypatch.setattr(zeros_module, "_refine_mp", moved)
+        _no_moment_seeds(monkeypatch)
         seeds = _spy(monkeypatch, "_seed_roots")
         assert _bits(find_zeros(CoulombParams(0.7, -0.4), 8.0)) == expected
         assert len(seeds) == 1
