@@ -235,7 +235,7 @@ def certify(
         margins = _margin_field(z * gp / g, flavor)
     margins[near_zero] = -np.inf
     worst = int(np.argmin(margins))
-    zero_in_disk = bool(near_zero.any()) or _arc_count(table, bounds, grid.r_max) != 1
+    zero_in_disk = bool(near_zero.any()) or _arc_count(table, bounds, grid.r_max)[0] != 1
     min_margin = -math.inf if zero_in_disk else float(margins[worst])
     return CertificationReport(
         params=params,

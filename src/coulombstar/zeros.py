@@ -10,14 +10,16 @@ real L and eta, g(conj z) = conj g(z), so arg g changes on the lower half
 circle as it does on the upper half, and only the upper semicircle is
 sampled.
 
+_arc_count returns one record, (count, scan, samples), to every caller.
 For real L and eta, g is also real on the real axis, and find_zeros proves
-the zeros from sign changes there: the count's first pass samples g on the
-diameter [-R, R] as well, each sign proven by the count's own error model,
-and when the sign changes (the origin's included) number the count, each
-bracket holds exactly one simple zero and none lies off the axis.  Newton
-in real floats from each bracket's regula-falsi point, then on compensated
-residuals (_refine_mp's real kernel), finds it inside its bracket.  Like
-the count, this proof does not cover the coefficients' own rounding yet.
+the zeros from sign changes there: the count scans a real table's diameter
+[-R, R] itself, in its first pass, each sign proven by the count's own
+error model, and when the sign changes (the origin's included) number the
+count, each bracket holds exactly one simple zero and none lies off the
+axis.  Newton in real floats from each bracket's regula-falsi point, then
+on compensated residuals (_refine_mp's real kernel), finds it inside its
+bracket.  Like the count, this proof does not cover the coefficients' own
+rounding yet.  A count of 1 lists no zero.
 
 Complex tables, and real tables whose bracket proof fails, are seeded from
 the count's own samples: its first pass has g and g' at 720 uniform points
@@ -60,15 +62,16 @@ import numpy as np
 from .errors import DomainError, InvalidParams, NoConvergence, WindingMismatch
 from .series import (
     _EPS,
+    _ORDER_SCHEDULE,
     DEFAULT_TOL,
     CoefficientTable,
     ComplexValue,
     CoulombParams,
     _abs_sum,
+    _grow_table,
     _horner,
     _tail_bounds,
     _weighted,
-    table_for_radius,
 )
 
 _NEWTON_MAX_STEPS = 100
@@ -79,7 +82,6 @@ _RESIDUAL_FACTOR = 1e-10
 _SEED_CUT = 1e-9
 _SEED_REACH = 1.05
 _BRACKET_STEP = 0.5  # find_zeros' diameter scan: the most one step spans, the origin's aside
-_NO_POINTS = np.empty(0)  # a complex table's diameter scan: the count's pass gains no point
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,8 @@ def _check_radius(name: str, radius: float, below: float = math.inf) -> None:
         raise InvalidParams(f"{name} must be a normal double below {below}, got {radius!r}")
 
 
-def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None = None):
-    """Proven count of the zeros of g in |z| < r, for a normal double r.
+def _arc_count(table: CoefficientTable, tails, r: float):
+    """The proven count of the zeros of g in |z| < r, for a normal double r, as (count, scan, samples).
 
     tails are _tail_bounds at r, and S is _abs_sum's.  First, Rouche's
     theorem against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on |z| = r,
@@ -185,20 +187,20 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
 
     One loop runs every pass, the first included: it adds up the angle
     steps of the arcs it closes and bisects the rest at their midpoints.
-    None when an arc cannot close: a sample within 2 err of 0 (or not
-    finite), a midpoint angle that rounds onto its arc's start, or over
-    _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
+    The count is None when an arc cannot close: a sample within 2 err of 0
+    (or not finite), a midpoint angle that rounds onto its arc's start, or
+    over _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
     coefficients' own rounding yet.
 
-    Given real points `axis` in [-r, r] (find_zeros' diameter scan of a real
-    table; empty for a complex one), the first pass evaluates them in the
-    same _bounded_horner call as the circle, and the result is
-    (count, scan, samples): scan is g there and its err (tail0 included),
-    and samples is P = z g'/g at the 720 points z = r e^(2 pi i k / 720) of
-    the first pass (for a real table its 361 upper points, the lower ones by
-    P(conj z) = conj P(z)), for _moment_seeds; both None when Rouche's test
-    settles the count.  Without `axis` (winding_number, starlike.certify)
-    the pass forms no P.
+    The one record serves every caller.  samples is P = z g'/g at the 720
+    points z = r e^(2 pi i k / 720) of the first pass (for a real table its
+    361 upper points, the lower ones by P(conj z) = conj P(z)), for
+    _moment_seeds.  For a real table the first pass also scans the diameter
+    itself, in the same _bounded_horner call as the circle: scan is
+    (x, g, err) at the points x of _diameter(r), err with tail0 included,
+    for _bracketed_zeros; None for a complex table.  scan and samples are
+    None when Rouche's test settles the count, and all three when the count
+    is unproven.
     """
     # rho: each nonnegative term of the computed S carries |a_n| (hypot,
     # within 1 ulp: theta_2), Horner's theta_(2 order) (Higham 2002, eq. 5.3)
@@ -208,18 +210,18 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
     # gamma_(2 order + 5), with u S to spare for underflowed products (2^-1075
     # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
     if (_abs_sum(table, r, 0) + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
-        return 1 if axis is None else (1, None, None)
+        return 1, None, None
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
     err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
     g_coeffs = (0.0,) + table.coeffs
 
     def evaluate(z, extra=None):
-        """g, g', |g|, err and u on the circle points z, and g and err on `extra`."""
+        """g, g', |g|, err and u on the circle points z, and (extra, g, err) on the real points extra."""
         points = z if extra is None else np.concatenate((z, extra))
         g, err = _bounded_horner(g_coeffs, points, r)
         err += tails[0]
-        scan = None if extra is None else (g[z.size:].real, err[z.size:])
+        scan = None if extra is None else (extra, g[z.size:].real, err[z.size:])
         g, err = g[:z.size], err[:z.size]
         size, g_prime = np.abs(g), table.g_prime_values(z)
         return g, g_prime, size, err, size + np.abs(g_prime) + err + err_p, scan
@@ -229,13 +231,11 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
     theta, width = span * np.arange(m + 1) / m, np.full(m, span / m)
     z = r * np.exp(1j * theta)
     z[-1] = -r if real else r  # the path ends on the real axis, or where it began
-    g, g_prime, size, err, u, scan = evaluate(z, axis)
-    samples = None
-    if axis is not None:
-        with np.errstate(all="ignore"):  # a zero sample leaves the count unproven anyway
-            p = z * g_prime / g
-        # P(conj z) = conj P(z) fills in the lower half circle; a full circle repeats z = r
-        samples = np.concatenate((p, np.conj(p[-2:0:-1]))) if real else p[:-1]
+    g, g_prime, size, err, u, scan = evaluate(z, _diameter(r) if real else None)
+    with np.errstate(all="ignore"):  # a zero sample leaves the count unproven anyway
+        p = z * g_prime / g
+    # P(conj z) = conj P(z) fills in the lower half circle; a full circle repeats z = r
+    samples = np.concatenate((p, np.conj(p[-2:0:-1]))) if real else p[:-1]
     theta, start, end, err, end_err = theta[:-1], g[:-1], g[1:], err[:-1], err[1:]
     size, u = size[:-1], u[:-1]
     total, count = 0.0, m + 1
@@ -243,8 +243,7 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
         closed = size - err - end_err > 2 * _ode_bound(u, r * (width + 8 * _EPS), c)
         total += float(np.angle(end[closed] / start[closed]).sum())
         if closed.all():
-            turns = round(total / span)
-            return turns if axis is None else (turns, scan, samples)
+            return round(total / span), scan, samples
         keep = ~closed
         theta, width, start, end, err, end_err, u, size = (
             x[keep] for x in (theta, width, start, end, err, end_err, u, size))
@@ -253,7 +252,7 @@ def _arc_count(table: CoefficientTable, tails, r: float, axis: np.ndarray | None
         count += mid.size
         if (count > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
                 or np.any(mid == theta)):
-            return None if axis is None else (None, None, None)
+            return None, None, None
         g_mid, _, size_mid, err_mid, u_mid, _ = evaluate(r * np.exp(1j * mid))
         theta, width = np.concatenate((theta, mid)), np.concatenate((width, width))
         start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
@@ -275,7 +274,7 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
     tails = _tail_bounds(table.coeffs, table.params, radius)
     if tails is None:
         raise NoConvergence(f"series tail is not certified at radius {radius}")
-    count = _arc_count(table, tails, radius)
+    count = _arc_count(table, tails, radius)[0]
     if count is None:
         raise NoConvergence(f"winding count on |z| = {radius} cannot be proven")
     return count
@@ -442,25 +441,23 @@ def _compensated_horner_real(coeffs, x: float) -> float:
     return s + c
 
 
-def _refine_mp(
-    table: CoefficientTable, roots, real_coeffs: list[float] | None = None
-) -> list[tuple[complex, float]]:
+def _refine_mp(table: CoefficientTable, roots) -> list[tuple[complex, float]]:
     """Compensated Newton from all of a table's double-Newton roots at once; (root, residual) each.
 
     One lockstep _newton of at most _REFINE_MAX_STEPS steps, g = z h from
     one batched _compensated_horner call per step and g' from the double
     table; the residual is the compensated |g| at the returned double.
-    Given a real table's coefficients as floats (`real_coeffs`), a root
-    within 1e-10 of the real axis, before or after the complex steps, is put
-    on it and refined in real floats, h from the real kernel (same bits, a
-    quarter of the products) and g' by Horner on the real derivative
-    coefficients, since off the axis the update never rounds to no change;
+    For a real table, a root within 1e-10 of the real axis, before or after
+    the complex steps, is put on it and refined in real floats, h from the
+    real kernel on the coefficients as floats (same bits, a quarter of the
+    products) and g' by Horner on the real derivative coefficients, since
+    off the axis the update never rounds to no change;
     for real L > -1 every zero is real (Ikebe, Math. Comp. 29, 1975), so a
     near-real pair of seeds ends on one real zero.  (perfbench/crosscheck.py
     times the refinement under this name.)
     """
     def near_real(z):
-        return real_coeffs is not None and abs(z.imag) <= 1e-10 * max(1.0, abs(z.real))
+        return table.is_real and abs(z.imag) <= 1e-10 * max(1.0, abs(z.real))
 
     def g(points):
         return [z * h for z, h in zip(points, _compensated_horner(table.coeffs, points))]
@@ -473,6 +470,7 @@ def _refine_mp(
         refined[k] = pair
     on = [k for k, pair in enumerate(refined) if pair is None or near_real(pair[0])]
     if on:
+        real_coeffs = [c.real for c in table.coeffs]
         real_prime = _weighted(real_coeffs, 1, table.order)
         starts = [(roots[k] if refined[k] is None else refined[k][0]).real for k in on]
         polished = _newton(_pointwise(lambda x: x * _compensated_horner_real(real_coeffs, x)),
@@ -522,37 +520,36 @@ def _diameter(r: float) -> np.ndarray:
 
 
 def _bracketed_zeros(
-    table: CoefficientTable, count: int, axis: np.ndarray, scan, real_coeffs, target: float
+    table: CoefficientTable, count: int, scan, target: float
 ) -> list[tuple[complex, float]] | None:
-    """A real table's zeros from proven sign changes on the diameter, or None.
+    """A real table's count - 1 zeros from proven sign changes on the diameter, or None.
 
-    scan is g and its err at the points `axis`, from _arc_count's first
-    pass: the sign of g_j is proven when |g_j| > err_j, the count's own
+    scan is (x, g, err) at the points x of _diameter, from _arc_count's
+    first pass: the sign of g_j is proven when |g_j| > err_j, the count's own
     error model, tail0 included.  g is real on the real axis, so each pair
     of neighbouring points with opposite proven signs brackets an odd number
     of zeros; one of them holds the origin's.  When the proven count equals
     the number of sign changes, each bracket holds exactly one simple zero
-    and no zero lies off the axis (no appeal to Ikebe's theorem).  A proven
-    count of 1 lists no zero.  Every other bracket's zero is found by double
-    Newton in real floats down to `target`, all in one lockstep _newton
-    started from the regula-falsi points of the brackets' scan values; then
+    and no zero lies off the axis (no appeal to Ikebe's theorem).  Every
+    bracket's zero but the origin's is found by double Newton in real floats
+    down to `target`, all in one lockstep _newton started from the
+    regula-falsi points of the brackets' scan values; then
     one _refine_mp call refines them all in its real kernel, and each must
     land strictly inside its bracket.  None on any failure: an undecided
     sign, a count mismatch, a Newton run that stops short of `target`, or a
     root outside its bracket.  Like the count, the proof does not cover the
     coefficients' own rounding yet.
     """
-    if count == 1:
-        return []
-    values, err = scan
+    points, values, err = scan
     if not np.all(np.abs(values) > err):
         return None
     positive = values > 0
     changes = np.flatnonzero(positive[1:] != positive[:-1])
     if changes.size != count:
         return None
+    real_coeffs = [c.real for c in table.coeffs]
     real_prime = _weighted(real_coeffs, 1, table.order)
-    xs, gs = axis.tolist(), values.tolist()
+    xs, gs = points.tolist(), values.tolist()
     origin = len(xs) // 2 - 1  # the bracket (-r/n, r/n)
     brackets = [(xs[j], xs[j + 1], gs[j], gs[j + 1]) for j in changes.tolist() if j != origin]
     roots = _newton(_pointwise(lambda x: x * _horner(real_coeffs, x)),
@@ -561,7 +558,7 @@ def _bracketed_zeros(
                     _NEWTON_MAX_STEPS, target)
     if not all(size <= target for _, size in roots):
         return None
-    refined = _refine_mp(table, [complex(x) for x, _ in roots], real_coeffs)
+    refined = _refine_mp(table, [complex(x) for x, _ in roots])
     if not all(a < root.real < b for (a, b, _, _), (root, _) in zip(brackets, refined)):
         return None
     return [(complex(root.real + 0.0, root.imag + 0.0), residual) for root, residual in refined]
@@ -584,8 +581,6 @@ def _moment_seeds(samples: np.ndarray, count: int, r: float, real: bool) -> np.n
     that np.roots pairs the seeds exactly.  No seeds when the polynomial is
     not finite.
     """
-    if count < 2:
-        return np.empty(0)
     with np.errstate(all="ignore"):
         m = np.fft.ifft(samples)[1:count]
         if real:
@@ -600,13 +595,13 @@ def _moment_seeds(samples: np.ndarray, count: int, r: float, real: bool) -> np.n
 
 
 def _polish(
-    table: CoefficientTable, seeds, trust_radius: float, real_coeffs, target: float
+    table: CoefficientTable, seeds, trust_radius: float, target: float
 ) -> list[tuple[complex, float]]:
     """The zeros that one set of seeds polishes into (see find_zeros)."""
     seeds = [complex(seed) for seed in seeds if not abs(seed) > trust_radius * _SEED_REACH]
     roots = _newton(_pointwise(table.g_values), _pointwise(table.g_prime_values), seeds,
                     _NEWTON_MAX_STEPS, target)
-    refined = _refine_mp(table, [root for root, size in roots if size <= target], real_coeffs)
+    refined = _refine_mp(table, [root for root, size in roots if size <= target])
     gate = _RESIDUAL_FACTOR * max(abs(c) for c in table.coeffs)
     found: list[tuple[complex, float]] = []
     for root, residual in refined:
@@ -620,8 +615,7 @@ def _polish(
 
 
 def _companion_zeros(
-    table: CoefficientTable, trust_radius: float, real_coeffs, target: float, count: int,
-    samples: np.ndarray | None,
+    table: CoefficientTable, trust_radius: float, target: float, count: int, samples: np.ndarray
 ) -> list[tuple[complex, float]]:
     """Zeros polished from the moment seeds, else from the companion-matrix roots of h's prefix.
 
@@ -630,15 +624,15 @@ def _companion_zeros(
     count, the seeds are the companion-matrix roots, polished the same way
     (see find_zeros).
     """
-    found = _polish(table, _moment_seeds(samples, count, trust_radius, real_coeffs is not None),
-                    trust_radius, real_coeffs, target)
+    found = _polish(table, _moment_seeds(samples, count, trust_radius, table.is_real),
+                    trust_radius, target)
     if len(found) + 1 == count:
         return found
     h = np.array(table.coeffs, dtype=complex)
-    if real_coeffs is not None:
+    if table.is_real:
         h = h.real
     seeds = _seed_roots(h, _seed_degree(h, trust_radius), trust_radius)
-    return _polish(table, seeds, trust_radius, real_coeffs, target)
+    return _polish(table, seeds, trust_radius, target)
 
 
 def find_zeros(
@@ -649,8 +643,9 @@ def find_zeros(
     The origin zero is structural (g(z) = z + ...) and is excluded from the
     list; the zero count over the trust circle is proven first, by
     _arc_count, and an unproven count raises WindingMismatch before any
-    zero is sought.  For real L and eta the count's first pass also samples
-    g on the diameter [-R, R] (the points of _diameter), and
+    zero is sought; a count of 1 lists no zero.  The count comes as one
+    record: for real L and eta, _arc_count scans the table's diameter
+    [-R, R] itself (the points of _diameter) in its first pass, and
     _bracketed_zeros proves the zeros from the sign changes there: each
     lies in its own bracket, found by Newton in real floats and refined in
     the real compensated kernel, with no companion matrix, residual gate or
@@ -681,19 +676,16 @@ def find_zeros(
     real zero of a real table in the real kernel).
     """
     _check_radius("trust_radius", trust_radius)
-    table = table_for_radius(params, trust_radius, tol)
-    tails = _tail_bounds(table.coeffs, params, trust_radius)
-    real = table.is_real
-    axis = _diameter(trust_radius) if real else _NO_POINTS
-    count, scan, samples = ((None, None, None) if tails is None
-                            else _arc_count(table, tails, trust_radius, axis))
+    table, tails = _grow_table(params, trust_radius, _ORDER_SCHEDULE, tol)
+    count, scan, samples = _arc_count(table, tails, trust_radius)
     if count is None:
         raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven")
-    real_coeffs = [c.real for c in table.coeffs] if real else None
+    if count == 1:
+        return ZeroSet(params, trust_radius, table.order, (), ())
     target = max(tol, 8 * _EPS * _abs_sum(table, trust_radius, 0))
-    found = _bracketed_zeros(table, count, axis, scan, real_coeffs, target) if real else None
+    found = None if scan is None else _bracketed_zeros(table, count, scan, target)
     if found is None:
-        found = _companion_zeros(table, trust_radius, real_coeffs, target, count, samples)
+        found = _companion_zeros(table, trust_radius, target, count, samples)
     if count != len(found) + 1:
         raise WindingMismatch(
             f"winding count over |z| = {trust_radius} is {count}, against "
@@ -702,6 +694,23 @@ def find_zeros(
     found.sort(key=lambda pair: (abs(pair[0]), cmath.phase(pair[0])))
     zeros, residuals = zip(*found) if found else ((), ())
     return ZeroSet(params, trust_radius, table.order, zeros, residuals)
+
+
+def _running_product(params: CoulombParams, z: complex, zeros) -> list[tuple[complex, complex]]:
+    """The partial Hadamard products at z with 0 .. len(zeros) factors, each with its newest factor.
+
+    z e^(eta z / (L+1)), with the factor 1, then one running product of the
+    factors (1 - z/rho) e^(z/rho) in list order, so that weierstrass_eval
+    and product_convergence_report give every prefix the same bits.
+    cmath.exp raises OverflowError; a product overflows to inf unraised.
+    """
+    value, factor = z * cmath.exp(params.eta * z / (params.L + 1)), 1.0 + 0.0j
+    products = [(value, factor)]
+    for rho in zeros:
+        factor = (1 - z / rho) * cmath.exp(z / rho)
+        value *= factor
+        products.append((value, factor))
+    return products
 
 
 def weierstrass_eval(
@@ -722,15 +731,10 @@ def weierstrass_eval(
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
-    L, eta = params.L, params.eta
     try:
-        value = z * cmath.exp(eta * z / (L + 1))
-        last_factor = 1.0 + 0.0j
-        for rho in zero_set.zeros[:n_product]:
-            last_factor = (1 - z / rho) * cmath.exp(z / rho)
-            value *= last_factor
-        abs_error = abs(value) * abs(last_factor - 1) if n_product >= 1 else 0.0
-    except OverflowError:  # from cmath.exp; a product overflows to inf unraised
+        value, last_factor = _running_product(params, z, zero_set.zeros[:n_product])[-1]
+        abs_error = abs(value) * abs(last_factor - 1)
+    except OverflowError:  # from cmath.exp or abs; a product overflows to inf unraised
         value = abs_error = math.inf
     if not (cmath.isfinite(value) and math.isfinite(abs_error)):
         raise NoConvergence(f"the partial product overflows at z = {z!r}")
@@ -742,18 +746,20 @@ def product_convergence_report(
 ) -> list[tuple[int, float]]:
     """Errors |partial product - g(z)| for every prefix of the zero list.
 
-    Entries are (n_product, error) for n_product = 1 .. len(zeros).  The
-    sequence must be eventually decreasing for z inside the trust radius.
+    Entries are (n_product, error) for n_product = 1 .. len(zeros), each
+    product with the bits of weierstrass_eval's.  The sequence must be
+    eventually decreasing for z inside the trust radius.  A product or
+    error that overflows raises NoConvergence, as in weierstrass_eval.
     """
     from .series import eval_g
 
     z = complex(z)
     reference = eval_g(params, z, tol).value
-    # one running product: the same factors in the same order as
-    # weierstrass_eval, so each prefix keeps its bits
-    value = z * cmath.exp(params.eta * z / (params.L + 1))
-    report = []
-    for n, rho in enumerate(zero_set.zeros, 1):
-        value *= (1 - z / rho) * cmath.exp(z / rho)
-        report.append((n, abs(value - reference)))
-    return report
+    try:
+        errors = [abs(value - reference)
+                  for value, _ in _running_product(params, z, zero_set.zeros)[1:]]
+    except OverflowError:  # from cmath.exp or abs; a product overflows to inf unraised
+        errors = [math.inf]
+    if not all(math.isfinite(error) for error in errors):
+        raise NoConvergence(f"the partial product overflows at z = {z!r}")
+    return list(enumerate(errors, 1))

@@ -740,10 +740,10 @@ class TestMomentSeeds:
     def test_mirrored_samples_match_the_full_circle(self, params, radius, monkeypatch):
         table = table_for_radius(params, radius)
         tails = _tail_bounds(table.coeffs, params, radius)
-        count, _, mirrored = zeros_module._arc_count(table, tails, radius, np.empty(0))
+        count, _, mirrored = zeros_module._arc_count(table, tails, radius)
         monkeypatch.setattr(CoefficientTable, "is_real", property(lambda table: False))
-        assert zeros_module._arc_count(table, tails, radius) == count
-        full_count, _, full = zeros_module._arc_count(table, tails, radius, np.empty(0))
+        full_count, scan, full = zeros_module._arc_count(table, tails, radius)
+        assert winding_number(table, radius) == count and scan is None
         assert full_count == count and mirrored.size == full.size == 720
         # the same angles, their points rounded apart by an ulp or two
         assert np.allclose(mirrored, full, rtol=1e-10, atol=0)
@@ -865,7 +865,7 @@ class TestBrackets:
         seeds = _spy(monkeypatch, "_seed_roots")
         zs = find_zeros(SINE, radius)
         (args, found), = brackets
-        values, err = args[3]
+        _, values, err = args[2]
         assert found is None and len(seeds) == 1
         assert 0 < abs(values[15]) < err[15]
         assert _bits(zs) == _bits(find_zeros(SINE, 4.0))
@@ -877,8 +877,8 @@ class TestBrackets:
         refine = zeros_module._refine_mp
         calls = []
 
-        def moved(table, roots, real_coeffs=None):
-            out = refine(table, roots, real_coeffs)
+        def moved(table, roots):
+            out = refine(table, roots)
             calls.append(roots)
             if len(calls) == 1:
                 (root, residual), *rest = out
@@ -1158,6 +1158,41 @@ def _mp_coefficients(params, order):
     return a
 
 
+class TestCountRecord:
+    """_arc_count's one record, (count, scan, samples), on each of its paths."""
+
+    def test_record_shape_and_callers_agree(self):
+        # seeded pairs on certify's default circle, alternately real and
+        # complex: Rouche's test settles some, and the arcs count the rest
+        rng, r, paths = random.Random(20261022), 0.999, set()
+        for i in range(24):
+            L, eta = rng.uniform(-0.9, 1.4), rng.uniform(-1.5, 1.5)
+            if i % 2:
+                L, eta = complex(L, rng.uniform(-0.3, 0.3)), complex(eta, rng.uniform(-0.8, 0.8))
+            params = CoulombParams(L, eta)
+            table, tails = _grow_table(params, r, _ORDER_SCHEDULE, DEFAULT_TOL)
+            record = zeros_module._arc_count(table, tails, r)
+            count, scan, samples = record
+            assert isinstance(record, tuple) and len(record) == 3 and isinstance(count, int)
+            if samples is None:  # Rouche's test
+                paths.add("rouche")
+                assert count == 1 and scan is None
+            elif table.is_real:
+                paths.add("real")
+                x, g, err = scan
+                assert np.array_equal(x, zeros_module._diameter(r))
+                assert g.dtype == err.dtype == float and g.size == err.size == x.size
+            else:
+                paths.add("complex")
+                assert scan is None
+            assert samples is None or samples.shape == (zeros_module._CIRCLE_SAMPLES,)
+            assert winding_number(table, r) == count
+            assert len(find_zeros(params, r).zeros) + 1 == count
+            report = certify(params, StarlikeClass.CLASSICAL, ScanGrid(720, r))
+            assert report.zero_in_disk == (count != 1)
+        assert paths == {"rouche", "real", "complex"}
+
+
 class TestRouche:
     """The inputs of _arc_count's Rouche test, checked against g itself."""
 
@@ -1182,10 +1217,10 @@ class TestRouche:
             params = CoulombParams(L, eta)
             table, tails = _grow_table(params, r, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
             try:
-                count = zeros_module._arc_count(table, tails, r)
+                record = zeros_module._arc_count(table, tails, r)
             except Sampled:  # the test failed, and the count sampled the circle
                 continue
-            assert count == 1
+            assert record == (1, None, None)
             proven += 1
             s = zeros_module._abs_sum(table, r, 0)
             with mp.workdps(40):
@@ -1297,6 +1332,16 @@ class TestProductConvergenceReport:
             abs(weierstrass_eval(params, z, zs, n).value - reference).hex()
             for n in range(1, len(zs.zeros) + 1)
         ]
+
+    def test_overflowing_product_is_refused(self):
+        # e^(eta z / (L+1)) = e^1000 overflows cmath.exp before any factor,
+        # and both product functions refuse it alike
+        params = CoulombParams(-0.999, 1.0)
+        zs = find_zeros(params, 1.0)
+        with pytest.raises(NoConvergence, match="overflows"):
+            weierstrass_eval(params, 1.0, zs, 0)
+        with pytest.raises(NoConvergence, match="overflows"):
+            product_convergence_report(params, 1.0, zs)
 
     def test_shape_single_zero_pair(self):
         zs = find_zeros(SINE, 4.0)
