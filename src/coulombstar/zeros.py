@@ -5,7 +5,9 @@ count routine behind winding_number, find_zeros and starlike.certify:
 Rouche's theorem against z proves a count of 1 in one comparison when
 S(r) + tail0 < 2r, and otherwise the argument principle sums the
 principal-angle steps of g between the routine's own samples, each arc
-proven to keep g away from 0 by a bound on how far g moves along it.  For
+proven to keep g away from 0 by a bound from the Coulomb equation: a
+first-order bound on how far g moves along it, or, where that fails, a
+second-order (Taylor) bound from the same samples of g and g'.  For
 real L and eta, g(conj z) = conj g(z), so arg g changes on the lower half
 circle as it does on the upper half, and only the upper semicircle is
 sampled.
@@ -146,11 +148,36 @@ def _ode_bound(u: np.ndarray, length: np.ndarray, c: float) -> np.ndarray:
     return ode
 
 
+def _taylor_closes(start: np.ndarray, end: np.ndarray, length: np.ndarray, c: float,
+                   err_p: float, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs that the second-order bound closes, with the rho and eta it tested (see _arc_count).
+
+    start and end hold the samples at the arcs' ends as _arc_count's
+    evaluate gives them, length bounds the arcs' paths, and c and err_p are
+    _arc_count's.  A g'_k d_k that underflows to 0 or overflows, like an
+    e^(c length) that overflows, leaves its arc open.
+    """
+    _, z, g, slope, err, u = start
+    _, end_z, _, _, end_err, _ = end
+    err, u, end_err = err.real, u.real, end_err.real
+    with np.errstate(all="ignore"):
+        q = slope * (end_z - z)
+        lam = np.clip(-(q.real * g.real + q.imag * g.imag)
+                      / (q.real * q.real + q.imag * q.imag), 0.0, 1.0)
+        near, tip = g + lam * q, g + q
+        reach = np.minimum(near.real * g.real + near.imag * g.imag,
+                           near.real * tip.real + near.imag * tip.imag) / np.abs(near)
+        eta = length * length / (8 * r) + 8 * _EPS * r
+        rho = err + err_p * length + length * length / 2 * c * u * np.exp(c * length)
+        return reach > np.abs(slope) * eta + 2 * (rho + end_err), rho, eta
+
+
 def _check_radius(name: str, radius: float, below: float = math.inf) -> None:
     """The radius rule of winding_number, find_zeros and starlike.ScanGrid: a
     normal double below `below`, since on a subnormal circle g_(k+1)/g_k overflows."""
     if not (sys.float_info.min <= radius < below):
-        raise InvalidParams(f"{name} must be a normal double below {below}, got {radius!r}")
+        rule = "a finite normal double" if below == math.inf else f"a normal double below {below}"
+        raise InvalidParams(f"{name} must be {rule}, got {radius!r}")
 
 
 def _arc_count(table: CoefficientTable, tails, r: float):
@@ -161,22 +188,66 @@ def _arc_count(table: CoefficientTable, tails, r: float):
     and S + tail0 < 2r leaves g only the origin's zero in the closed disk.
     Otherwise g is sampled at theta_k = 2 pi k / 720 (k <= 360 for a real
     table, see below) by _bounded_horner, err_k being its running rounding
-    bound plus tail0, and u_k = |g_k| + |g'_k| + err_k + tail1 + 8 (order+2)
-    eps M1 bounds the exact |g| + |g'| at the computed point, within 4 eps r
-    of the circle (complex Horner rounds g' by about 5 (order+1) eps M1).  M1
-    is _abs_sum's too, computed only once Rouche's test has failed, for this
-    allowance alone.
+    bound plus tail0, and g'_k by series._horner.  err_p = tail1 +
+    8 (order+2) eps M1 bounds the error of g'_k (complex Horner rounds g' by
+    about 5 (order+1) eps M1), so u_k = |g_k| + |g'_k| + err_k + err_p bounds
+    the exact |g| + |g'| at the computed point z_k.  M1 is _abs_sum's too,
+    computed only once Rouche's test has failed, for this allowance alone.
 
-    The path from one computed point along the circle to the next has
-    length s <= r (width + 8 eps), and g moves along it by at most
-    D_k = u_k expm1(c s) / c: |g| + |g'| grows at rate at most c, since
-    z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives
+    Arc k runs from z_k to the circle point at the double angle theta_k
+    (within 4 eps r), along the circle to theta_(k+1), and on to z_(k+1);
+    its length is at most l = r (theta_(k+1) - theta_k + 8 eps).  (The
+    last sample, r or -r, is the circle point at 2 pi or pi, within 2 eps r
+    of the one at the double angle span m / m = span.)  |g| + |g'| grows at
+    rate at most c along it, since z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L)
+    g = 0 gives
     |g''| <= a |g'| + b |g| with a = 2|L|/r, b = 1 + 2|eta|/r + 2|L|/r^2, so
-    c = max(1 + a, b).  An arc is proven when |g_k| - err_k - err_(k+1) >
-    2 D_k (the factor 2 also covers the path's 4 eps r excursions): then the
-    exact g on it and both computed ends lie in one disk about g_k that
-    excludes 0, so the principal angle of g_(k+1)/g_k is the true change of
-    arg g, and the steps add up to exactly 2 pi times the count.
+    c = max(1 + a, b) and |g| + |g'| <= u_k e^(c t) at distance t along the
+    path.  An arc closes when one of two bounds closes it:
+
+    * First order: g moves along it by at most D_k = u_k expm1(c l) / c
+      (_ode_bound), and the arc closes when |g_k| - err_k - err_(k+1) >
+      2 D_k: the exact g on it and both computed ends then lie in one disk
+      about g_k that excludes 0.  The factor 2 leaves room for this test's
+      own rounding, which is not derived.
+    * Second order (_taylor_closes), on the arcs the first leaves open.
+      With w = z - z_k, Taylor's theorem along the path, |g''| <= c (|g| +
+      |g'|) <= c u_k e^(c t), |g(z_k) - g_k| <= err_k and |g'(z_k) - g'_k|
+      <= err_p give |g(z) - g_k - g'_k w| <= rho_k = err_k + err_p l +
+      (l^2 / 2) c u_k e^(c l).  And w lies within eta = l^2 / (8r) + 8 eps r
+      of the chord [0, d_k], d_k = z_(k+1) - z_k: the arc of angle
+      phi <= l / r lies within its sagitta r (1 - cos(phi/2)) <= l^2 / (8r)
+      of the chord of its circle ends, whose points lie within 4 eps r of
+      the chord [z_k, z_(k+1)], as do the two excursions.  So g on the path
+      and the computed g_(k+1) lie within R_k = |g'_k| eta + rho_k +
+      err_(k+1) of the segment [g_k, g_k + q_k], q_k = g'_k d_k: a convex
+      set that holds g_k, and excludes 0 when the segment's distance from
+      0, min over lambda in [0, 1] of |g_k + lambda q_k|, exceeds R_k.  The
+      arc closes when that distance, less |g'_k| eta, exceeds
+      2 (rho_k + err_(k+1)).
+
+    Either way the exact g on the arc and both computed ends lie in one
+    convex set that excludes 0, so the principal angle of g_(k+1)/g_k is the
+    true change of arg g along the arc, and the steps add up to exactly
+    2 pi times the count.
+
+    The second-order test's own rounding (Higham 2002, with gamma_k = k u /
+    (1 - k u), u = eps / 2) is covered by the second copy of rho_k +
+    err_(k+1).  The distance is computed as the support
+    min(Re(conj(f) g_k), Re(conj(f) (g_k + q_k))) / |f| of the segment in
+    the direction f = g_k + lambda* q_k of its nearest point: for every
+    f != 0 the support is at most the distance, so the rounding of lambda*
+    costs sharpness, not soundness.  Rounding d_k, q_k (Lemma 3.5), g_k + q_k,
+    the two inner products (Lemma 3.1), |f| and the quotient moves the
+    support by at most gamma_8 (|g_k| + |g'_k| |d_k|), and that is below
+    err_k + err_p l: _bounded_horner's mu_k holds its last two terms,
+    |s_1| r + |s_0| >= 1.99 |g_k| (s_0 = s_1 z_k is g_k), so
+    err_k >= 2.5 eps mu_k > 4.9 eps |g_k| > gamma_8 |g_k|, while
+    err_p >= 16 eps M1 and |g'_k| |d_k| <= 1.01 M1 l (order <= 500).
+    The computed rho_k, eta, l and c err by a relative gamma_30 at most,
+    c l times that through e^(c l), which is finite wherever the test can
+    pass; the rest of the second copy, and eta's 8 eps r against the
+    4 eps r its proof needs (l < r), cover that.
 
     For a real table, g(conj z) = conj g(z), so arg g changes along the
     lower half of the circle exactly as along the upper half: only the upper
@@ -216,56 +287,62 @@ def _arc_count(table: CoefficientTable, tails, r: float):
     err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
     g_coeffs = (0.0,) + table.coeffs
 
-    def evaluate(z, extra=None):
-        """g, g', |g|, err and u on the circle points z, and (extra, g, err) on the real points extra."""
+    def evaluate(theta, z, extra=None):
+        """The samples at the angles theta, points z, as rows theta, z, g, g', err and u (the
+        real ones stored as complex), and (extra, g, err) on the real points extra."""
         points = z if extra is None else np.concatenate((z, extra))
         g, err = _bounded_horner(g_coeffs, points, r)
         err += tails[0]
         scan = None if extra is None else (extra, g[z.size:].real, err[z.size:])
         g, err = g[:z.size], err[:z.size]
-        size, g_prime = np.abs(g), table.g_prime_values(z)
-        return g, g_prime, size, err, size + np.abs(g_prime) + err + err_p, scan
+        g_prime = table.g_prime_values(z)
+        u = np.abs(g) + np.abs(g_prime) + err + err_p
+        return np.array((theta, z, g, g_prime, err, u)), scan
 
     real = table.is_real
     span, m = (np.pi, _CIRCLE_SAMPLES // 2) if real else (2 * np.pi, _CIRCLE_SAMPLES)
-    theta, width = span * np.arange(m + 1) / m, np.full(m, span / m)
+    theta = span * np.arange(m + 1) / m
     z = r * np.exp(1j * theta)
     z[-1] = -r if real else r  # the path ends on the real axis, or where it began
-    g, g_prime, size, err, u, scan = evaluate(z, _diameter(r) if real else None)
+    first, scan = evaluate(theta, z, _diameter(r) if real else None)
     with np.errstate(all="ignore"):  # a zero sample leaves the count unproven anyway
-        p = z * g_prime / g
+        p = z * first[3] / first[2]
     # P(conj z) = conj P(z) fills in the lower half circle; a full circle repeats z = r
     samples = np.concatenate((p, np.conj(p[-2:0:-1]))) if real else p[:-1]
-    theta, start, end, err, end_err = theta[:-1], g[:-1], g[1:], err[:-1], err[1:]
-    size, u = size[:-1], u[:-1]
+    start, end = first[:, :-1], first[:, 1:]
     total, count = 0.0, m + 1
     while True:
-        closed = size - err - end_err > 2 * _ode_bound(u, r * (width + 8 * _EPS), c)
-        total += float(np.angle(end[closed] / start[closed]).sum())
+        theta, _, g, _, err, u = start
+        end_theta, _, end_g, _, end_err, _ = end
+        theta, end_theta, err, end_err, u = (x.real for x in (theta, end_theta, err, end_err, u))
+        length = r * ((end_theta - theta) + 8 * _EPS)
+        size = np.abs(g)
+        closed = size - err - end_err > 2 * _ode_bound(u, length, c)
+        left = np.flatnonzero(~closed)
+        if left.size:
+            closed[left] = _taylor_closes(start[:, left], end[:, left], length[left], c, err_p, r)[0]
+        total += float(np.angle(end_g[closed] / g[closed]).sum())
         if closed.all():
             return round(total / span), scan, samples
         keep = ~closed
-        theta, width, start, end, err, end_err, u, size = (
-            x[keep] for x in (theta, width, start, end, err, end_err, u, size))
-        width = width / 2
-        mid = theta + width
+        theta = theta[keep]
+        mid = theta + (end_theta[keep] - theta) / 2
         count += mid.size
-        if (count > _MAX_CIRCLE_SAMPLES or not np.all(size > 2 * err)
+        if (count > _MAX_CIRCLE_SAMPLES or not np.all(size[keep] > 2 * err[keep])
                 or np.any(mid == theta)):
             return None, None, None
-        g_mid, _, size_mid, err_mid, u_mid, _ = evaluate(r * np.exp(1j * mid))
-        theta, width = np.concatenate((theta, mid)), np.concatenate((width, width))
-        start, end = np.concatenate((start, g_mid)), np.concatenate((g_mid, end))
-        size = np.concatenate((size, size_mid))
-        err, end_err = np.concatenate((err, err_mid)), np.concatenate((err_mid, end_err))
-        u = np.concatenate((u, u_mid))
+        middle, _ = evaluate(mid, r * np.exp(1j * mid))
+        start = np.concatenate((start[:, keep], middle), axis=1)
+        end = np.concatenate((middle, end[:, keep]), axis=1)
 
 
 def winding_number(table: CoefficientTable, radius: float) -> int:
     """Proven argument-principle count of the zeros of g in |z| < radius.
 
     The origin zero is included; _arc_count proves it by Rouche's theorem or
-    from 720 samples with a running rounding bound.  InvalidParams for a
+    from 720 samples with a running rounding bound, each arc between them
+    closed by a first- or second-order bound from the Coulomb equation and
+    bisected when neither closes it.  InvalidParams for a
     radius that is not a finite normal double; NoConvergence when the count
     cannot be proven: a zero within rounding distance of the circle, a tail
     not certified at this radius, or over 2^18 samples.

@@ -219,6 +219,14 @@ class TestZeros:
         assert result.exit_code == 5
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("radius, shown", [("0", "0.0"), ("nan", "nan"), ("1e-320", "1e-320")])
+    def test_refused_radius_names_the_rule(self, runner, radius, shown):
+        # a trust radius has no upper bound, so the rule reads without "below inf"
+        result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", radius])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"error: trust_radius must be a finite normal double, got {shown}\n"
+
     def test_winding_mismatch_exit_five(self, runner, monkeypatch):
         def broken(params, radius, tol):
             raise WindingMismatch("forced for the exit-code contract")

@@ -1066,6 +1066,32 @@ def _ode_bounds(monkeypatch):
     return calls
 
 
+def _taylor_arcs(monkeypatch):
+    """Record g's coefficients and each arc that the second-order bound closes.
+
+    The coefficients are those of the count's _bounded_horner calls,
+    (0, a_0, a_1, ...); each arc is (start, end, l, err_p, rho, eta, r),
+    start and end being the records of its two samples.
+    """
+    record = {"coeffs": None, "arcs": []}
+    bounded_horner = zeros_module._bounded_horner
+    taylor_closes = zeros_module._taylor_closes
+
+    def horner(coeffs, z, r):
+        record["coeffs"] = coeffs
+        return bounded_horner(coeffs, z, r)
+
+    def closes(start, end, length, c, err_p, r):
+        closed, rho, eta = taylor_closes(start, end, length, c, err_p, r)
+        record["arcs"] += [(start[:, k], end[:, k], length[k], err_p, rho[k], eta[k], r)
+                           for k in np.flatnonzero(closed)]
+        return closed, rho, eta
+
+    monkeypatch.setattr(zeros_module, "_bounded_horner", horner)
+    monkeypatch.setattr(zeros_module, "_taylor_closes", closes)
+    return record
+
+
 def _circle_count(params, radius, angles):
     """Run the arc count through a caller: certify on `angles` angles, or winding_number."""
     if angles is None:
@@ -1147,6 +1173,73 @@ class TestArcCountSoundness:
         assert abs(turns[0] - round(turns[0])) < 1e-9
         if (L, eta, radius, angles) in self.ONE_PASS:  # closes in one pass
             assert len(calls) == 1
+
+    # the second-order bound closes arcs on these too: sine at 30, where g''s
+    # rounding allowance err_p is most of u_k; (10, 1) just outside its zero
+    # at 13.8266538667, where |g''| nearly reaches c (|g| + |g'|)
+    TAYLOR = CASES + [(0.0, 0.0, 30.0, None), (0.3 + 0.1j, 0.5 - 0.2j, 15.0, None),
+                      (10.0, 1.0, 13.826667693385588, None)]
+
+    @pytest.mark.parametrize("L, eta, radius, angles", TAYLOR)
+    def test_taylor_bound_covers_each_arc(self, monkeypatch, L, eta, radius, angles):
+        # at 65 points z on each closed arc, g(z) from the table's
+        # coefficients in 30 digits stays within rho_k - err_k of the tangent
+        # line g(z_k) + g'_k (z - z_k), for the computed g'_k and for any g'_k
+        # within err_p of g'(z_k), and z - z_k lies within eta of the chord
+        # [0, d_k].  Each case checks its 16 arcs of least |g_k| (all of them
+        # but on sine at 30, which closes 360)
+        record = _taylor_arcs(monkeypatch)
+        _circle_count(CoulombParams(L, eta), radius, angles)
+        arcs = sorted(record["arcs"], key=lambda arc: abs(arc[0][2]))[:16]
+        steps = np.arange(65) / 64
+        with mp.workdps(30):
+            a = [mp.mpc(c) for c in reversed(record["coeffs"])]
+            for start, end, length, err_p, rho, eta_k, r in arcs:
+                theta, z_k, _, slope, err, _ = start
+                z_k = mp.mpc(z_k)
+                g_k, slope_k = mp.polyval(a, z_k, derivative=True)
+                d = mp.mpc(end[1]) - z_k
+                z = np.array([mp.mpf(r) * mp.expj(mp.mpf(theta.real) + float(t) * (
+                    mp.mpf(end[0].real) - mp.mpf(theta.real))) for t in steps])
+                g = np.zeros(z.size, dtype=object)
+                for c in a:
+                    g = g * z + c
+                for w, value in zip(z - z_k, g):
+                    assert abs(value - g_k - mp.mpc(slope) * w) <= rho - err.real
+                    assert abs(value - g_k - slope_k * w) + err_p * abs(w) <= rho - err.real
+                    lam = min(1.0, max(0.0, float(mp.re(w * mp.conj(d)) / abs(d) ** 2)))
+                    assert abs(w - lam * d) <= eta_k
+        if (L, eta, radius, angles) not in self.CASES:
+            assert len(arcs) >= 5
+
+    @pytest.mark.parametrize("params, radius, count, passes", [
+        (CoulombParams(0.3 + 0.1j, 0.5 - 0.2j), 15.0, 10, 1),
+        (SINE, math.pi * (1 + 1e-3), 3, 1),
+        (SINE, math.pi * (1 + 1e-6), 3, 5),  # still bisects
+    ])
+    def test_taylor_bound_spares_passes(self, monkeypatch, params, radius, count, passes):
+        # the second-order bound closes the arcs the first-order one leaves
+        # open; with the first alone these took 2, 6 and 16 passes
+        calls = []
+        bounded_horner = zeros_module._bounded_horner
+
+        def counted(*args):
+            calls.append(args)
+            return bounded_horner(*args)
+
+        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
+        assert winding_number(table_for_radius(params, radius), radius) == count
+        assert len(calls) == passes
+
+    def test_taylor_bound_survives_underflow_and_overflow(self):
+        # a g'_k d_k that underflows to 0 or overflows leaves its arc open,
+        # with no RuntimeWarning (pytest turns one into an error)
+        start = np.array([[0.0] * 3, [1.0] * 3, [1.0, 1.0, 1e300], [1e-300, 0.0, 1e300],
+                          [0.0] * 3, [1.0] * 3], dtype=complex)
+        end = start.copy()
+        end[1] += 1e-30
+        closed, _, _ = zeros_module._taylor_closes(start, end, np.full(3, 1e-30), 1.0, 0.0, 1.0)
+        assert not closed.any()
 
 
 def _mp_coefficients(params, order):

@@ -1,0 +1,61 @@
+"""Show which lines of tools/fingerprint.py's output moved between a git revision and the working tree.
+
+    python3 tools/fingerprint_ab.py REV
+
+It extracts REV with ``git archive`` into a temporary directory and runs
+that tree's ``tools/fingerprint.py`` and the working tree's, each in its own
+process, both at once.  It prints every line that moved, as difflib matches
+the two outputs, REV's with ``-`` and the working tree's with ``+``, and
+then ``N of M lines moved``.  Moved lines are for a change's notes to
+justify, so the exit status is non-zero only when ``git archive`` or a run
+fails; a run's stderr is passed through.  Both runs inherit the
+environment, ``PYTHONWARNINGS`` included.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import difflib
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as base:
+        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", argv[0]],
+                                   stdout=subprocess.PIPE)
+        unpack = subprocess.run(["tar", "-x", "-C", base], stdin=archive.stdout)
+        archive.stdout.close()
+        if archive.wait() or unpack.returncode:
+            print(f"git archive of {argv[0]} failed", file=sys.stderr)
+            return 1
+        runs = [subprocess.Popen([sys.executable, str(Path(tree) / "tools" / "fingerprint.py")],
+                                 stdout=subprocess.PIPE, text=True)
+                for tree in (base, ROOT)]
+        outputs = [run.communicate()[0] for run in runs]
+    for name, run in zip((argv[0], "the working tree"), runs):
+        if run.returncode:
+            print(f"fingerprint.py of {name} exited {run.returncode}", file=sys.stderr)
+            return 1
+    before, after = (output.splitlines() for output in outputs)
+    moved = 0
+    matcher = difflib.SequenceMatcher(None, before, after, autojunk=False)
+    for op, i1, i2, j1, j2 in matcher.get_opcodes():
+        if op != "equal":
+            moved += max(i2 - i1, j2 - j1)
+            for line in before[i1:i2]:
+                print("-", line)
+            for line in after[j1:j2]:
+                print("+", line)
+    print(f"{moved} of {max(len(before), len(after))} lines moved")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
