@@ -19,6 +19,7 @@ L,eta,slack,min_margin,certified.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -107,18 +108,6 @@ _tol_option = click.option(
 )
 
 
-def _certify_options(command):
-    """--class, --angles and --r-max, shared by certify and scan.
-
-    The class names are StarlikeClass's values, spelled out so that building
-    the parser does not load starlike and numpy.
-    """
-    classes = click.Choice(["classical", "lemniscate", "exponential"])
-    command = click.option("--r-max", type=float, default=0.999, show_default=True)(command)
-    command = click.option("--angles", type=int, default=720, show_default=True)(command)
-    return click.option("--class", "flavor", type=classes, required=True)(command)
-
-
 def _exit_for(exc: Exception) -> int:
     if isinstance(exc, (InvalidParams, PoleError)):
         return 3
@@ -129,15 +118,56 @@ def _exit_for(exc: Exception) -> int:
     raise exc
 
 
-def _guarded(body) -> None:
-    try:
-        code = body()
-    except click.ClickException:
-        raise
-    except Exception as exc:  # mapped library failures
-        code = _exit_for(exc)
-        click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
+def _runs(command):
+    """Run a subcommand and exit with the code it returns.
+
+    A library refusal exits 3, 4 or 5 with "error: <message>" on stderr.
+    _exit_for raises anything else again, a click.ClickException included,
+    so usage errors keep exit 2.  It goes directly under @main.command,
+    above the option decorators below, so that the objects they build are
+    refused here too.
+    """
+
+    @functools.wraps(command)
+    def run(**options):
+        try:
+            code = command(**options)
+        except Exception as exc:
+            code = _exit_for(exc)
+            click.echo(f"error: {exc}", err=True)
+        sys.exit(code)
+
+    return run
+
+
+def _params_options(command):
+    """--L and --eta, handed to the command as one CoulombParams."""
+
+    @functools.wraps(command)
+    def run(L: complex, eta: complex, **options):
+        return command(params=CoulombParams(L=L, eta=eta), **options)
+
+    run = click.option("--eta", type=COMPLEX, required=True, help="Sommerfeld parameter.")(run)
+    return click.option("--L", "L", type=COMPLEX, required=True, help="Order parameter.")(run)
+
+
+def _certify_options(command):
+    """--class, --angles and --r-max, handed to certify and scan as a StarlikeClass and a ScanGrid.
+
+    The class names are StarlikeClass's values, spelled out so that building
+    the parser does not load starlike and numpy.
+    """
+
+    @functools.wraps(command)
+    def run(flavor: str, angles: int, r_max: float, **options):
+        from .starlike import ScanGrid, StarlikeClass
+
+        return command(flavor=StarlikeClass(flavor), grid=ScanGrid(angles, r_max), **options)
+
+    classes = click.Choice(["classical", "lemniscate", "exponential"])
+    run = click.option("--r-max", type=float, default=0.999, show_default=True)(run)
+    run = click.option("--angles", type=int, default=720, show_default=True)(run)
+    return click.option("--class", "flavor", type=classes, required=True)(run)
 
 
 def _complex_dict(w: complex) -> dict:
@@ -150,8 +180,8 @@ def main() -> None:
 
 
 @main.command("eval")
-@click.option("--L", "L", type=COMPLEX, required=True, help="Order parameter.")
-@click.option("--eta", type=COMPLEX, required=True, help="Sommerfeld parameter.")
+@_runs
+@_params_options
 @click.option("--z", type=COMPLEX, required=True, help="Evaluation point.")
 @click.option(
     "--function",
@@ -161,85 +191,59 @@ def main() -> None:
     help="f: regular wave function, g: normalized form, P: z g'/g.",
 )
 @_tol_option
-def cmd_eval(L: complex, eta: complex, z: complex, function: str, tol: float) -> None:
+def cmd_eval(params: CoulombParams, z: complex, function: str, tol: float) -> int:
     """Evaluate f, g or P at a point and print value plus error bound."""
-
-    def body() -> int:
-        params = CoulombParams(L=L, eta=eta)
-        if function == "P":
-            ratio = eval_p(params, z, tol)
-            value, abs_error = ratio.P, ratio.abs_error
-        else:
-            result = (eval_g if function == "g" else eval_f)(params, z, tol)
-            value, abs_error = result.value, result.abs_error
-        click.echo(
-            render_json({"value": _complex_dict(value), "abs_error": abs_error})
-        )
-        return 0
-
-    _guarded(body)
+    if function == "P":
+        ratio = eval_p(params, z, tol)
+        value, abs_error = ratio.P, ratio.abs_error
+    else:
+        result = (eval_g if function == "g" else eval_f)(params, z, tol)
+        value, abs_error = result.value, result.abs_error
+    click.echo(render_json({"value": _complex_dict(value), "abs_error": abs_error}))
+    return 0
 
 
 @main.command("coeffs")
-@click.option("--L", "L", type=COMPLEX, required=True)
-@click.option("--eta", type=COMPLEX, required=True)
+@_runs
+@_params_options
 @click.option("--order", type=int, default=30, show_default=True)
 @click.option("--radius", type=float, default=1.0, show_default=True)
-def cmd_coeffs(L: complex, eta: complex, order: int, radius: float) -> None:
+def cmd_coeffs(params: CoulombParams, order: int, radius: float) -> int:
     """Print the series coefficient table with its certified tail bound."""
-
-    def body() -> int:
-        params = CoulombParams(L=L, eta=eta)
-        table = make_coefficients(params, order, radius)
-        click.echo(render_json(table.to_jsonable()))
-        return 0
-
-    _guarded(body)
+    click.echo(render_json(make_coefficients(params, order, radius).to_jsonable()))
+    return 0
 
 
 @main.command("zeros")
-@click.option("--L", "L", type=COMPLEX, required=True)
-@click.option("--eta", type=COMPLEX, required=True)
+@_runs
+@_params_options
 @click.option("--radius", type=float, default=10.0, show_default=True,
               help="Trust radius for the zero search.")
 @_tol_option
-def cmd_zeros(L: complex, eta: complex, radius: float, tol: float) -> None:
+def cmd_zeros(params: CoulombParams, radius: float, tol: float) -> int:
     """List zeros inside the trust radius (winding-count validated)."""
+    from .zeros import find_zeros
 
-    def body() -> int:
-        from .zeros import find_zeros
-
-        params = CoulombParams(L=L, eta=eta)
-        zs = find_zeros(params, radius, tol)
-        click.echo(render_json(zs.to_jsonable()))
-        return 0
-
-    _guarded(body)
+    click.echo(render_json(find_zeros(params, radius, tol).to_jsonable()))
+    return 0
 
 
 @main.command("certify")
-@click.option("--L", "L", type=COMPLEX, required=True)
-@click.option("--eta", type=COMPLEX, required=True)
+@_runs
+@_params_options
 @_certify_options
 @_tol_option
-def cmd_certify(
-    L: complex, eta: complex, flavor: str, angles: int, r_max: float, tol: float,
-) -> None:
+def cmd_certify(params: CoulombParams, flavor, grid, tol: float) -> int:
     """Certify the requested starlikeness flavor on the circle |z| = r-max."""
+    from .starlike import certify
 
-    def body() -> int:
-        from .starlike import ScanGrid, StarlikeClass, certify
-
-        params = CoulombParams(L=L, eta=eta)
-        grid = ScanGrid(angles, r_max)
-        report = certify(params, StarlikeClass(flavor), grid, tol)
-        click.echo(render_json(report.to_jsonable()))
-        return 0 if report.certified else 1
-
-    _guarded(body)
+    report = certify(params, flavor, grid, tol)
+    click.echo(render_json(report.to_jsonable()))
+    return 0 if report.certified else 1
 
 
 @main.command("scan")
+@_runs
 @click.option("--l-min", "--L-min", "L_min", type=float, required=True)
 @click.option("--l-max", "--L-max", "L_max", type=float, required=True)
 @click.option("--l-step", "--L-step", "L_step", type=float, required=True)
@@ -251,32 +255,22 @@ def cmd_certify(
 def cmd_scan(
     L_min: float, L_max: float, L_step: float,
     eta_min: float, eta_max: float, eta_step: float,
-    flavor: str, angles: int, r_max: float, tol: float,
-) -> None:
+    flavor, grid, tol: float,
+) -> int:
     """Sweep a real parameter rectangle and emit one CSV row per pair."""
+    from .starlike import parameter_scan
 
-    def body() -> int:
-        from .starlike import ScanGrid, StarlikeClass, parameter_scan
-
-        grid = ScanGrid(angles, r_max)
-        rows = parameter_scan(
-            (L_min, L_max, L_step),
-            (eta_min, eta_max, eta_step),
-            StarlikeClass(flavor),
-            grid,
-            tol,
-        )
-        lines = ["L,eta,slack,min_margin,certified"]
-        for row in rows:
-            fields = map(_render_float, (row.L, row.eta, row.slack, row.min_margin))
-            lines.append(",".join((*fields, "true" if row.certified else "false")))
-        click.echo("\n".join(lines))
-        return 0
-
-    _guarded(body)
+    rows = parameter_scan((L_min, L_max, L_step), (eta_min, eta_max, eta_step), flavor, grid, tol)
+    lines = ["L,eta,slack,min_margin,certified"]
+    for row in rows:
+        fields = map(_render_float, (row.L, row.eta, row.slack, row.min_margin))
+        lines.append(",".join((*fields, "true" if row.certified else "false")))
+    click.echo("\n".join(lines))
+    return 0
 
 
 @main.command("verify-lemmas")
+@_runs
 @click.option(
     "--m",
     "m_list",
@@ -284,7 +278,7 @@ def cmd_scan(
     show_default=True,
     help="Comma-separated list of m values (each >= 1).",
 )
-def cmd_verify_lemmas(m_list: str) -> None:
+def cmd_verify_lemmas(m_list: str) -> int:
     """Recheck the quoted profile extrema and threshold identities.
 
     Exit 0 only when every located extremum matches its closed form to 1e-8
@@ -302,26 +296,23 @@ def cmd_verify_lemmas(m_list: str) -> None:
         if m < 1:
             raise click.UsageError(f"m must be >= 1, got {m}")
 
-    def body() -> int:
-        from .admissibility import constant_checks, extremize
+    from .admissibility import constant_checks, extremize
 
-        # V and B do not depend on m, and a list may repeat a value
-        found: dict[tuple, dict] = {}
-        reports = []
-        for m in ms:
-            for tag in "UVAB":
-                key = (tag, m if tag in "UA" else None)
-                if key not in found:
-                    found[key] = extremize(tag, m).to_jsonable()
-                reports.append(found[key])
-        checks = constant_checks()
-        click.echo(render_json({"reports": reports, "constant_checks": checks}))
-        all_pass = all(r["abs_gap"] <= LEMMA_GAP_TOL for r in reports) and all(
-            c["consistent"] for c in checks
-        )
-        return 0 if all_pass else 1
-
-    _guarded(body)
+    # V and B do not depend on m, and a list may repeat a value
+    found: dict[tuple, dict] = {}
+    reports = []
+    for m in ms:
+        for tag in "UVAB":
+            key = (tag, m if tag in "UA" else None)
+            if key not in found:
+                found[key] = extremize(tag, m).to_jsonable()
+            reports.append(found[key])
+    checks = constant_checks()
+    click.echo(render_json({"reports": reports, "constant_checks": checks}))
+    all_pass = all(r["abs_gap"] <= LEMMA_GAP_TOL for r in reports) and all(
+        c["consistent"] for c in checks
+    )
+    return 0 if all_pass else 1
 
 
 if __name__ == "__main__":

@@ -114,7 +114,6 @@ class ZeroSet:
 
 _CIRCLE_SAMPLES = 720  # _arc_count's first samples on its circle
 _MAX_CIRCLE_SAMPLES = 1 << 18  # samples allowed on one circle, bisection included
-_MAX_GROWTH = 50.0  # the ODE arc bound is used while e^(c s) stays below e^50
 
 
 def _bounded_horner(coeffs, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -140,12 +139,10 @@ def _ode_bound(u: np.ndarray, length: np.ndarray, c: float) -> np.ndarray:
 
     |g| + |g'| grows at rate at most c along a path (see _arc_count), so g
     moves by at most u (e^(c s) - 1) / c when u bounds |g| + |g'| at the
-    arc's start.  inf where c s exceeds _MAX_GROWTH.
+    arc's start.  inf where e^(c s) overflows, which leaves the arc open.
     """
-    grow = c * length
-    ode = u * np.expm1(np.minimum(grow, _MAX_GROWTH)) / c
-    ode[grow > _MAX_GROWTH] = math.inf
-    return ode
+    with np.errstate(over="ignore"):
+        return u * np.expm1(c * length) / c
 
 
 def _taylor_closes(start: np.ndarray, end: np.ndarray, length: np.ndarray, c: float,

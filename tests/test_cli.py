@@ -469,6 +469,36 @@ class TestVerifyLemmas:
         assert payload["constant_checks"] == single["constant_checks"]
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("args, code", [
+        (["eval", "--L", "-1", "--eta", "0", "--z", "0.5"], 3),
+        (["coeffs", "--L", "-1", "--eta", "0"], 3),
+        (["certify", "--L", "-1", "--eta", "0", "--class", "classical"], 3),
+        (["certify", "--L", "0.5", "--eta", "0.1", "--class", "classical", "--angles", "0"], 3),
+        (["scan", "--L-min", "0.4", "--L-max", "0.5", "--l-step", "0",
+          "--eta-min", "0", "--eta-max", "0", "--eta-step", "0.1", "--class", "classical"], 3),
+        (["verify-lemmas", "--m", "1e200"], 4),
+        (["zeros", "--L", "0", "--eta", "0", "--radius", "3.141592653589793"], 5),
+    ], ids=["eval", "coeffs", "certify", "certify-angles", "scan", "verify-lemmas", "zeros"])
+    def test_refusal_is_one_error_line(self, runner, args, code):
+        # every subcommand reports a library refusal the same way
+        result = invoke(runner, args)
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["eval", "coeffs", "zeros", "certify"])
+    def test_params_help(self, runner, command):
+        # the four commands share one --L/--eta option decorator
+        result = invoke(runner, [command, "--help"])
+        assert result.exit_code == 0
+        assert "Order parameter." in result.stdout
+        assert "Sommerfeld parameter." in result.stdout
+
+
 class TestDeterminism:
     def test_import_leaves_mpmath_unloaded(self):
         # only gamma and the Kummer oracle import mpmath, on first use
@@ -532,7 +562,8 @@ class TestImportContract:
         ["eval", "--L", "0.3", "--eta", "0.2", "--z", "0.5", "--function", "P"],
         ["coeffs", "--L", "0.3", "--eta", "0.2"],
         ["--help"],
-    ], ids=["eval-g", "eval-f", "eval-P", "coeffs", "help"])
+        ["coeffs", "--help"],
+    ], ids=["eval-g", "eval-f", "eval-P", "coeffs", "help", "coeffs-help"])
     def test_numpy_free_commands(self, argv):
         exit_code, modules = _modules_after(argv)
         assert exit_code == 0

@@ -5,6 +5,7 @@ import importlib
 import math
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -1230,6 +1231,15 @@ class TestArcCountSoundness:
         monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
         assert winding_number(table_for_radius(params, radius), radius) == count
         assert len(calls) == passes
+
+    def test_ode_bound_overflows_to_inf(self):
+        # an e^(c l) past the double range gives an infinite bound, which
+        # leaves its arc open, with no RuntimeWarning; c l = 700 stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = zeros_module._ode_bound(np.ones(2), np.array([100.0, 87.5]), 8.0)
+        assert bound[0] == math.inf
+        assert math.isfinite(bound[1])
 
     def test_taylor_bound_survives_underflow_and_overflow(self):
         # a g'_k d_k that underflows to 0 or overflows leaves its arc open,

@@ -18,7 +18,7 @@ The lines cover:
 * ``eval_g``, ``eval_g_prime``, ``eval_g_second``, ``eval_f``, ``eval_p``:
   1,000 seeded scalar calls, 200 of each.
 
-It takes about 30 s on one core.
+It takes about 18 s on one core.
 """
 
 from __future__ import annotations
