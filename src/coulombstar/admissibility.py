@@ -21,12 +21,16 @@ Since 1 + (2L - 1) - 2L = 0, the quantity regroups as
 so |Psi| >= |s + r^2 - 1| - |2L - 1| |r - 1| - |z|^2 - 2 |eta| |z|.  The
 profiles of |s + r^2 - 1|^2 (offset) and |r - 1|^2 (shift) along each locus
 therefore control the whole bound; this module evaluates them, locates
-their extrema, and rechecks the closed-form values quoted for them.
+their extrema, and rechecks the closed-form values quoted for them.  Each
+of the four profiles, offset U and shift V on the lemniscate locus, offset
+A and shift B on the exponential one, is one row of the table _PROFILES:
+its locus, extremum mode, scalar and grid forms and quoted extremum.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 from dataclasses import asdict, dataclass
 
@@ -46,10 +50,6 @@ EDGE_MARGIN = 1e-6
 _GRID_POINTS = 10_000
 _GOLDEN_XTOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1) / 2
-
-#: The one mode in which extremize treats each profile.
-EXTREMIZE_MODES = {"U": "min", "V": "max", "A": "min", "B": "max"}
-
 
 @dataclass(frozen=True)
 class AdmissiblePoint:
@@ -137,45 +137,42 @@ def exponential_shift_sq(theta: float) -> float:
     return abs(r - 1) ** 2
 
 
+_Profile = collections.namedtuple("_Profile", "locus mode scalar grid quoted")
+
+#: One row per profile: its locus, its extremum mode (the minimum of an
+#: offset, which depends on m, or the maximum of a shift, which does not),
+#: its scalar form (theta, m), its numpy grid form (xs, basis, m) from the
+#: closed forms, where the basis is the locus's max(cos 2 theta, 0) or
+#: e^{e^{i theta}}, and the extremum quoted for it as a function of m.
 _PROFILES = {
-    "U": lambda theta, m: lemniscate_offset_sq(theta, m),
-    "V": lambda theta, m: lemniscate_shift_sq(theta),
-    "A": lambda theta, m: exponential_offset_sq(theta % (2 * math.pi), m),
-    "B": lambda theta, m: exponential_shift_sq(theta % (2 * math.pi)),
+    "U": _Profile(LEMNISCATE, "min", lemniscate_offset_sq,
+                  lambda xs, c2, m: m * m / (8 * c2) + m * np.cos(xs) / np.sqrt(2 * c2) + 1,
+                  lambda m: (m + 2 * math.sqrt(2.0)) ** 2 / 8),
+    "V": _Profile(LEMNISCATE, "max", lambda theta, m: lemniscate_shift_sq(theta),
+                  lambda xs, c2, m: 2 * c2 - 2 * math.sqrt(2.0) * np.cos(xs) * np.sqrt(c2) + 1,
+                  lambda m: (math.sqrt(2.0) - 1) ** 2),
+    "A": _Profile(EXPONENTIAL, "min", lambda theta, m: exponential_offset_sq(theta % (2 * math.pi), m),
+                  lambda xs, r, m: np.abs(m * np.exp(1j * xs) * r + r**2 - 1) ** 2,
+                  lambda m: (1 / math.e**2 - m / math.e - 1) ** 2),
+    "B": _Profile(EXPONENTIAL, "max", lambda theta, m: exponential_shift_sq(theta % (2 * math.pi)),
+                  lambda xs, r, m: np.abs(r - 1) ** 2,
+                  lambda m: (math.e - 1) ** 2),
 }
 
+#: The one mode in which extremize treats each profile.
+EXTREMIZE_MODES = {tag: row.mode for tag, row in _PROFILES.items()}
 
-def _grid_profile(function_tag: str, xs: np.ndarray, m: float) -> np.ndarray:
-    """One profile on a whole grid, from the closed forms in numpy.
 
-    Agrees with the scalar profiles to a few ulps; extremize rechecks the
-    near-extremal points with the scalar ones.  Overflow gives inf, which
-    the caller refuses, instead of a RuntimeWarning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if function_tag in ("U", "V"):
-            c2 = np.maximum(np.cos(2 * xs), 0.0)
-            if function_tag == "U":
-                return m * m / (8 * c2) + m * np.cos(xs) / np.sqrt(2 * c2) + 1
-            return 2 * c2 - 2 * math.sqrt(2.0) * np.cos(xs) * np.sqrt(c2) + 1
-        r = np.exp(np.exp(1j * xs))
-        if function_tag == "A":
-            return np.abs(m * np.exp(1j * xs) * r + r**2 - 1) ** 2
-        return np.abs(r - 1) ** 2
+def _profile(function_tag: str) -> _Profile:
+    row = _PROFILES.get(function_tag)
+    if row is None:
+        raise DomainError(f"unknown function tag {function_tag!r}")
+    return row
 
 
 def closed_form_value(function_tag: str, m: float) -> float:
     """Reference value quoted for each profile extremum."""
-    e = math.e
-    if function_tag == "U":
-        return (m + 2 * math.sqrt(2.0)) ** 2 / 8
-    if function_tag == "V":
-        return (math.sqrt(2.0) - 1) ** 2
-    if function_tag == "A":
-        return (1 / e**2 - m / e - 1) ** 2
-    if function_tag == "B":
-        return (e - 1) ** 2
-    raise DomainError(f"unknown function tag {function_tag!r}")
+    return _profile(function_tag).quoted(m)
 
 
 @dataclass(frozen=True)
@@ -234,24 +231,22 @@ def extremize(function_tag: str, m: float = 1.0) -> ExtremumReport:
     The gap is informational, not enforced: the scan reports whatever the
     profile actually does.
     """
-    if function_tag not in EXTREMIZE_MODES:
-        raise DomainError(f"unknown function tag {function_tag!r}")
-    mode = EXTREMIZE_MODES[function_tag]
-    uses_m = function_tag in ("U", "A")
+    row = _profile(function_tag)
+    uses_m = row.mode == "min"
     if not math.isfinite(m):
         raise DomainError(f"m must be finite, got {m}")
     if uses_m and m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    profile = _PROFILES[function_tag]
-    if function_tag in ("U", "V"):
-        lo, hi = -math.pi / 4 + EDGE_MARGIN, math.pi / 4 - EDGE_MARGIN
-        xs = np.linspace(lo, hi, _GRID_POINTS)
-        periodic = False
-    else:
-        xs = np.linspace(0.0, 2 * math.pi, _GRID_POINTS, endpoint=False)
-        periodic = True
-    sign = 1.0 if mode == "min" else -1.0
-    values = sign * _grid_profile(function_tag, xs, m)
+    profile = row.scalar
+    periodic = row.locus == EXPONENTIAL
+    lo, hi = (0.0, 2 * math.pi) if periodic else (-math.pi / 4 + EDGE_MARGIN,
+                                                   math.pi / 4 - EDGE_MARGIN)
+    xs = np.linspace(lo, hi, _GRID_POINTS, endpoint=not periodic)
+    sign = 1.0 if uses_m else -1.0
+    # overflow gives inf, refused below, instead of a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = np.exp(np.exp(1j * xs)) if periodic else np.maximum(np.cos(2 * xs), 0.0)
+        values = sign * row.grid(xs, basis, m)
     if not np.isfinite(values).all():
         raise DomainError(f"profile {function_tag} is not finite on the grid at m = {m}")
     # the first scalar best among the points within the window picks the
@@ -261,11 +256,9 @@ def extremize(function_tag: str, m: float = 1.0) -> ExtremumReport:
     near = np.flatnonzero(values <= least + 1e-9 * max(1.0, abs(least)))
     best = int(min(near, key=lambda i: sign * profile(float(xs[i]), m)))
     step = float(xs[1] - xs[0])
-    a = float(xs[best]) - step
-    b = float(xs[best]) + step
+    a, b = float(xs[best]) - step, float(xs[best]) + step
     if not periodic:
-        a = max(a, lo)
-        b = min(b, hi)
+        a, b = max(a, lo), min(b, hi)
     located_arg = _golden_section(lambda t: sign * profile(t, m), a, b, _GOLDEN_XTOL)
     if periodic and located_arg >= 2 * math.pi:
         located_arg -= 2 * math.pi
@@ -276,11 +269,11 @@ def extremize(function_tag: str, m: float = 1.0) -> ExtremumReport:
             if a <= end <= b and sign * profile(end, m) < sign * profile(located_arg, m):
                 located_arg = end
     located_value = profile(located_arg, m)
-    reference = closed_form_value(function_tag, m)
+    reference = row.quoted(m)
     return ExtremumReport(
         function_tag=function_tag,
         m=m if uses_m else None,
-        mode=mode,
+        mode=row.mode,
         located_arg=located_arg,
         located_value=located_value,
         closed_form=reference,

@@ -41,10 +41,6 @@ from .series import _ORDER_SCHEDULE, DEFAULT_TOL, CoulombParams, _grow_table
 from .zeros import _arc_count, _check_radius
 
 SQRT2 = math.sqrt(2.0)
-#: Hypothesis threshold of the lemniscate sufficient condition.
-LEMNISCATE_THRESHOLD = SQRT2 / 4
-#: Hypothesis threshold of the exponential sufficient condition.
-EXPONENTIAL_THRESHOLD = (math.e - 1) / math.e**2
 _MAX_ANGLES = 1 << 18  # angles on one grid: bounds the memory of its g, g' and P
 
 
@@ -52,6 +48,18 @@ class StarlikeClass(str, enum.Enum):
     CLASSICAL = "classical"
     LEMNISCATE = "lemniscate"
     EXPONENTIAL = "exponential"
+
+
+#: (threshold, k) of each class's sufficient condition, slack = threshold -
+#: k |2L - 1| - 2 |eta| > 0; the classical class has none.
+_CONDITIONS = {
+    StarlikeClass.LEMNISCATE: (SQRT2 / 4, SQRT2 - 1),
+    StarlikeClass.EXPONENTIAL: ((math.e - 1) / math.e**2, math.e - 1),
+}
+#: Hypothesis threshold of the lemniscate sufficient condition.
+LEMNISCATE_THRESHOLD = _CONDITIONS[StarlikeClass.LEMNISCATE][0]
+#: Hypothesis threshold of the exponential sufficient condition.
+EXPONENTIAL_THRESHOLD = _CONDITIONS[StarlikeClass.EXPONENTIAL][0]
 
 
 def _scalar_margin(w: complex, flavor: StarlikeClass) -> float:
@@ -81,18 +89,26 @@ def exponential_margin(w: complex) -> float:
     return _scalar_margin(w, StarlikeClass.EXPONENTIAL)
 
 
+def _condition(params: CoulombParams, flavor: StarlikeClass) -> tuple[bool, float]:
+    """The flavor's sufficient condition (satisfied, slack), from its _CONDITIONS row.
+
+    The classical flavor's slack is the math.nan object itself, so that two
+    scans' equal rows compare equal.
+    """
+    if flavor not in _CONDITIONS:
+        return (False, math.nan)
+    threshold, k = _CONDITIONS[flavor]
+    slack = threshold - k * abs(2 * params.L - 1) - 2 * abs(params.eta)
+    return (slack > 0, slack)
+
+
 def lemniscate_condition(params: CoulombParams) -> tuple[bool, float]:
     """Sufficient condition for lemniscate starlikeness of g.
 
     slack = sqrt(2)/4 - (sqrt(2) - 1) |2L - 1| - 2 |eta|; positive slack
     guarantees the certification scan succeeds.
     """
-    slack = (
-        LEMNISCATE_THRESHOLD
-        - (SQRT2 - 1) * abs(2 * params.L - 1)
-        - 2 * abs(params.eta)
-    )
-    return (slack > 0, slack)
+    return _condition(params, StarlikeClass.LEMNISCATE)
 
 
 def exponential_condition(params: CoulombParams) -> tuple[bool, float]:
@@ -100,21 +116,7 @@ def exponential_condition(params: CoulombParams) -> tuple[bool, float]:
 
     slack = (e - 1)/e^2 - (e - 1) |2L - 1| - 2 |eta|.
     """
-    slack = (
-        EXPONENTIAL_THRESHOLD
-        - (math.e - 1) * abs(2 * params.L - 1)
-        - 2 * abs(params.eta)
-    )
-    return (slack > 0, slack)
-
-
-def _condition(params: CoulombParams, flavor: StarlikeClass) -> tuple[bool, float]:
-    """The flavor's sufficient condition; the classical flavor has none."""
-    if flavor is StarlikeClass.LEMNISCATE:
-        return lemniscate_condition(params)
-    if flavor is StarlikeClass.EXPONENTIAL:
-        return exponential_condition(params)
-    return (False, math.nan)
+    return _condition(params, StarlikeClass.EXPONENTIAL)
 
 
 @dataclass(frozen=True)

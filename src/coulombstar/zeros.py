@@ -635,7 +635,7 @@ def _bracketed_zeros(
     refined = _refine_mp(table, [complex(x) for x, _ in roots])
     if not all(a < root.real < b for (a, b, _, _), (root, _) in zip(brackets, refined)):
         return None
-    return [(complex(root.real + 0.0, root.imag + 0.0), residual) for root, residual in refined]
+    return refined
 
 
 def _moment_seeds(samples: np.ndarray, count: int, r: float, real: bool) -> np.ndarray:
@@ -688,27 +688,6 @@ def _polish(
     return found
 
 
-def _companion_zeros(
-    table: CoefficientTable, trust_radius: float, target: float, count: int, samples: np.ndarray
-) -> list[tuple[complex, float]]:
-    """Zeros polished from the moment seeds, else from the companion-matrix roots of h's prefix.
-
-    The moment seeds (_moment_seeds, from the count's samples of P) are
-    polished first; when the zeros they give plus the origin miss the proven
-    count, the seeds are the companion-matrix roots, polished the same way
-    (see find_zeros).
-    """
-    found = _polish(table, _moment_seeds(samples, count, trust_radius, table.is_real),
-                    trust_radius, target)
-    if len(found) + 1 == count:
-        return found
-    h = np.array(table.coeffs, dtype=complex)
-    if table.is_real:
-        h = h.real
-    seeds = _seed_roots(h, _seed_degree(h, trust_radius), trust_radius)
-    return _polish(table, seeds, trust_radius, target)
-
-
 def find_zeros(
     params: CoulombParams, trust_radius: float, tol: float = DEFAULT_TOL
 ) -> ZeroSet:
@@ -728,12 +707,12 @@ def find_zeros(
 
     Every other table, and a real table whose bracket proof fails (an
     undecided sign, fewer sign changes than the count, as with the conjugate
-    pair of (-1.7, 0.5), or a root outside its bracket), is seeded by
-    _companion_zeros.  Its first seeds are the roots of a polynomial of
-    degree count - 1 built from the moments of P = z g'/g on the count's
-    720 circle samples (_moment_seeds, after Delves and Lyness 1967).  When
-    the list they give plus the origin misses the count, the seeds are
-    instead the roots of g = z h's cofactor h cut after its last term above
+    pair of (-1.7, 0.5), or a root outside its bracket), is seeded next
+    from the roots of a polynomial of degree count - 1 built from the
+    moments of P = z g'/g on the count's 720 circle samples (_moment_seeds,
+    after Delves and Lyness 1967).  When the list they give plus the origin
+    misses the count, the seeds are instead the companion-matrix roots
+    (_seed_roots) of g = z h's cofactor h cut after its last term above
     _SEED_CUT of the largest on |z| = 1.05 R; for real L and eta that prefix
     is a float64 array, so np.roots takes LAPACK's real eigensolver.  Either
     way, the seeds within 1.05 R go through Newton in doubles down to
@@ -759,14 +738,21 @@ def find_zeros(
     target = max(tol, 8 * _EPS * _abs_sum(table, trust_radius, 0))
     found = None if scan is None else _bracketed_zeros(table, count, scan, target)
     if found is None:
-        found = _companion_zeros(table, trust_radius, target, count, samples)
-    if count != len(found) + 1:
+        found = _polish(table, _moment_seeds(samples, count, trust_radius, table.is_real),
+                        trust_radius, target)
+    if len(found) + 1 != count:
+        h = np.array(table.coeffs, dtype=complex)
+        if table.is_real:
+            h = h.real
+        seeds = _seed_roots(h, _seed_degree(h, trust_radius), trust_radius)
+        found = _polish(table, seeds, trust_radius, target)
+    if len(found) + 1 != count:
         raise WindingMismatch(
             f"winding count over |z| = {trust_radius} is {count}, against "
             f"{len(found)} listed zeros plus the origin"
         )
     found.sort(key=lambda pair: (abs(pair[0]), cmath.phase(pair[0])))
-    zeros, residuals = zip(*found) if found else ((), ())
+    zeros, residuals = zip(*found)
     return ZeroSet(params, trust_radius, table.order, zeros, residuals)
 
 

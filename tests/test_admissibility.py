@@ -40,6 +40,10 @@ class TestAdmissiblePoint:
         with pytest.raises(DomainError):
             admissible_point("frobnicate", 0.0, 1.0)
 
+    def test_unknown_tag_has_no_closed_form(self):
+        with pytest.raises(DomainError):
+            admissibility.closed_form_value("X", 1.0)
+
     def test_m_below_one(self):
         with pytest.raises(DomainError):
             admissible_point("lemniscate", 0.0, 0.5)
@@ -151,6 +155,12 @@ class TestProfileClosedForms:
                 exponential_shift_sq(theta), rel=1e-12
             )
 
+    def test_shift_outside_its_domain(self):
+        with pytest.raises(DomainError):
+            lemniscate_shift_sq(1.0)
+        with pytest.raises(DomainError):
+            exponential_shift_sq(7.0)
+
     def test_offset_blows_up_at_lemniscate_edges(self):
         assert lemniscate_offset_sq(math.pi / 4 - 1e-9, 1.0) > 1e7
 
@@ -229,7 +239,7 @@ class TestExtremize:
 
 def _scalar_extremize(tag, m):
     """extremize with every grid point evaluated by the scalar profile."""
-    profile = admissibility._PROFILES[tag]
+    profile = admissibility._PROFILES[tag].scalar
     sign = 1.0 if admissibility.EXTREMIZE_MODES[tag] == "min" else -1.0
     n = admissibility._GRID_POINTS
     if tag in ("U", "V"):

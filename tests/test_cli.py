@@ -446,6 +446,11 @@ class TestVerifyLemmas:
         result = invoke(runner, ["verify-lemmas", "--m", "one"])
         assert result.exit_code == 2
 
+    def test_empty_m_list_exit_two(self, runner):
+        result = invoke(runner, ["verify-lemmas", "--m", ","])
+        assert result.exit_code == 2
+        assert "m list is empty" in result.stderr
+
     @pytest.mark.parametrize("m_list", ["nan", "inf", "-inf", "1,nan"])
     def test_nonfinite_m_exit_two(self, runner, m_list):
         result = invoke(runner, ["verify-lemmas", "--m", m_list])

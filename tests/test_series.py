@@ -135,6 +135,10 @@ class TestMakeCoefficients:
         with pytest.raises(NoConvergence):
             make_coefficients(CoulombParams(0.0, 0.0), 16, 30.0)
 
+    def test_negative_tail_bound_is_refused(self):
+        with pytest.raises(ValueError, match="tail_bound"):
+            CoefficientTable(CoulombParams(0.0, 0.0), (1.0,), 0, -1.0, 1.0)
+
     def test_recurrence_residual_invariant(self):
         rng = random.Random(1105)
         for _ in range(20):
@@ -560,6 +564,17 @@ class TestKummerOracle:
     def test_first_coefficient(self):
         table = kummer_oracle(CoulombParams(0.0, 1.0), 1)
         assert abs(table.coeffs[1] - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("order", [-1, 501])
+    def test_order_out_of_range(self, order):
+        with pytest.raises(InvalidParams):
+            kummer_oracle(CoulombParams(0.0, 0.0), order)
+
+    def test_no_certified_radius_gives_a_zero_tail(self):
+        # at L = 5 the majorization of a 3-term table holds at no radius
+        # down to 1e-6, so the table carries radius 0 and tail 0
+        table = kummer_oracle(CoulombParams(5.0, 0.0), 3)
+        assert (table.radius, table.tail_bound, table.order) == (0.0, 0.0, 3)
 
     def test_agreement_on_random_draws(self):
         rng = random.Random(4402)

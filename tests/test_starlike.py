@@ -463,6 +463,15 @@ class TestParameterScan:
         with pytest.raises(InvalidParams):
             parameter_scan(bad, (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL)
 
+    def test_repeated_classical_scan_compares_equal(self):
+        # rows compare as tuples, where NaN equals only the same object: the
+        # classical slack must be math.nan itself, as a refused row's is
+        rectangle = ((-1.0, -0.5, 0.5), (0.0, 0.1, 0.1), StarlikeClass.CLASSICAL,
+                     ScanGrid(angles_per_ring=36))
+        rows = parameter_scan(*rectangle)
+        assert all(math.isnan(row.slack) for row in rows)
+        assert rows == parameter_scan(*rectangle)
+
     def test_empty_range(self):
         assert parameter_scan((0.5, 0.4, 0.1), (0.0, 0.1, 0.1), StarlikeClass.CLASSICAL) == []
 

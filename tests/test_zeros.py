@@ -892,6 +892,28 @@ class TestBrackets:
         assert _bits(find_zeros(CoulombParams(0.7, -0.4), 8.0)) == expected
         assert len(seeds) == 1
 
+    def test_newton_short_of_the_target_takes_the_companion_path(self, monkeypatch):
+        # one double Newton step leaves the regula-falsi starts short of the
+        # target: the bracket proof gives up rather than refine them
+        params = CoulombParams(0.7, -0.4)
+        monkeypatch.setattr(zeros_module, "_NEWTON_MAX_STEPS", 1)
+        brackets = _spy(monkeypatch, "_bracketed_zeros")
+        _no_moment_seeds(monkeypatch)
+        seeds = _spy(monkeypatch, "_seed_roots")
+        got = _bits(find_zeros(params, 8.0))
+        assert [found for _, found in brackets] == [None] and len(seeds) == 1
+        _companion_only(monkeypatch)
+        assert _bits(find_zeros(params, 8.0)) == got and len(got) == 3
+
+    def test_companion_eigensolver_failure_is_a_refusal(self, monkeypatch):
+        def fail(p):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+        _companion_only(monkeypatch)
+        monkeypatch.setattr(np, "roots", fail)
+        with pytest.raises(NoConvergence, match="companion-matrix roots fail"):
+            find_zeros(CoulombParams(0.7, -0.4), 8.0)
+
     def test_diameter_points(self):
         for radius in (1e-300, 0.3, 0.5, 4.25, 20.0, 29.99):
             x = zeros_module._diameter(radius)

@@ -2,19 +2,23 @@
 
     python3 tools/fingerprint_ab.py REV
 
-It extracts REV with ``git archive`` into a temporary directory and runs
-that tree's ``tools/fingerprint.py`` and the working tree's, each in its own
-process, both at once.  It prints every line that moved, as difflib matches
-the two outputs, REV's with ``-`` and the working tree's with ``+``, and
-then ``N of M lines moved``.  Moved lines are for a change's notes to
-justify, so the exit status is non-zero only when ``git archive`` or a run
-fails; a run's stderr is passed through.  Both runs inherit the
-environment, ``PYTHONWARNINGS`` included.  Standard library only.
+It extracts REV with ``git archive`` into a temporary directory, copies the
+working tree's ``tools/fingerprint.py`` over that tree's, and runs the one
+tool against each tree's library, each in its own process, both at once.
+So lines that the tool gained since REV are compared like with like, and
+the tool may call only names that REV's library has.  It prints every line
+that moved, as difflib matches the two outputs, REV's with ``-`` and the
+working tree's with ``+``, and then ``N of M lines moved``.  Moved lines
+are for a change's notes to justify, so the exit status is non-zero only
+when ``git archive`` or a run fails; a run's stderr is passed through.
+Both runs inherit the environment, ``PYTHONWARNINGS`` included.  Standard
+library only.
 """
 
 from __future__ import annotations
 
 import difflib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,7 @@ def main(argv: list[str]) -> int:
         if archive.wait() or unpack.returncode:
             print(f"git archive of {argv[0]} failed", file=sys.stderr)
             return 1
+        shutil.copyfile(ROOT / "tools" / "fingerprint.py", Path(base) / "tools" / "fingerprint.py")
         runs = [subprocess.Popen([sys.executable, str(Path(tree) / "tools" / "fingerprint.py")],
                                  stdout=subprocess.PIPE, text=True)
                 for tree in (base, ROOT)]
