@@ -296,14 +296,14 @@ def cmd_verify_lemmas(m_list: str) -> int:
         if m < 1:
             raise click.UsageError(f"m must be >= 1, got {m}")
 
-    from .admissibility import constant_checks, extremize
+    from .admissibility import EXTREMIZE_MODES, constant_checks, extremize
 
-    # V and B do not depend on m, and a list may repeat a value
+    # the maximized shift profiles do not depend on m, and a list may repeat a value
     found: dict[tuple, dict] = {}
     reports = []
     for m in ms:
-        for tag in "UVAB":
-            key = (tag, m if tag in "UA" else None)
+        for tag, mode in EXTREMIZE_MODES.items():
+            key = (tag, m if mode == "min" else None)
             if key not in found:
                 found[key] = extremize(tag, m).to_jsonable()
             reports.append(found[key])

@@ -252,8 +252,8 @@ def _abs_sum(table: CoefficientTable, r: float, deriv: int) -> float:
     """S(r) = sum |a_n| r^(n+1) or M1(r) = sum (n+1) |a_n| r^n (deriv 0, 1), by Horner.
 
     The majorant of the truncated |g| or |g'| on |z| <= r, on _weighted's
-    weight rule: S is zeros._arc_count's Rouche test and find_zeros' Newton
-    target, and M1 the scale of g''s rounding in the count's samples.
+    weight rule: S is zeros._arc_count's Rouche test, and M1 the scale of
+    g''s rounding in the count's samples.
     """
     h = _horner(_weighted([abs(c) for c in table.coeffs], deriv, table.order), r)
     return h * r if deriv == 0 else h

@@ -12,39 +12,15 @@ real L and eta, g(conj z) = conj g(z), so arg g changes on the lower half
 circle as it does on the upper half, and only the upper semicircle is
 sampled.
 
-_arc_count returns one record, (count, scan, samples), to every caller.
-For real L and eta, g is also real on the real axis, and find_zeros proves
-the zeros from sign changes there: the count scans a real table's diameter
-[-R, R] itself, in its first pass, each sign proven by the count's own
-error model, and when the sign changes (the origin's included) number the
-count, each bracket holds exactly one simple zero and none lies off the
-axis.  Newton in real floats from each bracket's regula-falsi point, then
-on compensated residuals (_refine_mp's real kernel), finds it inside its
-bracket.  Like the count, this proof does not cover the coefficients' own
-rounding yet.  A count of 1 lists no zero.
-
-Complex tables, and real tables whose bracket proof fails, are seeded from
-the count's own samples: its first pass has g and g' at 720 uniform points
-of the circle (mirrored from the upper half for a real table), so the power
-sums of the zeros follow from P = z g'/g by the argument principle and the
-trapezoid rule (Delves and Lyness, Math. Comp. 21, 1967; Kravanja and Van
-Barel, Computing the Zeros of Analytic Functions, LNM 1727, 2000), and
-Newton's identities turn them into a polynomial of degree count - 1 whose
-roots are the seeds (_moment_seeds).  When the zeros these seeds give, plus
-the origin, miss the proven count, as when a zero lies within about 0.5 %
-of the circle, the seeds are instead the roots of a short prefix of the
-series polynomial (companion-matrix eigenvalues), as before the moments:
-the prefix ends at the last term that still matters on |z| = 1.05 R
-(_SEED_CUT), and for real L and eta it goes to the real companion matrix.
-Every path polishes all its starts together, in phases of one lockstep
-Newton loop each (_newton): first in doubles on the full series, then, for
-every root that reaches the double target, on compensated residuals
-(_refine_mp), where one batched _compensated_horner call per step evaluates
-all the roots still moving, and a real zero is refined in real arithmetic.
-Only then are the roots checked: against their brackets, or against the
-residual gate, the origin and the roots already kept.
-An unproven count, or a list that disagrees with it, raises
-WindingMismatch.  The located zeros feed the product
+find_zeros then lists the zeros by one eigensolve.  The nonzero zeros of g
+are the reciprocals of the eigenvalues of the tridiagonal Jacobi matrix J of
+the Coulomb recurrence (Ikebe, Math. Comp. 29, 1975; Stampach and Stovicek,
+J. Math. Anal. Appl. 419, 2014), whose entries follow from L and eta in
+closed form (_jacobi).  Its leading N x N section, N a little above R,
+gives the zeros within R to about 1e-14 relative, from L and eta alone:
+the rounded coefficients a_n serve the count and the residuals, not the
+zeros.  A count of 1 lists no zero, and a list that disagrees with the
+count raises WindingMismatch.  The located zeros feed the product
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
 
@@ -54,7 +30,6 @@ whose partial products converge to g as more zeros are included.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -71,19 +46,8 @@ from .series import (
     CoulombParams,
     _abs_sum,
     _grow_table,
-    _horner,
     _tail_bounds,
-    _weighted,
 )
-
-_NEWTON_MAX_STEPS = 100
-_REFINE_MAX_STEPS = 8
-_DEDUP_SEPARATION = 1e-8
-_RESIDUAL_FACTOR = 1e-10
-# seed-polynomial cut: keep a_n while |a_n| (1.05 R)^n > _SEED_CUT * max
-_SEED_CUT = 1e-9
-_SEED_REACH = 1.05
-_BRACKET_STEP = 0.5  # find_zeros' diameter scan: the most one step spans, the origin's aside
 
 
 @dataclass(frozen=True)
@@ -92,7 +56,11 @@ class ZeroSet:
 
     residuals[k] is |g(zeros[k])| for the truncated series at the returned
     double zeros[k], evaluated by compensated Horner (about twice double
-    precision; see _compensated_horner for its error).
+    precision; see _compensated_horner for its error) on the double
+    coefficients.  It is not a distance to g's zero: the zeros come from
+    the Jacobi matrix, not from the rounded coefficients, and the residual
+    takes in their rounding, up to about eps S(|zeros[k]|), S(r) = sum
+    |a_n| r^(n+1), at a zero that is right to 1e-14.
     """
 
     params: CoulombParams
@@ -177,8 +145,8 @@ def _check_radius(name: str, radius: float, below: float = math.inf) -> None:
         raise InvalidParams(f"{name} must be {rule}, got {radius!r}")
 
 
-def _arc_count(table: CoefficientTable, tails, r: float):
-    """The proven count of the zeros of g in |z| < r, for a normal double r, as (count, scan, samples).
+def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
+    """The proven count of the zeros of g in |z| < r, for a normal double r, or None.
 
     tails are _tail_bounds at r, and S is _abs_sum's.  First, Rouche's
     theorem against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on |z| = r,
@@ -259,16 +227,6 @@ def _arc_count(table: CoefficientTable, tails, r: float):
     (or not finite), a midpoint angle that rounds onto its arc's start, or
     over _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
     coefficients' own rounding yet.
-
-    The one record serves every caller.  samples is P = z g'/g at the 720
-    points z = r e^(2 pi i k / 720) of the first pass (for a real table its
-    361 upper points, the lower ones by P(conj z) = conj P(z)), for
-    _moment_seeds.  For a real table the first pass also scans the diameter
-    itself, in the same _bounded_horner call as the circle: scan is
-    (x, g, err) at the points x of _diameter(r), err with tail0 included,
-    for _bracketed_zeros; None for a complex table.  scan and samples are
-    None when Rouche's test settles the count, and all three when the count
-    is unproven.
     """
     # rho: each nonnegative term of the computed S carries |a_n| (hypot,
     # within 1 ulp: theta_2), Horner's theta_(2 order) (Higham 2002, eq. 5.3)
@@ -278,34 +236,27 @@ def _arc_count(table: CoefficientTable, tails, r: float):
     # gamma_(2 order + 5), with u S to spare for underflowed products (2^-1075
     # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
     if (_abs_sum(table, r, 0) + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
-        return 1, None, None
+        return 1
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
     err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
     g_coeffs = (0.0,) + table.coeffs
 
-    def evaluate(theta, z, extra=None):
+    def evaluate(theta, z):
         """The samples at the angles theta, points z, as rows theta, z, g, g', err and u (the
-        real ones stored as complex), and (extra, g, err) on the real points extra."""
-        points = z if extra is None else np.concatenate((z, extra))
-        g, err = _bounded_horner(g_coeffs, points, r)
+        real ones stored as complex)."""
+        g, err = _bounded_horner(g_coeffs, z, r)
         err += tails[0]
-        scan = None if extra is None else (extra, g[z.size:].real, err[z.size:])
-        g, err = g[:z.size], err[:z.size]
         g_prime = table.g_prime_values(z)
         u = np.abs(g) + np.abs(g_prime) + err + err_p
-        return np.array((theta, z, g, g_prime, err, u)), scan
+        return np.array((theta, z, g, g_prime, err, u))
 
     real = table.is_real
     span, m = (np.pi, _CIRCLE_SAMPLES // 2) if real else (2 * np.pi, _CIRCLE_SAMPLES)
     theta = span * np.arange(m + 1) / m
     z = r * np.exp(1j * theta)
     z[-1] = -r if real else r  # the path ends on the real axis, or where it began
-    first, scan = evaluate(theta, z, _diameter(r) if real else None)
-    with np.errstate(all="ignore"):  # a zero sample leaves the count unproven anyway
-        p = z * first[3] / first[2]
-    # P(conj z) = conj P(z) fills in the lower half circle; a full circle repeats z = r
-    samples = np.concatenate((p, np.conj(p[-2:0:-1]))) if real else p[:-1]
+    first = evaluate(theta, z)
     start, end = first[:, :-1], first[:, 1:]
     total, count = 0.0, m + 1
     while True:
@@ -320,15 +271,15 @@ def _arc_count(table: CoefficientTable, tails, r: float):
             closed[left] = _taylor_closes(start[:, left], end[:, left], length[left], c, err_p, r)[0]
         total += float(np.angle(end_g[closed] / g[closed]).sum())
         if closed.all():
-            return round(total / span), scan, samples
+            return round(total / span)
         keep = ~closed
         theta = theta[keep]
         mid = theta + (end_theta[keep] - theta) / 2
         count += mid.size
         if (count > _MAX_CIRCLE_SAMPLES or not np.all(size[keep] > 2 * err[keep])
                 or np.any(mid == theta)):
-            return None, None, None
-        middle, _ = evaluate(mid, r * np.exp(1j * mid))
+            return None
+        middle = evaluate(mid, r * np.exp(1j * mid))
         start = np.concatenate((start[:, keep], middle), axis=1)
         end = np.concatenate((middle, end[:, keep]), axis=1)
 
@@ -348,66 +299,13 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
     tails = _tail_bounds(table.coeffs, table.params, radius)
     if tails is None:
         raise NoConvergence(f"series tail is not certified at radius {radius}")
-    count = _arc_count(table, tails, radius)[0]
+    count = _arc_count(table, tails, radius)
     if count is None:
         raise NoConvergence(f"winding count on |z| = {radius} cannot be proven")
     return count
 
 
-def _newton(g, g_prime, starts, steps: int, target: float = 0.0) -> list[tuple[complex, float]]:
-    """Newton steps z <- z - g(z)/g'(z) from every start in lockstep; (best iterate, its |g|) each.
-
-    g and g_prime map a list of points to the list of their values, so that
-    one call of a batched kernel (_compensated_horner) serves every point
-    still moving.  Each point keeps its own steps and stopping rules: it
-    stops once its |g| <= target, when its g' vanishes, when its update
-    rounds to no change or leaves the finite doubles, or after `steps`
-    steps, while the others go on.  Its returned iterate is the one of
-    smallest |g| it met, so each start ends with the bits it has alone.
-    """
-    z = list(starts)
-    values = g(z) if z else []
-    best = [(w, abs(value)) for w, value in zip(z, values)]
-    live = range(len(z))
-    for _ in range(steps):
-        live = [k for k in live if not abs(values[k]) <= target]
-        if not live:
-            break
-        moved = []
-        for k, slope in zip(live, g_prime([z[k] for k in live])):
-            if slope == 0:
-                continue
-            nxt = z[k] - values[k] / slope
-            if nxt == z[k] or not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
-                continue
-            z[k] = nxt
-            moved.append(k)
-        if not moved:
-            break
-        for k, value in zip(moved, g([z[k] for k in moved])):
-            values[k] = value
-            if abs(value) < best[k][1]:
-                best[k] = (z[k], abs(value))
-        live = moved
-    return best
-
-
-def _pointwise(f):
-    """_newton's list form of a function of one point."""
-    return lambda points: [f(z) for z in points]
-
-
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
-
-
-@functools.lru_cache(maxsize=4)
-def _lanes(coeffs: tuple) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """coeffs in Horner order, last first, as (re, im) floats and as a (2, 1, n) array.
-
-    Cached, since _refine_mp calls _compensated_horner on one table once per step.
-    """
-    a = np.array(coeffs[::-1], dtype=complex)
-    return [(c.real, c.imag) for c in reversed(coeffs)], a.view(float).reshape(-1, 2).T[:, None]
 
 
 def _compensated_horner(coeffs, points) -> list[complex]:
@@ -435,7 +333,8 @@ def _compensated_horner(coeffs, points) -> list[complex]:
     arithmetic, where a fused product would move only the correction's own
     rounding.
     """
-    lanes, a = _lanes(tuple(coeffs))
+    lanes = [(c.real, c.imag) for c in reversed(coeffs)]
+    a = np.array(coeffs[::-1], dtype=complex).view(float).reshape(-1, 2).T[:, None]
     points = [complex(z) for z in points]
     factors, record, ends = [], [], []
     keep = record.append
@@ -490,202 +389,32 @@ def _compensated_horner(coeffs, points) -> list[complex]:
     return out
 
 
-def _compensated_horner_real(coeffs, x: float) -> float:
-    """sum_n coeffs[n] x^n for real coeffs and real x, compensated.
-
-    The real lane of _compensated_horner: with y = 0 and zero imaginary
-    coefficients every imaginary product and sum there is an exact zero, so
-    its real part reduces to p1, e1 and e7 below and has the same bits as
-    this result.
-    """
-    t = _SPLITTER * x
-    xh = t - (t - x)
-    xl = x - xh
-    s = c = 0.0
-    for a in reversed(coeffs):
-        t = _SPLITTER * s
-        sh = t - (t - s)
-        sl = s - sh
-        p1 = s * x
-        e1 = sl * xl - (((p1 - sh * xh) - sl * xh) - sh * xl)
-        s = p1 + a
-        b = s - p1
-        e7 = (p1 - (s - b)) + (a - b)
-        c = c * x + (e1 + e7)
-    return s + c
-
-
 def _refine_mp(table: CoefficientTable, roots) -> list[tuple[complex, float]]:
-    """Compensated Newton from all of a table's double-Newton roots at once; (root, residual) each.
+    """Each root with its residual, the compensated |g| there: [(root, residual)].
 
-    One lockstep _newton of at most _REFINE_MAX_STEPS steps, g = z h from
-    one batched _compensated_horner call per step and g' from the double
-    table; the residual is the compensated |g| at the returned double.
-    For a real table, a root within 1e-10 of the real axis, before or after
-    the complex steps, is put on it and refined in real floats, h from the
-    real kernel on the coefficients as floats (same bits, a quarter of the
-    products) and g' by Horner on the real derivative coefficients, since
-    off the axis the update never rounds to no change;
-    for real L > -1 every zero is real (Ikebe, Math. Comp. 29, 1975), so a
-    near-real pair of seeds ends on one real zero.  (perfbench/crosscheck.py
-    times the refinement under this name.)
+    g = z h, h from one batched _compensated_horner call on the table's
+    double coefficients.  It no longer refines: the name is kept for
+    perfbench/crosscheck.py, which times this step under it.
     """
-    def near_real(z):
-        return table.is_real and abs(z.imag) <= 1e-10 * max(1.0, abs(z.real))
-
-    def g(points):
-        return [z * h for z, h in zip(points, _compensated_horner(table.coeffs, points))]
-
-    refined = [None] * len(roots)
-    off = [k for k, root in enumerate(roots) if not near_real(root)]
-    polished = _newton(g, _pointwise(table.g_prime_values), [roots[k] for k in off],
-                       _REFINE_MAX_STEPS)
-    for k, pair in zip(off, polished):
-        refined[k] = pair
-    on = [k for k, pair in enumerate(refined) if pair is None or near_real(pair[0])]
-    if on:
-        real_coeffs = [c.real for c in table.coeffs]
-        real_prime = _weighted(real_coeffs, 1, table.order)
-        starts = [(roots[k] if refined[k] is None else refined[k][0]).real for k in on]
-        polished = _newton(_pointwise(lambda x: x * _compensated_horner_real(real_coeffs, x)),
-                           _pointwise(lambda x: _horner(real_prime, x)), starts,
-                           _REFINE_MAX_STEPS)
-        for k, (x, residual) in zip(on, polished):
-            refined[k] = (complex(x, 0.0), residual)
-    return refined
+    return [(z, abs(z * h)) for z, h in zip(roots, _compensated_horner(table.coeffs, roots))]
 
 
-def _seed_degree(h: np.ndarray, trust_radius: float) -> int:
-    """Degree of the prefix of h whose roots seed the zeros within R.
+def _jacobi(L, eta, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal d and the squared off-diagonal w^2 of the size x size Jacobi matrix J_N of g.
 
-    The last n with |a_n| (1.05 R)^n > _SEED_CUT max_k |a_k| (1.05 R)^k,
-    compared in logarithms so that no power overflows.
+    With m_n = L + n + 1, d_n = -eta / (m_n m_(n+1)) for n = 0 .. N-1, and
+    w_n^2 = (m_n^2 + eta^2) / (m_n^2 (2 m_n - 1)(2 m_n + 1)) joins rows n-1
+    and n, n = 1 .. N-1; every denominator is nonzero off CoulombParams'
+    polar set.  Real L and eta (floats) give real arrays, each entry
+    rounded by real operations alone.  A diagonal zero is +0.0, since a
+    -0.0 there moves eigvalsh's bits.  An overflow leaves inf or nan, which
+    the eigensolvers refuse with LinAlgError.
     """
-    with np.errstate(divide="ignore"):
-        log_terms = np.log(np.abs(h)) + np.arange(h.size) * math.log(
-            _SEED_REACH * trust_radius
-        )
-    keep = log_terms > log_terms.max() + math.log(_SEED_CUT)
-    return int(np.flatnonzero(keep)[-1])
-
-
-def _seed_roots(h: np.ndarray, degree: int, trust_radius: float) -> np.ndarray:
-    """Companion-matrix roots of sum_{n <= degree} h[n] z^n."""
-    try:
-        with np.errstate(all="ignore"):
-            return np.roots(h[degree::-1])
-    except np.linalg.LinAlgError as exc:
-        # underflowed trailing coefficients overflow the companion matrix
-        raise NoConvergence(
-            f"companion-matrix roots fail at radius {trust_radius}: {exc}"
-        ) from exc
-
-
-def _diameter(r: float) -> np.ndarray:
-    """The real points x_k = r k / n, k = -n .. n but 0, n = ceil(r / _BRACKET_STEP).
-
-    k / n rounds to at most 1, so every point lies in [-r, r], the ends are
-    -r and r exactly, and the points increase with k.  Neighbours lie at
-    most _BRACKET_STEP apart, but for the origin's bracket (-r/n, r/n).
-    """
-    n = math.ceil(r / _BRACKET_STEP)
-    k = np.arange(-n, n + 1)
-    return r * (k[k != 0] / n)
-
-
-def _bracketed_zeros(
-    table: CoefficientTable, count: int, scan, target: float
-) -> list[tuple[complex, float]] | None:
-    """A real table's count - 1 zeros from proven sign changes on the diameter, or None.
-
-    scan is (x, g, err) at the points x of _diameter, from _arc_count's
-    first pass: the sign of g_j is proven when |g_j| > err_j, the count's own
-    error model, tail0 included.  g is real on the real axis, so each pair
-    of neighbouring points with opposite proven signs brackets an odd number
-    of zeros; one of them holds the origin's.  When the proven count equals
-    the number of sign changes, each bracket holds exactly one simple zero
-    and no zero lies off the axis (no appeal to Ikebe's theorem).  Every
-    bracket's zero but the origin's is found by double Newton in real floats
-    down to `target`, all in one lockstep _newton started from the
-    regula-falsi points of the brackets' scan values; then
-    one _refine_mp call refines them all in its real kernel, and each must
-    land strictly inside its bracket.  None on any failure: an undecided
-    sign, a count mismatch, a Newton run that stops short of `target`, or a
-    root outside its bracket.  Like the count, the proof does not cover the
-    coefficients' own rounding yet.
-    """
-    points, values, err = scan
-    if not np.all(np.abs(values) > err):
-        return None
-    positive = values > 0
-    changes = np.flatnonzero(positive[1:] != positive[:-1])
-    if changes.size != count:
-        return None
-    real_coeffs = [c.real for c in table.coeffs]
-    real_prime = _weighted(real_coeffs, 1, table.order)
-    xs, gs = points.tolist(), values.tolist()
-    origin = len(xs) // 2 - 1  # the bracket (-r/n, r/n)
-    brackets = [(xs[j], xs[j + 1], gs[j], gs[j + 1]) for j in changes.tolist() if j != origin]
-    roots = _newton(_pointwise(lambda x: x * _horner(real_coeffs, x)),
-                    _pointwise(lambda x: _horner(real_prime, x)),
-                    [a - ga * (b - a) / (gb - ga) for a, b, ga, gb in brackets],
-                    _NEWTON_MAX_STEPS, target)
-    if not all(size <= target for _, size in roots):
-        return None
-    refined = _refine_mp(table, [complex(x) for x, _ in roots])
-    if not all(a < root.real < b for (a, b, _, _), (root, _) in zip(brackets, refined)):
-        return None
-    return refined
-
-
-def _moment_seeds(samples: np.ndarray, count: int, r: float, real: bool) -> np.ndarray:
-    """Seeds for the count - 1 zeros of g in 0 < |z| < r, from P = z g'/g at 720 points on |z| = r.
-
-    By the argument principle, sum rho^k over the zeros in |z| < r is
-    (1/2 pi i) times the integral of z^k g'/g dz on the circle, that is r^k
-    times the mean of e^(i k theta) P over theta: the trapezoid rule on the
-    uniform samples gives it as ifft(P)[k] r^k (Delves and Lyness, Math.
-    Comp. 21, 1967).  So m_k = ifft(P)[k] is sum (rho/r)^k, the origin
-    adding nothing for k >= 1, and Newton's identities turn m_1 ..
-    m_(count-1) into the monic polynomial whose roots are the rho/r.  The
-    rule loses accuracy as a zero nears the circle, from either side; the
-    seeds are then poor, and find_zeros' count check falls back to the
-    companion matrix.  For a real table (`real`) the mirrored samples make
-    the moments real up to rounding, and their real parts are taken, so
-    that np.roots pairs the seeds exactly.  No seeds when the polynomial is
-    not finite.
-    """
+    m = L + np.arange(size + 1) + 1.0
     with np.errstate(all="ignore"):
-        m = np.fft.ifft(samples)[1:count]
-        if real:
-            m = m.real
-        c = np.zeros(count, dtype=m.dtype)
-        c[0] = 1.0
-        for k in range(1, count):  # k c_k = -(c_(k-1) m_1 + ... + c_0 m_k)
-            c[k] = -np.dot(c[k - 1::-1], m[:k]) / k
-        if not np.all(np.isfinite(c)):
-            return np.empty(0)
-        return r * np.roots(c)
-
-
-def _polish(
-    table: CoefficientTable, seeds, trust_radius: float, target: float
-) -> list[tuple[complex, float]]:
-    """The zeros that one set of seeds polishes into (see find_zeros)."""
-    seeds = [complex(seed) for seed in seeds if not abs(seed) > trust_radius * _SEED_REACH]
-    roots = _newton(_pointwise(table.g_values), _pointwise(table.g_prime_values), seeds,
-                    _NEWTON_MAX_STEPS, target)
-    refined = _refine_mp(table, [root for root, size in roots if size <= target])
-    gate = _RESIDUAL_FACTOR * max(abs(c) for c in table.coeffs)
-    found: list[tuple[complex, float]] = []
-    for root, residual in refined:
-        # the origin is not listed: it counts as a zero already kept
-        if residual <= gate and _DEDUP_SEPARATION < abs(root) <= trust_radius and all(
-            abs(root - kept) > _DEDUP_SEPARATION for kept, _ in found
-        ):
-            # normalize signed zeros so sort order does not depend on -0.0
-            found.append((complex(root.real + 0.0, root.imag + 0.0), residual))
-    return found
+        d = -eta / (m[:-1] * m[1:]) + 0.0
+        m = m[1:-1]
+        return d, (m * m + eta * eta) / (m * m * (2 * m - 1) * (2 * m + 1))
 
 
 def find_zeros(
@@ -693,66 +422,62 @@ def find_zeros(
 ) -> ZeroSet:
     """Locate every zero of g with 0 < |rho| <= trust_radius.
 
-    The origin zero is structural (g(z) = z + ...) and is excluded from the
-    list; the zero count over the trust circle is proven first, by
-    _arc_count, and an unproven count raises WindingMismatch before any
-    zero is sought; a count of 1 lists no zero.  The count comes as one
-    record: for real L and eta, _arc_count scans the table's diameter
-    [-R, R] itself (the points of _diameter) in its first pass, and
-    _bracketed_zeros proves the zeros from the sign changes there: each
-    lies in its own bracket, found by Newton in real floats and refined in
-    the real compensated kernel, with no companion matrix, residual gate or
-    dedup distance.  Like the count, that proof does not cover the
-    coefficients' own rounding yet.
+    The origin zero is structural (g(z) = z + ...) and is not listed.  The
+    zero count over the trust circle is proven first, by _arc_count, on the
+    table whose tail on |z| = R is below tol (tol sizes that table alone);
+    an unproven count raises WindingMismatch, and a count of 1 lists no zero.
 
-    Every other table, and a real table whose bracket proof fails (an
-    undecided sign, fewer sign changes than the count, as with the conjugate
-    pair of (-1.7, 0.5), or a root outside its bracket), is seeded next
-    from the roots of a polynomial of degree count - 1 built from the
-    moments of P = z g'/g on the count's 720 circle samples (_moment_seeds,
-    after Delves and Lyness 1967).  When the list they give plus the origin
-    misses the count, the seeds are instead the companion-matrix roots
-    (_seed_roots) of g = z h's cofactor h cut after its last term above
-    _SEED_CUT of the largest on |z| = 1.05 R; for real L and eta that prefix
-    is a float64 array, so np.roots takes LAPACK's real eigensolver.  Either
-    way, the seeds within 1.05 R go through Newton in doubles down to
-    max(tol, 8 eps S(R)), S(R) = sum |a_n| R^(n+1), and those that reach it
-    through one compensated refinement, _refine_mp, of them all.  In seed
-    order, a refined root is kept when its residual, the compensated |g|
-    there, is at most 1e-10 max |a_n| (where 8 eps S(R) is large, double
-    Newton can stop where g is not small), |rho| <= R, and it lies more than
-    1e-8 from the origin and from every zero already kept.
+    The zeros are then the 1/lambda for the eigenvalues lambda of the
+    Jacobi matrix J_N (_jacobi), N = ceil(R) + 20 + ceil(R / 10), with
+    |lambda| R >= 1: one eigensolve, chosen by the table.  A complex table
+    takes np.linalg.eigvals on the complex symmetric J.  A real table whose
+    w_n^2 are all positive takes np.linalg.eigvalsh, and when eta = 0, where
+    g is odd, lists +-1/lambda over the positive lambda, so that each zero's
+    negative has the same bits.  A real table with some w_n^2 < 0 (L < -3/2)
+    takes np.linalg.eigvals on the real tridiagonal with |w_n| above the
+    diagonal and sign(w_n^2) |w_n| below it, which is similar to J: its real
+    zeros have imaginary part 0.0 and its conjugate pairs are exact.  An
+    eigensolver that fails raises NoConvergence.
 
     The list plus the origin must match the count, or WindingMismatch.
-    Zeros are sorted by modulus, ties broken by principal-branch argument;
-    each is the double that Newton on compensated residuals settles on (a
-    real zero of a real table in the real kernel).
+    Zeros are sorted by modulus, ties broken by principal-branch argument,
+    and each residual is _refine_mp's.
     """
     _check_radius("trust_radius", trust_radius)
     table, tails = _grow_table(params, trust_radius, _ORDER_SCHEDULE, tol)
-    count, scan, samples = _arc_count(table, tails, trust_radius)
+    count = _arc_count(table, tails, trust_radius)
     if count is None:
         raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven")
     if count == 1:
         return ZeroSet(params, trust_radius, table.order, (), ())
-    target = max(tol, 8 * _EPS * _abs_sum(table, trust_radius, 0))
-    found = None if scan is None else _bracketed_zeros(table, count, scan, target)
-    if found is None:
-        found = _polish(table, _moment_seeds(samples, count, trust_radius, table.is_real),
-                        trust_radius, target)
-    if len(found) + 1 != count:
-        h = np.array(table.coeffs, dtype=complex)
-        if table.is_real:
-            h = h.real
-        seeds = _seed_roots(h, _seed_degree(h, trust_radius), trust_radius)
-        found = _polish(table, seeds, trust_radius, target)
-    if len(found) + 1 != count:
+    size = math.ceil(trust_radius) + 20 + math.ceil(trust_radius / 10)
+    if table.is_real:
+        d, w2 = _jacobi(params.L.real, params.eta.real, size)
+        upper = np.sqrt(np.abs(w2))
+        lower = np.sign(w2) * upper
+    else:
+        d, w2 = _jacobi(params.L, params.eta, size)
+        upper = lower = np.sqrt(w2)
+    jacobi = np.diag(d) + np.diag(upper, 1) + np.diag(lower, -1)
+    symmetric = table.is_real and bool(np.all(w2 > 0))
+    try:
+        lam = (np.linalg.eigvalsh if symmetric else np.linalg.eigvals)(jacobi)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"the Jacobi matrix's eigensolve fails at radius {trust_radius}: "
+                            f"{exc}") from exc
+    if symmetric and params.eta == 0:  # g is odd: its zeros are +-rho
+        rho = 1 / lam[lam * trust_radius >= 1]
+        rho = np.concatenate((rho, -rho))
+    else:
+        rho = 1 / lam[np.abs(lam) * trust_radius >= 1]
+    if rho.size + 1 != count:
         raise WindingMismatch(
             f"winding count over |z| = {trust_radius} is {count}, against "
-            f"{len(found)} listed zeros plus the origin"
+            f"{rho.size} listed zeros plus the origin"
         )
-    found.sort(key=lambda pair: (abs(pair[0]), cmath.phase(pair[0])))
-    zeros, residuals = zip(*found)
+    # + 0.0 normalizes signed zeros, so that the sort order does not depend on -0.0
+    zeros = sorted((rho.astype(complex) + 0.0).tolist(), key=lambda z: (abs(z), cmath.phase(z)))
+    zeros, residuals = zip(*_refine_mp(table, zeros))
     return ZeroSet(params, trust_radius, table.order, zeros, residuals)
 
 

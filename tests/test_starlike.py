@@ -337,11 +337,10 @@ class TestCertify:
     def test_count_samples_its_own_circle_when_rouche_fails(self, monkeypatch, angles):
         # (-0.4, 0.8) has a zero in the disk: the count samples g at its own
         # 720 angles, whatever the grid, and for this real pair its first
-        # pass takes the 361 of them on the upper semicircle, with the
-        # diameter's points in the same call
+        # pass takes the 361 of them on the upper semicircle alone
         report, samples = _first_count_pass(monkeypatch, CoulombParams(-0.4, 0.8), angles)
         assert report.zero_in_disk
-        assert samples == 361 + zeros_module._diameter(0.999).size
+        assert samples == 361
 
     @pytest.mark.parametrize("angles", [3, 720])
     def test_complex_count_samples_the_whole_circle(self, monkeypatch, angles):
@@ -436,7 +435,7 @@ class TestCircleWinding:
         # the circle runs through the zero itself, where no arc can close
         r = 0.362658574621303
         table, bounds = certify_table(CoulombParams(0.0, 5.0), r)
-        assert _arc_count(table, bounds, r) == (None, None, None)
+        assert _arc_count(table, bounds, r) is None
 
 
 class TestParameterScan:

@@ -39,7 +39,7 @@ from coulombstar.series import (
     _horner,
     _tail_bounds,
 )
-from coulombstar.zeros import _compensated_horner, _compensated_horner_real
+from coulombstar.zeros import _compensated_horner
 
 SINE = CoulombParams(0.0, 0.0)
 EPS = 2.220446049250313e-16
@@ -156,21 +156,47 @@ def _mp_g(coeffs, z):
     return z * mp.polyval([mp.mpc(c) for c in reversed(coeffs)], z)
 
 
-def _mp_newton_zero(params, coeffs, start):
-    """40-digit Newton on the truncated series, rounded as find_zeros rounds."""
-    with mp.workdps(40):
-        dcoeffs = [(n + 1) * mp.mpc(c) for n, c in enumerate(coeffs)]
-        z = mp.mpc(start)
-        for _ in range(6):
-            step = _mp_g(coeffs, z) / mp.polyval(dcoeffs[::-1], z)
-            z -= step
-            if abs(step) < mp.mpf("1e-30"):
-                break
-        w = complex(z)
-    real = params.L.imag == 0.0 and params.eta.imag == 0.0
-    if real and abs(w.imag) <= 1e-10 * max(1.0, abs(w.real)):
-        w = complex(w.real, 0.0)
-    return complex(w.real + 0.0, w.imag + 0.0)
+def _kummer_g(params):
+    """g(z) = z e^(-iz) M(L + 1 - i eta, 2L + 2, 2iz) in the current mpmath precision."""
+    L, eta = mp.mpc(params.L), mp.mpc(params.eta)
+    return lambda z: z * mp.exp(-1j * z) * mp.hyp1f1(L + 1 - 1j * eta, 2 * L + 2, 2j * z)
+
+
+def _assert_on_g(params, zeros, rel=2e-14, dps=60):
+    """Each zero lies within rel |root| of its own root of the Kummer g, found from it."""
+    g = _kummer_g(params)
+    roots = []
+    with mp.workdps(dps):
+        for rho in zeros:
+            root = mp.findroot(g, mp.mpc(rho))
+            assert abs(mp.mpc(rho) - root) <= rel * abs(root), (rho, complex(root))
+            assert all(abs(root - other) > 1e-8 for other in roots), rho
+            roots.append(root)
+
+
+def _assert_near(zero_set, frozen, rel=2e-14):
+    """The listed zeros, in order, lie within rel |rho| of the frozen (re, im) hex pairs."""
+    expected = [complex(float.fromhex(re), float.fromhex(im)) for re, im in frozen]
+    assert len(zero_set.zeros) == len(expected)
+    for rho, ref in zip(zero_set.zeros, expected):
+        assert abs(rho - ref) <= rel * abs(ref), (rho, ref)
+        assert (rho.imag == 0.0) == (ref.imag == 0.0), (rho, ref)
+
+
+def _nearest_match(got, reference, rel):
+    """Each zero of `got` lies within rel |rho| of a zero of `reference`, one to one."""
+    assert len(got) == len(reference)
+    left = list(reference)
+    for rho in got:
+        ref = min(left, key=lambda w: abs(w - rho))
+        assert abs(rho - ref) <= rel * abs(ref), (rho, ref)
+        left.remove(ref)
+
+
+# fingerprint input 370: Newton on the rounded coefficients listed a zero
+# 2.3e-3 away from g's, at a residual of 1.5e-17
+INPUT_370 = (0.6940315300650229 - 0.0016656961767359535j,
+             2.0640876567081348 + 0.8583936507916572j, 29.171701579759453)
 
 
 class TestCompensatedRefinement:
@@ -188,15 +214,17 @@ class TestCompensatedRefinement:
                 err = float(abs(mp.mpc(got) - exact))
                 assert err <= EPS * float(abs(exact)) + 1e-20 * scale, (z, err)
 
-    @pytest.mark.parametrize("L, eta, radius", REFERENCE_CASES)
+    @pytest.mark.parametrize(
+        "L, eta, radius",
+        REFERENCE_CASES + [(-1.7, 0.5, 10.0), (-1.9, 0.0, 12.0), INPUT_370],
+    )
     def test_zeros_match_40_digit_newton(self, L, eta, radius):
-        params = CoulombParams(L, eta)
-        zs = find_zeros(params, radius)
-        coeffs = table_for_radius(params, radius).coeffs
+        # every listed zero lies within 2e-14 |rho| of a 60-digit root of the
+        # Kummer g itself, not of the truncated series: on input 370 Newton
+        # on the rounded coefficients stopped 8.2e-5 (relative) away
+        zs = find_zeros(CoulombParams(L, eta), radius)
         assert zs.zeros
-        for rho in zs.zeros:
-            ref = _mp_newton_zero(params, coeffs, rho)
-            assert (rho.real.hex(), rho.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+        _assert_on_g(zs.params, zs.zeros)
 
     @pytest.mark.parametrize("L, eta, radius", REFERENCE_CASES)
     def test_residual_is_g_at_the_returned_zero(self, L, eta, radius):
@@ -309,8 +337,22 @@ def _kernel_draw():
             yield params, radius, list(zeros) + [z.conjugate() for z in zeros]
 
 
+def _spy(monkeypatch, name, owner=zeros_module):
+    """Record (args, result) of every call to the function `name` of `owner`."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def recorded(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 class TestBatchedKernel:
-    """The batched compensated kernel and the lockstep Newton loop keep each point's bits."""
+    """The batched compensated kernel keeps each point's bits."""
 
     def test_batched_kernel_matches_the_scalar_loop(self):
         batches, at_zeros, real_points = 0, 0, 0
@@ -327,6 +369,8 @@ class TestBatchedKernel:
         assert batches >= 80 and at_zeros >= 12 and real_points >= 100
 
     def test_real_kernel_matches_the_scalar_loop(self):
+        # at real points of a real table, the batched kernel's real part has
+        # the bits of the frozen real loop, and its imaginary part is zero
         tables = 0
         for params, radius, points in _kernel_draw():
             coeffs = table_for_radius(params, radius).coeffs
@@ -335,16 +379,15 @@ class TestBatchedKernel:
             tables += 1
             real = [c.real for c in coeffs]
             xs = [z.real for z in points]
-            batched = _compensated_horner(coeffs, xs)
-            for x, value in zip(xs, batched):
-                got = _compensated_horner_real(real, x)
-                assert got.hex() == _scalar_compensated_horner_real(real, x).hex()
-                assert got.hex() == value.real.hex()
+            for x, value in zip(xs, _compensated_horner(coeffs, xs)):
+                assert value.real.hex() == _scalar_compensated_horner_real(real, x).hex()
+                assert value.imag == 0.0
         assert tables >= 36
 
     def test_empty_batch(self):
-        assert _compensated_horner(table_for_radius(SINE, 5.0).coeffs, []) == []
-        assert zeros_module._newton(lambda points: 1 / 0, lambda points: 1 / 0, [], 8) == []
+        table = table_for_radius(SINE, 5.0)
+        assert _compensated_horner(table.coeffs, []) == []
+        assert zeros_module._refine_mp(table, []) == []
 
     def test_overflowing_points_match_the_scalar_loop(self):
         # h overflows at 1e200, and inf - inf gives nan, without a warning
@@ -355,62 +398,22 @@ class TestBatchedKernel:
             for got, ref in zip((value.real, value.imag), (reference.real, reference.imag)):
                 assert got.hex() == ref.hex() or (math.isnan(got) and math.isnan(ref))
 
-    def test_lockstep_newton_gives_each_start_its_bits_alone(self):
-        # the refinement's g on a complex table: starts near its zeros go on,
-        # while 1e200, where h overflows, takes a non-finite step at once
+    def test_lockstep_newton_gives_each_start_its_bits_alone(self, monkeypatch):
+        # _refine_mp pairs each root, unmoved, with the residual it has alone,
+        # from one batched kernel call for them all; at 1e200, where h
+        # overflows, the residual is not finite
         params, radius = CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 12.0
         table = table_for_radius(params, radius)
-        sizes = []
-
-        def g(points):
-            sizes.append(len(points))
-            return [z * h for z, h in zip(points, _compensated_horner(table.coeffs, points))]
-
-        g_prime = zeros_module._pointwise(table.g_prime_values)
         zeros = find_zeros(params, radius).zeros
-        starts = [z * (1 + 1e-5j) for z in zeros] + [1e200 + 0j] + [z + 0.2 for z in zeros[:3]]
-        together = zeros_module._newton(g, g_prime, starts, 8)
-        lockstep = list(sizes)
-        alone = [zeros_module._newton(g, g_prime, [start], 8)[0] for start in starts]
-        assert [(_hex(z), size.hex()) for z, size in together] == [
-            (_hex(z), size.hex()) for z, size in alone]
-        far = together[len(zeros)]
-        assert far[0] == 1e200 and not far[1] < math.inf
-        assert all(z != start for (z, _), start in zip(together, starts) if start != far[0])
-        # one g call per step for all the points still moving
-        assert lockstep[0] == len(starts) and len(lockstep) <= 9 and lockstep[1] < len(starts)
-
-    def test_lockstep_newton_with_a_vanishing_slope(self):
-        # z^2 - 2 from 0 stops at once (g' = 0), and the other starts reach
-        # +-sqrt 2 to the target with the bits they have alone
-        def g(points):
-            return [z * z - 2.0 for z in points]
-
-        def g_prime(points):
-            return [2.0 * z for z in points]
-
-        starts = [1.0, 0.0, -3.0, 2.5 + 0.5j]
-        together = zeros_module._newton(g, g_prime, starts, 100, 1e-12)
-        alone = [zeros_module._newton(g, g_prime, [start], 100, 1e-12)[0] for start in starts]
-        assert [(_hex(complex(z)), size.hex()) for z, size in together] == [
-            (_hex(complex(z)), size.hex()) for z, size in alone]
-        assert together[1] == (0.0, 2.0)
-        for k in (0, 2, 3):
-            z, size = together[k]
-            assert size <= 1e-12 and abs(abs(z) - math.sqrt(2.0)) < 1e-12
-
-
-def _full_complex_seeding(monkeypatch):
-    """Seed from the whole table as complex128 and refine in the complex kernel."""
-    _companion_only(monkeypatch)
-    roots = np.roots
-    monkeypatch.setattr(zeros_module, "_seed_degree", lambda h, radius: h.size - 1)
-    monkeypatch.setattr(np, "roots", lambda p: roots(np.asarray(p, dtype=complex)))
-    monkeypatch.setattr(
-        zeros_module,
-        "_compensated_horner_real",
-        lambda coeffs, x: _compensated_horner([complex(c) for c in coeffs], [x])[0].real,
-    )
+        roots = [z * (1 + 1e-5j) for z in zeros] + [1e200 + 0j] + [z + 0.2 for z in zeros[:3]]
+        kernel = _spy(monkeypatch, "_compensated_horner")
+        together = zeros_module._refine_mp(table, roots)
+        assert len(kernel) == 1
+        alone = [zeros_module._refine_mp(table, [root])[0] for root in roots]
+        assert [(_hex(z), r.hex()) for z, r in together] == [(_hex(z), r.hex()) for z, r in alone]
+        assert [z for z, _ in together] == roots
+        assert not together[len(zeros)][1] < math.inf
+        assert all(r < 1e-3 for _, r in together[:len(zeros)])
 
 
 def _bits(zero_set):
@@ -418,6 +421,23 @@ def _bits(zero_set):
         (z.real.hex(), z.imag.hex(), r.hex())
         for z, r in zip(zero_set.zeros, zero_set.residuals)
     ]
+
+
+def _solvers(monkeypatch):
+    """Record (name, dtype of the matrix) of every np.linalg eigensolve."""
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        def recorded(a, fn=getattr(np.linalg, name), name=name):
+            calls.append((name, np.asarray(a).dtype))
+            return fn(a)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def _complex_jacobi(monkeypatch):
+    """Turn the realness predicate off: every table takes the complex symmetric J."""
+    monkeypatch.setattr(CoefficientTable, "is_real", property(lambda table: False))
 
 
 SEEDING_PARAMS = [
@@ -430,35 +450,51 @@ SEEDING_PARAMS = [
 
 
 class TestSeeding:
+    """The one eigensolve: which solver each table takes, and the section it solves."""
+
     @pytest.mark.parametrize("params", SEEDING_PARAMS)
     @pytest.mark.parametrize("radius", [5.0, 12.0, 20.0])
     def test_bits_match_full_complex_seeding(self, params, radius, monkeypatch):
-        got = _bits(find_zeros(params, radius))
+        # a real table's eigvalsh on the real symmetric J agrees with eigvals
+        # on the complex symmetric J, which every complex table takes (and
+        # there with the same bits)
+        got = find_zeros(params, radius)
         with monkeypatch.context() as m:
-            _full_complex_seeding(m)
-            reference = _bits(find_zeros(params, radius))
-        assert got and got == reference
+            _complex_jacobi(m)
+            reference = find_zeros(params, radius)
+        assert got.zeros
+        if params.L.imag or params.eta.imag:
+            assert _bits(got) == _bits(reference)
+        _nearest_match(got.zeros, reference.zeros, 1e-14)
 
     @pytest.mark.parametrize("params", SEEDING_PARAMS)
     @pytest.mark.parametrize("radius", [5.0, 12.0, 20.0])
-    def test_prefix_ends_at_the_last_term_above_the_cut(self, params, radius):
-        coeffs = table_for_radius(params, radius).coeffs
-        degree = zeros_module._seed_degree(np.array(coeffs), radius)
-        terms = [abs(c) * (1.05 * radius) ** n for n, c in enumerate(coeffs)]
-        floor = 1e-9 * max(terms)
-        assert degree < len(coeffs) - 1
-        assert terms[degree] > floor
-        assert all(t <= floor for t in terms[degree + 1 :])
+    def test_prefix_ends_at_the_last_term_above_the_cut(self, params, radius, monkeypatch):
+        # the section J_N, N = ceil(R) + 20 + ceil(R/10), lists the zeros
+        # that a section of 3R + 60 rows lists, within the eigensolver's noise
+        jacobi = zeros_module._jacobi
+        calls = _spy(monkeypatch, "_jacobi")
+        got = find_zeros(params, radius)
+        assert [args[2] for args, _ in calls] == [math.ceil(radius) + 20 + math.ceil(radius / 10)]
+        monkeypatch.setattr(zeros_module, "_jacobi",
+                            lambda L, eta, size: jacobi(L, eta, int(3 * radius) + 60))
+        _nearest_match(got.zeros, find_zeros(params, radius).zeros, 2e-14)
 
     @pytest.mark.parametrize("params", [SINE, CoulombParams(0.5, 0.3)])
     def test_aggressive_cut_is_caught_by_the_count(self, params, monkeypatch):
-        # a prefix cut at 1e-2 loses zeros within 20; there is no reseed
-        _companion_only(monkeypatch)
-        seeds = _spy(monkeypatch, "_seed_roots")
-        monkeypatch.setattr(zeros_module, "_SEED_CUT", 1e-2)
+        # a 6 x 6 section has at most 6 zeros, against 12 or more within 20:
+        # the count catches the loss, and nothing solves again
+        jacobi = zeros_module._jacobi
+        sizes = []
+
+        def small(L, eta, size):
+            sizes.append(size)
+            return jacobi(L, eta, 6)
+
+        monkeypatch.setattr(zeros_module, "_jacobi", small)
         with pytest.raises(WindingMismatch, match="listed zeros"):
             find_zeros(params, 20.0)
-        assert len(seeds) == 1
+        assert len(sizes) == 1
 
     @pytest.mark.parametrize(
         "params, dtype", [(SINE, np.float64), (CoulombParams(0.7, -0.4), np.float64),
@@ -466,212 +502,157 @@ class TestSeeding:
                           (CoulombParams(0.5, 0.3 - 0.2j), np.complex128)]
     )
     def test_companion_dtype(self, params, dtype, monkeypatch):
-        dtypes = []
-        roots = np.roots
-
-        def recorded(p):
-            dtypes.append(np.asarray(p).dtype)
-            return roots(p)
-
-        monkeypatch.setattr(np, "roots", recorded)
-        _companion_only(monkeypatch)
+        # a real table with every w_n^2 > 0 takes eigvalsh on a real J, a
+        # complex table eigvals on a complex one
+        calls = _solvers(monkeypatch)
         find_zeros(params, 9.0)
-        assert dtypes == [dtype]
+        assert calls == [("eigvalsh" if dtype == np.float64 else "eigvals", dtype)]
 
     def test_real_kernel_is_the_complex_kernels_real_part(self):
+        # a real table's zeros are real (Ikebe 1975, L > -1), and each
+        # residual is |x h(x)|, h with the bits of the frozen real loop
         rng = random.Random(7)
         for _ in range(40):
             params = CoulombParams(rng.uniform(-0.4, 1.4), rng.uniform(-1, 1))
             radius = rng.uniform(5, 20)
-            coeffs = table_for_radius(params, radius).coeffs
-            real = [c.real for c in coeffs]
-            assert all(c.imag == 0.0 for c in coeffs)
-            xs = [rng.uniform(-radius, radius) for _ in range(5)]
-            for x, value in zip(xs, _compensated_horner(coeffs, xs)):
-                assert _compensated_horner_real(real, x).hex() == value.real.hex()
+            zs = find_zeros(params, radius)
+            real = [c.real for c in table_for_radius(params, radius).coeffs]
+            for z, residual in zip(zs.zeros, zs.residuals):
+                assert z.imag == 0.0
+                assert residual.hex() == abs(z.real * _scalar_compensated_horner_real(
+                    real, z.real)).hex()
 
 
-# (L, eta) = (2.2, 2.7) at radius 19, where Newton in doubles rejects the
-# seed near -19.87: (re, im, residual) of each zero as float.hex, frozen
+# g's zeros as the nearest doubles to their 60-digit Kummer roots, (re, im)
+# as float.hex.  (L, eta) = (2.2, 2.7) at radius 19, whose section also has
+# the zero near -19.87 just outside it
 REJECTED_SEED_BITS = [
-    ("-0x1.8102bbfdf33c9p+1", "0x0.0p+0", "0x1.b0977bc705f37p-57"),
-    ("-0x1.529f8f41aa122p+2", "0x0.0p+0", "0x1.0d08a17a36c34p-59"),
-    ("-0x1.ee6e6a2928a7dp+2", "0x0.0p+0", "0x1.1a1a2986d5f6fp-58"),
-    ("-0x1.48eb36f97e03ep+3", "0x0.0p+0", "0x1.e9af06958d18ep-60"),
-    ("0x1.6757cc9d927d8p+3", "0x0.0p+0", "0x1.bb9dd023ded74p-48"),
-    ("-0x1.9d77c4e97a38ep+3", "0x0.0p+0", "0x1.39f6834f758a2p-60"),
-    ("0x1.ee5da5306aa28p+3", "0x0.0p+0", "0x1.7af1cf55c96c9p-53"),
-    ("-0x1.f42e876536f76p+3", "0x0.0p+0", "0x1.7f7b3b47a075ep-63"),
-    ("-0x1.264a4c41046b5p+4", "0x0.0p+0", "0x1.aa24af0674b5fp-59"),
+    ("-0x1.8102bbfdf33c9p+1", "0x0.0p+0"),
+    ("-0x1.529f8f41aa0f3p+2", "0x0.0p+0"),
+    ("-0x1.ee6e6a2928ef4p+2", "0x0.0p+0"),
+    ("-0x1.48eb36f97d47bp+3", "0x0.0p+0"),
+    ("0x1.6757cc9d927d1p+3", "0x0.0p+0"),
+    ("-0x1.9d77c4e96ee05p+3", "0x0.0p+0"),
+    ("0x1.ee5da5306abbcp+3", "0x0.0p+0"),
+    ("-0x1.f42e8766320b5p+3", "0x0.0p+0"),
+    ("-0x1.264a4c3a678d6p+4", "0x0.0p+0"),
 ]
 
-
-# three seeds refine onto one double near 22.997 + 1.998i, though their
-# double-Newton roots lie more than 1e-8 apart: (re, im, residual) as
-# float.hex, frozen
+# a case where three seeds once refined onto one double near 22.997 + 1.998i
 REPEATED_ROOT_CASE = (
     CoulombParams(1.4118535290308283 + 0.4454536876451387j,
                   -1.380293748335779 + 0.3857113276789218j),
     24.248861388532575,
 )
 REPEATED_ROOT_BITS = [
-    ("0x1.88c4abda0bb90p+1", "0x1.00a09e63efa69p+0", "0x1.557f3bc3c1a94p-56"),
-    ("0x1.6cf02f2563671p+2", "0x1.4e116d4b6687dp+0", "0x1.0a7053d7aea5bp-57"),
-    ("-0x1.ec7914b6f892ep+2", "0x1.c12074e85e422p-2", "0x1.0ce4b195e6fb0p-50"),
-    ("0x1.0e710564cf968p+3", "0x1.81110fbfeed61p+0", "0x1.3e25e201caac2p-55"),
-    ("0x1.68e7de0a91096p+3", "0x1.a658569110249p+0", "0x1.e7f1c3a25ef25p-57"),
-    ("-0x1.706bfa61b4d7ep+3", "0x1.1efda7efb9269p-1", "0x1.a3e8117502b8bp-51"),
-    ("0x1.c515c1c5247d7p+3", "0x1.c35823a0f21edp+0", "0x1.895d417ddc878p-57"),
-    ("-0x1.e2b39bc1d43fbp+3", "0x1.4b12c9698aab1p-1", "0x1.00c7b61b9dc98p-52"),
-    ("0x1.11401d387bcb5p+4", "0x1.dae1479427498p+0", "0x1.bdd89fd2f1c2bp-58"),
-    ("-0x1.28b871b62f8f9p+4", "0x1.6dc97e4b9bb7ep-1", "0x1.4ef428a7e8867p-50"),
-    ("0x1.406c313ad29e3p+4", "0x1.ee9402fb58c20p+0", "0x1.6bbe4de2808d1p-56"),
-    ("-0x1.5f10d4a5b7445p+4", "0x1.8aa00dae79974p-1", "0x1.05fbc1ab485e1p-51"),
-    ("0x1.6ff47728ecc50p+4", "0x1.ff73db2ca8374p+0", "0x1.5ee7797639adfp-56"),
+    ("0x1.88c4abda0bb94p+1", "0x1.00a09e63efa64p+0"),
+    ("0x1.6cf02f2563668p+2", "0x1.4e116d4b668b5p+0"),
+    ("-0x1.ec7914b6f8933p+2", "0x1.c12074e85e4c6p-2"),
+    ("0x1.0e710564cf857p+3", "0x1.81110fbfef22bp+0"),
+    ("0x1.68e7de0a93658p+3", "0x1.a65856910795bp+0"),
+    ("-0x1.706bfa61b4d0bp+3", "0x1.1efda7efb813cp-1"),
+    ("0x1.c515c1c4ff211p+3", "0x1.c35823a12d1d3p+0"),
+    ("-0x1.e2b39bc1d46e8p+3", "0x1.4b12c969a605ap-1"),
+    ("0x1.11401d395a61dp+4", "0x1.dae1479b9c742p+0"),
+    ("-0x1.28b871b6306acp+4", "0x1.6dc97e49655e1p-1"),
+    ("0x1.406c312f4ad06p+4", "0x1.ee94024941418p+0"),
+    ("-0x1.5f10d4a58c3b6p+4", "0x1.8aa00db757635p-1"),
+    ("0x1.6ff477a2ae3d2p+4", "0x1.ff73db5077cc7p+0"),
 ]
 
-# a seed of the prefix refines onto the origin, which is not listed
+# a case where a seed of the series prefix once refined onto the origin
 ORIGIN_SEED_CASE = (CoulombParams(1.8511862098523975, 0.9454507213612549), 23.196229781781994)
 ORIGIN_SEED_BITS = [
-    ("-0x1.0cde569bbc588p+2", "0x0.0p+0", "0x1.c37e5c1dc4c1bp-54"),
-    ("-0x1.c6ebe7199da26p+2", "0x0.0p+0", "0x1.314badef87652p-57"),
-    ("0x1.d338126a343e7p+2", "0x0.0p+0", "0x1.432602fdbf076p-51"),
-    ("-0x1.4141b89763084p+3", "0x0.0p+0", "0x1.e2c631587a7d2p-56"),
-    ("0x1.5f6c8509a625fp+3", "0x0.0p+0", "0x1.f04e7fe8e838ep-52"),
-    ("-0x1.a00f8ba2ca473p+3", "0x0.0p+0", "0x1.389253183a48dp-58"),
-    ("0x1.ce9160c824e1bp+3", "0x0.0p+0", "0x1.6841ce32d1b3bp-53"),
-    ("-0x1.ffadb9b585405p+3", "0x0.0p+0", "0x1.a4a791a31bfd7p-60"),
-    ("0x1.1d69344532296p+4", "0x0.0p+0", "0x1.17049e728d034p-51"),
-    ("-0x1.2ff70ee07edbdp+4", "0x0.0p+0", "0x1.ae5ab290b52b1p-56"),
-    ("0x1.52b881e42c2c7p+4", "0x0.0p+0", "0x1.79382b9fa5260p-52"),
-    ("-0x1.60570cb5e5a6dp+4", "0x0.0p+0", "0x1.66003b5f66006p-58"),
+    ("-0x1.0cde569bbc589p+2", "0x0.0p+0"),
+    ("-0x1.c6ebe7199da39p+2", "0x0.0p+0"),
+    ("0x1.d338126a343e5p+2", "0x0.0p+0"),
+    ("-0x1.4141b89762e6ep+3", "0x0.0p+0"),
+    ("0x1.5f6c8509a620bp+3", "0x0.0p+0"),
+    ("-0x1.a00f8ba2cd664p+3", "0x0.0p+0"),
+    ("0x1.ce9160c825484p+3", "0x0.0p+0"),
+    ("-0x1.ffadb9b53d8eep+3", "0x0.0p+0"),
+    ("0x1.1d693445345f3p+4", "0x0.0p+0"),
+    ("-0x1.2ff70ee30ac21p+4", "0x0.0p+0"),
+    ("0x1.52b881e3c6840p+4", "0x0.0p+0"),
+    ("-0x1.60570c9819440p+4", "0x0.0p+0"),
 ]
-
-
-def _extra_seeds(monkeypatch, extend):
-    """Pass the companion roots through `extend` before find_zeros polishes them."""
-    seed_roots = zeros_module._seed_roots
-
-    def extended(h, degree, radius):
-        return extend(seed_roots(h, degree, radius))
-
-    monkeypatch.setattr(zeros_module, "_seed_roots", extended)
-
-
-def _spy(monkeypatch, name):
-    """Record (args, result) of every call to the zeros-module function `name`."""
-    calls = []
-    fn = getattr(zeros_module, name)
-
-    def recorded(*args):
-        out = fn(*args)
-        calls.append((args, out))
-        return out
-
-    monkeypatch.setattr(zeros_module, name, recorded)
-    return calls
-
-
-def _refined_roots(calls):
-    """The number of roots that the recorded _refine_mp calls refined."""
-    return sum(len(args[1]) for args, _ in calls)
-
-
-def _no_moment_seeds(monkeypatch):
-    """Empty the moment seeds, so that find_zeros seeds from the companion matrix."""
-    monkeypatch.setattr(zeros_module, "_moment_seeds", lambda *args: np.empty(0))
-
-
-def _companion_only(monkeypatch):
-    """Make the bracket proof fail and empty the moment seeds, so that every
-    table is seeded by the companion matrix."""
-    monkeypatch.setattr(zeros_module, "_bracketed_zeros", lambda *args: None)
-    _no_moment_seeds(monkeypatch)
 
 
 class TestPolishPaths:
-    """find_zeros seed paths that the seeded benchmark traffic never takes.
-
-    Real tables take the companion path here only when the bracket proof
-    fails, so each real case forces that path.
-    """
+    """What find_zeros lists from the eigenvalues, and what it leaves out."""
 
     @pytest.mark.parametrize(
         "params, radius", [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0),
                            (CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 12.0)]
     )
     def test_each_seed_twice_gives_the_same_bits(self, params, radius, monkeypatch):
-        _companion_only(monkeypatch)
-        with monkeypatch.context() as m:
-            refined = _spy(m, "_refine_mp")
-            expected = _bits(find_zeros(params, radius))
-        _extra_seeds(monkeypatch, lambda roots: np.repeat(roots, 2))
-        refined_twice = _spy(monkeypatch, "_refine_mp")
+        # each eigenvalue gives one zero: one _refine_mp call pairs the
+        # count - 1 distinct zeros with their residuals, and a second
+        # find_zeros gives the same bits
+        refined = _spy(monkeypatch, "_refine_mp")
+        expected = _bits(find_zeros(params, radius))
         assert _bits(find_zeros(params, radius)) == expected
-        # every copy is refined, and the second is dropped at the dedup
-        assert _refined_roots(refined_twice) == 2 * _refined_roots(refined)
+        (args, _), _ = refined
+        count = winding_number(table_for_radius(params, radius), radius)
+        assert len(args[1]) == len(set(args[1])) == count - 1 == len(expected)
 
     def test_seed_beyond_reach_is_skipped(self, monkeypatch):
-        # Newton from 21.2i walks down the imaginary axis onto the origin
-        far = 21.2j
-        _companion_only(monkeypatch)
-        expected = _bits(find_zeros(SINE, 20.0))
-        _extra_seeds(monkeypatch, lambda roots: np.append(roots, far))
-        newton = _spy(monkeypatch, "_newton")
-        assert _bits(find_zeros(SINE, 20.0)) == expected
-        assert newton and far not in [start for args, _ in newton for start in args[2]]
-
-    def test_zero_beyond_the_radius_is_dropped(self, monkeypatch):
-        # 20.9 is within 1.05 R, and Newton from it converges to 7 pi > 20
-        _companion_only(monkeypatch)
-        expected = _bits(find_zeros(SINE, 20.0))
-        _extra_seeds(monkeypatch, lambda roots: np.append(roots, 20.9))
+        # the section's eigenvalues below 1/R (zeros beyond 20, 7 pi among
+        # them) are neither listed nor paired with a residual
+        solved = _spy(monkeypatch, "eigvalsh", np.linalg)
         refined = _spy(monkeypatch, "_refine_mp")
-        assert _bits(find_zeros(SINE, 20.0)) == expected
-        (beyond,) = [root for _, out in refined for root, _ in out if abs(root) > 20.0]
-        # the table is truncated for |z| <= 20, so 7 pi is met only to 1e-8
-        assert beyond == pytest.approx(7 * math.pi, abs=1e-7)
+        zs = find_zeros(SINE, 20.0)
+        (_, lam), = solved
+        assert np.any((lam > 0) & (lam * 20.0 < 1))
+        assert np.min(np.abs(lam * 7 * math.pi - 1)) < 1e-12
+        (args, _), = refined
+        assert list(args[1]) == list(zs.zeros) and all(abs(z) <= 20.0 for z in zs.zeros)
 
-    def test_rejected_seed_frozen_bits(self, monkeypatch):
-        _companion_only(monkeypatch)
-        newton = _spy(monkeypatch, "_newton")
-        assert _bits(find_zeros(CoulombParams(2.2, 2.7), 19.0)) == REJECTED_SEED_BITS
-        # (g, g', starts, steps, target) -> [(root, |g(root)|) for each start]
-        rejected = [start for args, out in newton if len(args) == 5
-                    for start, (_, size) in zip(args[2], out) if not size <= args[4]]
-        assert len(rejected) == 1 and abs(rejected[0]) > 19.0
+    def test_zero_beyond_the_radius_is_dropped(self):
+        # the zeros +-7 pi lie beyond 20 and within 22
+        within = find_zeros(SINE, 20.0).zeros
+        beyond = [z for z in find_zeros(SINE, 22.0).zeros if abs(z) > 20.0]
+        assert len(within) == 12 and len(beyond) == 2
+        assert sorted(z.real for z in beyond) == pytest.approx([-7 * math.pi, 7 * math.pi],
+                                                               rel=2e-14)
+
+    def test_rejected_seed_frozen_bits(self):
+        # nine real zeros within 19 on g; at radius 20 the one more is 19.30,
+        # and none lies near -19.87, where a companion seed was once rejected
+        zs = find_zeros(CoulombParams(2.2, 2.7), 19.0)
+        _assert_near(zs, REJECTED_SEED_BITS)
+        beyond = [z.real for z in find_zeros(CoulombParams(2.2, 2.7), 20.0).zeros if abs(z) > 19.0]
+        assert beyond == pytest.approx([19.30], abs=0.01)
 
     @pytest.mark.parametrize(
         "case, bits", [(REPEATED_ROOT_CASE, REPEATED_ROOT_BITS),
                        (ORIGIN_SEED_CASE, ORIGIN_SEED_BITS)]
     )
     def test_refined_roots_are_deduplicated_in_one_pass(self, case, bits, monkeypatch):
-        _companion_only(monkeypatch)
-        seeds = _spy(monkeypatch, "_seed_roots")
-        assert _bits(find_zeros(*case)) == bits
-        assert len(seeds) == 1
+        # one eigensolve lists each zero once, on g, with no dedup distance
+        solved = _solvers(monkeypatch)
+        _assert_near(find_zeros(*case), bits)
+        assert len(solved) == 1
 
-    def test_stalled_seed_is_dropped(self, monkeypatch):
-        # double Newton accepts a seed near 26.66 - 0.47i where 8 eps S(R)
-        # is about 13, and the refinement cannot bring its residual down
+    def test_stalled_seed_is_dropped(self):
+        # double Newton once accepted a seed near 26.66 - 0.47i, where 8 eps
+        # S(R) is about 13, and only the residual gate dropped it: the 19
+        # zeros lie on g, none near it, though residuals reach 0.03 there
         params = CoulombParams(-0.7900670430628439 + 0.28532436369200254j,
                                -2.782519439704094 - 0.4188287569262903j)
-        _companion_only(monkeypatch)
-        seeds = _spy(monkeypatch, "_seed_roots")
-        refined = _spy(monkeypatch, "_refine_mp")
         zs = find_zeros(params, 29.842465075198522)
-        coeffs = table_for_radius(params, zs.trust_radius).coeffs
-        gate = zeros_module._RESIDUAL_FACTOR * max(abs(c) for c in coeffs)
-        stalled = [root for _, out in refined for root, residual in out if residual > gate]
-        assert len(stalled) == 1 and abs(stalled[0] - (26.66 - 0.47j)) < 0.01
-        assert len(zs.zeros) == 19 and len(seeds) == 1
-        assert max(zs.residuals) <= gate
+        assert len(zs.zeros) == 19 and max(zs.residuals) > 1e-3
+        assert min(abs(z - (26.66 - 0.47j)) for z in zs.zeros) > 1.0
+        _assert_on_g(params, zs.zeros, dps=30)
 
     def test_tiny_tol_gives_the_same_bits(self):
-        # at 1e-300 the longer table's trailing coefficients underflow
-        expected = _bits(find_zeros(SINE, 29.99))
-        assert len(expected) == 18
-        assert _bits(find_zeros(SINE, 29.99, tol=1e-300)) == expected
+        # at 1e-300 the longer table's trailing coefficients underflow; tol
+        # sizes that table alone, so the zeros keep their bits
+        expected = find_zeros(SINE, 29.99)
+        assert len(expected.zeros) == 18
+        tiny = find_zeros(SINE, 29.99, tol=1e-300)
+        assert tiny.truncation_order > expected.truncation_order
+        assert [_hex(z) for z in tiny.zeros] == [_hex(z) for z in expected.zeros]
 
 
 def _complex_draw(count):
@@ -685,113 +666,105 @@ def _complex_draw(count):
 
 
 # the zeros workload's seed-2 input 173: a zero lies at 1.0006 R, just
-# outside the circle, and spoils the 720-point moments
+# outside the circle
 NEAR_CIRCLE_CASE = (
     CoulombParams(0.6667109536551862 + 0.17990928559986796j,
                   0.7926229503808884 + 0.06695256576816888j),
     14.224708436520643,
 )
 # tools/fingerprint.py's zeros inputs 2707 and 2863: Newton from a moment
-# seed lands within 1e-18 of the origin, which once took the place of the
-# zero near -0.093 - 0.034i (or -0.025 + 0.085i) while the count still matched
+# seed once landed within 1e-18 of the origin, in place of the zero near
+# -0.093 - 0.034i (or -0.025 + 0.085i)
 NEAR_ORIGIN_CASES = [
     (CoulombParams(-0.8319100257450815 + 0.0633617124206941j,
-                   2.0955025987261697 + 0.12670562278236663j), 28.833063676658654),
+                   2.0955025987261697 + 0.12670562278236663j), 28.833063676658654,
+     -0.093 - 0.034j),
     (CoulombParams(-0.8799850504229626 - 0.14706246702925474j,
-                   2.3384901320786575 + 0.679574190261053j), 25.637124111759782),
+                   2.3384901320786575 + 0.679574190261053j), 25.637124111759782,
+     -0.025 + 0.085j),
 ]
 
 
 class TestMomentSeeds:
-    """Seeds from the power sums of the zeros, taken from the count's samples of P."""
+    """Complex tables, real tables against their full circle, and zeros near the circle or the origin."""
 
-    def test_seeds_of_a_known_polynomial(self):
-        # g = z (z - a)(z - b)(z - c): P = z g'/g = 1 + sum z / (z - rho)
-        rho = np.array([0.3 + 0.4j, -1.1 + 0.2j, 0.5 - 1.6j])
-        z = 2.0 * np.exp(2j * np.pi * np.arange(720) / 720)
-        samples = 1 + (z[:, None] / (z[:, None] - rho)).sum(axis=1)
-        seeds = zeros_module._moment_seeds(samples, 4, 2.0, False)
-        assert sorted(seeds, key=abs) == pytest.approx(sorted(rho, key=abs), abs=1e-12)
-        assert zeros_module._moment_seeds(samples, 1, 2.0, False).size == 0
-        samples[5] = np.inf
-        assert zeros_module._moment_seeds(samples, 4, 2.0, False).size == 0
-
-    def test_complex_tables_match_the_companion_path(self, monkeypatch):
-        cases = _complex_draw(20)
-        with monkeypatch.context() as m:
-            seeds = _spy(m, "_seed_roots")
-            got = [_bits(find_zeros(*case)) for case in cases]
-        _companion_only(monkeypatch)
-        assert [_bits(find_zeros(*case)) for case in cases] == got
-        # most tables take the moment seeds alone
-        assert all(got) and len(seeds) <= 3
+    def test_complex_tables_match_the_companion_path(self):
+        # each listed zero lies near a companion-matrix root of the table's
+        # series polynomial, an independent route to the truncated g's
+        # zeros; the series' rounding and np.roots part them by up to 4e-7
+        for params, radius in _complex_draw(20):
+            zs = find_zeros(params, radius)
+            assert zs.zeros
+            coeffs = table_for_radius(params, radius).coeffs
+            roots = np.roots(np.array(coeffs[::-1]))
+            for rho in zs.zeros:
+                assert np.min(np.abs(roots - rho)) <= 1e-6 * abs(rho), (params, radius, rho)
 
     def test_real_table_off_the_brackets_takes_the_mirrored_samples(self, monkeypatch):
+        # real tables: one eigvalsh call each, every zero real; for the sine
+        # case, g is odd, and each zero's negative is listed with its bits
         cases = [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0), (CoulombParams(1.2, -0.9), 15.0)]
-        monkeypatch.setattr(zeros_module, "_bracketed_zeros", lambda *args: None)
-        with monkeypatch.context() as m:
-            seeds = _spy(m, "_seed_roots")
-            got = [_bits(find_zeros(*case)) for case in cases]
-        _no_moment_seeds(monkeypatch)
-        assert [_bits(find_zeros(*case)) for case in cases] == got
-        assert all(got) and seeds == []
+        calls = _solvers(monkeypatch)
+        got = [find_zeros(*case) for case in cases]
+        assert calls == [("eigvalsh", np.float64)] * 3
+        assert all(zs.zeros and all(z.imag == 0.0 for z in zs.zeros) for zs in got)
+        listed = {z.real.hex() for z in got[0].zeros}
+        assert all((-z.real).hex() in listed for z in got[0].zeros)
 
     @pytest.mark.parametrize("params, radius", [(CoulombParams(0.5, 0.3), 12.0),
                                                 (CoulombParams(-1.7, 0.5), 10.0)])
     def test_mirrored_samples_match_the_full_circle(self, params, radius, monkeypatch):
+        # the count on the upper semicircle is the whole circle's, and the
+        # real solver lists what the complex symmetric J lists
         table = table_for_radius(params, radius)
         tails = _tail_bounds(table.coeffs, params, radius)
-        count, _, mirrored = zeros_module._arc_count(table, tails, radius)
-        monkeypatch.setattr(CoefficientTable, "is_real", property(lambda table: False))
-        full_count, scan, full = zeros_module._arc_count(table, tails, radius)
-        assert winding_number(table, radius) == count and scan is None
-        assert full_count == count and mirrored.size == full.size == 720
-        # the same angles, their points rounded apart by an ulp or two
-        assert np.allclose(mirrored, full, rtol=1e-10, atol=0)
+        count = zeros_module._arc_count(table, tails, radius)
+        zs = find_zeros(params, radius)
+        _complex_jacobi(monkeypatch)
+        assert zeros_module._arc_count(table, tails, radius) == count == len(zs.zeros) + 1
+        _nearest_match(zs.zeros, find_zeros(params, radius).zeros, 1e-14)
 
-    def test_zero_just_outside_the_circle_falls_back(self, monkeypatch):
+    def test_zero_just_outside_the_circle_falls_back(self):
+        # the zero at 1.0006 R is listed at 1.01 R, not at R
         params, radius = NEAR_CIRCLE_CASE
         outside = [abs(rho) / radius for rho in find_zeros(params, 1.01 * radius).zeros]
-        assert any(1 < ratio < 1.001 for ratio in outside)
-        seeds = _spy(monkeypatch, "_seed_roots")
-        got = _bits(find_zeros(params, radius))
-        assert len(seeds) == 1 and got
-        _companion_only(monkeypatch)
-        assert _bits(find_zeros(params, radius)) == got
-
-    @pytest.mark.parametrize("params, radius", NEAR_ORIGIN_CASES)
-    def test_root_on_the_origin_is_not_listed(self, params, radius, monkeypatch):
-        refined = _spy(monkeypatch, "_refine_mp")
+        assert sum(1 < ratio < 1.001 for ratio in outside) == 1
         zs = find_zeros(params, radius)
+        assert len(zs.zeros) == len(outside) - 1 and all(abs(z) <= radius for z in zs.zeros)
+        _assert_on_g(params, zs.zeros, dps=30)
+
+    @pytest.mark.parametrize("params, radius", [case[:2] for case in NEAR_ORIGIN_CASES])
+    def test_root_on_the_origin_is_not_listed(self, params, radius):
+        # the origin is not listed, and the small zero near it is
+        zs = find_zeros(params, radius)
+        (small,) = [near for p, _, near in NEAR_ORIGIN_CASES if p == params]
         assert min(abs(rho) for rho in zs.zeros) > 0.05
-        # the first, moment-seeded refinement met the origin, and the count check caught it
-        assert any(abs(root) < 1e-15 for root, _ in refined[0][1]) and len(refined) == 2
-        _companion_only(monkeypatch)
-        assert _bits(find_zeros(params, radius)) == _bits(zs)
+        assert abs(zs.zeros[0] - small) < 1e-3
+        _assert_on_g(params, zs.zeros[:1])
 
 
 # (L, eta) = (-1.7, 0.5) at radius 10 has a conjugate pair at 0.219 -+ 0.547i,
-# and (0.5, -20) at radius 6 nine positive zeros, some closer than the scan's
-# step: (re, im, residual) as float.hex, frozen from the companion path
+# and (0.5, -20) at radius 6 nine positive zeros, some closer than 0.5; g's
+# zeros as the nearest doubles to their 60-digit Kummer roots, as float.hex
 CONJUGATE_PAIR_BITS = [
-    ("0x1.bfe6a5dc844bcp-3", "-0x1.182fa33a3ded3p-1", "0x1.0953629fc2711p-55"),
-    ("0x1.bfe6a5dc844bcp-3", "0x1.182fa33a3ded3p-1", "0x1.0953629fc2711p-55"),
-    ("-0x1.0dee5668dae47p+1", "0x0.0p+0", "0x1.7493fa2bcceb3p-50"),
-    ("-0x1.3f82a84836bd5p+2", "0x0.0p+0", "0x1.f77e82a5bd889p-49"),
-    ("0x1.46c8eccc1c921p+2", "0x0.0p+0", "0x1.e4e2fc9283b80p-45"),
-    ("-0x1.fcf07c99d2034p+2", "0x0.0p+0", "0x1.2c3de0a71c149p-47"),
-    ("0x1.11fa71794dd40p+3", "0x0.0p+0", "0x1.1791efe27f5eap-42"),
+    ("0x1.bfe6a5dc844bdp-3", "-0x1.182fa33a3ded3p-1"),
+    ("0x1.bfe6a5dc844bdp-3", "0x1.182fa33a3ded3p-1"),
+    ("-0x1.0dee5668dae47p+1", "0x0.0p+0"),
+    ("-0x1.3f82a84836bd3p+2", "0x0.0p+0"),
+    ("0x1.46c8eccc1c920p+2", "0x0.0p+0"),
+    ("-0x1.fcf07c99d2077p+2", "0x0.0p+0"),
+    ("0x1.11fa71794dd5ep+3", "0x0.0p+0"),
 ]
 DENSE_ZERO_BITS = [
-    ("0x1.51071424fffdep-3", "0x0.0p+0", "0x1.ab170b8ed9fdcp-61"),
-    ("0x1.c3a3cd96204c0p-2", "0x0.0p+0", "0x1.a5f142578e801p-63"),
-    ("0x1.acf0f8e8bd373p-1", "0x0.0p+0", "0x1.17fec783d900ap-60"),
-    ("0x1.5a44e624c6872p+0", "0x0.0p+0", "0x1.1528d6f0a1a59p-58"),
-    ("0x1.fb91b9faa6999p+0", "0x0.0p+0", "0x1.adc8f487bb4ccp-59"),
-    ("0x1.5cbfa3672e78ap+1", "0x0.0p+0", "0x1.ec9c8e1aea2edp-61"),
-    ("0x1.c98908fe4f687p+1", "0x0.0p+0", "0x1.8c2888e8625c6p-60"),
-    ("0x1.21ce571a9ff57p+2", "0x0.0p+0", "0x1.54ad7f84dc699p-59"),
-    ("0x1.65356606789dep+2", "0x0.0p+0", "0x1.beeb92d3a76b8p-62"),
+    ("0x1.51071424fffdep-3", "0x0.0p+0"),
+    ("0x1.c3a3cd96204b0p-2", "0x0.0p+0"),
+    ("0x1.acf0f8e8bd3cap-1", "0x0.0p+0"),
+    ("0x1.5a44e624c8a57p+0", "0x0.0p+0"),
+    ("0x1.fb91b9fa3d669p+0", "0x0.0p+0"),
+    ("0x1.5cbfa36c4b731p+1", "0x0.0p+0"),
+    ("0x1.c98908b08c0c1p+1", "0x0.0p+0"),
+    ("0x1.21ce588887954p+2", "0x0.0p+0"),
+    ("0x1.65355c746794ap+2", "0x0.0p+0"),
 ]
 
 
@@ -813,36 +786,44 @@ def _fingerprint_draw(count):
 
 
 def _answer(params, radius):
-    """find_zeros' bits, or the class name of its refusal."""
+    """find_zeros' zeros, or the class name of its refusal."""
     try:
-        return _bits(find_zeros(params, radius))
+        return find_zeros(params, radius).zeros
     except (NoConvergence, WindingMismatch) as exc:
         return type(exc).__name__
 
 
 class TestBrackets:
-    """Real tables: zeros from proven sign changes of g on the diameter."""
+    """Real tables: the real solvers, against the complex one and g."""
 
     def test_brackets_match_the_companion_path(self, monkeypatch):
+        # the fingerprint's real and sine inputs: every zero is real (L > -1),
+        # and the complex symmetric J gives the same answers
         cases = _fingerprint_draw(150)
-        brackets = _spy(monkeypatch, "_bracketed_zeros")
         got = [_answer(*case) for case in cases]
-        answered = sum(found is not None for _, found in brackets)
-        _companion_only(monkeypatch)
-        assert [_answer(*case) for case in cases] == got
-        assert len(cases) == 100 and answered >= 80
+        _complex_jacobi(monkeypatch)
+        for case, zeros, reference in zip(cases, got, [_answer(*case) for case in cases]):
+            if isinstance(zeros, str):
+                assert zeros == reference, case
+                continue
+            assert all(z.imag == 0.0 for z in zeros), case
+            _nearest_match(zeros, reference, 2e-14)
+        assert len(cases) == 100 and sum(not isinstance(zeros, str) for zeros in got) >= 80
 
     def test_no_companion_matrix_on_real_benchmark_inputs(self, monkeypatch):
-        # the zeros workload's seed-7 pool: 120 of its 192 inputs are real
+        # the zeros workload's seed-7 pool: its 120 real inputs take eigvalsh
+        # alone, and nothing calls np.roots
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         workloads = importlib.import_module("workloads")
         real = [op.call for op in workloads.Zeros(7).ops
                 if op.call.params.L.imag == 0 and op.call.params.eta.imag == 0]
         roots = []
         monkeypatch.setattr(np, "roots", lambda p: roots.append(p))
+        calls = _solvers(monkeypatch)
         for call in real:
             find_zeros(call.params, call.radius)
         assert len(real) == 120 and roots == []
+        assert calls and {name for name, _ in calls} == {"eigvalsh"}
 
     @pytest.mark.parametrize("params, radius, bits", [
         (CoulombParams(-1.7, 0.5), 10.0, CONJUGATE_PAIR_BITS),
@@ -850,85 +831,42 @@ class TestBrackets:
     ])
     def test_too_few_sign_changes_take_the_companion_path(self, params, radius, bits,
                                                            monkeypatch):
-        brackets = _spy(monkeypatch, "_bracketed_zeros")
-        _no_moment_seeds(monkeypatch)
-        seeds = _spy(monkeypatch, "_seed_roots")
-        assert _bits(find_zeros(params, radius)) == bits
-        assert [found for _, found in brackets] == [None] and len(seeds) == 1
+        # a conjugate pair (L < -3/2: some w_n^2 < 0, so the real
+        # nonsymmetric form and eigvals) and zeros closer than 0.5 (eigvalsh)
+        calls = _solvers(monkeypatch)
+        _assert_near(find_zeros(params, radius), bits)
+        solver = "eigvals" if params.L.real < -1.5 else "eigvalsh"
+        assert calls == [(solver, np.float64)]
 
-    def test_undecided_sign_takes_the_companion_path(self, monkeypatch):
-        # the scan point x_7 = R 7/9 lies 10 ulps above the zero near pi, where
-        # |g| = 4.2e-15 is below its err of 1.7e-14: a sign taken from |g| > 0
-        # would bracket the zero from the wrong side of the proof
+    def test_undecided_sign_takes_the_companion_path(self):
+        # a radius 10 ulps above R 7/9 = the zero near pi, where the old
+        # diameter scan could not prove a sign: +-pi, as at radius 4
         radius = float.fromhex("0x1.0282191998abbp+2")
-        brackets = _spy(monkeypatch, "_bracketed_zeros")
-        _no_moment_seeds(monkeypatch)
-        seeds = _spy(monkeypatch, "_seed_roots")
         zs = find_zeros(SINE, radius)
-        (args, found), = brackets
-        _, values, err = args[2]
-        assert found is None and len(seeds) == 1
-        assert 0 < abs(values[15]) < err[15]
-        assert _bits(zs) == _bits(find_zeros(SINE, 4.0))
+        assert [z.real for z in zs.zeros] == pytest.approx([math.pi, -math.pi], rel=2e-14)
+        assert all(z.imag == 0.0 for z in zs.zeros)
 
-    def test_root_outside_its_bracket_takes_the_companion_path(self, monkeypatch):
-        # the first refined root is moved a whole unit, past its bracket's
-        # width of at most 0.5; the companion path then lists the zeros
-        expected = _bits(find_zeros(CoulombParams(0.7, -0.4), 8.0))
-        refine = zeros_module._refine_mp
-        calls = []
-
-        def moved(table, roots):
-            out = refine(table, roots)
-            calls.append(roots)
-            if len(calls) == 1:
-                (root, residual), *rest = out
-                out = [(root + 1.0, residual), *rest]
-            return out
-
-        monkeypatch.setattr(zeros_module, "_refine_mp", moved)
-        _no_moment_seeds(monkeypatch)
-        seeds = _spy(monkeypatch, "_seed_roots")
-        assert _bits(find_zeros(CoulombParams(0.7, -0.4), 8.0)) == expected
-        assert len(seeds) == 1
-
-    def test_newton_short_of_the_target_takes_the_companion_path(self, monkeypatch):
-        # one double Newton step leaves the regula-falsi starts short of the
-        # target: the bracket proof gives up rather than refine them
+    def test_newton_short_of_the_target_takes_the_companion_path(self):
+        # tol sizes only the table behind the count: a looser one gives a
+        # shorter table, and the same zeros with the same bits
         params = CoulombParams(0.7, -0.4)
-        monkeypatch.setattr(zeros_module, "_NEWTON_MAX_STEPS", 1)
-        brackets = _spy(monkeypatch, "_bracketed_zeros")
-        _no_moment_seeds(monkeypatch)
-        seeds = _spy(monkeypatch, "_seed_roots")
-        got = _bits(find_zeros(params, 8.0))
-        assert [found for _, found in brackets] == [None] and len(seeds) == 1
-        _companion_only(monkeypatch)
-        assert _bits(find_zeros(params, 8.0)) == got and len(got) == 3
+        loose, tight = find_zeros(params, 8.0, tol=1e-6), find_zeros(params, 8.0)
+        assert loose.truncation_order < tight.truncation_order and len(tight.zeros) == 3
+        assert [_hex(z) for z in loose.zeros] == [_hex(z) for z in tight.zeros]
 
     def test_companion_eigensolver_failure_is_a_refusal(self, monkeypatch):
-        def fail(p):
-            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        _companion_only(monkeypatch)
-        monkeypatch.setattr(np, "roots", fail)
-        with pytest.raises(NoConvergence, match="companion-matrix roots fail"):
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergence, match="eigensolve fails"):
             find_zeros(CoulombParams(0.7, -0.4), 8.0)
 
-    def test_diameter_points(self):
-        for radius in (1e-300, 0.3, 0.5, 4.25, 20.0, 29.99):
-            x = zeros_module._diameter(radius)
-            n = math.ceil(radius / 0.5)
-            step = np.diff(x)
-            assert x.size == 2 * n and x[0] == -radius and x[-1] == radius
-            assert np.all(step > 0) and 0.0 not in x
-            # steps of at most 0.5, but the origin's bracket (-R/n, R/n)
-            assert np.all(np.delete(step, n - 1) <= 0.5 * (1 + 1e-15))
-
     def test_bounded_horner_bound_holds_on_the_diameter(self):
-        # the sign proof's err at real points inside the circle, against the
-        # exact sum of the same double coefficients in 60 digits
+        # the count's rounding bound at real points inside the circle, against
+        # the exact sum of the same double coefficients in 60 digits
         table = table_for_radius(CoulombParams(0.3, -0.7), 25.0)
-        x = zeros_module._diameter(25.0)
+        x = 25.0 * np.linspace(-1.0, 1.0, 101)
         value, bound = zeros_module._bounded_horner(table.coeffs, x.astype(complex), 25.0)
         with mp.workdps(60):
             for w, v, b in zip(x, value, bound):
@@ -936,7 +874,8 @@ class TestBrackets:
                 assert v.imag == 0.0 and abs(exact - mp.mpf(v.real)) <= b
 
     def test_scan_comes_from_the_count_pass(self, monkeypatch):
-        # one _bounded_horner call carries the semicircle and the diameter
+        # the count of a real table samples the upper semicircle alone, in
+        # one _bounded_horner call here
         calls = []
         bounded_horner = zeros_module._bounded_horner
 
@@ -946,8 +885,45 @@ class TestBrackets:
 
         monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
         zs = find_zeros(CoulombParams(0.7, -0.4), 8.0)
-        assert calls == [zeros_module._CIRCLE_SAMPLES // 2 + 1 + 2 * 16]
+        assert calls == [zeros_module._CIRCLE_SAMPLES // 2 + 1]
         assert len(zs.zeros) == 3
+
+
+class TestJacobi:
+    """The Jacobi matrix: its closed form, and the symmetries of what its eigenvalues list."""
+
+    @pytest.mark.parametrize("L, eta", [(0.0, 0.0), (0.7, -0.4), (-1.7, 0.5),
+                                        (0.2 + 0.1j, 0.3 - 0.2j)])
+    def test_trace_of_a_small_section(self, L, eta):
+        # tr J_N = -eta (1/(L+1) - 1/(L+N+1)): the diagonal telescopes
+        for size in range(1, 7):
+            d, w2 = zeros_module._jacobi(L, eta, size)
+            assert d.size == size and w2.size == size - 1
+            assert complex(d.sum()) == pytest.approx(-eta * (1 / (L + 1) - 1 / (L + size + 1)),
+                                                     rel=1e-14, abs=1e-300)
+
+    def test_sine_section_squares_to_a_third(self):
+        # L = eta = 0: tr J_N^2 = 2 sum w_n^2 = 1/3 - 1/(2N + 1) -> 1/3
+        for size in (1, 2, 3, 6, 1000):
+            d, w2 = zeros_module._jacobi(0.0, 0.0, size)
+            assert np.all(d == 0.0) and not np.any(np.signbit(d))
+            assert (d * d).sum() + 2 * w2.sum() == pytest.approx(1 / 3 - 1 / (2 * size + 1),
+                                                                 rel=1e-14, abs=1e-300)
+
+    def test_sine_zeros_come_in_pairs(self):
+        zs = find_zeros(SINE, 20.0)
+        listed = {z.real.hex() for z in zs.zeros}
+        assert len(listed) == 12 and all(z.imag == 0.0 for z in zs.zeros)
+        assert all((-z.real).hex() in listed for z in zs.zeros)
+
+    @pytest.mark.parametrize("params, radius", [(CoulombParams(-1.7, 0.5), 10.0),
+                                                (CoulombParams(-1.9, 0.0), 12.0)])
+    def test_conjugate_pairs_are_exact(self, params, radius):
+        zs = find_zeros(params, radius)
+        listed = {_hex(z) for z in zs.zeros}
+        pairs = [z for z in zs.zeros if z.imag != 0.0]
+        assert pairs and all(_hex(z.conjugate()) in listed for z in pairs)
+        assert all(z.imag == 0.0 for z in zs.zeros if z not in pairs)
 
 
 class TestWindingNumber:
@@ -1284,33 +1260,30 @@ def _mp_coefficients(params, order):
 
 
 class TestCountRecord:
-    """_arc_count's one record, (count, scan, samples), on each of its paths."""
+    """_arc_count's count, an int, on each of its paths."""
 
-    def test_record_shape_and_callers_agree(self):
+    def test_record_shape_and_callers_agree(self, monkeypatch):
         # seeded pairs on certify's default circle, alternately real and
-        # complex: Rouche's test settles some, and the arcs count the rest
+        # complex: Rouche's test settles some, and the arcs count the rest,
+        # on the upper semicircle of a real table and the whole circle else
         rng, r, paths = random.Random(20261022), 0.999, set()
+        sampled = _spy(monkeypatch, "_bounded_horner")
         for i in range(24):
             L, eta = rng.uniform(-0.9, 1.4), rng.uniform(-1.5, 1.5)
             if i % 2:
                 L, eta = complex(L, rng.uniform(-0.3, 0.3)), complex(eta, rng.uniform(-0.8, 0.8))
             params = CoulombParams(L, eta)
             table, tails = _grow_table(params, r, _ORDER_SCHEDULE, DEFAULT_TOL)
-            record = zeros_module._arc_count(table, tails, r)
-            count, scan, samples = record
-            assert isinstance(record, tuple) and len(record) == 3 and isinstance(count, int)
-            if samples is None:  # Rouche's test
+            sampled.clear()
+            count = zeros_module._arc_count(table, tails, r)
+            assert type(count) is int
+            if not sampled:  # Rouche's test
                 paths.add("rouche")
-                assert count == 1 and scan is None
-            elif table.is_real:
-                paths.add("real")
-                x, g, err = scan
-                assert np.array_equal(x, zeros_module._diameter(r))
-                assert g.dtype == err.dtype == float and g.size == err.size == x.size
+                assert count == 1
             else:
-                paths.add("complex")
-                assert scan is None
-            assert samples is None or samples.shape == (zeros_module._CIRCLE_SAMPLES,)
+                paths.add("real" if table.is_real else "complex")
+                first = sampled[0][0][1].size
+                assert first == zeros_module._CIRCLE_SAMPLES // (2 if table.is_real else 1) + 1
             assert winding_number(table, r) == count
             assert len(find_zeros(params, r).zeros) + 1 == count
             report = certify(params, StarlikeClass.CLASSICAL, ScanGrid(720, r))
@@ -1342,10 +1315,10 @@ class TestRouche:
             params = CoulombParams(L, eta)
             table, tails = _grow_table(params, r, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
             try:
-                record = zeros_module._arc_count(table, tails, r)
+                count = zeros_module._arc_count(table, tails, r)
             except Sampled:  # the test failed, and the count sampled the circle
                 continue
-            assert record == (1, None, None)
+            assert count == 1
             proven += 1
             s = zeros_module._abs_sum(table, r, 0)
             with mp.workdps(40):
