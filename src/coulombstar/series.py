@@ -35,7 +35,8 @@ from .errors import BranchPoint, DomainError, InvalidParams, NoConvergence, Pole
 # below tolerance by this order raise NoConvergence.
 MAX_ORDER = 500
 
-# Truncation orders tried by the adaptive evaluators, in increasing size.
+# Truncation orders tried by every adaptive table, in increasing size; only
+# _Growth.first_order reads them, when it is called.
 _ORDER_SCHEDULE = (16, 24, 36, 54, 81, 122, 183, 275, 413, MAX_ORDER)
 
 DEFAULT_TOL = 1e-12
@@ -259,42 +260,38 @@ def _abs_sum(table: CoefficientTable, r: float, deriv: int) -> float:
     return h * r if deriv == 0 else h
 
 
-_SCHEDULE_REFUSAL = "series tail at radius {radius} not below {tol} by order {order}"
-
-
 class _Growth:
-    """One coefficient list grown along a schedule of orders at one radius.
+    """One coefficient list grown along _ORDER_SCHEDULE at one radius.
 
     Each a_n and each scheduled tail bound is computed once, however many
     derivatives are asked for, so g, g' and g'' at one point share one
     recurrence, and a caller may check g before it grows the list for g'.
     """
 
-    __slots__ = ("params", "radius", "orders", "coeffs", "bounds")
+    __slots__ = ("params", "radius", "coeffs", "bounds")
 
-    def __init__(self, params: CoulombParams, radius: float, orders=None) -> None:
+    def __init__(self, params: CoulombParams, radius: float) -> None:
         if not math.isfinite(radius):  # |z| of a z that is not finite
             raise DomainError(f"z must be finite, got |z| = {radius!r}")
         self.params = params
         self.radius = radius
-        self.orders = _ORDER_SCHEDULE if orders is None else orders
         self.coeffs: list[complex] | None = None
-        self.bounds: list[tuple[float, float, float] | None] = []  # at orders[:len(bounds)]
+        self.bounds: list[tuple[float, float, float] | None] = []  # at the schedule's first orders
 
-    def first_order(self, tol: float, deriv: int, refusal: str = _SCHEDULE_REFUSAL):
+    def first_order(self, tol: float, deriv: int):
         """First scheduled order whose tail for derivative `deriv` is < tol, with its tails.
 
-        Raises NoConvergence with `refusal` formatted at the last order.
+        The schedule is read here, at call time; NoConvergence past its last order.
         """
         bounds = self.bounds
-        for k, order in enumerate(self.orders):
+        for k, order in enumerate(_ORDER_SCHEDULE):
             if k == len(bounds):
                 self.coeffs = _recurrence_coefficients(self.params, order, self.coeffs)
                 bounds.append(_tail_bounds(self.coeffs, self.params, self.radius))
             tails = bounds[k]
             if tails is not None and tails[deriv] < tol:
                 return order, tails
-        raise NoConvergence(refusal.format(radius=self.radius, tol=tol, order=order))
+        raise NoConvergence(f"series tail at radius {self.radius} not below {tol} by order {order}")
 
     def value(self, z: complex, tol: float, deriv: int) -> tuple[complex, float]:
         """g, g' or g'' (deriv 0, 1, 2) at z, |z| the radius, with its tail bound."""
@@ -306,20 +303,24 @@ class _Growth:
         return (h * z if deriv == 0 else h), tails[deriv]
 
 
-def _grow_table(
-    params: CoulombParams, radius: float, orders, tol: float = math.inf,
-    deriv: int = 0, refusal: str = _SCHEDULE_REFUSAL,
-) -> tuple[CoefficientTable, tuple[float, float, float]]:
-    """First table along `orders` whose tail for derivative `deriv` is < tol.
-
-    Returns the table with its (g, g', g'') tail bounds, or raises
-    NoConvergence with `refusal` formatted at the last order; InvalidParams
-    for a radius that is negative or not finite.
-    """
+def _check_table_radius(radius: float) -> None:
+    """InvalidParams for a table radius that is negative or not finite, where no tail bound holds."""
     if not (radius >= 0 and math.isfinite(radius)):
         raise InvalidParams(f"radius must be finite and nonnegative, got {radius}")
-    growth = _Growth(params, radius, orders)
-    order, tails = growth.first_order(tol, deriv, refusal)
+
+
+def _grow_table(
+    params: CoulombParams, radius: float, tol: float, deriv: int = 0
+) -> tuple[CoefficientTable, tuple[float, float, float]]:
+    """First scheduled table whose tail for derivative `deriv` is < tol.
+
+    Returns the table with its (g, g', g'') tail bounds, or raises
+    NoConvergence past the schedule's last order; InvalidParams for a radius
+    that is negative or not finite.
+    """
+    _check_table_radius(radius)
+    growth = _Growth(params, radius)
+    order, tails = growth.first_order(tol, deriv)
     return CoefficientTable(params, tuple(growth.coeffs), order, tails[0], radius), tails
 
 
@@ -333,17 +334,20 @@ def make_coefficients(params: CoulombParams, order: int, radius: float) -> Coeff
         raise InvalidParams(f"order must be >= 2, got {order}")
     if order > MAX_ORDER:
         raise InvalidParams(f"order must be <= {MAX_ORDER}, got {order}")
-    refusal = (
-        "tail majorization fails at order {order}, radius {radius}; increase the order"
-    )
-    return _grow_table(params, radius, (order,), refusal=refusal)[0]
+    _check_table_radius(radius)
+    coeffs = _recurrence_coefficients(params, order)
+    tails = _tail_bounds(coeffs, params, radius)
+    if tails is None:
+        raise NoConvergence(
+            f"tail majorization fails at order {order}, radius {radius}; increase the order")
+    return CoefficientTable(params, tuple(coeffs), order, tails[0], radius)
 
 
 def table_for_radius(
     params: CoulombParams, radius: float, tol: float = DEFAULT_TOL, deriv: int = 0
 ) -> CoefficientTable:
     """Smallest scheduled table whose tail (for the given derivative) is < tol."""
-    return _grow_table(params, radius, _ORDER_SCHEDULE, tol, deriv)[0]
+    return _grow_table(params, radius, tol, deriv)[0]
 
 
 # ---------------------------------------------------------------------------

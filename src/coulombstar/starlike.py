@@ -37,7 +37,7 @@ import numpy as np
 
 from .analytic import _near_zero_floor
 from .errors import CoulombError, InvalidParams
-from .series import _ORDER_SCHEDULE, DEFAULT_TOL, CoulombParams, _grow_table
+from .series import DEFAULT_TOL, CoulombParams, _grow_table
 from .zeros import _arc_count, _check_radius
 
 SQRT2 = math.sqrt(2.0)
@@ -225,7 +225,7 @@ def certify(
     flavor = StarlikeClass(starlike_class)
     if grid is None:
         grid = ScanGrid()
-    table, bounds = _grow_table(params, grid.r_max, _ORDER_SCHEDULE, tol, 1)
+    table, bounds = _grow_table(params, grid.r_max, tol, 1)
     z = grid.points()
     if table.is_real:  # the lower half's margins mirror the upper half's
         z = z[: z.size // 2 + 1]

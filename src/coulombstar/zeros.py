@@ -19,8 +19,12 @@ J. Math. Anal. Appl. 419, 2014), whose entries follow from L and eta in
 closed form (_jacobi).  Its leading N x N section, N a little above R,
 gives the zeros within R to about 1e-14 relative, from L and eta alone:
 the rounded coefficients a_n serve the count and the residuals, not the
-zeros.  A count of 1 lists no zero, and a list that disagrees with the
-count raises WindingMismatch.  The located zeros feed the product
+zeros.  Each zero's residual is |g| there by the table's own Horner
+(series._horner, whose bits _bounded_horner reproduces with its rounding
+bound): within 2.5 eps mu of |g| on the double coefficients, possibly 0.0,
+and not a distance to g's zero.  A count of 1 lists no zero, and a list
+that disagrees with the count raises WindingMismatch.  The located zeros
+feed the product
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
 
@@ -39,7 +43,6 @@ import numpy as np
 from .errors import DomainError, InvalidParams, NoConvergence, WindingMismatch
 from .series import (
     _EPS,
-    _ORDER_SCHEDULE,
     DEFAULT_TOL,
     CoefficientTable,
     ComplexValue,
@@ -55,12 +58,13 @@ class ZeroSet:
     """Zeros of g inside a trust radius, ordered by modulus then argument.
 
     residuals[k] is |g(zeros[k])| for the truncated series at the returned
-    double zeros[k], evaluated by compensated Horner (about twice double
-    precision; see _compensated_horner for its error) on the double
-    coefficients.  It is not a distance to g's zero: the zeros come from
-    the Jacobi matrix, not from the rounded coefficients, and the residual
-    takes in their rounding, up to about eps S(|zeros[k]|), S(r) = sum
-    |a_n| r^(n+1), at a zero that is right to 1e-14.
+    double zeros[k], by the table's own Horner on the double coefficients
+    (CoefficientTable.g_values): within _bounded_horner's 2.5 eps mu of the
+    exact |g| of those coefficients there, and it may round to 0.0.  It is
+    not a distance to g's zero: the zeros come from the Jacobi matrix, not
+    from the rounded coefficients, and the residual takes in their rounding,
+    up to about eps S(|zeros[k]|), S(r) = sum |a_n| r^(n+1), at a zero that
+    is right to 1e-14.
     """
 
     params: CoulombParams
@@ -305,98 +309,17 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
     return count
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker's splitting constant for doubles
-
-
-def _compensated_horner(coeffs, points) -> list[complex]:
-    """sum_n coeffs[n] z^n at each z of `points`, as accurate as Horner in twice double precision.
-
-    Compensated complex Horner (Graillat, Langlois and Louvet 2005; Graillat
-    and Menissier-Morain 2008): each step s_k = s_(k+1) z + a_k is split by
-    error-free transformations, TwoProduct for its four real products
-    through Dekker's split (there is no math.fma before Python 3.13) and
-    Knuth's TwoSum for its four sums, and their rounding errors e_k are
-    summed by a second Horner recurrence c_k = c_(k+1) z + e_k.  The result
-    s_0 + c_0 is within about eps |h| + (4 n eps)^2 sum |a_n| |z|^n of the
-    exact value for double coefficients.
-
-    Each e_k is exact and depends only on s_(k+1), z and a_k, so the points
-    are evaluated together, in three passes: per point, the plain Horner
-    recurrence records every s_(k+1); one numpy pass on float64 arrays
-    (re and im, points, steps) forms every step's errors; per point, the
-    correction Horner adds them up in the step-by-step order, so each result
-    has the bits of the kernel run one point and one step at a time.  The
-    first pass runs in explicit float operations, since the errors are those
-    of separately rounded products: numpy's complex multiply fuses them into
-    FMA on some CPUs, and CPython's complex product is C code that a
-    compiler may contract.  The correction pass uses Python complex
-    arithmetic, where a fused product would move only the correction's own
-    rounding.
-    """
-    lanes = [(c.real, c.imag) for c in reversed(coeffs)]
-    a = np.array(coeffs[::-1], dtype=complex).view(float).reshape(-1, 2).T[:, None]
-    points = [complex(z) for z in points]
-    factors, record, ends = [], [], []
-    keep = record.append
-    for z in points:
-        x, y = z.real, z.imag
-        t = _SPLITTER * x
-        xh = t - (t - x)
-        t = _SPLITTER * y
-        yh = t - (t - y)
-        xl, yl = x - xh, y - yh
-        factors.append((x, y, y, x, xh, yh, yh, xh, xl, yl, yl, xl))
-        sr = si = 0.0
-        for ar, ai in lanes:
-            keep(sr)
-            keep(si)
-            sr, si = sr * x - si * y + ar, sr * y + si * x + ai
-        keep(sr)
-        keep(si)
-        ends.append((sr, si))
-    # s[lane, point, k]: the re or im lane of s entering Horner step k, and leaving step k - 1
-    s = np.array(record, dtype=float).reshape(len(points), len(lanes) + 1, 2).transpose(2, 0, 1)
-    s_in, s_out = s[:, :, :-1], s[:, :, 1:]
-    # f[lane, part, point]: the factor of s's lane in the real or imaginary
-    # part of s z, [[x, y], [y, x]] for p1 = sr x, p3 = sr y, p2 = si y, p4 = si x
-    f, fh, fl = np.array(factors, dtype=float).reshape(-1, 3, 2, 2).transpose(1, 2, 3, 0)[..., None]
-    with np.errstate(all="ignore"):  # an overflowing step gets the same inf and nan
-        t = _SPLITTER * s_in
-        sh = t - (t - s_in)
-        sl = (s_in - sh)[:, None]
-        sh = sh[:, None]
-        p = s_in[:, None] * f
-        e = sl * fl - (((p - sh * fh) - sl * fh) - sh * fl)
-        # p1 - p2 as p1 + (-p2), and e1 - e2 as e1 + (-e2): the same bits
-        np.negative(p[1, 0], out=p[1, 0])
-        np.negative(e[1, 0], out=e[1, 0])
-        u, v = p
-        q = u + v
-        b = q - u
-        # e1 - e2 + e5 + e7 and e3 + e4 + e6 + e8, summed left to right as
-        # the step-by-step kernel sums them; e7, e8 are the errors of q + a
-        err = (e[0] + e[1]) + ((u - (q - b)) + (v - b))
-        b = s_out - q
-        err += (q - (s_out - b)) + (a - b)
-    corr = np.empty(err.shape[1:], dtype=complex)
-    corr.real, corr.imag = err
-    out = []
-    for z, row, (sr, si) in zip(points, corr.tolist(), ends):
-        c = 0j
-        for e_k in row:
-            c = c * z + e_k
-        out.append(complex(sr + c.real, si + c.imag))
-    return out
-
-
 def _refine_mp(table: CoefficientTable, roots) -> list[tuple[complex, float]]:
-    """Each root with its residual, the compensated |g| there: [(root, residual)].
+    """Each root with its residual, |g| there by the table's own Horner: [(root, residual)].
 
-    g = z h, h from one batched _compensated_horner call on the table's
-    double coefficients.  It no longer refines: the name is kept for
-    perfbench/crosscheck.py, which times this step under it.
+    One batched table.g_values call on the double coefficients: the
+    series._horner bits that starlike.certify uses and that _arc_count's
+    _bounded_horner reproduces, so each residual lies within that routine's
+    2.5 eps mu of the exact |g| of the truncated series, and may round to
+    0.0.  It is not a distance to g's zero.  It does not refine: the name is
+    kept for perfbench/crosscheck.py, which times this step under it.
     """
-    return [(z, abs(z * h)) for z, h in zip(roots, _compensated_horner(table.coeffs, roots))]
+    return list(zip(roots, np.abs(table.g_values(np.array(roots, dtype=complex))).tolist()))
 
 
 def _jacobi(L, eta, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,10 +364,12 @@ def find_zeros(
 
     The list plus the origin must match the count, or WindingMismatch.
     Zeros are sorted by modulus, ties broken by principal-branch argument,
-    and each residual is _refine_mp's.
+    and each residual is _refine_mp's: |g| by the table's Horner, within
+    2.5 eps mu of |g| on the double coefficients, possibly 0.0, and not a
+    distance to g's zero.
     """
     _check_radius("trust_radius", trust_radius)
-    table, tails = _grow_table(params, trust_radius, _ORDER_SCHEDULE, tol)
+    table, tails = _grow_table(params, trust_radius, tol)
     count = _arc_count(table, tails, trust_radius)
     if count is None:
         raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven")

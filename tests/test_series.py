@@ -132,8 +132,26 @@ class TestMakeCoefficients:
 
     def test_majorization_failure_raises(self):
         # radius far too large for a short table
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match=r"^tail majorization fails at order 16, "
+                                                r"radius 30\.0; increase the order$"):
             make_coefficients(CoulombParams(0.0, 0.0), 16, 30.0)
+
+    def test_schedule_is_read_at_call_time_by_every_table(self, monkeypatch):
+        # make_coefficients does not read the schedule; table_for_radius,
+        # find_zeros and certify read it when called, so a patched schedule
+        # reaches all three
+        sine = CoulombParams(0.0, 0.0)
+        monkeypatch.setattr(series, "_ORDER_SCHEDULE", (40,))
+        assert make_coefficients(sine, 30, 4.0).order == 30
+        assert table_for_radius(sine, 4.0).order == 40
+        assert find_zeros(sine, 4.0).truncation_order == 40
+        monkeypatch.setattr(series, "_ORDER_SCHEDULE", (16,))
+        with pytest.raises(NoConvergence, match=r"^series tail at radius 4\.0 not below "
+                                                r"1e-12 by order 16$"):
+            find_zeros(sine, 4.0)
+        with pytest.raises(NoConvergence, match=r"^series tail at radius 0\.999 not below "
+                                                r"1e-300 by order 16$"):
+            certify(sine, StarlikeClass.CLASSICAL, ScanGrid(720, 0.999), tol=1e-300)
 
     def test_negative_tail_bound_is_refused(self):
         with pytest.raises(ValueError, match="tail_bound"):

@@ -28,7 +28,7 @@ from coulombstar import (
     table_for_radius,
     winding_number,
 )
-from coulombstar.series import _ORDER_SCHEDULE, CoefficientTable, _grow_table
+from coulombstar.series import CoefficientTable, _grow_table
 from coulombstar.zeros import _arc_count
 
 INSTANCE = CoulombParams(0.5, 0.1)
@@ -402,7 +402,7 @@ def _first_count_pass(monkeypatch, params, angles):
 
 def certify_table(params, r_max):
     """The table and tail bounds certify builds for a circle of radius r_max."""
-    return _grow_table(params, r_max, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
+    return _grow_table(params, r_max, DEFAULT_TOL, 1)
 
 
 class TestCircleWinding:

@@ -32,14 +32,12 @@ from coulombstar import (
     winding_number,
 )
 from coulombstar.series import (
-    _ORDER_SCHEDULE,
     DEFAULT_TOL,
     CoefficientTable,
     _grow_table,
     _horner,
     _tail_bounds,
 )
-from coulombstar.zeros import _compensated_horner
 
 SINE = CoulombParams(0.0, 0.0)
 EPS = 2.220446049250313e-16
@@ -199,20 +197,33 @@ INPUT_370 = (0.6940315300650229 - 0.0016656961767359535j,
              2.0640876567081348 + 0.8583936507916572j, 29.171701579759453)
 
 
+def _bounded_error(coeffs, z):
+    """|value - exact| allowed at z, _bounded_horner's 2.5 eps mu at r = |z|, and the
+    exact sum_n coeffs[n] z^n over the same double coefficients, in 50 digits."""
+    bound = zeros_module._bounded_horner(coeffs, np.array([z], dtype=complex), abs(z))[1][0]
+    with mp.workdps(50):
+        return bound, mp.polyval([mp.mpc(c) for c in reversed(coeffs)], mp.mpc(z))
+
+
 class TestCompensatedRefinement:
     @pytest.mark.parametrize(
         "params", [SINE, CoulombParams(0.5, 0.3), CoulombParams(0.2 + 0.1j, 0.3 - 0.2j)]
     )
     @pytest.mark.parametrize("radius", [5.0, 10.0, 15.0, 20.0])
     def test_kernel_matches_50_digits(self, params, radius):
-        coeffs = table_for_radius(params, radius).coeffs
-        points = [radius * (0.3 + 0.06 * k) * cmath.exp(1j * (0.7 + 2.1 * k)) for k in range(12)]
-        for z, got in zip(points, _compensated_horner(coeffs, points)):
-            scale = sum(abs(c) * abs(z) ** n for n, c in enumerate(coeffs))
+        # the residuals' kernel, the table's own Horner, at 12 points in the
+        # disk: g_values has _bounded_horner's bits, within its bound of the
+        # 50-digit g of the same double coefficients
+        table = table_for_radius(params, radius)
+        coeffs = (0.0,) + table.coeffs
+        points = np.array([radius * (0.3 + 0.06 * k) * cmath.exp(1j * (0.7 + 2.1 * k))
+                           for k in range(12)])
+        values = table.g_values(points)
+        assert values.tolist() == zeros_module._bounded_horner(coeffs, points, radius)[0].tolist()
+        for z, value in zip(points, values):
+            bound, exact = _bounded_error(coeffs, z)
             with mp.workdps(50):
-                exact = mp.polyval([mp.mpc(c) for c in reversed(coeffs)], mp.mpc(z))
-                err = float(abs(mp.mpc(got) - exact))
-                assert err <= EPS * float(abs(exact)) + 1e-20 * scale, (z, err)
+                assert abs(mp.mpc(value) - exact) <= bound, (z, value)
 
     @pytest.mark.parametrize(
         "L, eta, radius",
@@ -226,115 +237,30 @@ class TestCompensatedRefinement:
         assert zs.zeros
         _assert_on_g(zs.params, zs.zeros)
 
-    @pytest.mark.parametrize("L, eta, radius", REFERENCE_CASES)
+    @pytest.mark.parametrize("L, eta, radius", REFERENCE_CASES + [INPUT_370])
     def test_residual_is_g_at_the_returned_zero(self, L, eta, radius):
+        # each residual is |g_values| at the listed zeros, bit for bit, and
+        # within _bounded_horner's bound of the 50-digit |g| of the table
         params = CoulombParams(L, eta)
         zs = find_zeros(params, radius)
-        coeffs = table_for_radius(params, radius).coeffs
+        table = table_for_radius(params, radius)
+        assert list(zs.residuals) == np.abs(table.g_values(np.array(zs.zeros))).tolist()
         for rho, residual in zip(zs.zeros, zs.residuals):
+            bound, exact = _bounded_error((0.0,) + table.coeffs, rho)
             with mp.workdps(50):
-                exact = float(abs(_mp_g(coeffs, rho)))
-            assert residual == pytest.approx(exact, rel=1e-6)
+                assert abs(residual - abs(exact)) <= bound, (rho, residual)
 
 
-_SPLIT = 134217729.0
-
-
-def _scalar_compensated_horner(coeffs, z):
-    """The compensated complex Horner kernel one point and one step at a time, frozen.
-
-    The batched zeros._compensated_horner must return these bits.
-    """
-    x, y = z.real, z.imag
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
-    t = _SPLIT * y
-    yh = t - (t - y)
-    yl = y - yh
-    sr = si = cr = ci = 0.0
+def _real_horner(coeffs, x):
+    """The real Horner loop s = s x + a, frozen."""
+    s = 0.0
     for a in reversed(coeffs):
-        ar, ai = a.real, a.imag
-        t = _SPLIT * sr
-        sh = t - (t - sr)
-        sl = sr - sh
-        t = _SPLIT * si
-        th = t - (t - si)
-        tl = si - th
-        p1 = sr * x
-        e1 = sl * xl - (((p1 - sh * xh) - sl * xh) - sh * xl)
-        p2 = si * y
-        e2 = tl * yl - (((p2 - th * yh) - tl * yh) - th * yl)
-        p3 = sr * y
-        e3 = sl * yl - (((p3 - sh * yh) - sl * yh) - sh * yl)
-        p4 = si * x
-        e4 = tl * xl - (((p4 - th * xh) - tl * xh) - th * xl)
-        qr = p1 - p2
-        b = qr - p1
-        e5 = (p1 - (qr - b)) + (-p2 - b)
-        qi = p3 + p4
-        b = qi - p3
-        e6 = (p3 - (qi - b)) + (p4 - b)
-        sr = qr + ar
-        b = sr - qr
-        e7 = (qr - (sr - b)) + (ar - b)
-        si = qi + ai
-        b = si - qi
-        e8 = (qi - (si - b)) + (ai - b)
-        cr, ci = (cr * x - ci * y + (e1 - e2 + e5 + e7),
-                  cr * y + ci * x + (e3 + e4 + e6 + e8))
-    return complex(sr + cr, si + ci)
-
-
-def _scalar_compensated_horner_real(coeffs, x):
-    """The real compensated Horner kernel, frozen."""
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
-    s = c = 0.0
-    for a in reversed(coeffs):
-        t = _SPLIT * s
-        sh = t - (t - s)
-        sl = s - sh
-        p1 = s * x
-        e1 = sl * xl - (((p1 - sh * xh) - sl * xh) - sh * xl)
-        s = p1 + a
-        b = s - p1
-        e7 = (p1 - (s - b)) + (a - b)
-        c = c * x + (e1 + e7)
-    return s + c
+        s = s * x + a
+    return s
 
 
 def _hex(z):
     return z.real.hex(), z.imag.hex()
-
-
-def _kernel_draw():
-    """(params, radius, batch) on a seeded draw of real and complex tables, R in U(0.3, 30).
-
-    Each table gets batches of 1, 2 and 15 points in the disk, a mix of
-    real and complex points, and a batch of its listed zeros and their
-    conjugates when find_zeros answers.
-    """
-    rng = random.Random(20261021)
-    for i in range(24):
-        radius = rng.uniform(0.3, 30.0)
-        L, eta = rng.uniform(-0.9, 3.0), rng.uniform(-3.0, 3.0)
-        if i % 2:
-            L, eta = complex(L, rng.uniform(-0.5, 0.5)), complex(eta, rng.uniform(-1.0, 1.0))
-        params = CoulombParams(L, eta)
-        for size in (1, 2, 15):
-            yield params, radius, [
-                radius * rng.random() * (cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-                                         if rng.random() < 0.5 else rng.choice((1.0, -1.0)))
-                for _ in range(size)
-            ]
-        try:
-            zeros = find_zeros(params, radius).zeros
-        except (NoConvergence, WindingMismatch):
-            continue
-        if zeros:
-            yield params, radius, list(zeros) + [z.conjugate() for z in zeros]
 
 
 def _spy(monkeypatch, name, owner=zeros_module):
@@ -352,68 +278,35 @@ def _spy(monkeypatch, name, owner=zeros_module):
 
 
 class TestBatchedKernel:
-    """The batched compensated kernel keeps each point's bits."""
-
-    def test_batched_kernel_matches_the_scalar_loop(self):
-        batches, at_zeros, real_points = 0, 0, 0
-        for params, radius, points in _kernel_draw():
-            coeffs = table_for_radius(params, radius).coeffs
-            got = _compensated_horner(coeffs, points)
-            assert len(got) == len(points)
-            for z, value in zip(points, got):
-                assert _hex(value) == _hex(_scalar_compensated_horner(coeffs, complex(z))), (
-                    params, radius, z)
-            batches += 1
-            at_zeros += len(points) not in (1, 2, 15)
-            real_points += sum(isinstance(z, float) for z in points)
-        assert batches >= 80 and at_zeros >= 12 and real_points >= 100
-
-    def test_real_kernel_matches_the_scalar_loop(self):
-        # at real points of a real table, the batched kernel's real part has
-        # the bits of the frozen real loop, and its imaginary part is zero
-        tables = 0
-        for params, radius, points in _kernel_draw():
-            coeffs = table_for_radius(params, radius).coeffs
-            if not all(c.imag == 0.0 for c in coeffs):
-                continue
-            tables += 1
-            real = [c.real for c in coeffs]
-            xs = [z.real for z in points]
-            for x, value in zip(xs, _compensated_horner(coeffs, xs)):
-                assert value.real.hex() == _scalar_compensated_horner_real(real, x).hex()
-                assert value.imag == 0.0
-        assert tables >= 36
+    """_refine_mp's one batched g_values call, and the bits it gives each root."""
 
     def test_empty_batch(self):
         table = table_for_radius(SINE, 5.0)
-        assert _compensated_horner(table.coeffs, []) == []
         assert zeros_module._refine_mp(table, []) == []
 
-    def test_overflowing_points_match_the_scalar_loop(self):
-        # h overflows at 1e200, and inf - inf gives nan, without a warning
-        coeffs = table_for_radius(CoulombParams(0.2 + 0.1j, 0.3), 6.0).coeffs
-        points = [1e200 + 0j, 1e200j, 2.0 + 1.0j]
-        for z, value in zip(points, _compensated_horner(coeffs, points)):
-            reference = _scalar_compensated_horner(coeffs, z)
-            for got, ref in zip((value.real, value.imag), (reference.real, reference.imag)):
-                assert got.hex() == ref.hex() or (math.isnan(got) and math.isnan(ref))
-
-    def test_lockstep_newton_gives_each_start_its_bits_alone(self, monkeypatch):
-        # _refine_mp pairs each root, unmoved, with the residual it has alone,
-        # from one batched kernel call for them all; at 1e200, where h
-        # overflows, the residual is not finite
+    def test_batch_gives_each_root_its_bits_in_a_pair(self, monkeypatch):
+        # _refine_mp pairs each root, unmoved, with |g_values| there, from one
+        # g_values call for them all, and each root has the same bits in a
+        # batch of two.  A root alone takes numpy's in-place product at one
+        # point, which need not round as its vector loop does (it skips the
+        # FMA on some CPUs), so alone it is held to the 50-digit |g| instead
         params, radius = CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 12.0
         table = table_for_radius(params, radius)
         zeros = find_zeros(params, radius).zeros
-        roots = [z * (1 + 1e-5j) for z in zeros] + [1e200 + 0j] + [z + 0.2 for z in zeros[:3]]
-        kernel = _spy(monkeypatch, "_compensated_horner")
+        roots = [z * (1 + 1e-5j) for z in zeros] + [z + 0.2 for z in zeros[:3]]
+        calls = _spy(monkeypatch, "g_values", CoefficientTable)
         together = zeros_module._refine_mp(table, roots)
-        assert len(kernel) == 1
-        alone = [zeros_module._refine_mp(table, [root])[0] for root in roots]
-        assert [(_hex(z), r.hex()) for z, r in together] == [(_hex(z), r.hex()) for z, r in alone]
+        assert len(calls) == 1 and len(calls[0][0][1]) == len(roots)
+        paired = [zeros_module._refine_mp(table, [root, roots[k - 1]])[0]
+                  for k, root in enumerate(roots)]
+        assert [(_hex(z), r.hex()) for z, r in together] == [(_hex(z), r.hex()) for z, r in paired]
         assert [z for z, _ in together] == roots
-        assert not together[len(zeros)][1] < math.inf
         assert all(r < 1e-3 for _, r in together[:len(zeros)])
+        for root in roots:
+            (_, alone), = zeros_module._refine_mp(table, [root])
+            bound, exact = _bounded_error((0.0,) + table.coeffs, root)
+            with mp.workdps(50):
+                assert abs(alone - abs(exact)) <= bound
 
 
 def _bits(zero_set):
@@ -510,7 +403,7 @@ class TestSeeding:
 
     def test_real_kernel_is_the_complex_kernels_real_part(self):
         # a real table's zeros are real (Ikebe 1975, L > -1), and each
-        # residual is |x h(x)|, h with the bits of the frozen real loop
+        # residual is |h(x) x|, h with the bits of the frozen real Horner loop
         rng = random.Random(7)
         for _ in range(40):
             params = CoulombParams(rng.uniform(-0.4, 1.4), rng.uniform(-1, 1))
@@ -519,8 +412,7 @@ class TestSeeding:
             real = [c.real for c in table_for_radius(params, radius).coeffs]
             for z, residual in zip(zs.zeros, zs.residuals):
                 assert z.imag == 0.0
-                assert residual.hex() == abs(z.real * _scalar_compensated_horner_real(
-                    real, z.real)).hex()
+                assert residual.hex() == abs(_real_horner(real, z.real) * z.real).hex()
 
 
 # g's zeros as the nearest doubles to their 60-digit Kummer roots, (re, im)
@@ -1273,7 +1165,7 @@ class TestCountRecord:
             if i % 2:
                 L, eta = complex(L, rng.uniform(-0.3, 0.3)), complex(eta, rng.uniform(-0.8, 0.8))
             params = CoulombParams(L, eta)
-            table, tails = _grow_table(params, r, _ORDER_SCHEDULE, DEFAULT_TOL)
+            table, tails = _grow_table(params, r, DEFAULT_TOL)
             sampled.clear()
             count = zeros_module._arc_count(table, tails, r)
             assert type(count) is int
@@ -1313,7 +1205,7 @@ class TestRouche:
             if complex_pairs:
                 L, eta = complex(L, rng.uniform(-0.3, 0.3)), complex(eta, rng.uniform(-0.8, 0.8))
             params = CoulombParams(L, eta)
-            table, tails = _grow_table(params, r, _ORDER_SCHEDULE, DEFAULT_TOL, 1)
+            table, tails = _grow_table(params, r, DEFAULT_TOL, 1)
             try:
                 count = zeros_module._arc_count(table, tails, r)
             except Sampled:  # the test failed, and the count sampled the circle
