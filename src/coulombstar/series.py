@@ -206,8 +206,8 @@ class CoefficientTable:
     def g_values(self, z):
         """g at scalar or ndarray argument, by Horner on the stored table."""
         # h * z, not z * h: numpy multiplies into a large temporary in place,
-        # temporary first, and rounds by operand order; so g's bits do not
-        # depend on the number of points
+        # temporary first, and rounds by operand order.  A point's bits may
+        # still depend on the number of points (see _horner)
         return _horner(self.coeffs, z) * z
 
     def g_prime_values(self, z):
@@ -233,7 +233,14 @@ def _horner(coeffs, z):
     accumulator the dtype of z * c (a real grid with complex coefficients),
     and the rest run in place, so z is never written.  On a Python or numpy
     scalar the in-place operators rebind the name instead.  Every step
-    rounds acc * z + c in the same order, so the bits agree either way.
+    rounds acc * z + c in the same order, but not always with the same
+    roundings: where numpy's vector loop for the complex product fuses a
+    multiply-add (the real part as fma(ar, br, -ai bi), on CPUs with FMA),
+    CPython's complex product and a one-element array round twice.  So a
+    point alone and the same point inside a batch may differ in their last
+    bits; each lies within zeros._bounded_horner's 2.5 eps mu of the exact
+    sum, a bound that covers both roundings, and arrays of one length give
+    one point the same bits.
     """
     acc = 0.0 * z
     terms = reversed(coeffs)

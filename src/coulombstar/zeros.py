@@ -1,8 +1,9 @@
 """Zero location, the proven zero count, and the Hadamard product rebuild.
 
-Zeros of the entire function g are counted first, by _arc_count, the one
-count routine behind winding_number, find_zeros and starlike.certify:
-Rouche's theorem against z proves a count of 1 in one comparison when
+Zeros of the entire function g are counted first, by one of two proofs.
+_arc_count is the count behind winding_number, starlike.certify, and
+find_zeros on a complex table or a real one with L < -3/2: Rouche's
+theorem against z proves a count of 1 in one comparison when
 S(r) + tail0 < 2r, and otherwise the argument principle sums the
 principal-angle steps of g between the routine's own samples, each arc
 proven to keep g away from 0 by a bound from the Coulomb equation: a
@@ -10,7 +11,10 @@ first-order bound on how far g moves along it, or, where that fails, a
 second-order (Taylor) bound from the same samples of g and g'.  For
 real L and eta, g(conj z) = conj g(z), so arg g changes on the lower half
 circle as it does on the upper half, and only the upper semicircle is
-sampled.
+sampled.  find_zeros on a real table with L > -3/2, where the Jacobi
+matrix J below is self-adjoint, counts by _inertia_count instead: two
+Sturm counts of a section of J bracket the number of its eigenvalues
+beyond 1/r on each side, with no sample of g.
 
 find_zeros then lists the zeros by one eigensolve.  The nonzero zeros of g
 are the reciprocals of the eigenvalues of the tridiagonal Jacobi matrix J of
@@ -37,6 +41,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -340,24 +345,146 @@ def _jacobi(L, eta, size: int) -> tuple[np.ndarray, np.ndarray]:
         return d, (m * m + eta * eta) / (m * m * (2 * m - 1) * (2 * m + 1))
 
 
+def _section_size(params: CoulombParams, r: float) -> int:
+    """N, the rows of J_N that find_zeros solves: max(ceil(r) + 20, ceil(l) + 16) + ceil(r / 10).
+
+    l = sqrt(r^2 + 2 |eta| r) is the turning point of the zeros within r:
+    the Coulomb wave of order L + n at a zero rho, whose values along n make
+    the eigenvector, decays past n = sqrt(rho^2 - 2 eta rho).  For |eta| <= 4
+    the first term is the larger; at (0.3, 60) and r = 5, l = 25, and 26
+    rows list the zeros 3.9e-4 (relative) off, 42 rows within 2.2e-15.
+    """
+    turning = math.ceil(math.sqrt(r * (r + 2 * abs(params.eta))))
+    return max(math.ceil(r) + 20, turning + 16) + math.ceil(r / 10)
+
+
+def _sturm(diag: list, w2: list, x: float) -> int:
+    """The number of negative pivots p_0 = d_0 - x, p_n = (d_n - x) - w_n^2 / p_(n-1).
+
+    By Sylvester's law of inertia on the LDL^T factorization, this Sturm
+    count is the number of eigenvalues below x of the symmetric tridiagonal
+    with diagonal diag and squared off-diagonal w2.  A zero pivot raises
+    ZeroDivisionError.
+    """
+    p = diag[0] - x
+    count = p < 0
+    for dn, wn in zip(islice(diag, 1, None), w2):
+        p = (dn - x) - wn / p
+        count += p < 0
+    return count
+
+
+def _inertia_count(L: float, d: np.ndarray, w2: np.ndarray, r: float) -> int | None:
+    """The proven count of the zeros of g in |z| < r from J's inertia, for real eta and L > -3/2, or None.
+
+    d and w2 are _jacobi's at size N + 2 (d_0 .. d_(N+1), w_1^2 .. w_(N+1)^2)
+    for the double L and eta, N >= 2; J_N is the leading N x N block.
+
+    Operator identity.  m_n = L + n + 1 > 1/2 for n >= 1, so every w_n^2 >
+    0, and J with w_n > 0 is a bounded self-adjoint operator on l^2,
+    compact since its entries tend to 0; the nonzero zeros of g are the
+    reciprocals of its eigenvalues, each simple (Ikebe, Math. Comp. 29,
+    1975; Stampach and Stovicek, J. Math. Anal. Appl. 419, 2014).  With
+    a = 1/r, the count is 1 + n+(J - a) + n-(J + a): the origin, the
+    eigenvalues above a and those below -a (n+ and n- count the positive
+    and negative eigenvalues).
+
+    Tail.  Split J into J_N, the tail T (rows n >= N) and the coupling w_N
+    between rows N-1 and N.  Each row of |T| sums to at most |d_n| + w_n +
+    w_(n+1) for some n >= N, and |d_n| = |eta| / (m_n m_(n+1)) and w_n^2 =
+    (1 + eta^2/m_n^2) / (4 m_n^2 - 1) decrease in n while m_n > 1/2, so
+    ||T|| <= t = |d_N| + w_N + w_(N+1).  The same monotonicity bounds the
+    row sums of |J_N| by G = |d_0| + |d_1| + 2 w_1.
+
+    Bracket.  If t < a, T - a is negative definite, and Haynsworth's inertia
+    additivity (Linear Algebra Appl. 1, 1968) gives n+(J - a) = n+(S) for
+    the Schur complement S = J_N - a + sigma e e^T, e the last unit
+    vector, sigma = w_N^2 <f, (a - T)^-1 f> in (0, delta], delta = w_N^2 /
+    (a - t).  J_N is a compression of J, and by Cauchy interlacing and
+    Weyl's monotonicity n+(J_N - a) <= n+(J - a) <= n+(J_N + delta e e^T -
+    a).  The side -a is the same with -delta: n-(J_N + a) <= n-(J + a) <=
+    n-(J_N - delta e e^T + a).  The bump changes only the last pivot of
+    _sturm, and n+(M - x) = N - (the eigenvalues of M at or below x).
+
+    Rounding (u = eps/2; first-order bounds, whose higher-order terms are
+    below 1e-3 of them while the bounds are below 1e-3).  _jacobi's m_n =
+    fl(fl(L + n) + 1) lies within 2u m_n (|L + n| < m_n; fl(L + 1) is exact
+    or within u), so d_n lies within 6u = 3 eps.  In w_n^2, m^2 + eta^2
+    lies within 6u, the denominator within 11u + 4 c_1 u, c_1 = m_1 /
+    (2 m_1 - 1) >= m_n / (2 m_n - 1) bounding the cancellation in 2m - 1,
+    so w_n^2 lies within (9 + 2 c_1) eps.  Kahan's bound ("Accurate
+    eigenvalues of a symmetric tridiagonal matrix", 1966; Demmel, Applied
+    Numerical Linear Algebra, 1997, section 5.3.4): the computed Sturm count
+    at a double x is the exact count for the same diagonal with each w_n^2
+    moved by its pivot step's roundings, 2 eps relative here, where w_n^2
+    is data (about 2.5 units of roundoff on w_n where w_n is squared in
+    the loop).  So each count is exact for a matrix within (5.5 + c_1) eps
+    of J_N entrywise, and by Weyl's inequality its eigenvalues lie within
+    (5.5 + c_1) eps G of J_N's.  epsilon = (22 + 2c) eps, c = 1 + 1 / (2L
+    + 3) = 2 c_1, is four times that, and kappa = epsilon (G + delta) +
+    2 eps a + 2^-1022 also covers the rounding of the bumped entry d_(N-1)
+    +- delta, of a = 1/r and of a +- kappa, of G and of kappa, and the
+    absolute error, 2^-1074 at most, of an underflow in _jacobi or a pivot.
+    t and delta are rounded up by (1 + epsilon), and a - t down by 2 eps a.
+
+    So N - nu(a + kappa) <= n+(J - a) <= N - nu+(a - kappa) and
+    nu(-a - kappa) <= n-(J + a) <= nu-(kappa - a), nu being _sturm on J_N,
+    and nu+ and nu- on J_N with d_(N-1) +- delta: four O(N) sweeps in plain
+    floats.  None when a bracket stays open (a zero of g within about kappa
+    r^2 of the circle, or a bump that reaches a pivot), when t >= a (the
+    section is too short for r), on a zero pivot, or when epsilon >= 1e-3
+    (L within about 1e-13 of -3/2).
+    """
+    n = d.size - 2
+    a = 1 / r
+    epsilon = (22 + 2 * (1 + 1 / (2 * L + 3))) * _EPS
+    if not epsilon < 1e-3:
+        return None
+    d, w2 = d.tolist(), w2.tolist()
+    tail = (abs(d[n]) + math.sqrt(w2[n - 1]) + math.sqrt(w2[n])) * (1 + epsilon)
+    gap = (a - tail) - 2 * _EPS * a
+    if not gap > 0:
+        return None
+    bump = w2[n - 1] * (1 + epsilon) / gap
+    kappa = (epsilon * (abs(d[0]) + abs(d[1]) + 2 * math.sqrt(w2[0]) + bump)
+             + 2 * _EPS * a + sys.float_info.min)
+    if not math.isfinite(kappa):
+        return None
+    plain, w2 = d[:n], w2[:n - 1]
+    up, down = plain[:-1] + [plain[-1] + bump], plain[:-1] + [plain[-1] - bump]
+    try:
+        above = n - _sturm(plain, w2, a + kappa), n - _sturm(up, w2, a - kappa)
+        below = _sturm(plain, w2, -a - kappa), _sturm(down, w2, kappa - a)
+    except ZeroDivisionError:
+        return None
+    if above[0] != above[1] or below[0] != below[1]:
+        return None
+    return 1 + above[0] + below[0]
+
+
 def find_zeros(
     params: CoulombParams, trust_radius: float, tol: float = DEFAULT_TOL
 ) -> ZeroSet:
     """Locate every zero of g with 0 < |rho| <= trust_radius.
 
     The origin zero is structural (g(z) = z + ...) and is not listed.  The
-    zero count over the trust circle is proven first, by _arc_count, on the
-    table whose tail on |z| = R is below tol (tol sizes that table alone);
-    an unproven count raises WindingMismatch, and a count of 1 lists no zero.
+    table whose tail on |z| = R is below tol is built first (tol sizes that
+    table alone; it gives the residuals and truncation_order).  The zero
+    count over the trust circle is proven next: by _inertia_count on J_N
+    and its tail's first entries for a real table with L > -3/2, and by
+    _arc_count on the table otherwise.  An unproven count raises
+    WindingMismatch, and a count of 1 lists no zero.
 
     The zeros are then the 1/lambda for the eigenvalues lambda of the
-    Jacobi matrix J_N (_jacobi), N = ceil(R) + 20 + ceil(R / 10), with
+    Jacobi matrix J_N, N = _section_size(params, R), the leading block of
+    _jacobi at size N + 2, with
     |lambda| R >= 1: one eigensolve, chosen by the table.  A complex table
-    takes np.linalg.eigvals on the complex symmetric J.  A real table whose
-    w_n^2 are all positive takes np.linalg.eigvalsh, and when eta = 0, where
-    g is odd, lists +-1/lambda over the positive lambda, so that each zero's
-    negative has the same bits.  A real table with some w_n^2 < 0 (L < -3/2)
-    takes np.linalg.eigvals on the real tridiagonal with |w_n| above the
+    takes np.linalg.eigvals on the complex symmetric J.  A real table with
+    L > -3/2, whose w_n^2 are all positive, takes np.linalg.eigvalsh, and
+    when eta = 0, where g is odd, lists +-1/lambda over the positive lambda,
+    so that each zero's negative has the same bits.  A real table with
+    L < -3/2, where some w_n^2 < 0, takes np.linalg.eigvals on the real
+    tridiagonal with |w_n| above the
     diagonal and sign(w_n^2) |w_n| below it, which is similar to J: its real
     zeros have imaginary part 0.0 and its conjugate pairs are exact.  An
     eigensolver that fails raises NoConvergence.
@@ -370,21 +497,26 @@ def find_zeros(
     """
     _check_radius("trust_radius", trust_radius)
     table, tails = _grow_table(params, trust_radius, tol)
-    count = _arc_count(table, tails, trust_radius)
+    size = _section_size(params, trust_radius)
+    real = table.is_real
+    L, eta = (params.L.real, params.eta.real) if real else (params.L, params.eta)
+    symmetric = real and L > -1.5
+    d, w2 = _jacobi(L, eta, size + 2)
+    if symmetric:
+        count = _inertia_count(L, d, w2, trust_radius)
+    else:
+        count = _arc_count(table, tails, trust_radius)
     if count is None:
         raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven")
     if count == 1:
         return ZeroSet(params, trust_radius, table.order, (), ())
-    size = math.ceil(trust_radius) + 20 + math.ceil(trust_radius / 10)
-    if table.is_real:
-        d, w2 = _jacobi(params.L.real, params.eta.real, size)
+    d, w2 = d[:-2], w2[:-2]
+    if real:
         upper = np.sqrt(np.abs(w2))
         lower = np.sign(w2) * upper
     else:
-        d, w2 = _jacobi(params.L, params.eta, size)
         upper = lower = np.sqrt(w2)
     jacobi = np.diag(d) + np.diag(upper, 1) + np.diag(lower, -1)
-    symmetric = table.is_real and bool(np.all(w2 > 0))
     try:
         lam = (np.linalg.eigvalsh if symmetric else np.linalg.eigvals)(jacobi)
     except np.linalg.LinAlgError as exc:

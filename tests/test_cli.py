@@ -214,10 +214,20 @@ class TestZeros:
         assert result.exit_code == 4
 
     def test_underflowed_table_exit_five(self, runner):
-        # the count at 38 is unproven, which refuses before any seeding
-        result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", "38"])
+        # the double pi lies 1.2e-16 inside the zero pi: the count is
+        # unproven, which refuses before any eigensolve
+        result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", repr(math.pi)])
         assert result.exit_code == 5
         assert result.stdout == ""
+        assert "unproven" in result.stderr
+
+    def test_underflowed_table_answers(self, runner):
+        # at 38 the table's trailing coefficients underflow, which leaves a
+        # circle count unproven; the Jacobi matrix's inertia proves 24 zeros
+        result = invoke(runner, ["zeros", "--L", "0", "--eta", "0", "--radius", "38"])
+        assert result.exit_code == 0
+        res = sorted(z["re"] for z in json.loads(result.output)["zeros"])
+        assert res == pytest.approx([k * math.pi for k in range(-12, 13) if k], rel=2e-14)
 
     @pytest.mark.parametrize("radius, shown", [("0", "0.0"), ("nan", "nan"), ("1e-320", "1e-320")])
     def test_refused_radius_names_the_rule(self, runner, radius, shown):

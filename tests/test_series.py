@@ -307,6 +307,25 @@ class TestHornerInPlace:
             assert got.tobytes() == want.tobytes()
         assert z.tobytes() == before
 
+    @pytest.mark.parametrize("params", [CoulombParams(0.7, -0.3),
+                                        CoulombParams(0.4 + 0.3j, -0.6 + 0.2j)])
+    def test_lone_point_within_the_batch_bound(self, params):
+        # a point alone, as a Python complex or a one-point array, and the
+        # same point inside a 720-point batch: the bits may differ where the
+        # batch's complex product fuses a multiply-add, but never by more
+        # than _bounded_horner's rounding bound there
+        import numpy as np
+
+        from coulombstar.zeros import _bounded_horner
+
+        table = table_for_radius(params, 3.0)
+        z = 2.7 * np.exp(2j * np.pi * np.arange(720) / 720)
+        batch = table.g_values(z)
+        _, bound = _bounded_horner((0.0,) + table.coeffs, z, 2.7)
+        for k, point in enumerate(z):
+            for alone in (table.g_values(complex(point)), table.g_values(z[k:k + 1])[0]):
+                assert abs(alone - batch[k]) <= bound[k], (point, alone, batch[k])
+
     def test_python_scalar_stays_python(self):
         table = table_for_radius(CoulombParams(0.7, -0.3), 1.0)
         assert type(_horner(table.coeffs, 0.3 + 0.4j)) is complex

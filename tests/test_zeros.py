@@ -135,9 +135,12 @@ class TestFindZeros:
 
     def test_underflowed_table_refuses(self):
         # at radius 38 the table's trailing coefficients underflow to
-        # subnormals, and double Horner cannot prove the count
-        with pytest.raises(WindingMismatch, match="unproven"):
-            find_zeros(SINE, 38.0)
+        # subnormals, and double Horner cannot prove the circle count; the
+        # Jacobi matrix's inertia needs no coefficient, and proves the 24
+        # zeros +-k pi
+        with pytest.raises(NoConvergence):
+            winding_number(table_for_radius(SINE, 38.0), 38.0)
+        _assert_sine_zeros(find_zeros(SINE, 38.0), 24)
 
     def test_jsonable_shape(self):
         zs = find_zeros(SINE, 4.0)
@@ -146,6 +149,16 @@ class TestFindZeros:
         assert d["trust_radius"] == 4.0
         for entry in d["zeros"]:
             assert set(entry.keys()) == {"re", "im", "residual"}
+
+
+def _assert_sine_zeros(zero_set, count, rel=2e-14):
+    """The sine case lists `count` zeros, the +-k pi, each real and within rel k pi."""
+    assert len(zero_set.zeros) == count
+    for rho in zero_set.zeros:
+        k = round(abs(rho) / math.pi)
+        assert rho.imag == 0.0 and abs(abs(rho) - k * math.pi) <= rel * k * math.pi, rho
+    assert sorted(round(rho.real / math.pi) for rho in zero_set.zeros) == \
+        sorted(k for k in range(-count // 2, count // 2 + 1) if k)
 
 
 def _mp_g(coeffs, z):
@@ -363,20 +376,33 @@ class TestSeeding:
     @pytest.mark.parametrize("params", SEEDING_PARAMS)
     @pytest.mark.parametrize("radius", [5.0, 12.0, 20.0])
     def test_prefix_ends_at_the_last_term_above_the_cut(self, params, radius, monkeypatch):
-        # the section J_N, N = ceil(R) + 20 + ceil(R/10), lists the zeros
-        # that a section of 3R + 60 rows lists, within the eigensolver's noise
+        # the eigensolve takes the section J_N, N = ceil(R) + 20 + ceil(R/10),
+        # of _jacobi's N + 2 rows (a real table's inertia count reads the
+        # tail's first entries), and lists the zeros that a section of
+        # 3R + 60 rows lists, within the eigensolver's noise
         jacobi = zeros_module._jacobi
+        size = math.ceil(radius) + 20 + math.ceil(radius / 10)
         calls = _spy(monkeypatch, "_jacobi")
+        rows = []
+        for name in ("eigvals", "eigvalsh"):
+            def recorded(a, fn=getattr(np.linalg, name)):
+                rows.append(np.shape(a))
+                return fn(a)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
         got = find_zeros(params, radius)
-        assert [args[2] for args, _ in calls] == [math.ceil(radius) + 20 + math.ceil(radius / 10)]
+        assert [args[2] for args, _ in calls] == [size + 2]
+        assert rows == [(size, size)]
         monkeypatch.setattr(zeros_module, "_jacobi",
                             lambda L, eta, size: jacobi(L, eta, int(3 * radius) + 60))
         _nearest_match(got.zeros, find_zeros(params, radius).zeros, 2e-14)
 
-    @pytest.mark.parametrize("params", [SINE, CoulombParams(0.5, 0.3)])
+    @pytest.mark.parametrize("params", [SINE, CoulombParams(0.5, 0.3), CoulombParams(0.2 + 0.1j, 0.3)])
     def test_aggressive_cut_is_caught_by_the_count(self, params, monkeypatch):
-        # a 6 x 6 section has at most 6 zeros, against 12 or more within 20:
-        # the count catches the loss, and nothing solves again
+        # a 6 x 6 section has at most 6 zeros, against 12 or more within 20.
+        # A real table's inertia count finds its tail block too large for
+        # the radius and leaves the count unproven; a complex table's circle
+        # count disagrees with the list.  Nothing solves again
         jacobi = zeros_module._jacobi
         sizes = []
 
@@ -385,7 +411,8 @@ class TestSeeding:
             return jacobi(L, eta, 6)
 
         monkeypatch.setattr(zeros_module, "_jacobi", small)
-        with pytest.raises(WindingMismatch, match="listed zeros"):
+        complex_table = bool(params.L.imag or params.eta.imag)
+        with pytest.raises(WindingMismatch, match="listed zeros" if complex_table else "unproven"):
             find_zeros(params, 20.0)
         assert len(sizes) == 1
 
@@ -685,10 +712,10 @@ def _answer(params, radius):
         return type(exc).__name__
 
 
-class TestBrackets:
+class TestRealTables:
     """Real tables: the real solvers, against the complex one and g."""
 
-    def test_brackets_match_the_companion_path(self, monkeypatch):
+    def test_fingerprint_draw_matches_the_complex_solver(self, monkeypatch):
         # the fingerprint's real and sine inputs: every zero is real (L > -1),
         # and the complex symmetric J gives the same answers
         cases = _fingerprint_draw(150)
@@ -702,7 +729,7 @@ class TestBrackets:
             _nearest_match(zeros, reference, 2e-14)
         assert len(cases) == 100 and sum(not isinstance(zeros, str) for zeros in got) >= 80
 
-    def test_no_companion_matrix_on_real_benchmark_inputs(self, monkeypatch):
+    def test_benchmark_real_pool_takes_eigvalsh(self, monkeypatch):
         # the zeros workload's seed-7 pool: its 120 real inputs take eigvalsh
         # alone, and nothing calls np.roots
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -721,8 +748,7 @@ class TestBrackets:
         (CoulombParams(-1.7, 0.5), 10.0, CONJUGATE_PAIR_BITS),
         (CoulombParams(0.5, -20.0), 6.0, DENSE_ZERO_BITS),
     ])
-    def test_too_few_sign_changes_take_the_companion_path(self, params, radius, bits,
-                                                           monkeypatch):
+    def test_conjugate_pairs_and_dense_zeros(self, params, radius, bits, monkeypatch):
         # a conjugate pair (L < -3/2: some w_n^2 < 0, so the real
         # nonsymmetric form and eigvals) and zeros closer than 0.5 (eigvalsh)
         calls = _solvers(monkeypatch)
@@ -730,15 +756,15 @@ class TestBrackets:
         solver = "eigvals" if params.L.real < -1.5 else "eigvalsh"
         assert calls == [(solver, np.float64)]
 
-    def test_undecided_sign_takes_the_companion_path(self):
-        # a radius 10 ulps above R 7/9 = the zero near pi, where the old
+    def test_radius_just_above_nine_sevenths_pi(self):
+        # a radius 10 ulps above R 7/9 = the zero near pi, where an earlier
         # diameter scan could not prove a sign: +-pi, as at radius 4
         radius = float.fromhex("0x1.0282191998abbp+2")
         zs = find_zeros(SINE, radius)
         assert [z.real for z in zs.zeros] == pytest.approx([math.pi, -math.pi], rel=2e-14)
         assert all(z.imag == 0.0 for z in zs.zeros)
 
-    def test_newton_short_of_the_target_takes_the_companion_path(self):
+    def test_looser_tol_gives_the_same_zeros(self):
         # tol sizes only the table behind the count: a looser one gives a
         # shorter table, and the same zeros with the same bits
         params = CoulombParams(0.7, -0.4)
@@ -746,7 +772,7 @@ class TestBrackets:
         assert loose.truncation_order < tight.truncation_order and len(tight.zeros) == 3
         assert [_hex(z) for z in loose.zeros] == [_hex(z) for z in tight.zeros]
 
-    def test_companion_eigensolver_failure_is_a_refusal(self, monkeypatch):
+    def test_eigensolver_failure_is_a_refusal(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -765,19 +791,14 @@ class TestBrackets:
                 exact = mp.polyval([mp.mpf(a.real) for a in reversed(table.coeffs)], mp.mpf(w))
                 assert v.imag == 0.0 and abs(exact - mp.mpf(v.real)) <= b
 
-    def test_scan_comes_from_the_count_pass(self, monkeypatch):
-        # the count of a real table samples the upper semicircle alone, in
-        # one _bounded_horner call here
-        calls = []
-        bounded_horner = zeros_module._bounded_horner
-
-        def counted(coeffs, z, r):
-            calls.append(z.size)
-            return bounded_horner(coeffs, z, r)
-
-        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
+    def test_count_samples_no_circle(self, monkeypatch):
+        # a real table with L > -3/2 takes its count from J's inertia: no
+        # _bounded_horner call and no circle count, one inertia count
+        horner = _spy(monkeypatch, "_bounded_horner")
+        arcs = _spy(monkeypatch, "_arc_count")
+        inertia = _spy(monkeypatch, "_inertia_count")
         zs = find_zeros(CoulombParams(0.7, -0.4), 8.0)
-        assert calls == [zeros_module._CIRCLE_SAMPLES // 2 + 1]
+        assert horner == arcs == [] and [count for _, count in inertia] == [4]
         assert len(zs.zeros) == 3
 
 
@@ -816,6 +837,86 @@ class TestJacobi:
         pairs = [z for z in zs.zeros if z.imag != 0.0]
         assert pairs and all(_hex(z.conjugate()) in listed for z in pairs)
         assert all(z.imag == 0.0 for z in zs.zeros if z not in pairs)
+
+
+def _inertia(params, radius):
+    """_inertia_count as find_zeros calls it: J_N and the tail's first entries."""
+    L, eta, size = params.L.real, params.eta.real, zeros_module._section_size(params, radius)
+    return zeros_module._inertia_count(L, *zeros_module._jacobi(L, eta, size + 2), radius)
+
+
+class TestInertiaCount:
+    """The count of a real table with L > -3/2 from the Jacobi matrix's inertia."""
+
+    def test_matches_the_circle_count(self, monkeypatch):
+        # the fingerprint's real and sine inputs among its first 600 draws,
+        # and the zeros workload's seed-7 real pool: wherever the circle
+        # count answers, the inertia count gives the same count
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        cases = _fingerprint_draw(600) + [
+            (op.call.params, op.call.radius) for op in workloads.Zeros(7).ops
+            if op.call.params.L.imag == 0 and op.call.params.eta.imag == 0]
+        answered = 0
+        for params, radius in cases:
+            try:
+                circle = winding_number(table_for_radius(params, radius), radius)
+            except NoConvergence:
+                continue
+            assert _inertia(params, radius) == circle, (params, radius)
+            answered += 1
+        assert len(cases) == 520 and answered >= 500
+
+    @pytest.mark.parametrize("L, eta, radius", [(0.0, 0.0, 20.0), (0.7, -0.4, 8.0),
+                                                (-1.3, 0.4, 10.0), (0.5, -20.0, 6.0)])
+    def test_tail_bound_and_bump_hold(self, L, eta, radius):
+        # the proof's inputs against 400 rows of the tail block T: t bounds
+        # its norm below a = 1/R, and delta = w_N^2 / (a - t) bounds the
+        # Schur complement's sigma = w_N^2 <f, (a - T)^-1 f>
+        size, a = math.ceil(radius) + 20 + math.ceil(radius / 10), 1 / radius
+        d, w2 = zeros_module._jacobi(L, eta, size + 400)
+        off = np.sqrt(w2[size:])
+        tail = np.diag(d[size:]) + np.diag(off, 1) + np.diag(off, -1)
+        t = abs(d[size]) + math.sqrt(w2[size - 1]) + math.sqrt(w2[size])
+        assert np.abs(np.linalg.eigvalsh(tail)).max() <= t < a
+        unit = np.zeros(len(tail))
+        unit[0] = 1.0
+        sigma = w2[size - 1] * np.linalg.solve(a * np.eye(len(tail)) - tail, unit)[0]
+        assert 0 < sigma <= w2[size - 1] / (a - t)
+
+    def test_sine_lists_pm_k_pi_at_45(self):
+        _assert_sine_zeros(find_zeros(SINE, 45.0), 28)
+
+    def test_l_between_minus_three_halves_and_minus_one(self):
+        # m_0 = L + 1 < 0, while every w_n^2 > 0: J is still self-adjoint
+        params, radius = CoulombParams(-1.3, 0.4), 10.0
+        zs = find_zeros(params, radius)
+        table = table_for_radius(params, radius)
+        assert _inertia(params, radius) == winding_number(table, radius) == len(zs.zeros) + 1
+        _assert_on_g(params, zs.zeros)
+
+    def test_large_eta_answers_where_the_circle_refuses(self):
+        # the circle count of (0.3, 60) at R = 5 cannot close its arcs; the
+        # inertia count proves 15 zeros.  The section reaches 16 rows past
+        # the turning point, n = 25 here, where ceil(R) + 21 rows would
+        # list them 3.9e-4 (relative) off
+        params, radius = CoulombParams(0.3, 60.0), 5.0
+        with pytest.raises(NoConvergence):
+            winding_number(table_for_radius(params, radius), radius)
+        assert zeros_module._section_size(params, radius) == 42
+        zs = find_zeros(params, radius)
+        assert len(zs.zeros) == 15
+        _assert_on_g(params, zs.zeros)
+
+    def test_double_nearest_pi_is_unproven(self):
+        # the double pi lies 1.2e-16 inside the zero pi, well within kappa R^2
+        assert _inertia(SINE, math.pi) is None
+        with pytest.raises(WindingMismatch, match="unproven"):
+            find_zeros(SINE, math.pi)
+
+    def test_l_next_to_the_pole_is_unproven(self):
+        # near L = -3/2 the rounding of 2 m_1 - 1 in w_1^2 is unbounded
+        assert _inertia(CoulombParams(-1.5 + 1e-15, 0.3), 5.0) is None
 
 
 class TestWindingNumber:

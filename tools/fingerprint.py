@@ -33,7 +33,7 @@ It covers every output that a benchmark workload checks:
   0 included), kummer_oracle at orders up to 12, and the two ODE residuals,
   100 seeded calls each, from random.Random(4).
 
-It prints 20,844 lines in about 18 s on one core.
+It prints 20,846 lines in about 18 s on one core.
 """
 
 from __future__ import annotations

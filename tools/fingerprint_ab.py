@@ -8,7 +8,11 @@ tool against each tree's library, each in its own process, both at once.
 So lines that the tool gained since REV are compared like with like, and
 the tool may call only names that REV's library has.  It prints every line
 that moved, as difflib matches the two outputs, REV's with ``-`` and the
-working tree's with ``+``, and then ``N of M lines moved``.  Moved lines
+working tree's with ``+``, and then ``N of M lines moved``, the moved
+lines per tag (each block of moved lines counts, for each tag, the larger
+of its ``-`` and ``+`` lines), and how many outputs went from a refusal
+(an exception class name) to an answer and back, each output keyed by its
+tag, its input number and its place among that input's lines.  Moved lines
 are for a change's notes to justify, so the exit status is non-zero only
 when ``git archive`` or a run fails; a run's stderr is passed through.
 Both runs inherit the environment, ``PYTHONWARNINGS`` included.  Standard
@@ -18,13 +22,30 @@ library only.
 from __future__ import annotations
 
 import difflib
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REFUSAL = re.compile(r"[A-Z][A-Za-z]*")  # fingerprint.py prints a refusal as its class name
+
+
+def outputs_by_key(lines: list[str]) -> dict[tuple[str, str, int], str]:
+    """Each line's output, keyed by (tag, input number, place among that input's lines)."""
+    seen, keyed = Counter(), {}
+    for line in lines:
+        tag, i, out = line.split(" ", 2)
+        seen[tag, i] += 1
+        keyed[tag, i, seen[tag, i]] = out
+    return keyed
+
+
+def is_refusal(out: str) -> bool:
+    return REFUSAL.fullmatch(out) is not None and out not in ("True", "False", "None")
 
 
 def main(argv: list[str]) -> int:
@@ -49,7 +70,7 @@ def main(argv: list[str]) -> int:
             print(f"fingerprint.py of {name} exited {run.returncode}", file=sys.stderr)
             return 1
     before, after = (output.splitlines() for output in outputs)
-    moved = 0
+    moved, tags = 0, Counter()
     matcher = difflib.SequenceMatcher(None, before, after, autojunk=False)
     for op, i1, i2, j1, j2 in matcher.get_opcodes():
         if op != "equal":
@@ -58,7 +79,15 @@ def main(argv: list[str]) -> int:
                 print("-", line)
             for line in after[j1:j2]:
                 print("+", line)
+            removed, added = (Counter(line.split(" ", 1)[0] for line in block)
+                              for block in (before[i1:i2], after[j1:j2]))
+            tags.update({tag: max(removed[tag], added[tag]) for tag in removed | added})
     print(f"{moved} of {max(len(before), len(after))} lines moved")
+    print("moved per tag:", ", ".join(f"{tag} {n}" for tag, n in sorted(tags.items())) or "none")
+    old, new = outputs_by_key(before), outputs_by_key(after)
+    paired = [(is_refusal(old[key]), is_refusal(new[key])) for key in old.keys() & new.keys()]
+    print(f"refusal to answer: {paired.count((True, False))}, "
+          f"answer to refusal: {paired.count((False, True))}")
     return 0
 
 
