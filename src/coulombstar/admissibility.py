@@ -170,11 +170,6 @@ def _profile(function_tag: str) -> _Profile:
     return row
 
 
-def closed_form_value(function_tag: str, m: float) -> float:
-    """Reference value quoted for each profile extremum."""
-    return _profile(function_tag).quoted(m)
-
-
 @dataclass(frozen=True)
 class ExtremumReport:
     """Located extremum of a profile versus its quoted closed form."""

@@ -260,7 +260,7 @@ def _abs_sum(table: CoefficientTable, r: float, deriv: int) -> float:
     """S(r) = sum |a_n| r^(n+1) or M1(r) = sum (n+1) |a_n| r^n (deriv 0, 1), by Horner.
 
     The majorant of the truncated |g| or |g'| on |z| <= r, on _weighted's
-    weight rule: S is zeros._arc_count's Rouche test, and M1 the scale of
+    weight rule: S is zeros._zero_count's Rouche test, and M1 the scale of
     g''s rounding in the count's samples.
     """
     h = _horner(_weighted([abs(c) for c in table.coeffs], deriv, table.order), r)
@@ -316,21 +316,6 @@ def _check_table_radius(radius: float) -> None:
         raise InvalidParams(f"radius must be finite and nonnegative, got {radius}")
 
 
-def _grow_table(
-    params: CoulombParams, radius: float, tol: float, deriv: int = 0
-) -> tuple[CoefficientTable, tuple[float, float, float]]:
-    """First scheduled table whose tail for derivative `deriv` is < tol.
-
-    Returns the table with its (g, g', g'') tail bounds, or raises
-    NoConvergence past the schedule's last order; InvalidParams for a radius
-    that is negative or not finite.
-    """
-    _check_table_radius(radius)
-    growth = _Growth(params, radius)
-    order, tails = growth.first_order(tol, deriv)
-    return CoefficientTable(params, tuple(growth.coeffs), order, tails[0], radius), tails
-
-
 def make_coefficients(params: CoulombParams, order: int, radius: float) -> CoefficientTable:
     """Coefficient table through `order` with a certified tail bound at `radius`.
 
@@ -353,8 +338,15 @@ def make_coefficients(params: CoulombParams, order: int, radius: float) -> Coeff
 def table_for_radius(
     params: CoulombParams, radius: float, tol: float = DEFAULT_TOL, deriv: int = 0
 ) -> CoefficientTable:
-    """Smallest scheduled table whose tail (for the given derivative) is < tol."""
-    return _grow_table(params, radius, tol, deriv)[0]
+    """Smallest scheduled table whose tail (for the given derivative) is < tol.
+
+    NoConvergence past the schedule's last order; InvalidParams for a
+    radius that is negative or not finite.
+    """
+    _check_table_radius(radius)
+    growth = _Growth(params, radius)
+    order, tails = growth.first_order(tol, deriv)
+    return CoefficientTable(params, tuple(growth.coeffs), order, tails[0], radius)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,17 @@ region as soon as the circle |z| = r_max does (the boundary argument of
 differential subordination; Miller and Mocanu, Differential Subordinations,
 2000).  Each margin is then harmonic or superharmonic, so its minimum over
 the disk sits on the circle.  certify therefore samples P on that circle only,
-and proves the disk zero-free apart from the origin through zeros._arc_count,
+and proves the disk zero-free apart from the origin through zeros._zero_count,
 the one proven count that also serves winding_number: Rouche's theorem
-against z settles almost every disk in one comparison, and the rest are
-counted on the count's own samples of g.  Positivity of the margin on the
-arcs between P's samples is not proven.  For real (L, eta), g has real
-coefficients and g(conj z) = conj g(z), so P and each margin take the same
-value at conjugate points: the grid is conjugate-symmetric, and certify
-reads the margins of its upper half only.  Closed-form sufficient
-conditions on (L, eta) are provided alongside as fast pre-checks.
+against z settles almost every disk in one comparison; of the rest, a real
+table with L > -3/2 is counted from the Jacobi matrix's inertia, and every
+other table on the count's own samples of g round the whole circle.
+Positivity of the margin on the arcs between P's samples is not proven.
+For real (L, eta), g has real coefficients and g(conj z) = conj g(z), so
+P and each margin take the same value at conjugate points: the grid is
+conjugate-symmetric, and certify reads the margins of its upper half only.
+Closed-form sufficient conditions on (L, eta) are provided alongside as
+fast pre-checks.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 
 from .analytic import _near_zero_floor
 from .errors import CoulombError, InvalidParams
-from .series import DEFAULT_TOL, CoulombParams, _grow_table
-from .zeros import _arc_count, _check_radius
+from .series import DEFAULT_TOL, CoulombParams, table_for_radius
+from .zeros import _check_radius, _zero_count
 
 SQRT2 = math.sqrt(2.0)
 _MAX_ANGLES = 1 << 18  # angles on one grid: bounds the memory of its g, g' and P
@@ -206,13 +208,15 @@ def certify(
     """Sample P on |z| = r_max and report the minimum membership margin.
 
     certified is exactly min_margin > 0.  It means: g has no zero in
-    0 < |z| <= r_max, proven by zeros._arc_count (by Rouche's theorem when
-    S(r_max) + tail0 < 2 r_max, else by the argument principle on the
-    count's own bounded samples), and the margin is positive at every sample
-    of the circle; the margins on the arcs between samples are not proven.
-    A zero in the disk, a sample where g (numerically) vanishes, or an arc
-    whose count cannot close sets zero_in_disk and min_margin -inf, so the
-    report survives but cannot certify.  worst_point is the sample of least
+    0 < |z| <= r_max, proven by zeros._zero_count, the count of
+    winding_number (by Rouche's theorem when S(r_max) + tail0 < 2 r_max,
+    else from J's inertia for a real table with L > -3/2, else by the
+    argument principle on the count's own bounded samples of the whole
+    circle), and the margin is positive at every sample of the circle; the
+    margins on the arcs between samples are not proven.  A zero in the
+    disk, a sample where g (numerically) vanishes, or a count that cannot
+    be proven sets zero_in_disk and min_margin -inf, so the report survives
+    but cannot certify.  worst_point is the sample of least
     margin, ties resolving to the lowest angle index.
 
     The grid's g and g' serve the margins only.  P = z g' / g is computed
@@ -225,7 +229,7 @@ def certify(
     flavor = StarlikeClass(starlike_class)
     if grid is None:
         grid = ScanGrid()
-    table, bounds = _grow_table(params, grid.r_max, tol, 1)
+    table = table_for_radius(params, grid.r_max, tol, 1)
     z = grid.points()
     if table.is_real:  # the lower half's margins mirror the upper half's
         z = z[: z.size // 2 + 1]
@@ -237,7 +241,7 @@ def certify(
         margins = _margin_field(z * gp / g, flavor)
     margins[near_zero] = -np.inf
     worst = int(np.argmin(margins))
-    zero_in_disk = bool(near_zero.any()) or _arc_count(table, bounds, grid.r_max) != 1
+    zero_in_disk = bool(near_zero.any()) or _zero_count(table, grid.r_max) != 1
     min_margin = -math.inf if zero_in_disk else float(margins[worst])
     return CertificationReport(
         params=params,

@@ -1,20 +1,20 @@
 """Zero location, the proven zero count, and the Hadamard product rebuild.
 
-Zeros of the entire function g are counted first, by one of two proofs.
-_arc_count is the count behind winding_number, starlike.certify, and
-find_zeros on a complex table or a real one with L < -3/2: Rouche's
-theorem against z proves a count of 1 in one comparison when
-S(r) + tail0 < 2r, and otherwise the argument principle sums the
-principal-angle steps of g between the routine's own samples, each arc
-proven to keep g away from 0 by a bound from the Coulomb equation: a
-first-order bound on how far g moves along it, or, where that fails, a
-second-order (Taylor) bound from the same samples of g and g'.  For
-real L and eta, g(conj z) = conj g(z), so arg g changes on the lower half
-circle as it does on the upper half, and only the upper semicircle is
-sampled.  find_zeros on a real table with L > -3/2, where the Jacobi
-matrix J below is self-adjoint, counts by _inertia_count instead: two
-Sturm counts of a section of J bracket the number of its eigenvalues
-beyond 1/r on each side, with no sample of g.
+Zeros of the entire function g are counted first, and the table chooses
+the proof, whoever asks.  _zero_count is the count of winding_number,
+starlike.certify, and find_zeros on a complex table or a real one with
+L < -3/2.  It tries Rouche's theorem against z first, which proves a count
+of 1 in one comparison when S(r) + tail0 < 2r.  Where that fails, a real
+table with L > -3/2, whose Jacobi matrix J below is self-adjoint, is
+counted by _inertia_count: two Sturm counts of a section of J bracket the
+number of its eigenvalues beyond 1/r on each side, with no sample of g.
+Every other table is counted by _arc_count on the whole circle: the
+argument principle sums the principal-angle steps of g between the
+routine's own samples, each arc proven to keep g away from 0 by a bound
+from the Coulomb equation: a first-order bound on how far g moves along
+it, or, where that fails, a second-order (Taylor) bound from the same
+samples of g and g'.  find_zeros counts a real table with L > -3/2 by
+_inertia_count directly, on the section that it then solves.
 
 find_zeros then lists the zeros by one eigensolve.  The nonzero zeros of g
 are the reciprocals of the eigenvalues of the tridiagonal Jacobi matrix J of
@@ -53,8 +53,8 @@ from .series import (
     ComplexValue,
     CoulombParams,
     _abs_sum,
-    _grow_table,
     _tail_bounds,
+    table_for_radius,
 )
 
 
@@ -155,26 +155,23 @@ def _check_radius(name: str, radius: float, below: float = math.inf) -> None:
 
 
 def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
-    """The proven count of the zeros of g in |z| < r, for a normal double r, or None.
+    """The count of the zeros of g in |z| < r by the argument principle on the whole circle, or None.
 
-    tails are _tail_bounds at r, and S is _abs_sum's.  First, Rouche's
-    theorem against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on |z| = r,
-    and S + tail0 < 2r leaves g only the origin's zero in the closed disk.
-    Otherwise g is sampled at theta_k = 2 pi k / 720 (k <= 360 for a real
-    table, see below) by _bounded_horner, err_k being its running rounding
-    bound plus tail0, and g'_k by series._horner.  err_p = tail1 +
-    8 (order+2) eps M1 bounds the error of g'_k (complex Horner rounds g' by
-    about 5 (order+1) eps M1), so u_k = |g_k| + |g'_k| + err_k + err_p bounds
-    the exact |g| + |g'| at the computed point z_k.  M1 is _abs_sum's too,
-    computed only once Rouche's test has failed, for this allowance alone.
+    r is a normal double and tails are _tail_bounds at r, as _zero_count
+    gives them.  g is sampled at theta_k = 2 pi k / 720, k = 0 .. 720, by
+    _bounded_horner, err_k being its running rounding bound plus tail0, and
+    g'_k by series._horner; the last sample repeats z = r, so the path
+    closes exactly.  err_p = tail1 + 8 (order+2) eps M1 bounds the error of
+    g'_k (complex Horner rounds g' by about 5 (order+1) eps M1), so u_k =
+    |g_k| + |g'_k| + err_k + err_p bounds the exact |g| + |g'| at the
+    computed point z_k.  M1 is _abs_sum's.
 
     Arc k runs from z_k to the circle point at the double angle theta_k
     (within 4 eps r), along the circle to theta_(k+1), and on to z_(k+1);
     its length is at most l = r (theta_(k+1) - theta_k + 8 eps).  (The
-    last sample, r or -r, is the circle point at 2 pi or pi, within 2 eps r
-    of the one at the double angle span m / m = span.)  |g| + |g'| grows at
-    rate at most c along it, since z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L)
-    g = 0 gives
+    last sample, r, is the circle point at 2 pi, within 2 eps r of the one
+    at the double angle theta_720.)  |g| + |g'| grows at rate at most c
+    along it, since z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives
     |g''| <= a |g'| + b |g| with a = 2|L|/r, b = 1 + 2|eta|/r + 2|L|/r^2, so
     c = max(1 + a, b) and |g| + |g'| <= u_k e^(c t) at distance t along the
     path.  An arc closes when one of two bounds closes it:
@@ -182,8 +179,9 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     * First order: g moves along it by at most D_k = u_k expm1(c l) / c
       (_ode_bound), and the arc closes when |g_k| - err_k - err_(k+1) >
       2 D_k: the exact g on it and both computed ends then lie in one disk
-      about g_k that excludes 0.  The factor 2 leaves room for this test's
-      own rounding, which is not derived.
+      about g_k that excludes 0.  With err_k's spare, the second copy of
+      D_k covers this test's own rounding on all but the shortest arcs
+      (below).
     * Second order (_taylor_closes), on the arcs the first leaves open.
       With w = z - z_k, Taylor's theorem along the path, |g''| <= c (|g| +
       |g'|) <= c u_k e^(c t), |g(z_k) - g_k| <= err_k and |g'(z_k) - g'_k|
@@ -223,12 +221,21 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     pass; the rest of the second copy, and eta's 8 eps r against the
     4 eps r its proof needs (l < r), cover that.
 
-    For a real table, g(conj z) = conj g(z), so arg g changes along the
-    lower half of the circle exactly as along the upper half: only the upper
-    semicircle is sampled, from r to -r (both exact, on the real axis where
-    the mirror image of the path begins and ends), and the steps add up to
-    pi times the count.  Otherwise the samples run round the whole circle,
-    and the last one repeats z = r, so the path closes exactly.
+    The first-order test's own rounding is covered on every arc with
+    l >= 0.35 eps, and so on every arc when r >= 0.044 (l >= 8 eps r) and
+    on every first-pass arc when r >= 1e-14; on a shorter arc up to
+    0.34 eps |g_k| of it is not.  np.abs rounds |g_k| by an ulp at most
+    (2u relative) and the two subtractions by u each, so a computed left
+    side above 2 D_k leaves the exact |g_k| - err_k - err_(k+1) above
+    2 D_k / (1 + u) - 3.01 u |g_k|.  err_k is not a second copy here, but
+    it holds a spare 2.5 eps mu_k - (2 sqrt(2) + 1) u mu_k > 1.17 u mu_k >
+    2.33 u |g_k| beyond the rounding of g_k (mu_k >= 1.99 |g_k| as above;
+    mu_k's own rounding is below 1e-12 relative, order <= 500), which leaves
+    0.68 u |g_k| to the second copy of D_k.  The computed D_k errs by a
+    relative gamma_30 (1 + c l) < 3e-12 at most (c l < 710 where it is
+    finite), so that copy holds over 0.99 of the exact D_k, and D_k >= u_k l
+    >= |g_k| l, since expm1(x) >= x: at least 0.68 u |g_k| when
+    l >= 0.35 eps.
 
     One loop runs every pass, the first included: it adds up the angle
     steps of the arcs it closes and bisects the rest at their midpoints.
@@ -237,15 +244,6 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     over _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
     coefficients' own rounding yet.
     """
-    # rho: each nonnegative term of the computed S carries |a_n| (hypot,
-    # within 1 ulp: theta_2), Horner's theta_(2 order) (Higham 2002, eq. 5.3)
-    # and the final * r, so S is exact within gamma_(2 order + 3) (Lemmas 3.1,
-    # 3.3); the sum and product below round twice more.  gamma_k <= (k + 1) u
-    # while k (k + 1) u <= 1, so rho = (2 order + 6) u = (order + 3) eps covers
-    # gamma_(2 order + 5), with u S to spare for underflowed products (2^-1075
-    # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
-    if (_abs_sum(table, r, 0) + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
-        return 1
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
     err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
@@ -260,14 +258,12 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
         u = np.abs(g) + np.abs(g_prime) + err + err_p
         return np.array((theta, z, g, g_prime, err, u))
 
-    real = table.is_real
-    span, m = (np.pi, _CIRCLE_SAMPLES // 2) if real else (2 * np.pi, _CIRCLE_SAMPLES)
-    theta = span * np.arange(m + 1) / m
+    theta = 2 * np.pi * np.arange(_CIRCLE_SAMPLES + 1) / _CIRCLE_SAMPLES
     z = r * np.exp(1j * theta)
-    z[-1] = -r if real else r  # the path ends on the real axis, or where it began
+    z[-1] = r  # the path ends where it began
     first = evaluate(theta, z)
     start, end = first[:, :-1], first[:, 1:]
-    total, count = 0.0, m + 1
+    total, count = 0.0, _CIRCLE_SAMPLES + 1
     while True:
         theta, _, g, _, err, u = start
         end_theta, _, end_g, _, end_err, _ = end
@@ -280,7 +276,7 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
             closed[left] = _taylor_closes(start[:, left], end[:, left], length[left], c, err_p, r)[0]
         total += float(np.angle(end_g[closed] / g[closed]).sum())
         if closed.all():
-            return round(total / span)
+            return round(total / (2 * np.pi))
         keep = ~closed
         theta = theta[keep]
         mid = theta + (end_theta[keep] - theta) / 2
@@ -293,22 +289,52 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
         end = np.concatenate((middle, end[:, keep]), axis=1)
 
 
-def winding_number(table: CoefficientTable, radius: float) -> int:
-    """Proven argument-principle count of the zeros of g in |z| < radius.
+def _zero_count(table: CoefficientTable, r: float) -> int | None:
+    """The proven count of the zeros of g in |z| < r, for a normal double r, or None.
 
-    The origin zero is included; _arc_count proves it by Rouche's theorem or
-    from 720 samples with a running rounding bound, each arc between them
+    The one count of winding_number, starlike.certify, and find_zeros on
+    every table it does not solve by eigvalsh.  The tails at r come first,
+    and one that is not certified raises NoConvergence.  Rouche's theorem
+    against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on |z| = r, S =
+    _abs_sum's S(r), and S + tail0 < 2r leaves g only the origin's zero in
+    the closed disk.  Where that fails, a real table with L > -3/2 takes
+    _inertia_count on J_N, N = _section_size(params, r), and every other
+    table _arc_count on the whole circle.
+    """
+    tails = _tail_bounds(table.coeffs, table.params, r)
+    if tails is None:
+        raise NoConvergence(f"series tail is not certified at radius {r}")
+    # rho: each nonnegative term of the computed S carries |a_n| (hypot,
+    # within 1 ulp: theta_2), Horner's theta_(2 order) (Higham 2002, eq. 5.3)
+    # and the final * r, so S is exact within gamma_(2 order + 3) (Lemmas 3.1,
+    # 3.3); the sum and product below round twice more.  gamma_k <= (k + 1) u
+    # while k (k + 1) u <= 1, so rho = (2 order + 6) u = (order + 3) eps covers
+    # gamma_(2 order + 5), with u S to spare for underflowed products (2^-1075
+    # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
+    if (_abs_sum(table, r, 0) + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
+        return 1
+    L = table.params.L.real
+    if table.is_real and L > -1.5:
+        size = _section_size(table.params, r)
+        return _inertia_count(L, *_jacobi(L, table.params.eta.real, size + 2), r)
+    return _arc_count(table, tails, r)
+
+
+def winding_number(table: CoefficientTable, radius: float) -> int:
+    """Proven count of the zeros of g in |z| < radius, the origin included.
+
+    _zero_count's: Rouche's theorem against z, else J's inertia for a real
+    table with L > -3/2, else the argument principle on 720 samples of the
+    whole circle with a running rounding bound, each arc between them
     closed by a first- or second-order bound from the Coulomb equation and
-    bisected when neither closes it.  InvalidParams for a
-    radius that is not a finite normal double; NoConvergence when the count
-    cannot be proven: a zero within rounding distance of the circle, a tail
-    not certified at this radius, or over 2^18 samples.
+    bisected when neither closes it.  InvalidParams for a radius that is
+    not a finite normal double; NoConvergence when the count cannot be
+    proven: a zero within rounding distance of the circle, a tail not
+    certified at this radius, a section of J too short for it, or over
+    2^18 samples.
     """
     _check_radius("radius", radius)
-    tails = _tail_bounds(table.coeffs, table.params, radius)
-    if tails is None:
-        raise NoConvergence(f"series tail is not certified at radius {radius}")
-    count = _arc_count(table, tails, radius)
+    count = _zero_count(table, radius)
     if count is None:
         raise NoConvergence(f"winding count on |z| = {radius} cannot be proven")
     return count
@@ -470,10 +496,12 @@ def find_zeros(
     The origin zero is structural (g(z) = z + ...) and is not listed.  The
     table whose tail on |z| = R is below tol is built first (tol sizes that
     table alone; it gives the residuals and truncation_order).  The zero
-    count over the trust circle is proven next: by _inertia_count on J_N
-    and its tail's first entries for a real table with L > -3/2, and by
-    _arc_count on the table otherwise.  An unproven count raises
-    WindingMismatch, and a count of 1 lists no zero.
+    count over the trust circle is proven next: for a real table with
+    L > -3/2, by _inertia_count on J_N and its tail's first entries, the
+    section that eigvalsh then solves, with no Rouche test in front; for
+    every other table, by _zero_count, the count of winding_number
+    (Rouche's theorem against z, else _arc_count on the whole circle).  An
+    unproven count raises WindingMismatch, and a count of 1 lists no zero.
 
     The zeros are then the 1/lambda for the eigenvalues lambda of the
     Jacobi matrix J_N, N = _section_size(params, R), the leading block of
@@ -496,7 +524,7 @@ def find_zeros(
     distance to g's zero.
     """
     _check_radius("trust_radius", trust_radius)
-    table, tails = _grow_table(params, trust_radius, tol)
+    table = table_for_radius(params, trust_radius, tol)
     size = _section_size(params, trust_radius)
     real = table.is_real
     L, eta = (params.L.real, params.eta.real) if real else (params.L, params.eta)
@@ -505,7 +533,7 @@ def find_zeros(
     if symmetric:
         count = _inertia_count(L, d, w2, trust_radius)
     else:
-        count = _arc_count(table, tails, trust_radius)
+        count = _zero_count(table, trust_radius)
     if count is None:
         raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven")
     if count == 1:

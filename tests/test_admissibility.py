@@ -42,7 +42,7 @@ class TestAdmissiblePoint:
 
     def test_unknown_tag_has_no_closed_form(self):
         with pytest.raises(DomainError):
-            admissibility.closed_form_value("X", 1.0)
+            extremize("X", 1.0)
 
     def test_m_below_one(self):
         with pytest.raises(DomainError):
@@ -264,7 +264,7 @@ def _scalar_extremize(tag, m):
             if a <= end <= b and sign * profile(end, m) < sign * profile(arg, m):
                 arg = end
     value = profile(arg, m)
-    reference = admissibility.closed_form_value(tag, m)
+    reference = admissibility._PROFILES[tag].quoted(m)
     return admissibility.ExtremumReport(
         tag, m if tag in ("U", "A") else None, admissibility.EXTREMIZE_MODES[tag],
         arg, value, reference, abs(value - reference),

@@ -28,7 +28,7 @@ from coulombstar import (
     table_for_radius,
     winding_number,
 )
-from coulombstar.series import CoefficientTable, _grow_table
+from coulombstar.series import CoefficientTable, _tail_bounds
 from coulombstar.zeros import _arc_count
 
 INSTANCE = CoulombParams(0.5, 0.1)
@@ -335,28 +335,36 @@ class TestCertify:
 
     @pytest.mark.parametrize("angles", [3, 720])
     def test_count_samples_its_own_circle_when_rouche_fails(self, monkeypatch, angles):
-        # (-0.4, 0.8) has a zero in the disk: the count samples g at its own
-        # 720 angles, whatever the grid, and for this real pair its first
-        # pass takes the 361 of them on the upper semicircle alone
-        report, samples = _first_count_pass(monkeypatch, CoulombParams(-0.4, 0.8), angles)
+        # (-0.4, 0.8) has a zero in the disk: this real pair fails Rouche's
+        # test and takes J's inertia, whatever the grid, with no bounded
+        # sample of g (its complex twin below samples the circle)
+        inertia = []
+        inertia_count = zeros_module._inertia_count
+
+        def recorded(*args):
+            inertia.append(inertia_count(*args))
+            return inertia[-1]
+
+        monkeypatch.setattr(zeros_module, "_inertia_count", recorded)
+        report, samples = _count_passes(monkeypatch, CoulombParams(-0.4, 0.8), angles)
         assert report.zero_in_disk
-        assert samples == 361
+        assert inertia == [2] and samples == []
 
     @pytest.mark.parametrize("angles", [3, 720])
     def test_complex_count_samples_the_whole_circle(self, monkeypatch, angles):
         # a complex pair that fails Rouche's test: 720 arcs on the whole
         # circle, their path closed by a repeat of the first sample
         params = CoulombParams(-0.35 + 0.1j, 0.9 - 0.2j)
-        report, samples = _first_count_pass(monkeypatch, params, angles)
+        report, samples = _count_passes(monkeypatch, params, angles)
         assert not report.zero_in_disk
-        assert samples == 721
+        assert samples[0] == 721
 
     @pytest.mark.parametrize("angles", [1, 2, 3, 12, 720, 1440])
     def test_half_grid_matches_full_grid(self, monkeypatch, angles):
         # for a real table certify reads g on the upper half of the grid and
-        # the count on the upper semicircle; with the realness predicate
-        # turned off it evaluates the whole circle, and every report field
-        # the half hides must come out the same, bit for bit
+        # takes the count from J's inertia; with the realness predicate
+        # turned off it evaluates the whole grid and counts on the whole
+        # circle, and every report field must come out the same, bit for bit
         rng = random.Random(20261019 + angles)
         pairs = [(0.0, 0.0), (1.0, 0.3), (2.0, -0.5), (-1.3, 0.0), (-1.3, 0.4),
                  (-0.4, 0.8), (0.5, 0.1)]
@@ -387,8 +395,8 @@ class TestCertify:
         assert "per_ring_margins" not in d
 
 
-def _first_count_pass(monkeypatch, params, angles):
-    """certify's report, and the number of samples in its count's first bounded pass."""
+def _count_passes(monkeypatch, params, angles):
+    """certify's report, and the number of samples in each of its count's bounded passes."""
     sizes = []
     bounded_horner = zeros_module._bounded_horner
 
@@ -397,12 +405,12 @@ def _first_count_pass(monkeypatch, params, angles):
         return bounded_horner(coeffs, z, r)
 
     monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
-    return certify(params, StarlikeClass.LEMNISCATE, ScanGrid(angles)), sizes[0]
+    return certify(params, StarlikeClass.LEMNISCATE, ScanGrid(angles)), sizes
 
 
 def certify_table(params, r_max):
-    """The table and tail bounds certify builds for a circle of radius r_max."""
-    return _grow_table(params, r_max, DEFAULT_TOL, 1)
+    """The table certify builds for a circle of radius r_max."""
+    return table_for_radius(params, r_max, DEFAULT_TOL, 1)
 
 
 class TestCircleWinding:
@@ -419,7 +427,7 @@ class TestCircleWinding:
         for L, eta in pairs:
             params = CoulombParams(L, eta)
             report = certify(params, StarlikeClass.CLASSICAL, grid)
-            table = certify_table(params, grid.r_max)[0]
+            table = certify_table(params, grid.r_max)
             assert report.zero_in_disk == (winding_number(table, grid.r_max) != 1), (L, eta)
 
     @pytest.mark.parametrize("angles", [3, 12, 720])
@@ -428,14 +436,14 @@ class TestCircleWinding:
         grid = ScanGrid(angles)
         for eta in (0.8, -0.8):
             params = CoulombParams(-0.4, eta)
-            assert winding_number(certify_table(params, grid.r_max)[0], grid.r_max) == 2
+            assert winding_number(certify_table(params, grid.r_max), grid.r_max) == 2
             assert certify(params, StarlikeClass.CLASSICAL, grid).zero_in_disk
 
     def test_zero_on_the_circle_is_unresolved(self):
         # the circle runs through the zero itself, where no arc can close
         r = 0.362658574621303
-        table, bounds = certify_table(CoulombParams(0.0, 5.0), r)
-        assert _arc_count(table, bounds, r) is None
+        table = certify_table(CoulombParams(0.0, 5.0), r)
+        assert _arc_count(table, _tail_bounds(table.coeffs, table.params, r), r) is None
 
 
 class TestParameterScan:

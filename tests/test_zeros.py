@@ -34,7 +34,6 @@ from coulombstar import (
 from coulombstar.series import (
     DEFAULT_TOL,
     CoefficientTable,
-    _grow_table,
     _horner,
     _tail_bounds,
 )
@@ -137,9 +136,9 @@ class TestFindZeros:
         # at radius 38 the table's trailing coefficients underflow to
         # subnormals, and double Horner cannot prove the circle count; the
         # Jacobi matrix's inertia needs no coefficient, and proves the 24
-        # zeros +-k pi
-        with pytest.raises(NoConvergence):
-            winding_number(table_for_radius(SINE, 38.0), 38.0)
+        # zeros +-k pi, for winding_number as for find_zeros
+        assert _circle(SINE, 38.0) is None
+        assert winding_number(table_for_radius(SINE, 38.0), 38.0) == 25
         _assert_sine_zeros(find_zeros(SINE, 38.0), 24)
 
     def test_jsonable_shape(self):
@@ -159,6 +158,12 @@ def _assert_sine_zeros(zero_set, count, rel=2e-14):
         assert rho.imag == 0.0 and abs(abs(rho) - k * math.pi) <= rel * k * math.pi, rho
     assert sorted(round(rho.real / math.pi) for rho in zero_set.zeros) == \
         sorted(k for k in range(-count // 2, count // 2 + 1) if k)
+
+
+def _circle(params, radius, deriv=0):
+    """_arc_count's whole-circle count on the table that table_for_radius builds, or None."""
+    table = table_for_radius(params, radius, DEFAULT_TOL, deriv)
+    return zeros_module._arc_count(table, _tail_bounds(table.coeffs, params, radius), radius)
 
 
 def _mp_g(coeffs, z):
@@ -218,7 +223,9 @@ def _bounded_error(coeffs, z):
         return bound, mp.polyval([mp.mpc(c) for c in reversed(coeffs)], mp.mpc(z))
 
 
-class TestCompensatedRefinement:
+class TestZerosOnG:
+    """Each listed zero on a 60-digit root of g, and each residual on |g| of the table."""
+
     @pytest.mark.parametrize(
         "params", [SINE, CoulombParams(0.5, 0.3), CoulombParams(0.2 + 0.1j, 0.3 - 0.2j)]
     )
@@ -242,7 +249,7 @@ class TestCompensatedRefinement:
         "L, eta, radius",
         REFERENCE_CASES + [(-1.7, 0.5, 10.0), (-1.9, 0.0, 12.0), INPUT_370],
     )
-    def test_zeros_match_40_digit_newton(self, L, eta, radius):
+    def test_zeros_match_60_digit_roots(self, L, eta, radius):
         # every listed zero lies within 2e-14 |rho| of a 60-digit root of the
         # Kummer g itself, not of the truncated series: on input 370 Newton
         # on the rounded coefficients stopped 8.2e-5 (relative) away
@@ -633,14 +640,13 @@ class TestMomentSeeds:
     @pytest.mark.parametrize("params, radius", [(CoulombParams(0.5, 0.3), 12.0),
                                                 (CoulombParams(-1.7, 0.5), 10.0)])
     def test_mirrored_samples_match_the_full_circle(self, params, radius, monkeypatch):
-        # the count on the upper semicircle is the whole circle's, and the
-        # real solver lists what the complex symmetric J lists
-        table = table_for_radius(params, radius)
-        tails = _tail_bounds(table.coeffs, params, radius)
-        count = zeros_module._arc_count(table, tails, radius)
+        # the whole circle's count is the count find_zeros proves for the
+        # real table, and the real solver lists what the complex symmetric
+        # J lists
+        count = _circle(params, radius)
         zs = find_zeros(params, radius)
         _complex_jacobi(monkeypatch)
-        assert zeros_module._arc_count(table, tails, radius) == count == len(zs.zeros) + 1
+        assert _circle(params, radius) == count == len(zs.zeros) + 1
         _nearest_match(zs.zeros, find_zeros(params, radius).zeros, 1e-14)
 
     def test_zero_just_outside_the_circle_falls_back(self):
@@ -859,9 +865,8 @@ class TestInertiaCount:
             if op.call.params.L.imag == 0 and op.call.params.eta.imag == 0]
         answered = 0
         for params, radius in cases:
-            try:
-                circle = winding_number(table_for_radius(params, radius), radius)
-            except NoConvergence:
+            circle = _circle(params, radius)
+            if circle is None:
                 continue
             assert _inertia(params, radius) == circle, (params, radius)
             answered += 1
@@ -891,18 +896,18 @@ class TestInertiaCount:
         # m_0 = L + 1 < 0, while every w_n^2 > 0: J is still self-adjoint
         params, radius = CoulombParams(-1.3, 0.4), 10.0
         zs = find_zeros(params, radius)
-        table = table_for_radius(params, radius)
-        assert _inertia(params, radius) == winding_number(table, radius) == len(zs.zeros) + 1
+        assert _inertia(params, radius) == _circle(params, radius) == len(zs.zeros) + 1
         _assert_on_g(params, zs.zeros)
 
     def test_large_eta_answers_where_the_circle_refuses(self):
         # the circle count of (0.3, 60) at R = 5 cannot close its arcs; the
-        # inertia count proves 15 zeros.  The section reaches 16 rows past
-        # the turning point, n = 25 here, where ceil(R) + 21 rows would
-        # list them 3.9e-4 (relative) off
+        # inertia count proves 15 zeros, for winding_number as for
+        # find_zeros.  The section reaches 16 rows past the turning point,
+        # n = 25 here, where ceil(R) + 21 rows would list them 3.9e-4
+        # (relative) off
         params, radius = CoulombParams(0.3, 60.0), 5.0
-        with pytest.raises(NoConvergence):
-            winding_number(table_for_radius(params, radius), radius)
+        assert _circle(params, radius) is None
+        assert winding_number(table_for_radius(params, radius), radius) == 16
         assert zeros_module._section_size(params, radius) == 42
         zs = find_zeros(params, radius)
         assert len(zs.zeros) == 15
@@ -1000,9 +1005,11 @@ class TestWindingNumber:
             find_zeros(SINE, math.pi)
 
     def test_semicircle_matches_full_circle(self, monkeypatch):
-        # a real table's count runs on the upper semicircle; with the
-        # realness predicate turned off it runs on the whole circle.  Where
-        # the whole circle answers the semicircle must answer, and the same
+        # a real table that fails Rouche's test is counted from J's inertia
+        # when L > -3/2, and on the whole circle when L < -3/2; with the
+        # realness predicate turned off every one runs on the whole circle.
+        # Where the circle answers the real table's count must answer, and
+        # the same
         rng = random.Random(20261020)
         cases = [(SINE, rng.uniform(0.3, 30.0)) for _ in range(40)]
         cases += [(CoulombParams(rng.uniform(-0.9, 3.0), rng.uniform(-3.0, 3.0)),
@@ -1085,18 +1092,21 @@ def _taylor_arcs(monkeypatch):
 
 
 def _circle_count(params, radius, angles):
-    """Run the arc count through a caller: certify on `angles` angles, or winding_number."""
-    if angles is None:
-        return winding_number(table_for_radius(params, radius), radius)
-    return certify(params, StarlikeClass.CLASSICAL, ScanGrid(angles, radius))
+    """_arc_count on the table of a caller: certify's (on `angles` angles), or winding_number's.
+
+    The count samples its own circle, whatever certify's grid; certify's
+    table is sized for g', winding_number's for g.
+    """
+    return _circle(params, radius, 0 if angles is None else 1)
 
 
 class TestArcCountSoundness:
     """The inputs of _arc_count's proof, checked against g itself."""
 
     # (L, eta, radius, certify's angles or None for winding_number); each
-    # fails Rouche's test, so the ODE bound closes its arcs.  The count
-    # samples its own circle, whatever certify's grid.
+    # fails Rouche's test, so the ODE bound closes its arcs.  The real
+    # tables among them take J's inertia in certify and winding_number, so
+    # _arc_count is called directly on every case.
     CASES = [
         (-0.4, 0.8, 0.999, 720),
         (-0.4, -0.8, 0.999, 12),
@@ -1120,8 +1130,8 @@ class TestArcCountSoundness:
     @pytest.mark.parametrize("L, eta, radius, angles", CASES)
     def test_ode_bound_covers_each_arc(self, monkeypatch, L, eta, radius, angles):
         # D_k must bound how far g moves from g(z_k) along arc k, which a
-        # u_k missing |g'_k| does not; the first pass is the equal-width grid,
-        # on the upper semicircle for a real table
+        # u_k missing |g'_k| does not; the first pass is the equal-width grid
+        # on the whole circle, for a real table too
         params = CoulombParams(L, eta)
         calls = _ode_bounds(monkeypatch)
         _circle_count(params, radius, angles)
@@ -1129,29 +1139,20 @@ class TestArcCountSoundness:
         u, length, bound = calls[0]
         n = u.size
         table = table_for_radius(params, radius)
-        span = np.pi if table.is_real else 2 * np.pi
-        assert n == zeros_module._CIRCLE_SAMPLES * span / (2 * np.pi)
+        assert n == zeros_module._CIRCLE_SAMPLES
         steps = np.arange(65) / 64
         for k in range(n):
-            theta = span * (k + steps) / n
+            theta = 2 * np.pi * (k + steps) / n
             g = table.g_values(radius * np.exp(1j * theta))
             assert np.max(np.abs(g - g[0])) <= bound[k], k
-            assert length[k] >= radius * span / n
+            assert length[k] >= radius * 2 * np.pi / n
 
     @pytest.mark.parametrize("L, eta, radius, angles",
                              CASES + ROUCHE + ONE_PASS + [(1.2, -0.9, 15.0, None)])
     def test_angle_steps_add_up_to_whole_turns(self, monkeypatch, L, eta, radius, angles):
         # the principal angles of g_(k+1)/g_k sum to 2 pi times the count
         # before rounding; a step left out or counted twice is off by far more.
-        # An infinite S fails Rouche's test, so the sampler, which backs the
-        # test up when it fails, counts the ROUCHE pairs too; M1, which
-        # scales g''s rounding allowance, stays real
-        abs_sum = zeros_module._abs_sum
-
-        def infinite_s(table, r, deriv):
-            return math.inf if deriv == 0 else abs_sum(table, r, deriv)
-
-        monkeypatch.setattr(zeros_module, "_abs_sum", infinite_s)
+        # The circle holds no Rouche test, so it counts the ROUCHE pairs too
         turns = []
 
         def recorded(x):
@@ -1179,7 +1180,7 @@ class TestArcCountSoundness:
         # line g(z_k) + g'_k (z - z_k), for the computed g'_k and for any g'_k
         # within err_p of g'(z_k), and z - z_k lies within eta of the chord
         # [0, d_k].  Each case checks its 16 arcs of least |g_k| (all of them
-        # but on sine at 30, which closes 360)
+        # but on sine at 30, which closes 720)
         record = _taylor_arcs(monkeypatch)
         _circle_count(CoulombParams(L, eta), radius, angles)
         arcs = sorted(record["arcs"], key=lambda arc: abs(arc[0][2]))[:16]
@@ -1211,16 +1212,9 @@ class TestArcCountSoundness:
     ])
     def test_taylor_bound_spares_passes(self, monkeypatch, params, radius, count, passes):
         # the second-order bound closes the arcs the first-order one leaves
-        # open; with the first alone these took 2, 6 and 16 passes
-        calls = []
-        bounded_horner = zeros_module._bounded_horner
-
-        def counted(*args):
-            calls.append(args)
-            return bounded_horner(*args)
-
-        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
-        assert winding_number(table_for_radius(params, radius), radius) == count
+        # open; with the first alone these take 2, 6 and 16 passes
+        calls = _spy(monkeypatch, "_bounded_horner")
+        assert _circle(params, radius) == count
         assert len(calls) == passes
 
     def test_ode_bound_overflows_to_inf(self):
@@ -1253,63 +1247,101 @@ def _mp_coefficients(params, order):
 
 
 class TestCountRecord:
-    """_arc_count's count, an int, on each of its paths."""
+    """_zero_count's count, an int, on each of its paths."""
 
     def test_record_shape_and_callers_agree(self, monkeypatch):
         # seeded pairs on certify's default circle, alternately real and
-        # complex: Rouche's test settles some, and the arcs count the rest,
-        # on the upper semicircle of a real table and the whole circle else
+        # complex: Rouche's test settles some, J's inertia counts the real
+        # tables that fail it, and the whole circle the complex ones; each
+        # caller gets the same count
         rng, r, paths = random.Random(20261022), 0.999, set()
         sampled = _spy(monkeypatch, "_bounded_horner")
+        inertia = _spy(monkeypatch, "_inertia_count")
         for i in range(24):
             L, eta = rng.uniform(-0.9, 1.4), rng.uniform(-1.5, 1.5)
             if i % 2:
                 L, eta = complex(L, rng.uniform(-0.3, 0.3)), complex(eta, rng.uniform(-0.8, 0.8))
             params = CoulombParams(L, eta)
-            table, tails = _grow_table(params, r, DEFAULT_TOL)
+            table = table_for_radius(params, r)
             sampled.clear()
-            count = zeros_module._arc_count(table, tails, r)
+            inertia.clear()
+            count = zeros_module._zero_count(table, r)
             assert type(count) is int
-            if not sampled:  # Rouche's test
+            if not sampled and not inertia:  # Rouche's test
                 paths.add("rouche")
                 assert count == 1
+            elif inertia:
+                paths.add("inertia")
+                assert table.is_real and not sampled
             else:
-                paths.add("real" if table.is_real else "complex")
-                first = sampled[0][0][1].size
-                assert first == zeros_module._CIRCLE_SAMPLES // (2 if table.is_real else 1) + 1
+                paths.add("circle")
+                assert not table.is_real
+                assert sampled[0][0][1].size == zeros_module._CIRCLE_SAMPLES + 1
             assert winding_number(table, r) == count
             assert len(find_zeros(params, r).zeros) + 1 == count
             report = certify(params, StarlikeClass.CLASSICAL, ScanGrid(720, r))
             assert report.zero_in_disk == (count != 1)
-        assert paths == {"rouche", "real", "complex"}
+        assert paths == {"rouche", "inertia", "circle"}
+
+    def test_each_table_gets_one_count(self):
+        # seeded real tables, L across -1 and up to 2, and sine at 38 and 45,
+        # where the coefficients underflow: wherever find_zeros answers,
+        # winding_number counts its list plus the origin, and certify's
+        # zero_in_disk reads the count at r_max (an unproven one flags it)
+        rng, r_max = random.Random(20261030), ScanGrid().r_max
+        cases = [(CoulombParams(rng.uniform(-1.4, 2.0), rng.uniform(-3.0, 3.0)),
+                  rng.uniform(0.3, 30.0)) for _ in range(1000)]
+        cases += [(SINE, 38.0), (SINE, 45.0)]
+        answered = 0
+        for params, radius in cases:
+            try:
+                listed = len(find_zeros(params, radius).zeros)
+            except (NoConvergence, WindingMismatch):
+                continue
+            answered += 1
+            count = winding_number(table_for_radius(params, radius), radius)
+            assert count == listed + 1, (params, radius)
+        assert answered >= 990
+        for params, _ in cases:
+            try:
+                count = winding_number(table_for_radius(params, r_max, DEFAULT_TOL, 1), r_max)
+            except NoConvergence:
+                count = None
+            report = certify(params, StarlikeClass.CLASSICAL)
+            assert report.zero_in_disk == (count != 1), params
 
 
 class TestRouche:
-    """The inputs of _arc_count's Rouche test, checked against g itself."""
+    """The inputs of _zero_count's Rouche test, checked against g itself."""
 
     @pytest.mark.parametrize("complex_pairs", [False, True])
     def test_rouche_inputs_bound_g(self, monkeypatch, complex_pairs):
         # seeded sweep-box pairs on certify's default circle whose count the
         # test proves: the 40-digit S of the double coefficients stays below
         # S (1 + rho), the 40-digit coefficients pass the test too, and
-        # |g(z) - z| < r on 1,024 points, g from 40-digit coefficients plus tail0
-        class Sampled(Exception):
+        # |g(z) - z| < r on 1,024 points, g from 40-digit coefficients plus tail0.
+        # The draw is bounded: 3 of its first 20 pairs must pass
+        class Counted(Exception):
             pass
 
-        def sampled(*args):
-            raise Sampled
+        def counted(*args):
+            raise Counted
 
-        monkeypatch.setattr(zeros_module, "_bounded_horner", sampled)
+        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
+        monkeypatch.setattr(zeros_module, "_inertia_count", counted)
         r, rng, proven = 0.999, random.Random(20261019), 0
-        while proven < 3:
+        for _ in range(20):
+            if proven == 3:
+                break
             L, eta = rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)
             if complex_pairs:
                 L, eta = complex(L, rng.uniform(-0.3, 0.3)), complex(eta, rng.uniform(-0.8, 0.8))
             params = CoulombParams(L, eta)
-            table, tails = _grow_table(params, r, DEFAULT_TOL, 1)
+            table = table_for_radius(params, r, DEFAULT_TOL, 1)
+            tails = _tail_bounds(table.coeffs, params, r)
             try:
-                count = zeros_module._arc_count(table, tails, r)
-            except Sampled:  # the test failed, and the count sampled the circle
+                count = zeros_module._zero_count(table, r)
+            except Counted:  # the test failed, and the count fell through to J or the circle
                 continue
             assert count == 1
             proven += 1
@@ -1327,23 +1359,23 @@ class TestRouche:
                 for c in a[:0:-1]:
                     acc = acc * z + c
                 assert max(abs(w) for w in acc * z * z) + tails[0] < r
+        assert proven == 3
 
     def test_rounding_margin_leaves_a_boundary_circle_to_the_sampler(self, monkeypatch):
         # on this circle the computed S + tail0 falls 3.6 eps short of 2r,
-        # inside the margin rho, so the test must not prove the count
+        # inside the margin rho, so the test must not prove the count: this
+        # real table falls through to J's inertia, and with the realness
+        # predicate turned off to the circle's samples
         params, r = CoulombParams(0.5, 0.1), 2.248541828667851
         table = table_for_radius(params, r)
         tail0 = _tail_bounds(table.coeffs, params, r)[0]
         assert zeros_module._abs_sum(table, r, 0) + tail0 < 2 * r
-        sampled = []
-        bounded_horner = zeros_module._bounded_horner
-
-        def counted(*args):
-            sampled.append(args)
-            return bounded_horner(*args)
-
-        monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
-        assert winding_number(table, r) == 1
+        inertia = _spy(monkeypatch, "_inertia_count")
+        sampled = _spy(monkeypatch, "_bounded_horner")
+        assert zeros_module._zero_count(table, r) == 1
+        assert [count for _, count in inertia] == [1] and not sampled
+        _complex_jacobi(monkeypatch)
+        assert zeros_module._zero_count(table, r) == 1
         assert sampled
 
 
