@@ -172,17 +172,26 @@ def _weighted(coeffs, deriv: int, order: int) -> list:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Truncated coefficient list with a certified tail bound at a radius."""
+    """Truncated coefficient list with certified tail bounds at a radius.
+
+    tails are _tail_bounds at the radius, (tail0, tail1, tail2) for g, g'
+    and g''; to_jsonable prints tail0 alone, as tail_bound.
+    """
 
     params: CoulombParams
     coeffs: tuple[complex, ...]
     order: int
-    tail_bound: float
+    tails: tuple[float, float, float]
     radius: float
 
     def __post_init__(self) -> None:
         if not (self.tail_bound >= 0 and math.isfinite(self.tail_bound)):
             raise ValueError("tail_bound must be finite and nonnegative")
+
+    @property
+    def tail_bound(self) -> float:
+        """tail0: the truncated series is within it of g on |z| <= radius."""
+        return self.tails[0]
 
     @functools.cached_property
     def is_real(self) -> bool:
@@ -332,7 +341,7 @@ def make_coefficients(params: CoulombParams, order: int, radius: float) -> Coeff
     if tails is None:
         raise NoConvergence(
             f"tail majorization fails at order {order}, radius {radius}; increase the order")
-    return CoefficientTable(params, tuple(coeffs), order, tails[0], radius)
+    return CoefficientTable(params, tuple(coeffs), order, tails, radius)
 
 
 def table_for_radius(
@@ -346,7 +355,7 @@ def table_for_radius(
     _check_table_radius(radius)
     growth = _Growth(params, radius)
     order, tails = growth.first_order(tol, deriv)
-    return CoefficientTable(params, tuple(growth.coeffs), order, tails[0], radius)
+    return CoefficientTable(params, tuple(growth.coeffs), order, tails, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -520,4 +529,4 @@ def kummer_oracle(params: CoulombParams, order: int) -> CoefficientTable:
         bounds = _tail_bounds(coeffs, params, radius)
     if bounds is None:
         radius, bounds = 0.0, (0.0, 0.0, 0.0)
-    return CoefficientTable(params, tuple(coeffs), order, bounds[0], radius)
+    return CoefficientTable(params, tuple(coeffs), order, bounds, radius)

@@ -19,7 +19,9 @@ and proves the disk zero-free apart from the origin through zeros._zero_count,
 the one proven count that also serves winding_number: Rouche's theorem
 against z settles almost every disk in one comparison; of the rest, a real
 table with L > -3/2 is counted from the Jacobi matrix's inertia, and every
-other table on the count's own samples of g round the whole circle.
+other table on the count's own samples of g round the whole circle (one
+matrix product for 720 of them, Horner's scheme if that leaves an arc
+open).
 Positivity of the margin on the arcs between P's samples is not proven.
 For real (L, eta), g has real coefficients and g(conj z) = conj g(z), so
 P and each margin take the same value at conjugate points: the grid is
@@ -212,7 +214,9 @@ def certify(
     winding_number (by Rouche's theorem when S(r_max) + tail0 < 2 r_max,
     else from J's inertia for a real table with L > -3/2, else by the
     argument principle on the count's own bounded samples of the whole
-    circle), and the margin is positive at every sample of the circle; the
+    circle: 720 from one matrix product with an a priori rounding bound,
+    and, if those leave an arc open, Horner's with a running one), and
+    the margin is positive at every sample of the circle; the
     margins on the arcs between samples are not proven.  A zero in the
     disk, a sample where g (numerically) vanishes, or a count that cannot
     be proven sets zero_in_disk and min_margin -inf, so the report survives

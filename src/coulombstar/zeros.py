@@ -13,8 +13,12 @@ argument principle sums the principal-angle steps of g between the
 routine's own samples, each arc proven to keep g away from 0 by a bound
 from the Coulomb equation: a first-order bound on how far g moves along
 it, or, where that fails, a second-order (Taylor) bound from the same
-samples of g and g'.  find_zeros counts a real table with L > -3/2 by
-_inertia_count directly, on the section that it then solves.
+samples of g and g'.  Its first samples, g and g' at the 720 points
+r e^(2 pi i k / 720), come from one matrix product with a cached table of
+the roots of unity's powers, under an a priori rounding bound; when they
+leave an arc open, the circle is sampled again by Horner's scheme with its
+running rounding bound, and the open arcs are bisected.  find_zeros counts a real table with
+L > -3/2 by _inertia_count directly, on the section that it then solves.
 
 find_zeros then lists the zeros by one eigensolve.  The nonzero zeros of g
 are the reciprocals of the eigenvalues of the tridiagonal Jacobi matrix J of
@@ -91,6 +95,109 @@ class ZeroSet:
 
 _CIRCLE_SAMPLES = 720  # _arc_count's first samples on its circle
 _MAX_CIRCLE_SAMPLES = 1 << 18  # samples allowed on one circle, bisection included
+_POWERS: list[np.ndarray] = []  # _power_table's roots and blocks, once a count has built them
+_PRODUCT_MAX_ORDER = 140  # the largest order that _product_samples takes: 411 kB of blocks
+
+
+def _power_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 720 roots W_m, and Re and Im of W_(kj mod 720), k <= 180, for the even j < n and the odd.
+
+    Each W_m lies within tau = eps of omega^m, omega = e^(2 pi i / 720):
+    cos and sin give the first octant, m <= 90 (angles m (pi/360) within
+    about 2u of their own), and W_(180-m) = i conj(W_m) and W_(m+180) =
+    i W_m the rest, exactly; the tests check tau against 50 digits.  Each
+    block has rows Re W (k = 0 .. 180), then Im W, and a column per j.
+    Built by the first count that asks and rebuilt only for a larger n,
+    and sliced for a smaller one, so the blocks hold 362 doubles per column
+    of the largest order counted: 240 kB at order 81, 411 kB at
+    _PRODUCT_MAX_ORDER, with an int32 index of 51 kB while they are built.
+    """
+    if not _POWERS or _POWERS[1].shape[1] + _POWERS[2].shape[1] < n:
+        x = np.arange(91) * (np.pi / 360)
+        cos, sin = np.cos(x), np.sin(x)
+        quarter = np.concatenate((cos + 1j * sin, (sin + 1j * cos)[89:0:-1]))
+        _POWERS[:] = [np.concatenate((quarter, 1j * quarter, -quarter, -1j * quarter))]
+        for j in (0, 1):
+            index = np.outer(np.arange(181, dtype=np.int32), np.arange(j, n, 2, dtype=np.int32))
+            index %= _CIRCLE_SAMPLES
+            block = np.empty((362, index.shape[1]))
+            np.take(_POWERS[0].real, index, out=block[:181])
+            np.take(_POWERS[0].imag, index, out=block[181:])
+            _POWERS.append(block)
+    roots, even, odd = _POWERS
+    return roots, even[:, :(n + 1) // 2], odd[:, :n // 2]
+
+
+def _product_samples(table: CoefficientTable, r: float, tail0: float, err_p: float):
+    """g and g' at the 720 points r omega^k from one matrix product, as _arc_count's samples.
+
+    Returns the rows theta, z, g, g', err and u of _arc_count's samples at
+    k = 0 .. 720, the last repeating the first: theta 0 (unused), z_k =
+    fl(r W_k), the double that _taylor_closes takes for the exact point
+    zeta_k = r omega^k, g_k and g'_k the values at zeta_k itself, g_k
+    within err = 2 (order+3) eps S + tail0 of g(zeta_k), S being the
+    computed sum of the |c_j| below (S(r) for the rounded c_j), and u =
+    |g_k| + |g'_k| + err + err_p, err_p being _arc_count's.
+    None, with no RuntimeWarning, when the order exceeds
+    _PRODUCT_MAX_ORDER (_power_table's memory), a c_j or d_j is not finite
+    (r too large) or min(r, r^(order+1)) < 2^-1000.
+
+    Product.  With n = order + 2, c_j = a_(j-1) r^j (c_0 = 0) and d_j =
+    (j+1) a_j r^j (d_(n-1) = 0), the truncated g(zeta_k) = sum_j c_j
+    omega^(kj) and g'(zeta_k) = sum_j d_j omega^(kj).  _power_table holds
+    C_kj + i S_kj = W_(kj mod 720) for k <= 180, and the other rows follow
+    exactly from omega^((720-k) j) = conj omega^(kj) and omega^((360+-k) j)
+    = (-1)^j omega^(+-kj).  So two real products, of the even and the odd
+    block with the real and imaginary parts of c and d, give A_p = sum c_j
+    C_kj and B_p = sum c_j S_kj over the even and odd j, and g_k is
+    (A_e +- A_o) +- i (B_e +- B_o), g'_k likewise.  Sign changes and
+    products with i are exact, so each part of g_k is the real inner
+    product sum_j (+-Re c_j C_kj -+ Im c_j S_kj) of 2n terms, summed in
+    some order.
+
+    Bound (u = eps/2, gamma_m = m u / (1 - m u); Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1).  Let s be the
+    exact sum of the |c_j| as rounded.  The powers r^j = fl(r^(j-1) r) lie
+    within gamma_(j-1) of r^j, so each c_j part, one product more, lies
+    within gamma_j of its own: sum_j |c_j - exact| <= gamma_(order+1)
+    (1 + gamma_(order+1)) s.  Each W_m lies within tau = eps of omega^m
+    (_power_table).  A real inner product of m terms errs by at most
+    gamma_m sum |x_i y_i|, in any order of summation, with fused
+    multiply-adds or without (Lemma 3.1 and the remark after it), and |Re
+    c| |C| + |Im c| |S| <= |c| |W| (Cauchy-Schwarz), so each part of g_k
+    errs by gamma_(2n) (1 + tau) s at most, and g_k by sqrt(2) times that.
+    With min(r, r^(order+1)) >= 2^-1000 no power underflows, and a c_j part
+    or product that does errs by 2^-1075: below 2^-1064 < 2^-12 u s for
+    all 4n per part, since s >= |c_1| = r.  In all, |g_k - g_T(zeta_k)| <=
+    (sqrt(2) gamma_(2n) + tau + gamma_(order+1)) (1 + 1e-12) s <=
+    (1.915 order + 4.34) eps s for the truncated g_T, and 2 (order+3) eps
+    exceeds that by (0.085 order + 1.66) eps.  S, from np.abs within an
+    ulp and a sum within gamma_(n-1), lies within gamma_(n+1) < 1e-13 of s,
+    and err rounds twice, so err - tail0 keeps a spare of over 3.2 u s >=
+    3.1 u |g_k| for _arc_count's first-order test, and tail0 covers the
+    rest of the series.  g'_k errs in the same way, by (1.915 order + 4.34)
+    eps M1 (1 + 1e-12) at most (its d_j parts lie within gamma_(order+1) of
+    their own), below _arc_count's err_p - tail1 = 8 (order+2) eps M1,
+    whose _abs_sum M1 is exact within gamma_(2 order + 3).
+    """
+    n, a = table.order + 2, np.array(table.coeffs)
+    w = np.zeros((n, 2), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.cumprod(np.full(n - 1, r))  # r^1 .. r^(order+1)
+        w[1:, 0] = a * powers
+        w[:-1, 1] = np.arange(1, n) * a * np.append(1.0, powers[:-1])
+    if not (np.isfinite(w).all() and min(r, powers[-1]) >= 2.0 ** -1000
+            and table.order <= _PRODUCT_MAX_ORDER):
+        return None
+    x = w.view(float)  # columns Re c, Im c, Re d, Im d
+    roots, even, odd = _power_table(n)
+    ye, yo = (even @ x[0::2]).view(complex), (odd @ x[1::2]).view(complex)  # rows A_p, B_p
+    (p, q), (m, s) = ((y[:181], 1j * y[181:]) for y in (ye + yo, ye - yo))  # p, m = A_e +- A_o
+    # k = 0 .. 180 from p + q, 181 .. 359 from m - s, 360 .. 539 from m + s, 540 .. 719 from p - q
+    g = np.concatenate((p + q, (m - s)[179:0:-1], (m + s)[:180], (p - q)[180:0:-1], p[:1] + q[:1]))
+    err = np.full(_CIRCLE_SAMPLES + 1, 2 * (table.order + 3) * _EPS * np.abs(w[:, 0]).sum() + tail0)
+    u = np.abs(g[:, 0]) + np.abs(g[:, 1]) + err + err_p
+    return np.array((np.zeros_like(u), np.append(r * roots, r), g[:, 0], g[:, 1], err, u))
 
 
 def _bounded_horner(coeffs, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -158,90 +265,97 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     """The count of the zeros of g in |z| < r by the argument principle on the whole circle, or None.
 
     r is a normal double and tails are _tail_bounds at r, as _zero_count
-    gives them.  g is sampled at theta_k = 2 pi k / 720, k = 0 .. 720, by
-    _bounded_horner, err_k being its running rounding bound plus tail0, and
-    g'_k by series._horner; the last sample repeats z = r, so the path
-    closes exactly.  err_p = tail1 + 8 (order+2) eps M1 bounds the error of
-    g'_k (complex Horner rounds g' by about 5 (order+1) eps M1), so u_k =
-    |g_k| + |g'_k| + err_k + err_p bounds the exact |g| + |g'| at the
-    computed point z_k.  M1 is _abs_sum's.
+    gives them.  err_p = tail1 + 8 (order+2) eps M1 bounds the error of
+    each sample g'_k below, M1 being _abs_sum's, so u_k = |g_k| + |g'_k| +
+    err_k + err_p bounds the exact |g| + |g'| at sample k's point.
 
-    Arc k runs from z_k to the circle point at the double angle theta_k
-    (within 4 eps r), along the circle to theta_(k+1), and on to z_(k+1);
-    its length is at most l = r (theta_(k+1) - theta_k + 8 eps).  (The
-    last sample, r, is the circle point at 2 pi, within 2 eps r of the one
-    at the double angle theta_720.)  |g| + |g'| grows at rate at most c
-    along it, since z^2 g'' + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives
-    |g''| <= a |g'| + b |g| with a = 2|L|/r, b = 1 + 2|eta|/r + 2|L|/r^2, so
-    c = max(1 + a, b) and |g| + |g'| <= u_k e^(c t) at distance t along the
-    path.  An arc closes when one of two bounds closes it:
+    Samples.  The first pass is one matrix product (_product_samples): g_k
+    and g'_k at the exact points zeta_k = r omega^k, omega = e^(2 pi i /
+    720), k = 0 .. 720, with the a priori err_k = 2 (order+3) eps S +
+    tail0.  Its arcs are exact arcs of the circle, of length at most
+    l = r (theta_1 + 8 eps), theta_1 being the double 2 pi / 720 (within
+    2e-18 of it).  When it closes all 720, their angle steps give the
+    count.  When it leaves one open, or returns None, the count drops it
+    and runs the Horner pass on the whole circle, so that each decision and
+    refusal of the bisection loop below sees Horner's running bound: g at
+    z_k = fl(r e^(i theta_k)), theta_k = 2 pi k / 720 in doubles, by
+    _bounded_horner, err_k being its running rounding bound plus tail0, and
+    g'_k by series._horner (complex Horner rounds g' by about 5 (order+1)
+    eps M1); the last sample repeats z = r, so the path closes exactly.  A
+    Horner arc runs from z_k to the circle point at the double angle
+    theta_k (within 4 eps r), along the circle to theta_(k+1), and on to
+    z_(k+1); its length is at most l = r (theta_(k+1) - theta_k + 8 eps).
+
+    Bounds.  |g| + |g'| grows at rate at most c along a path, since z^2 g''
+    + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives |g''| <= a |g'| + b |g|
+    with a = 2|L|/r, b = 1 + 2|eta|/r + 2|L|/r^2, so c = max(1 + a, b) and
+    |g| + |g'| <= u_k e^(c t) at distance t along the path.  An arc closes
+    when one of two bounds closes it:
 
     * First order: g moves along it by at most D_k = u_k expm1(c l) / c
-      (_ode_bound), and the arc closes when |g_k| - err_k - err_(k+1) >
-      2 D_k: the exact g on it and both computed ends then lie in one disk
-      about g_k that excludes 0.  With err_k's spare, the second copy of
-      D_k covers this test's own rounding on all but the shortest arcs
-      (below).
+      (_ode_bound), and the arc closes when |g_k| - err_k - err_(k+1) -
+      eps |g_k| > 2 D_k: the exact g on it and both computed ends then lie
+      in one disk about g_k that excludes 0, with the second copy of D_k
+      and eps |g_k| to spare for this test's own rounding (below).
     * Second order (_taylor_closes), on the arcs the first leaves open.
-      With w = z - z_k, Taylor's theorem along the path, |g''| <= c (|g| +
-      |g'|) <= c u_k e^(c t), |g(z_k) - g_k| <= err_k and |g'(z_k) - g'_k|
-      <= err_p give |g(z) - g_k - g'_k w| <= rho_k = err_k + err_p l +
-      (l^2 / 2) c u_k e^(c l).  And w lies within eta = l^2 / (8r) + 8 eps r
-      of the chord [0, d_k], d_k = z_(k+1) - z_k: the arc of angle
-      phi <= l / r lies within its sagitta r (1 - cos(phi/2)) <= l^2 / (8r)
-      of the chord of its circle ends, whose points lie within 4 eps r of
-      the chord [z_k, z_(k+1)], as do the two excursions.  So g on the path
-      and the computed g_(k+1) lie within R_k = |g'_k| eta + rho_k +
-      err_(k+1) of the segment [g_k, g_k + q_k], q_k = g'_k d_k: a convex
-      set that holds g_k, and excludes 0 when the segment's distance from
-      0, min over lambda in [0, 1] of |g_k + lambda q_k|, exceeds R_k.  The
-      arc closes when that distance, less |g'_k| eta, exceeds
-      2 (rho_k + err_(k+1)).
+      With w = z - p_k, p_k the point of sample k (z_k or zeta_k), Taylor's
+      theorem along the path, |g''| <= c (|g| + |g'|) <= c u_k e^(c t),
+      |g(p_k) - g_k| <= err_k and |g'(p_k) - g'_k| <= err_p give |g(z) -
+      g_k - g'_k w| <= rho_k = err_k + err_p l + (l^2 / 2) c u_k e^(c l).
+      And w lies within l^2 / (8r) + 4 eps r of the chord [0, d_k], d_k =
+      z_(k+1) - z_k: an arc of angle phi <= l / r lies within its sagitta
+      r (1 - cos(phi/2)) <= l^2 / (8r) of the chord of its circle ends.
+      For a Horner arc those ends, and the two excursions, lie within
+      4 eps r of [z_k, z_(k+1)]; for a product arc each zeta_k lies within
+      r (tau + u (1 + tau)) < 1.51 eps r of fl(r W_k) = z_k, so the chord
+      moves by 3.02 eps r at most.  So with eta = l^2 / (8r) + 8 eps r, g
+      on the path and the computed g_(k+1) lie within R_k = |g'_k| eta +
+      rho_k + err_(k+1) of the segment [g_k, g_k + q_k], q_k = g'_k d_k: a
+      convex set that holds g_k, and excludes 0 when the segment's distance
+      from 0, min over lambda in [0, 1] of |g_k + lambda q_k|, exceeds R_k.  The arc closes
+      when that distance, less |g'_k| eta, exceeds 2 (rho_k + err_(k+1)).
 
     Either way the exact g on the arc and both computed ends lie in one
     convex set that excludes 0, so the principal angle of g_(k+1)/g_k is the
     true change of arg g along the arc, and the steps add up to exactly
     2 pi times the count.
 
-    The second-order test's own rounding (Higham 2002, with gamma_k = k u /
-    (1 - k u), u = eps / 2) is covered by the second copy of rho_k +
-    err_(k+1).  The distance is computed as the support
-    min(Re(conj(f) g_k), Re(conj(f) (g_k + q_k))) / |f| of the segment in
-    the direction f = g_k + lambda* q_k of its nearest point: for every
-    f != 0 the support is at most the distance, so the rounding of lambda*
-    costs sharpness, not soundness.  Rounding d_k, q_k (Lemma 3.5), g_k + q_k,
-    the two inner products (Lemma 3.1), |f| and the quotient moves the
-    support by at most gamma_8 (|g_k| + |g'_k| |d_k|), and that is below
-    err_k + err_p l: _bounded_horner's mu_k holds its last two terms,
-    |s_1| r + |s_0| >= 1.99 |g_k| (s_0 = s_1 z_k is g_k), so
-    err_k >= 2.5 eps mu_k > 4.9 eps |g_k| > gamma_8 |g_k|, while
-    err_p >= 16 eps M1 and |g'_k| |d_k| <= 1.01 M1 l (order <= 500).
-    The computed rho_k, eta, l and c err by a relative gamma_30 at most,
-    c l times that through e^(c l), which is finite wherever the test can
-    pass; the rest of the second copy, and eta's 8 eps r against the
-    4 eps r its proof needs (l < r), cover that.
+    The second-order test's own rounding (gamma_k = k u / (1 - k u), u =
+    eps / 2) is covered by the second copy of rho_k + err_(k+1).  The
+    distance is computed as the support min(Re(conj(f) g_k), Re(conj(f)
+    (g_k + q_k))) / |f| of the segment in the direction f = g_k + lambda*
+    q_k of its nearest point: for every f != 0 the support is at most the
+    distance, so the rounding of lambda* costs sharpness, not soundness.
+    Rounding d_k, q_k (Higham 2002, Lemma 3.5), g_k + q_k, the two inner
+    products (Lemma 3.1), |f| and the quotient moves the support by at most
+    gamma_8 (|g_k| + |g'_k| |d_k|), and that is below err_k + err_p l:
+    _bounded_horner's mu_k holds its last two terms, |s_1| r + |s_0| >=
+    1.99 |g_k| (s_0 = s_1 z_k is g_k), so err_k >= 2.5 eps mu_k > 4.9 eps
+    |g_k| > gamma_8 |g_k|, a product sample's err_k >= 38 eps S is more,
+    while err_p >= 16 eps M1 and |g'_k| |d_k| <= 1.01 M1 l (order <= 500,
+    |d_k| <= l).  The computed rho_k, eta, l and c err by a relative
+    gamma_30 at most, c l times that through e^(c l), which is finite
+    wherever the test can pass; the rest of the second copy, and eta's
+    8 eps r against the 4 eps r its proof needs (l < r), cover that.
 
-    The first-order test's own rounding is covered on every arc with
-    l >= 0.35 eps, and so on every arc when r >= 0.044 (l >= 8 eps r) and
-    on every first-pass arc when r >= 1e-14; on a shorter arc up to
-    0.34 eps |g_k| of it is not.  np.abs rounds |g_k| by an ulp at most
-    (2u relative) and the two subtractions by u each, so a computed left
-    side above 2 D_k leaves the exact |g_k| - err_k - err_(k+1) above
-    2 D_k / (1 + u) - 3.01 u |g_k|.  err_k is not a second copy here, but
-    it holds a spare 2.5 eps mu_k - (2 sqrt(2) + 1) u mu_k > 1.17 u mu_k >
-    2.33 u |g_k| beyond the rounding of g_k (mu_k >= 1.99 |g_k| as above;
-    mu_k's own rounding is below 1e-12 relative, order <= 500), which leaves
-    0.68 u |g_k| to the second copy of D_k.  The computed D_k errs by a
-    relative gamma_30 (1 + c l) < 3e-12 at most (c l < 710 where it is
-    finite), so that copy holds over 0.99 of the exact D_k, and D_k >= u_k l
-    >= |g_k| l, since expm1(x) >= x: at least 0.68 u |g_k| when
-    l >= 0.35 eps.
+    The first-order test's own rounding: np.abs rounds |g_k| by an ulp at
+    most (2u relative), eps |g_k| is then exact (where it does not
+    underflow), and the three subtractions round by u each, so a computed
+    left side above 2 D_k leaves the exact |g_k| - err_k - err_(k+1) above
+    2 (1 - 2u) D_k - 1.01 u |g_k|.  err_k holds a spare beyond the rounding
+    of g_k that covers the 1.01 u |g_k|: 2.5 eps mu_k - (2 sqrt(2) + 1) u
+    mu_k > 1.17 u mu_k > 2.33 u |g_k| for a Horner sample (mu_k >= 1.99
+    |g_k| as above; mu_k's own rounding is below 1e-12 relative, order <=
+    500), over 3.1 u |g_k| for a product sample (_product_samples).  The
+    computed D_k errs by a relative gamma_30 (1 + c l) < 3e-12 at most
+    (c l < 710 where it is finite), so the second copy of D_k holds over
+    0.99 of the exact D_k, on every arc however short.
 
-    One loop runs every pass, the first included: it adds up the angle
-    steps of the arcs it closes and bisects the rest at their midpoints.
-    The count is None when an arc cannot close: a sample within 2 err of 0
-    (or not finite), a midpoint angle that rounds onto its arc's start, or
-    over _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
+    The bisection loop adds up the angle steps of the arcs it closes and
+    bisects the rest at their midpoints, with Horner samples.  The count is
+    None when an arc cannot close: a sample within 2 err of 0 (or not
+    finite), a midpoint angle that rounds onto its arc's start, or over
+    _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
     coefficients' own rounding yet.
     """
     L, eta = abs(table.params.L), abs(table.params.eta)
@@ -250,38 +364,44 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     g_coeffs = (0.0,) + table.coeffs
 
     def evaluate(theta, z):
-        """The samples at the angles theta, points z, as rows theta, z, g, g', err and u (the
-        real ones stored as complex)."""
+        """Horner's samples at the angles theta, points z, as rows theta, z, g, g', err and u
+        (the real ones stored as complex)."""
         g, err = _bounded_horner(g_coeffs, z, r)
-        err += tails[0]
-        g_prime = table.g_prime_values(z)
-        u = np.abs(g) + np.abs(g_prime) + err + err_p
-        return np.array((theta, z, g, g_prime, err, u))
+        g_prime, err = table.g_prime_values(z), err + tails[0]
+        return np.array((theta, z, g, g_prime, err, np.abs(g) + np.abs(g_prime) + err + err_p))
+
+    def closes(start, end, length):
+        """Which arcs from the samples start to end, of lengths at most length, close; |g| at start."""
+        err, end_err, u = start[4].real, end[4].real, start[5].real
+        size = np.abs(start[2])
+        closed = size - err - end_err - _EPS * size > 2 * _ode_bound(u, length, c)
+        left = np.flatnonzero(~closed)
+        if left.size:
+            closed[left] = _taylor_closes(start[:, left], end[:, left], length[left], c, err_p, r)[0]
+        return closed, size
 
     theta = 2 * np.pi * np.arange(_CIRCLE_SAMPLES + 1) / _CIRCLE_SAMPLES
+    product = _product_samples(table, r, tails[0], err_p)
+    if product is not None:
+        start, end = product[:, :-1], product[:, 1:]
+        if closes(start, end, np.full(_CIRCLE_SAMPLES, r * (theta[1] + 8 * _EPS)))[0].all():
+            return round(float(np.angle(end[2] / start[2]).sum()) / (2 * np.pi))
     z = r * np.exp(1j * theta)
     z[-1] = r  # the path ends where it began
     first = evaluate(theta, z)
     start, end = first[:, :-1], first[:, 1:]
     total, count = 0.0, _CIRCLE_SAMPLES + 1
     while True:
-        theta, _, g, _, err, u = start
-        end_theta, _, end_g, _, end_err, _ = end
-        theta, end_theta, err, end_err, u = (x.real for x in (theta, end_theta, err, end_err, u))
-        length = r * ((end_theta - theta) + 8 * _EPS)
-        size = np.abs(g)
-        closed = size - err - end_err > 2 * _ode_bound(u, length, c)
-        left = np.flatnonzero(~closed)
-        if left.size:
-            closed[left] = _taylor_closes(start[:, left], end[:, left], length[left], c, err_p, r)[0]
-        total += float(np.angle(end_g[closed] / g[closed]).sum())
+        theta, end_theta = start[0].real, end[0].real
+        closed, size = closes(start, end, r * ((end_theta - theta) + 8 * _EPS))
+        total += float(np.angle(end[2, closed] / start[2, closed]).sum())
         if closed.all():
             return round(total / (2 * np.pi))
         keep = ~closed
         theta = theta[keep]
         mid = theta + (end_theta[keep] - theta) / 2
         count += mid.size
-        if (count > _MAX_CIRCLE_SAMPLES or not np.all(size[keep] > 2 * err[keep])
+        if (count > _MAX_CIRCLE_SAMPLES or not np.all(size[keep] > 2 * start[4, keep].real)
                 or np.any(mid == theta)):
             return None
         middle = evaluate(mid, r * np.exp(1j * mid))
@@ -294,14 +414,16 @@ def _zero_count(table: CoefficientTable, r: float) -> int | None:
 
     The one count of winding_number, starlike.certify, and find_zeros on
     every table it does not solve by eigvalsh.  The tails at r come first,
-    and one that is not certified raises NoConvergence.  Rouche's theorem
+    the table's own when r is its radius, and one that is not certified
+    raises NoConvergence.  Rouche's theorem
     against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on |z| = r, S =
     _abs_sum's S(r), and S + tail0 < 2r leaves g only the origin's zero in
     the closed disk.  Where that fails, a real table with L > -3/2 takes
     _inertia_count on J_N, N = _section_size(params, r), and every other
-    table _arc_count on the whole circle.
+    table _arc_count on the whole circle: one matrix product for its 720
+    first samples, and Horner's samples when it leaves an arc open.
     """
-    tails = _tail_bounds(table.coeffs, table.params, r)
+    tails = table.tails if r == table.radius else _tail_bounds(table.coeffs, table.params, r)
     if tails is None:
         raise NoConvergence(f"series tail is not certified at radius {r}")
     # rho: each nonnegative term of the computed S carries |a_n| (hypot,
@@ -325,9 +447,11 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
 
     _zero_count's: Rouche's theorem against z, else J's inertia for a real
     table with L > -3/2, else the argument principle on 720 samples of the
-    whole circle with a running rounding bound, each arc between them
-    closed by a first- or second-order bound from the Coulomb equation and
-    bisected when neither closes it.  InvalidParams for a radius that is
+    whole circle from one matrix product with an a priori rounding bound,
+    each arc between them closed by a first- or second-order bound from
+    the Coulomb equation; if one arc stays open, the circle is sampled
+    again by Horner's scheme with its running rounding bound, and the open
+    arcs are bisected until they close.  InvalidParams for a radius that is
     not a finite normal double; NoConvergence when the count cannot be
     proven: a zero within rounding distance of the circle, a tail not
     certified at this radius, a section of J too short for it, or over

@@ -155,7 +155,7 @@ class TestMakeCoefficients:
 
     def test_negative_tail_bound_is_refused(self):
         with pytest.raises(ValueError, match="tail_bound"):
-            CoefficientTable(CoulombParams(0.0, 0.0), (1.0,), 0, -1.0, 1.0)
+            CoefficientTable(CoulombParams(0.0, 0.0), (1.0,), 0, (-1.0, 0.0, 0.0), 1.0)
 
     def test_recurrence_residual_invariant(self):
         rng = random.Random(1105)

@@ -346,18 +346,19 @@ class TestCertify:
             return inertia[-1]
 
         monkeypatch.setattr(zeros_module, "_inertia_count", recorded)
-        report, samples = _count_passes(monkeypatch, CoulombParams(-0.4, 0.8), angles)
+        report, samples, products = _count_passes(monkeypatch, CoulombParams(-0.4, 0.8), angles)
         assert report.zero_in_disk
-        assert inertia == [2] and samples == []
+        assert inertia == [2] and samples == [] and products == []
 
     @pytest.mark.parametrize("angles", [3, 720])
     def test_complex_count_samples_the_whole_circle(self, monkeypatch, angles):
         # a complex pair that fails Rouche's test: 720 arcs on the whole
-        # circle, their path closed by a repeat of the first sample
+        # circle from one product pass, their path closed by a repeat of the
+        # first sample, which close with no bounded Horner sample
         params = CoulombParams(-0.35 + 0.1j, 0.9 - 0.2j)
-        report, samples = _count_passes(monkeypatch, params, angles)
+        report, samples, products = _count_passes(monkeypatch, params, angles)
         assert not report.zero_in_disk
-        assert samples[0] == 721
+        assert products == [721] and samples == []
 
     @pytest.mark.parametrize("angles", [1, 2, 3, 12, 720, 1440])
     def test_half_grid_matches_full_grid(self, monkeypatch, angles):
@@ -396,16 +397,22 @@ class TestCertify:
 
 
 def _count_passes(monkeypatch, params, angles):
-    """certify's report, and the number of samples in each of its count's bounded passes."""
-    sizes = []
-    bounded_horner = zeros_module._bounded_horner
+    """certify's report, and the samples in each of its count's Horner and product passes."""
+    sizes, products = [], []
+    bounded_horner, product_samples = zeros_module._bounded_horner, zeros_module._product_samples
 
     def counted(coeffs, z, r):
         sizes.append(z.size)
         return bounded_horner(coeffs, z, r)
 
+    def multiplied(table, r, tail0, err_p):
+        out = product_samples(table, r, tail0, err_p)
+        products.append(out.shape[1])
+        return out
+
     monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
-    return certify(params, StarlikeClass.LEMNISCATE, ScanGrid(angles)), sizes
+    monkeypatch.setattr(zeros_module, "_product_samples", multiplied)
+    return certify(params, StarlikeClass.LEMNISCATE, ScanGrid(angles)), sizes, products
 
 
 def certify_table(params, r_max):

@@ -4,6 +4,7 @@ import cmath
 import importlib
 import math
 import random
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -26,6 +27,7 @@ from coulombstar import (
     certify,
     eval_g,
     find_zeros,
+    make_coefficients,
     product_convergence_report,
     table_for_radius,
     weierstrass_eval,
@@ -297,7 +299,7 @@ def _spy(monkeypatch, name, owner=zeros_module):
     return calls
 
 
-class TestBatchedKernel:
+class TestResiduals:
     """_refine_mp's one batched g_values call, and the bits it gives each root."""
 
     def test_empty_batch(self):
@@ -1068,17 +1070,18 @@ def _ode_bounds(monkeypatch):
 def _taylor_arcs(monkeypatch):
     """Record g's coefficients and each arc that the second-order bound closes.
 
-    The coefficients are those of the count's _bounded_horner calls,
-    (0, a_0, a_1, ...); each arc is (start, end, l, err_p, rho, eta, r),
-    start and end being the records of its two samples.
+    The coefficients are those of the count's product pass, (0, a_0, a_1,
+    ...), and err its samples' error bound; each arc is (start, end, l,
+    err_p, rho, eta, r), start and end being the records of its two samples.
     """
-    record = {"coeffs": None, "arcs": []}
-    bounded_horner = zeros_module._bounded_horner
+    record = {"coeffs": None, "err": None, "arcs": []}
+    product_samples = zeros_module._product_samples
     taylor_closes = zeros_module._taylor_closes
 
-    def horner(coeffs, z, r):
-        record["coeffs"] = coeffs
-        return bounded_horner(coeffs, z, r)
+    def product(table, r, tail0, err_p):
+        out = product_samples(table, r, tail0, err_p)
+        record["coeffs"], record["err"] = (0.0,) + table.coeffs, out[4, 0].real
+        return out
 
     def closes(start, end, length, c, err_p, r):
         closed, rho, eta = taylor_closes(start, end, length, c, err_p, r)
@@ -1086,9 +1089,26 @@ def _taylor_arcs(monkeypatch):
                            for k in np.flatnonzero(closed)]
         return closed, rho, eta
 
-    monkeypatch.setattr(zeros_module, "_bounded_horner", horner)
+    monkeypatch.setattr(zeros_module, "_product_samples", product)
     monkeypatch.setattr(zeros_module, "_taylor_closes", closes)
     return record
+
+
+def _arc_path(start, end, product_err, r, steps):
+    """The point of an arc's start sample and its path at the fractions steps, in mpmath.
+
+    A product arc (its samples' err is product_err) runs on the circle from
+    r omega^k, k read from the start's double z; a Horner arc from its
+    start's double z, on the circle between its two double angles (the
+    loop's excursions left out).
+    """
+    if start[4].real == product_err:
+        k = round(cmath.phase(start[1]) / (2 * math.pi) * 720) % 720
+        path = [mp.mpf(r) * mp.expjpi(2 * (k + mp.mpf(t)) / 720) for t in steps]
+        return path[0], np.array(path)
+    theta, end_theta = mp.mpf(start[0].real), mp.mpf(end[0].real)
+    path = [mp.mpf(r) * mp.expj(theta + mp.mpf(t) * (end_theta - theta)) for t in steps]
+    return mp.mpc(start[1]), np.array(path)
 
 
 def _circle_count(params, radius, angles):
@@ -1175,35 +1195,41 @@ class TestArcCountSoundness:
 
     @pytest.mark.parametrize("L, eta, radius, angles", TAYLOR)
     def test_taylor_bound_covers_each_arc(self, monkeypatch, L, eta, radius, angles):
-        # at 65 points z on each closed arc, g(z) from the table's
-        # coefficients in 30 digits stays within rho_k - err_k of the tangent
-        # line g(z_k) + g'_k (z - z_k), for the computed g'_k and for any g'_k
-        # within err_p of g'(z_k), and z - z_k lies within eta of the chord
-        # [0, d_k].  Each case checks its 16 arcs of least |g_k| (all of them
-        # but on sine at 30, which closes 720)
+        # each closed arc's g_k and g'_k lie within err_k and err_p of g and
+        # g' at its start point, from the table's coefficients in 30 digits:
+        # the product pass's a priori bound on its own arcs.  At 65 points z
+        # on the arc's path g(z) stays within rho_k - err_k of the tangent
+        # line g(p_k) + g'_k (z - p_k), for the computed g'_k and for any
+        # g'_k within err_p of g'(p_k), and z - p_k lies within eta of the
+        # chord [0, d_k].  Each case checks the 16 arcs of least |g_k| that
+        # the product pass closes and the 16 of the Horner samples (sine at
+        # 30 closes 694 and 26)
         record = _taylor_arcs(monkeypatch)
         _circle_count(CoulombParams(L, eta), radius, angles)
-        arcs = sorted(record["arcs"], key=lambda arc: abs(arc[0][2]))[:16]
+        product = [arc for arc in record["arcs"] if arc[0][4].real == record["err"]]
+        horner = [arc for arc in record["arcs"] if arc[0][4].real != record["err"]]
+        arcs = [arc for kind in (product, horner)
+                for arc in sorted(kind, key=lambda arc: abs(arc[0][2]))[:16]]
         steps = np.arange(65) / 64
         with mp.workdps(30):
             a = [mp.mpc(c) for c in reversed(record["coeffs"])]
             for start, end, length, err_p, rho, eta_k, r in arcs:
-                theta, z_k, _, slope, err, _ = start
-                z_k = mp.mpc(z_k)
-                g_k, slope_k = mp.polyval(a, z_k, derivative=True)
-                d = mp.mpc(end[1]) - z_k
-                z = np.array([mp.mpf(r) * mp.expj(mp.mpf(theta.real) + float(t) * (
-                    mp.mpf(end[0].real) - mp.mpf(theta.real))) for t in steps])
+                _, z_k, g_k, slope, err, _ = start
+                p_k, z = _arc_path(start, end, record["err"], r, steps)
+                exact, slope_k = mp.polyval(a, p_k, derivative=True)
+                assert abs(mp.mpc(g_k) - exact) <= err.real
+                assert abs(mp.mpc(slope) - slope_k) <= err_p
+                d = mp.mpc(end[1]) - mp.mpc(z_k)
                 g = np.zeros(z.size, dtype=object)
                 for c in a:
                     g = g * z + c
-                for w, value in zip(z - z_k, g):
-                    assert abs(value - g_k - mp.mpc(slope) * w) <= rho - err.real
-                    assert abs(value - g_k - slope_k * w) + err_p * abs(w) <= rho - err.real
+                for w, value in zip(z - p_k, g):
+                    assert abs(value - exact - mp.mpc(slope) * w) <= rho - err.real
+                    assert abs(value - exact - slope_k * w) + err_p * abs(w) <= rho - err.real
                     lam = min(1.0, max(0.0, float(mp.re(w * mp.conj(d)) / abs(d) ** 2)))
                     assert abs(w - lam * d) <= eta_k
         if (L, eta, radius, angles) not in self.CASES:
-            assert len(arcs) >= 5
+            assert len(product) >= 5
 
     @pytest.mark.parametrize("params, radius, count, passes", [
         (CoulombParams(0.3 + 0.1j, 0.5 - 0.2j), 15.0, 10, 1),
@@ -1212,10 +1238,16 @@ class TestArcCountSoundness:
     ])
     def test_taylor_bound_spares_passes(self, monkeypatch, params, radius, count, passes):
         # the second-order bound closes the arcs the first-order one leaves
-        # open; with the first alone these take 2, 6 and 16 passes
+        # open.  passes counts the first pass and the bisection passes: one
+        # product pass closes every arc of the first two, with no Horner
+        # sample; the last one leaves arcs open, so Horner samples the
+        # whole circle again and bisects 4 times.  With the first-order
+        # bound alone these take 2, 6 and 16 Horner passes
+        products = _spy(monkeypatch, "_product_samples")
         calls = _spy(monkeypatch, "_bounded_horner")
         assert _circle(params, radius) == count
-        assert len(calls) == passes
+        assert len(products) == 1
+        assert len(calls) == (0 if passes == 1 else passes)
 
     def test_ode_bound_overflows_to_inf(self):
         # an e^(c l) past the double range gives an infinite bound, which
@@ -1237,6 +1269,115 @@ class TestArcCountSoundness:
         assert not closed.any()
 
 
+class TestProductPass:
+    """_arc_count's first pass: g and g' at the 720 roots of unity from one matrix product."""
+
+    def test_roots_lie_within_tau(self):
+        # tau = eps bounds every entry, against 50-digit e^(2 pi i m / 720)
+        roots = zeros_module._power_table(2)[0]
+        assert roots.shape == (720,)
+        with mp.workdps(50):
+            worst = max(abs(mp.mpc(w) - mp.expjpi(mp.mpf(2 * m) / 720))
+                        for m, w in enumerate(roots.tolist()))
+        assert worst <= EPS
+
+    def test_power_table_holds_the_largest_order(self, monkeypatch):
+        # built on first use, rebuilt only for more columns, sliced for
+        # fewer; each entry is a roots table entry, Re then Im
+        monkeypatch.setattr(zeros_module, "_POWERS", [])
+        roots, even, odd = zeros_module._power_table(83)
+        assert even.shape == (362, 42) and odd.shape == (362, 41)
+        built = list(zeros_module._POWERS)
+        small = zeros_module._power_table(56)
+        assert [b.shape for b in small[1:]] == [(362, 28), (362, 28)]
+        assert all(x is y for x, y in zip(zeros_module._POWERS, built))
+        for k, j in [(0, 0), (1, 1), (180, 81), (97, 40), (131, 77)]:
+            block = (even, odd)[j % 2]
+            w = roots[k * j % 720]
+            assert block[k, j // 2] == w.real and block[181 + k, j // 2] == w.imag
+        zeros_module._power_table(124)
+        assert sum(b.nbytes for b in zeros_module._POWERS[1:]) == 362 * 124 * 8
+
+    def test_samples_lie_within_err(self):
+        # seeded complex tables with R up to 30: each product sample g_k
+        # lies within err - tail0 of the 50-digit truncated g at r omega^k,
+        # g'_k within 8 (order+2) eps M1 of g' there, and z_k within
+        # 1.5 eps r of r omega^k (every 7th k, and the quarter points)
+        rng = random.Random(20261031)
+        cases = [(CoulombParams(complex(rng.uniform(-0.4, 1.4), rng.uniform(-0.3, 0.3)),
+                                complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))),
+                  rng.uniform(3.0, 30.0)) for _ in range(4)]
+        cases.append((CoulombParams(0.7 + 0.2j, -1.1 + 0.4j), 29.5))
+        for params, r in cases:
+            table = table_for_radius(params, r)
+            tail0 = _tail_bounds(table.coeffs, params, r)[0]
+            _, z, g, g_prime, err, _ = zeros_module._product_samples(table, r, tail0, 0.0)
+            assert g.size == 721
+            err = err.real
+            slack = 8 * (table.order + 2) * EPS * zeros_module._abs_sum(table, r, 1)
+            with mp.workdps(50):
+                a = [mp.mpc(c) for c in reversed(table.coeffs)]
+                for k in sorted(set(range(0, 721, 7)) | {180, 360, 540, 720}):
+                    zeta = mp.mpf(r) * mp.expjpi(mp.mpf(2 * k) / 720)
+                    h, h_prime = mp.polyval(a, zeta, derivative=True)
+                    assert abs(zeta * h - mp.mpc(g[k])) <= err[k] - tail0, (params, r, k)
+                    assert abs(h + zeta * h_prime - mp.mpc(g_prime[k])) <= slack
+                    assert abs(mp.mpc(z[k]) - zeta) <= 1.5 * EPS * r
+
+    def test_open_arcs_reach_the_bisection(self, monkeypatch):
+        # a zero of g 1e-9 or 1e-13 (relative) inside or outside the
+        # circle: the product pass leaves the arcs near it open, Horner
+        # samples the whole circle again and bisects the open arcs, and the
+        # count is J's, 1 or 2; on the circle through the double |rho| it
+        # refuses
+        params = CoulombParams(0.3 + 0.1j, 0.5 - 0.2j)
+        rho = abs(find_zeros(params, 10.0).zeros[0])
+        calls = _spy(monkeypatch, "_bounded_horner")
+        for radius, count in [(rho * (1 - 1e-9), 1), (rho * (1 + 1e-9), 2),
+                              (rho * (1 - 1e-13), 1), (rho * (1 + 1e-13), 2), (rho, None)]:
+            calls.clear()
+            assert _circle(params, radius) == count
+            assert 1 < len(calls) and calls[0][0][1].size == zeros_module._CIRCLE_SAMPLES + 1
+
+    def test_benchmark_complex_pool_needs_no_horner(self, monkeypatch):
+        # the zeros workload's seeds 1 and 2: the product pass settles 139
+        # of their 144 complex counts with no Horner sample
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        calls = _spy(monkeypatch, "_bounded_horner")
+        settled = []
+        for seed in (1, 2):
+            for call in (op.call for op in workloads.Zeros(seed).ops):
+                if call.params.L.imag or call.params.eta.imag:
+                    calls.clear()
+                    find_zeros(call.params, call.radius)
+                    settled.append(not calls)
+        assert len(settled) == 144 and sum(settled) >= 135
+
+    def test_refused_product_falls_through_to_horner(self, monkeypatch):
+        # c_j that overflow (r = 1e300) or powers that reach 2^-1000 give
+        # None with no RuntimeWarning (pytest makes one an error), as does an
+        # order past _PRODUCT_MAX_ORDER; a refused product leaves the whole
+        # circle to Horner, 721 samples, and the same count
+        table = table_for_radius(CoulombParams(0.3 + 0.1j, 0.5 - 0.2j), 15.0)
+        assert zeros_module._product_samples(table, 1e300, 0.0, 0.0) is None
+        assert zeros_module._product_samples(table, 1e-6, 0.0, 0.0) is None
+        assert zeros_module._product_samples(table, 1.0, 0.0, 0.0) is not None
+        top = zeros_module._PRODUCT_MAX_ORDER
+        for order, refused in [(top, False), (top + 1, True)]:
+            big = make_coefficients(table.params, order, 15.0)
+            assert (zeros_module._product_samples(big, 15.0, 0.0, 0.0) is None) == refused
+        assert _circle(table.params, 15.0) == 10
+        monkeypatch.setattr(zeros_module, "_product_samples", lambda *args: None)
+        calls = _spy(monkeypatch, "_bounded_horner")
+        assert _circle(table.params, 15.0) == 10
+        assert calls[0][0][1].size == zeros_module._CIRCLE_SAMPLES + 1
+
+    def test_import_builds_no_table(self):
+        code = "import sys, coulombstar.zeros as z; sys.exit(bool(z._POWERS))"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def _mp_coefficients(params, order):
     """a_0 .. a_order from the recurrence in the current mpmath precision."""
     L, eta = mp.mpc(params.L), mp.mpc(params.eta)
@@ -1252,10 +1393,12 @@ class TestCountRecord:
     def test_record_shape_and_callers_agree(self, monkeypatch):
         # seeded pairs on certify's default circle, alternately real and
         # complex: Rouche's test settles some, J's inertia counts the real
-        # tables that fail it, and the whole circle the complex ones; each
-        # caller gets the same count
+        # tables that fail it, and the whole circle the complex ones, from
+        # the product pass's samples (and Horner's where it leaves an arc
+        # open); each caller gets the same count
         rng, r, paths = random.Random(20261022), 0.999, set()
         sampled = _spy(monkeypatch, "_bounded_horner")
+        products = _spy(monkeypatch, "_product_samples")
         inertia = _spy(monkeypatch, "_inertia_count")
         for i in range(24):
             L, eta = rng.uniform(-0.9, 1.4), rng.uniform(-1.5, 1.5)
@@ -1264,24 +1407,38 @@ class TestCountRecord:
             params = CoulombParams(L, eta)
             table = table_for_radius(params, r)
             sampled.clear()
+            products.clear()
             inertia.clear()
             count = zeros_module._zero_count(table, r)
             assert type(count) is int
-            if not sampled and not inertia:  # Rouche's test
+            if not sampled and not products and not inertia:  # Rouche's test
                 paths.add("rouche")
                 assert count == 1
             elif inertia:
                 paths.add("inertia")
-                assert table.is_real and not sampled
+                assert table.is_real and not sampled and not products
             else:
                 paths.add("circle")
                 assert not table.is_real
-                assert sampled[0][0][1].size == zeros_module._CIRCLE_SAMPLES + 1
+                assert products[0][1].shape == (6, zeros_module._CIRCLE_SAMPLES + 1)
             assert winding_number(table, r) == count
             assert len(find_zeros(params, r).zeros) + 1 == count
             report = certify(params, StarlikeClass.CLASSICAL, ScanGrid(720, r))
             assert report.zero_in_disk == (count != 1)
         assert paths == {"rouche", "inertia", "circle"}
+
+    def test_table_carries_its_tails(self, monkeypatch):
+        # table_for_radius and make_coefficients keep _tail_bounds at the table's radius, out of
+        # to_jsonable; a count at that radius reads them, at another one
+        # computes its own
+        params = CoulombParams(0.3 + 0.1j, 0.5 - 0.2j)
+        for table in (table_for_radius(params, 15.0), make_coefficients(params, 54, 15.0)):
+            assert table.tails == _tail_bounds(table.coeffs, params, 15.0)
+            assert table.tails[0] == table.tail_bound and "tails" not in table.to_jsonable()
+            calls = _spy(monkeypatch, "_tail_bounds")
+            assert zeros_module._zero_count(table, 15.0) == 10 and not calls
+            assert zeros_module._zero_count(table, 14.0) == 8 and len(calls) == 1
+            monkeypatch.undo()
 
     def test_each_table_gets_one_count(self):
         # seeded real tables, L across -1 and up to 2, and sine at 38 and 45,
@@ -1328,6 +1485,7 @@ class TestRouche:
             raise Counted
 
         monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
+        monkeypatch.setattr(zeros_module, "_product_samples", counted)
         monkeypatch.setattr(zeros_module, "_inertia_count", counted)
         r, rng, proven = 0.999, random.Random(20261019), 0
         for _ in range(20):
@@ -1365,18 +1523,20 @@ class TestRouche:
         # on this circle the computed S + tail0 falls 3.6 eps short of 2r,
         # inside the margin rho, so the test must not prove the count: this
         # real table falls through to J's inertia, and with the realness
-        # predicate turned off to the circle's samples
+        # predicate turned off to the circle's samples, which the product
+        # pass takes
         params, r = CoulombParams(0.5, 0.1), 2.248541828667851
         table = table_for_radius(params, r)
         tail0 = _tail_bounds(table.coeffs, params, r)[0]
         assert zeros_module._abs_sum(table, r, 0) + tail0 < 2 * r
         inertia = _spy(monkeypatch, "_inertia_count")
         sampled = _spy(monkeypatch, "_bounded_horner")
+        products = _spy(monkeypatch, "_product_samples")
         assert zeros_module._zero_count(table, r) == 1
-        assert [count for _, count in inertia] == [1] and not sampled
+        assert [count for _, count in inertia] == [1] and not sampled and not products
         _complex_jacobi(monkeypatch)
         assert zeros_module._zero_count(table, r) == 1
-        assert sampled
+        assert len(products) == 1
 
 
 class TestWeierstrassEval:
