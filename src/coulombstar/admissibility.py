@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .analytic import _CONDITIONS
 from .errors import DomainError
 from .series import CoulombParams
 
@@ -131,10 +132,7 @@ def exponential_offset_sq(theta: float, m: float) -> float:
 
 def exponential_shift_sq(theta: float) -> float:
     """|r - 1|^2 = e^{2 cos theta} - 2 e^{cos theta} cos(sin theta) + 1."""
-    if not 0 <= theta < 2 * math.pi:
-        raise DomainError(f"exponential locus needs theta in [0, 2*pi), got {theta}")
-    r = cmath.exp(cmath.exp(1j * theta))
-    return abs(r - 1) ** 2
+    return abs(admissible_point(EXPONENTIAL, theta, 1.0).r - 1) ** 2
 
 
 _Profile = collections.namedtuple("_Profile", "locus mode scalar grid quoted")
@@ -143,20 +141,21 @@ _Profile = collections.namedtuple("_Profile", "locus mode scalar grid quoted")
 #: offset, which depends on m, or the maximum of a shift, which does not),
 #: its scalar form (theta, m), its numpy grid form (xs, basis, m) from the
 #: closed forms, where the basis is the locus's max(cos 2 theta, 0) or
-#: e^{e^{i theta}}, and the extremum quoted for it as a function of m.
+#: e^{e^{i theta}}, and the extremum quoted for it as a function of m: for a
+#: shift, k^2 of its class's analytic._CONDITIONS row.
 _PROFILES = {
     "U": _Profile(LEMNISCATE, "min", lemniscate_offset_sq,
                   lambda xs, c2, m: m * m / (8 * c2) + m * np.cos(xs) / np.sqrt(2 * c2) + 1,
                   lambda m: (m + 2 * math.sqrt(2.0)) ** 2 / 8),
     "V": _Profile(LEMNISCATE, "max", lambda theta, m: lemniscate_shift_sq(theta),
                   lambda xs, c2, m: 2 * c2 - 2 * math.sqrt(2.0) * np.cos(xs) * np.sqrt(c2) + 1,
-                  lambda m: (math.sqrt(2.0) - 1) ** 2),
+                  lambda m: _CONDITIONS[LEMNISCATE][1] ** 2),
     "A": _Profile(EXPONENTIAL, "min", lambda theta, m: exponential_offset_sq(theta % (2 * math.pi), m),
                   lambda xs, r, m: np.abs(m * np.exp(1j * xs) * r + r**2 - 1) ** 2,
                   lambda m: (1 / math.e**2 - m / math.e - 1) ** 2),
     "B": _Profile(EXPONENTIAL, "max", lambda theta, m: exponential_shift_sq(theta % (2 * math.pi)),
                   lambda xs, r, m: np.abs(r - 1) ** 2,
-                  lambda m: (math.e - 1) ** 2),
+                  lambda m: _CONDITIONS[EXPONENTIAL][1] ** 2),
 }
 
 #: The one mode in which extremize treats each profile.
@@ -315,37 +314,24 @@ def psi_lower_bound(
 
 
 def constant_checks() -> list[dict]:
-    """Consistency of the closed-form extrema with the condition thresholds.
+    """Consistency of the closed-form extrema with analytic._CONDITIONS' thresholds.
 
-    The lemniscate threshold is sqrt(min U at m=1) - 1 = sqrt(2)/4 and the
-    exponential threshold is sqrt(min A at m=1) - 1 = (e - 1)/e^2.  For the
-    exponential locus the offset lower bound itself is the positive quantity
-    1 + 1/e - 1/e^2 (the sign-consistent reading of the minimum; its square
-    root of A at pi), which is flagged explicitly here.
+    The lemniscate threshold is sqrt(min U at m=1) - 1 = sqrt(2)/4, U at
+    theta = 0, and the exponential threshold is sqrt(min A at m=1) - 1 =
+    (e - 1)/e^2, A at theta = pi.  For the exponential locus the offset
+    lower bound itself is the positive quantity 1 + 1/e - 1/e^2 (the
+    sign-consistent reading of the minimum; its square root of A at pi),
+    which is flagged explicitly here.
     """
-    e = math.e
-    lem_lhs = math.sqrt(lemniscate_offset_sq(0.0, 1.0)) - 1
-    lem_rhs = math.sqrt(2.0) / 4
-    exp_bound = math.sqrt(exponential_offset_sq(math.pi, 1.0))
-    exp_lhs = exp_bound - 1
-    exp_rhs = (e - 1) / e**2
-    return [
-        {
-            "locus": LEMNISCATE,
-            "identity": "sqrt(min offset, m=1) - 1 == sqrt(2)/4",
-            "lhs": lem_lhs,
-            "rhs": lem_rhs,
-            "abs_diff": abs(lem_lhs - lem_rhs),
-            "consistent": abs(lem_lhs - lem_rhs) <= 1e-12,
-        },
-        {
-            "locus": EXPONENTIAL,
-            "identity": "sqrt(min offset, m=1) - 1 == (e - 1)/e^2",
-            "lhs": exp_lhs,
-            "rhs": exp_rhs,
-            "abs_diff": abs(exp_lhs - exp_rhs),
-            "consistent": abs(exp_lhs - exp_rhs) <= 1e-12,
-            "offset_lower_bound": exp_bound,
-            "lower_bound_positive": exp_bound > 0,
-        },
-    ]
+    checks = []
+    for locus, tag, theta, quoted in ((LEMNISCATE, "U", 0.0, "sqrt(2)/4"),
+                                      (EXPONENTIAL, "A", math.pi, "(e - 1)/e^2")):
+        bound = math.sqrt(_PROFILES[tag].scalar(theta, 1.0))
+        lhs, rhs = bound - 1, _CONDITIONS[locus][0]
+        check = {"locus": locus, "identity": f"sqrt(min offset, m=1) - 1 == {quoted}",
+                 "lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs),
+                 "consistent": abs(lhs - rhs) <= 1e-12}
+        if locus == EXPONENTIAL:
+            check.update(offset_lower_bound=bound, lower_bound_positive=bound > 0)
+        checks.append(check)
+    return checks

@@ -11,6 +11,7 @@ both of which the series satisfies identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NearZeroOfG
@@ -18,6 +19,18 @@ from .series import DEFAULT_TOL, CoulombParams, _Growth
 
 # P is a disk diagnostic; allow a little headroom past the unit circle.
 P_RADIUS_LIMIT = 1.5
+
+#: (threshold, k) of the paper's two sufficient conditions on (L, eta), keyed
+#: by class (the classical class has none): slack = threshold - k |2L - 1| -
+#: 2 |eta| > 0.  threshold is sqrt(min offset, m = 1) - 1, and k^2 the
+#: quoted maximum of the class's shift profile (for the lemniscate, V at
+#: theta = 0, which is V's minimum; extremize reports the true maximum).
+#: starlike's conditions and admissibility's quoted shift maxima and
+#: constant checks all read these rows.
+_CONDITIONS = {
+    "lemniscate": (math.sqrt(2.0) / 4, math.sqrt(2.0) - 1),
+    "exponential": ((math.e - 1) / math.e**2, math.e - 1),
+}
 
 
 @dataclass(frozen=True)

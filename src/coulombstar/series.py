@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -297,8 +298,11 @@ class _Growth:
     def first_order(self, tol: float, deriv: int):
         """First scheduled order whose tail for derivative `deriv` is < tol, with its tails.
 
-        The schedule is read here, at call time; NoConvergence past its last order.
+        The schedule is read here, at call time; NoConvergence past its last
+        order, and InvalidParams for a tol that is not positive.
         """
+        if not tol > 0:  # NaN fails too
+            raise InvalidParams(f"tol must be positive, got {tol}")
         bounds = self.bounds
         for k, order in enumerate(_ORDER_SCHEDULE):
             if k == len(bounds):
@@ -325,16 +329,24 @@ def _check_table_radius(radius: float) -> None:
         raise InvalidParams(f"radius must be finite and nonnegative, got {radius}")
 
 
+def _checked_int(name: str, value, lowest: int, highest: int) -> int:
+    """value as an int in [lowest, highest], else InvalidParams; numpy integers pass."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
+    if not lowest <= value <= highest:
+        raise InvalidParams(f"{name} must lie in [{lowest}, {highest}], got {value}")
+    return value
+
+
 def make_coefficients(params: CoulombParams, order: int, radius: float) -> CoefficientTable:
     """Coefficient table through `order` with a certified tail bound at `radius`.
 
     Raises NoConvergence when the geometric majorization cannot certify the
     tail at this order/radius pair (the caller should raise the order).
     """
-    if order < 2:
-        raise InvalidParams(f"order must be >= 2, got {order}")
-    if order > MAX_ORDER:
-        raise InvalidParams(f"order must be <= {MAX_ORDER}, got {order}")
+    order = _checked_int("order", order, 2, MAX_ORDER)
     _check_table_radius(radius)
     coeffs = _recurrence_coefficients(params, order)
     tails = _tail_bounds(coeffs, params, radius)
@@ -496,10 +508,7 @@ def kummer_oracle(params: CoulombParams, order: int) -> CoefficientTable:
     working precision (the product cancels catastrophically in doubles near
     order 30).  Never touches the recurrence; serves as a cross-check oracle.
     """
-    if order < 0:
-        raise InvalidParams(f"order must be >= 0, got {order}")
-    if order > MAX_ORDER:
-        raise InvalidParams(f"order must be <= {MAX_ORDER}, got {order}")
+    order = _checked_int("order", order, 0, MAX_ORDER)
     import mpmath as mp
 
     L, eta = params.L, params.eta

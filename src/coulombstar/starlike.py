@@ -16,18 +16,14 @@ differential subordination; Miller and Mocanu, Differential Subordinations,
 2000).  Each margin is then harmonic or superharmonic, so its minimum over
 the disk sits on the circle.  certify therefore samples P on that circle only,
 and proves the disk zero-free apart from the origin through zeros._zero_count,
-the one proven count that also serves winding_number: Rouche's theorem
-against z settles almost every disk in one comparison; of the rest, a real
-table with L > -3/2 is counted from the Jacobi matrix's inertia, and every
-other table on the count's own samples of g round the whole circle (one
-matrix product for 720 of them, Horner's scheme if that leaves an arc
-open).
+the one proven count that also serves winding_number; its docstring
+describes how the table chooses the proof.
 Positivity of the margin on the arcs between P's samples is not proven.
 For real (L, eta), g has real coefficients and g(conj z) = conj g(z), so
 P and each margin take the same value at conjugate points: the grid is
 conjugate-symmetric, and certify reads the margins of its upper half only.
-Closed-form sufficient conditions on (L, eta) are provided alongside as
-fast pre-checks.
+Closed-form sufficient conditions on (L, eta), the rows of
+analytic._CONDITIONS, are provided alongside as fast pre-checks.
 """
 
 from __future__ import annotations
@@ -39,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _near_zero_floor
+from .analytic import _CONDITIONS, _near_zero_floor
 from .errors import CoulombError, InvalidParams
-from .series import DEFAULT_TOL, CoulombParams, table_for_radius
+from .series import DEFAULT_TOL, CoulombParams, _checked_int, table_for_radius
 from .zeros import _check_radius, _zero_count
 
-SQRT2 = math.sqrt(2.0)
 _MAX_ANGLES = 1 << 18  # angles on one grid: bounds the memory of its g, g' and P
 
 
@@ -54,12 +49,6 @@ class StarlikeClass(str, enum.Enum):
     EXPONENTIAL = "exponential"
 
 
-#: (threshold, k) of each class's sufficient condition, slack = threshold -
-#: k |2L - 1| - 2 |eta| > 0; the classical class has none.
-_CONDITIONS = {
-    StarlikeClass.LEMNISCATE: (SQRT2 / 4, SQRT2 - 1),
-    StarlikeClass.EXPONENTIAL: ((math.e - 1) / math.e**2, math.e - 1),
-}
 #: Hypothesis threshold of the lemniscate sufficient condition.
 LEMNISCATE_THRESHOLD = _CONDITIONS[StarlikeClass.LEMNISCATE][0]
 #: Hypothesis threshold of the exponential sufficient condition.
@@ -94,7 +83,7 @@ def exponential_margin(w: complex) -> float:
 
 
 def _condition(params: CoulombParams, flavor: StarlikeClass) -> tuple[bool, float]:
-    """The flavor's sufficient condition (satisfied, slack), from its _CONDITIONS row.
+    """The flavor's sufficient condition (satisfied, slack), from its row of analytic._CONDITIONS.
 
     The classical flavor's slack is the math.nan object itself, so that two
     scans' equal rows compare equal.
@@ -138,8 +127,8 @@ class ScanGrid:
     r_max: float = 0.999
 
     def __post_init__(self) -> None:
-        if not 1 <= self.angles_per_ring <= _MAX_ANGLES:
-            raise InvalidParams(f"angles_per_ring must lie in [1, {_MAX_ANGLES}]")
+        angles = _checked_int("angles_per_ring", self.angles_per_ring, 1, _MAX_ANGLES)
+        object.__setattr__(self, "angles_per_ring", angles)
         _check_radius("r_max", self.r_max, 1.0)
 
     @functools.cached_property
@@ -210,17 +199,12 @@ def certify(
     """Sample P on |z| = r_max and report the minimum membership margin.
 
     certified is exactly min_margin > 0.  It means: g has no zero in
-    0 < |z| <= r_max, proven by zeros._zero_count, the count of
-    winding_number (by Rouche's theorem when S(r_max) + tail0 < 2 r_max,
-    else from J's inertia for a real table with L > -3/2, else by the
-    argument principle on the count's own bounded samples of the whole
-    circle: 720 from one matrix product with an a priori rounding bound,
-    and, if those leave an arc open, Horner's with a running one), and
-    the margin is positive at every sample of the circle; the
-    margins on the arcs between samples are not proven.  A zero in the
-    disk, a sample where g (numerically) vanishes, or a count that cannot
-    be proven sets zero_in_disk and min_margin -inf, so the report survives
-    but cannot certify.  worst_point is the sample of least
+    0 < |z| <= r_max, proven by zeros._zero_count (see there for the
+    proof each table takes), and the margin is positive at every sample of
+    the circle; the margins on the arcs between samples are not proven.  A
+    zero in the disk, a sample where g (numerically) vanishes, or a count
+    that cannot be proven sets zero_in_disk and min_margin -inf, so the
+    report survives but cannot certify.  worst_point is the sample of least
     margin, ties resolving to the lowest angle index.
 
     The grid's g and g' serve the margins only.  P = z g' / g is computed

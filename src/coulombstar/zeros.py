@@ -1,24 +1,9 @@
 """Zero location, the proven zero count, and the Hadamard product rebuild.
 
 Zeros of the entire function g are counted first, and the table chooses
-the proof, whoever asks.  _zero_count is the count of winding_number,
-starlike.certify, and find_zeros on a complex table or a real one with
-L < -3/2.  It tries Rouche's theorem against z first, which proves a count
-of 1 in one comparison when S(r) + tail0 < 2r.  Where that fails, a real
-table with L > -3/2, whose Jacobi matrix J below is self-adjoint, is
-counted by _inertia_count: two Sturm counts of a section of J bracket the
-number of its eigenvalues beyond 1/r on each side, with no sample of g.
-Every other table is counted by _arc_count on the whole circle: the
-argument principle sums the principal-angle steps of g between the
-routine's own samples, each arc proven to keep g away from 0 by a bound
-from the Coulomb equation: a first-order bound on how far g moves along
-it, or, where that fails, a second-order (Taylor) bound from the same
-samples of g and g'.  Its first samples, g and g' at the 720 points
-r e^(2 pi i k / 720), come from one matrix product with a cached table of
-the roots of unity's powers, under an a priori rounding bound; when they
-leave an arc open, the circle is sampled again by Horner's scheme with its
-running rounding bound, and the open arcs are bisected.  find_zeros counts a real table with
-L > -3/2 by _inertia_count directly, on the section that it then solves.
+the proof, whoever asks: _zero_count's docstring describes that routing.
+find_zeros counts a real table with L > -3/2 by _inertia_count directly,
+on the section that it then solves.
 
 find_zeros then lists the zeros by one eigensolve.  The nonzero zeros of g
 are the reciprocals of the eigenvalues of the tridiagonal Jacobi matrix J of
@@ -413,15 +398,32 @@ def _zero_count(table: CoefficientTable, r: float) -> int | None:
     """The proven count of the zeros of g in |z| < r, for a normal double r, or None.
 
     The one count of winding_number, starlike.certify, and find_zeros on
-    every table it does not solve by eigvalsh.  The tails at r come first,
-    the table's own when r is its radius, and one that is not certified
-    raises NoConvergence.  Rouche's theorem
-    against z: a_0 = 1, so |g(z) - z| <= S - r + tail0 on |z| = r, S =
-    _abs_sum's S(r), and S + tail0 < 2r leaves g only the origin's zero in
-    the closed disk.  Where that fails, a real table with L > -3/2 takes
-    _inertia_count on J_N, N = _section_size(params, r), and every other
-    table _arc_count on the whole circle: one matrix product for its 720
-    first samples, and Horner's samples when it leaves an arc open.
+    every table it does not solve by eigvalsh; the table chooses the proof.
+    The tails at r come first, the table's own when r is its radius, and
+    one that is not certified raises NoConvergence.  Then, in order:
+
+    1. Rouche's theorem against z: a_0 = 1, so |g(z) - z| <= S - r + tail0
+       on |z| = r, S = _abs_sum's S(r), and S + tail0 < 2r leaves g only
+       the origin's zero in the closed disk.  One comparison, which
+       settles almost every disk that certify asks about.
+    2. J's inertia, for a real table with L > -3/2, whose Jacobi matrix is
+       self-adjoint: _inertia_count on J_N, N = _section_size(params, r),
+       where two Sturm counts of the section bracket the number of its
+       eigenvalues beyond 1/r on each side, with no sample of g.
+    3. The product pass of _arc_count, for every other table: g and g' at
+       the 720 points r e^(2 pi i k / 720) from one matrix product with a
+       cached table of the roots of unity's powers, under an a priori
+       rounding bound; the argument principle sums the steps of arg g
+       between them, each arc proven to keep g away from 0 by a first-order
+       bound from the Coulomb equation on how far g moves along it, or else
+       a second-order (Taylor) bound from the same samples of g and g'.
+    4. Horner's fallback: when the product pass leaves an arc open, the
+       whole circle is sampled again by Horner's scheme with its running
+       rounding bound, and the open arcs are bisected until they close.
+
+    None when steps 2 to 4 cannot prove the count: a section of J too
+    short for r, a zero within rounding distance of the circle, or over
+    2^18 samples.
     """
     tails = table.tails if r == table.radius else _tail_bounds(table.coeffs, table.params, r)
     if tails is None:
@@ -445,17 +447,11 @@ def _zero_count(table: CoefficientTable, r: float) -> int | None:
 def winding_number(table: CoefficientTable, radius: float) -> int:
     """Proven count of the zeros of g in |z| < radius, the origin included.
 
-    _zero_count's: Rouche's theorem against z, else J's inertia for a real
-    table with L > -3/2, else the argument principle on 720 samples of the
-    whole circle from one matrix product with an a priori rounding bound,
-    each arc between them closed by a first- or second-order bound from
-    the Coulomb equation; if one arc stays open, the circle is sampled
-    again by Horner's scheme with its running rounding bound, and the open
-    arcs are bisected until they close.  InvalidParams for a radius that is
-    not a finite normal double; NoConvergence when the count cannot be
-    proven: a zero within rounding distance of the circle, a tail not
-    certified at this radius, a section of J too short for it, or over
-    2^18 samples.
+    The count is _zero_count's, whose docstring describes how the table
+    chooses its proof.  InvalidParams for a radius that is not a finite
+    normal double; NoConvergence when the count cannot be proven: a zero
+    within rounding distance of the circle, a tail not certified at this
+    radius, a section of J too short for it, or over 2^18 samples.
     """
     _check_radius("radius", radius)
     count = _zero_count(table, radius)
@@ -620,12 +616,11 @@ def find_zeros(
     The origin zero is structural (g(z) = z + ...) and is not listed.  The
     table whose tail on |z| = R is below tol is built first (tol sizes that
     table alone; it gives the residuals and truncation_order).  The zero
-    count over the trust circle is proven next: for a real table with
-    L > -3/2, by _inertia_count on J_N and its tail's first entries, the
-    section that eigvalsh then solves, with no Rouche test in front; for
-    every other table, by _zero_count, the count of winding_number
-    (Rouche's theorem against z, else _arc_count on the whole circle).  An
-    unproven count raises WindingMismatch, and a count of 1 lists no zero.
+    count over the trust circle is proven next, by _zero_count (see there),
+    except that a real table with L > -3/2 goes straight to _inertia_count
+    on J_N and its tail's first entries, the section that eigvalsh then
+    solves.  An unproven count raises WindingMismatch, and a count of 1
+    lists no zero.
 
     The zeros are then the 1/lambda for the eigenvalues lambda of the
     Jacobi matrix J_N, N = _section_size(params, R), the leading block of

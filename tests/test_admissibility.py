@@ -15,11 +15,12 @@ from coulombstar import (
     exponential_offset_sq,
     exponential_shift_sq,
     extremize,
+    lemniscate_condition,
     lemniscate_offset_sq,
     lemniscate_shift_sq,
     psi_lower_bound,
 )
-from coulombstar import admissibility
+from coulombstar import admissibility, analytic
 
 E = math.e
 SQRT2 = math.sqrt(2.0)
@@ -357,3 +358,15 @@ class TestConstantChecks:
             1 + 1 / E - 1 / E**2, abs=1e-14
         )
         assert exp["lower_bound_positive"] is True
+
+    def test_reads_the_conditions_that_certify_reads(self, monkeypatch):
+        # one (threshold, k) table: moving the lemniscate row moves the
+        # slack of certify's condition, the check's rhs and V's quoted
+        # maximum alike, and the check then reports the mismatch
+        threshold, k = analytic._CONDITIONS["lemniscate"]
+        monkeypatch.setitem(analytic._CONDITIONS, "lemniscate", (threshold + 1e-3, k + 1e-3))
+        assert lemniscate_condition(CoulombParams(0.5, 0.0))[1] == threshold + 1e-3
+        lem = constant_checks()[0]
+        assert lem["rhs"] == threshold + 1e-3
+        assert not lem["consistent"]
+        assert extremize("V").closed_form == (k + 1e-3) ** 2

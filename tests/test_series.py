@@ -5,6 +5,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import coulombstar.series as series
@@ -395,6 +396,46 @@ class TestNonFiniteZ:
         with pytest.raises(DomainError, match="finite"):
             entry(params, z, *args)
         assert grown == []
+
+
+class TestMalformedInput:
+    """A non-integer order or angle count, or a tol that is not positive: InvalidParams up front."""
+
+    PARAMS = CoulombParams(0.5, 0.1)
+
+    @pytest.mark.parametrize("call", [
+        lambda p, tol: eval_g(p, 0.5, tol),
+        lambda p, tol: eval_g_prime(p, 0.5, tol),
+        lambda p, tol: eval_g_second(p, 0.5, tol),
+        lambda p, tol: eval_f(p, 0.5, tol),
+        lambda p, tol: eval_p(p, 0.5, tol),
+        lambda p, tol: table_for_radius(p, 1.0, tol),
+        lambda p, tol: certify(p, StarlikeClass.LEMNISCATE, tol=tol),
+        lambda p, tol: find_zeros(p, 5.0, tol),
+        lambda p, tol: product_convergence_report(p, 0.5, find_zeros(p, 5.0), tol),
+    ], ids=["eval_g", "eval_g_prime", "eval_g_second", "eval_f", "eval_p",
+            "table_for_radius", "certify", "find_zeros", "product_convergence_report"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tol_not_positive(self, call, tol):
+        with pytest.raises(InvalidParams, match="tol must be positive"):
+            call(self.PARAMS, tol)
+
+    @pytest.mark.parametrize("call", [
+        lambda p: ScanGrid(720.0, 0.5),
+        lambda p: ScanGrid(3.5, 0.5),
+        lambda p: make_coefficients(p, 30.5, 1.0),
+        lambda p: kummer_oracle(p, 12.5),
+    ], ids=["angles-720.0", "angles-3.5", "make_coefficients", "kummer_oracle"])
+    def test_integer_argument_not_an_integer(self, call):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            call(self.PARAMS)
+
+    def test_numpy_integers_pass(self):
+        grid = ScanGrid(np.int64(90), 0.5)
+        assert type(grid.angles_per_ring) is int and grid.points().size == 90
+        assert make_coefficients(self.PARAMS, np.int32(10), 1.0) == make_coefficients(
+            self.PARAMS, 10, 1.0)
+        assert kummer_oracle(self.PARAMS, np.int64(6)).order == 6
 
 
 class TestGammaComplex:

@@ -364,12 +364,12 @@ SEEDING_PARAMS = [
 ]
 
 
-class TestSeeding:
+class TestSolverChoice:
     """The one eigensolve: which solver each table takes, and the section it solves."""
 
     @pytest.mark.parametrize("params", SEEDING_PARAMS)
     @pytest.mark.parametrize("radius", [5.0, 12.0, 20.0])
-    def test_bits_match_full_complex_seeding(self, params, radius, monkeypatch):
+    def test_real_solver_matches_the_complex_j(self, params, radius, monkeypatch):
         # a real table's eigvalsh on the real symmetric J agrees with eigvals
         # on the complex symmetric J, which every complex table takes (and
         # there with the same bits)
@@ -384,7 +384,7 @@ class TestSeeding:
 
     @pytest.mark.parametrize("params", SEEDING_PARAMS)
     @pytest.mark.parametrize("radius", [5.0, 12.0, 20.0])
-    def test_prefix_ends_at_the_last_term_above_the_cut(self, params, radius, monkeypatch):
+    def test_section_size(self, params, radius, monkeypatch):
         # the eigensolve takes the section J_N, N = ceil(R) + 20 + ceil(R/10),
         # of _jacobi's N + 2 rows (a real table's inertia count reads the
         # tail's first entries), and lists the zeros that a section of
@@ -430,7 +430,7 @@ class TestSeeding:
                           (CoulombParams(0.2 + 0.1j, 0.3), np.complex128),
                           (CoulombParams(0.5, 0.3 - 0.2j), np.complex128)]
     )
-    def test_companion_dtype(self, params, dtype, monkeypatch):
+    def test_solver_and_dtype_per_table(self, params, dtype, monkeypatch):
         # a real table with every w_n^2 > 0 takes eigvalsh on a real J, a
         # complex table eigvals on a complex one
         calls = _solvers(monkeypatch)

@@ -30,7 +30,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_ab import ROOT, extract  # this script's directory is on sys.path
+
 REFUSAL = re.compile(r"[A-Z][A-Za-z]*")  # fingerprint.py prints a refusal as its class name
 
 
@@ -53,13 +54,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as base:
-        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", "--format=tar", argv[0]],
-                                   stdout=subprocess.PIPE)
-        unpack = subprocess.run(["tar", "-x", "-C", base], stdin=archive.stdout)
-        archive.stdout.close()
-        if archive.wait() or unpack.returncode:
-            print(f"git archive of {argv[0]} failed", file=sys.stderr)
-            return 1
+        extract(argv[0], Path(base))  # exits 1 with a message when git archive fails
         shutil.copyfile(ROOT / "tools" / "fingerprint.py", Path(base) / "tools" / "fingerprint.py")
         runs = [subprocess.Popen([sys.executable, str(Path(tree) / "tools" / "fingerprint.py")],
                                  stdout=subprocess.PIPE, text=True)
