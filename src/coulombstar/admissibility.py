@@ -254,8 +254,8 @@ def extremize(function_tag: str, m: float = 1.0) -> ExtremumReport:
     if not periodic:
         a, b = max(a, lo), min(b, hi)
     located_arg = _golden_section(lambda t: sign * profile(t, m), a, b, _GOLDEN_XTOL)
-    if periodic and located_arg >= 2 * math.pi:
-        located_arg -= 2 * math.pi
+    if periodic:  # the bracket may reach one step past either end of [0, 2 pi)
+        located_arg %= 2 * math.pi
     if not periodic:
         # the refined point is a bracket midpoint, up to xtol/2 short of a
         # clipped end; an extremum on the edge is reported at the end itself

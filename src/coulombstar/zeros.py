@@ -42,7 +42,9 @@ from .series import (
     ComplexValue,
     CoulombParams,
     _abs_sum,
+    _checked_int,
     _tail_bounds,
+    eval_g,
     table_for_radius,
 )
 
@@ -81,7 +83,6 @@ class ZeroSet:
 _CIRCLE_SAMPLES = 720  # _arc_count's first samples on its circle
 _MAX_CIRCLE_SAMPLES = 1 << 18  # samples allowed on one circle, bisection included
 _POWERS: list[np.ndarray] = []  # _power_table's roots and blocks, once a count has built them
-_PRODUCT_MAX_ORDER = 140  # the largest order that _product_samples takes: 411 kB of blocks
 
 
 def _power_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,10 +93,12 @@ def _power_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     about 2u of their own), and W_(180-m) = i conj(W_m) and W_(m+180) =
     i W_m the rest, exactly; the tests check tau against 50 digits.  Each
     block has rows Re W (k = 0 .. 180), then Im W, and a column per j.
-    Built by the first count that asks and rebuilt only for a larger n,
-    and sliced for a smaller one, so the blocks hold 362 doubles per column
-    of the largest order counted: 240 kB at order 81, 411 kB at
-    _PRODUCT_MAX_ORDER, with an int32 index of 51 kB while they are built.
+    Built by the first count that asks (every _arc_count whose series'
+    terms stay in the double range, whatever its order), rebuilt only for
+    a larger n and sliced for a smaller one, so the blocks hold 362
+    doubles per column of the largest order counted: 240 kB at order 81,
+    1.45 MB at order 500 (n = 502), with an int32 index of at most 182 kB
+    while they are built, whose entries k j <= 180 * 501 fit int32.
     """
     if not _POWERS or _POWERS[1].shape[1] + _POWERS[2].shape[1] < n:
         x = np.arange(91) * (np.pi / 360)
@@ -123,9 +126,8 @@ def _product_samples(table: CoefficientTable, r: float, tail0: float, err_p: flo
     within err = 2 (order+3) eps S + tail0 of g(zeta_k), S being the
     computed sum of the |c_j| below (S(r) for the rounded c_j), and u =
     |g_k| + |g'_k| + err + err_p, err_p being _arc_count's.
-    None, with no RuntimeWarning, when the order exceeds
-    _PRODUCT_MAX_ORDER (_power_table's memory), a c_j or d_j is not finite
-    (r too large) or min(r, r^(order+1)) < 2^-1000.
+    Every order takes it; None, with no RuntimeWarning, only when a c_j or
+    d_j is not finite (r too large) or min(r, r^(order+1)) < 2^-1000.
 
     Product.  With n = order + 2, c_j = a_(j-1) r^j (c_0 = 0) and d_j =
     (j+1) a_j r^j (d_(n-1) = 0), the truncated g(zeta_k) = sum_j c_j
@@ -152,18 +154,21 @@ def _product_samples(table: CoefficientTable, r: float, tail0: float, err_p: flo
     c| |C| + |Im c| |S| <= |c| |W| (Cauchy-Schwarz), so each part of g_k
     errs by gamma_(2n) (1 + tau) s at most, and g_k by sqrt(2) times that.
     With min(r, r^(order+1)) >= 2^-1000 no power underflows, and a c_j part
-    or product that does errs by 2^-1075: below 2^-1064 < 2^-12 u s for
-    all 4n per part, since s >= |c_1| = r.  In all, |g_k - g_T(zeta_k)| <=
-    (sqrt(2) gamma_(2n) + tau + gamma_(order+1)) (1 + 1e-12) s <=
-    (1.915 order + 4.34) eps s for the truncated g_T, and 2 (order+3) eps
-    exceeds that by (0.085 order + 1.66) eps.  S, from np.abs within an
-    ulp and a sum within gamma_(n-1), lies within gamma_(n+1) < 1e-13 of s,
-    and err rounds twice, so err - tail0 keeps a spare of over 3.2 u s >=
-    3.1 u |g_k| for _arc_count's first-order test, and tail0 covers the
-    rest of the series.  g'_k errs in the same way, by (1.915 order + 4.34)
-    eps M1 (1 + 1e-12) at most (its d_j parts lie within gamma_(order+1) of
-    their own), below _arc_count's err_p - tail1 = 8 (order+2) eps M1,
-    whose _abs_sum M1 is exact within gamma_(2 order + 3).
+    or product that does errs by 2^-1075: below 2^-1064 <= 2^-11 u s for
+    all 4n <= 2008 per part, since s >= |c_1| = r.  In all, for every
+    order up to MAX_ORDER = 500 (n <= 502), |g_k - g_T(zeta_k)| <=
+    (sqrt(2) gamma_(2n) + tau + gamma_(order+1)) (1 + 1e-12) s + 2^-10 u s
+    <= (1.91422 order + 4.3285) eps s + 2^-10 u s <= (1.915 order + 4.34)
+    eps s for the truncated g_T (961.44 eps s before the underflows at
+    order 500), and 2 (order+3) eps exceeds that by (0.085 order + 1.66)
+    eps.  S, from np.abs within an ulp and a sum within gamma_(n-1), lies
+    within gamma_(n+1) < 1e-13 of s, and err rounds twice, so err - tail0
+    keeps a spare of over 3.2 u s >= 3.1 u |g_k| for _arc_count's
+    first-order test, and tail0 covers the rest of the series.  g'_k errs
+    in the same way, by (1.915 order + 4.34) eps M1 (1 + 1e-12) at most
+    (its d_j parts lie within gamma_(order+1) of their own), below
+    _arc_count's err_p - tail1 = 8 (order+2) eps M1, whose _abs_sum M1 is
+    exact within gamma_(2 order + 3).
     """
     n, a = table.order + 2, np.array(table.coeffs)
     w = np.zeros((n, 2), dtype=complex)
@@ -171,8 +176,7 @@ def _product_samples(table: CoefficientTable, r: float, tail0: float, err_p: flo
         powers = np.cumprod(np.full(n - 1, r))  # r^1 .. r^(order+1)
         w[1:, 0] = a * powers
         w[:-1, 1] = np.arange(1, n) * a * np.append(1.0, powers[:-1])
-    if not (np.isfinite(w).all() and min(r, powers[-1]) >= 2.0 ** -1000
-            and table.order <= _PRODUCT_MAX_ORDER):
+    if not (np.isfinite(w).all() and min(r, powers[-1]) >= 2.0 ** -1000):
         return None
     x = w.view(float)  # columns Re c, Im c, Re d, Im d
     roots, even, odd = _power_table(n)
@@ -254,14 +258,16 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     each sample g'_k below, M1 being _abs_sum's, so u_k = |g_k| + |g'_k| +
     err_k + err_p bounds the exact |g| + |g'| at sample k's point.
 
-    Samples.  The first pass is one matrix product (_product_samples): g_k
-    and g'_k at the exact points zeta_k = r omega^k, omega = e^(2 pi i /
-    720), k = 0 .. 720, with the a priori err_k = 2 (order+3) eps S +
-    tail0.  Its arcs are exact arcs of the circle, of length at most
-    l = r (theta_1 + 8 eps), theta_1 being the double 2 pi / 720 (within
-    2e-18 of it).  When it closes all 720, their angle steps give the
-    count.  When it leaves one open, or returns None, the count drops it
-    and runs the Horner pass on the whole circle, so that each decision and
+    Samples.  The first pass, at every order, is one matrix product
+    (_product_samples): g_k and g'_k at the exact points zeta_k = r
+    omega^k, omega = e^(2 pi i / 720), k = 0 .. 720, with the a priori
+    err_k = 2 (order+3) eps S + tail0.  Its arcs are exact arcs of the
+    circle, of length at most l = r (theta_1 + 8 eps), theta_1 being the
+    double 2 pi / 720 (within 2e-18 of it).  When it closes all 720, their
+    angle steps give the count.  Horner's pass on the whole circle runs in
+    two cases only: the product leaves an arc open, or it returns None
+    because the series' terms c_j or d_j leave the double range.  The
+    count then drops the product's samples, so that each decision and
     refusal of the bisection loop below sees Horner's running bound: g at
     z_k = fl(r e^(i theta_k)), theta_k = 2 pi k / 720 in doubles, by
     _bounded_horner, err_k being its running rounding bound plus tail0, and
@@ -410,16 +416,20 @@ def _zero_count(table: CoefficientTable, r: float) -> int | None:
        self-adjoint: _inertia_count on J_N, N = _section_size(params, r),
        where two Sturm counts of the section bracket the number of its
        eigenvalues beyond 1/r on each side, with no sample of g.
-    3. The product pass of _arc_count, for every other table: g and g' at
-       the 720 points r e^(2 pi i k / 720) from one matrix product with a
-       cached table of the roots of unity's powers, under an a priori
-       rounding bound; the argument principle sums the steps of arg g
-       between them, each arc proven to keep g away from 0 by a first-order
-       bound from the Coulomb equation on how far g moves along it, or else
-       a second-order (Taylor) bound from the same samples of g and g'.
-    4. Horner's fallback: when the product pass leaves an arc open, the
-       whole circle is sampled again by Horner's scheme with its running
-       rounding bound, and the open arcs are bisected until they close.
+    3. The product pass of _arc_count, for every other table, whatever
+       its order: g and g' at the 720 points r e^(2 pi i k / 720) from one
+       matrix product with a cached table of the roots of unity's powers,
+       under an a priori rounding bound; the argument principle sums the
+       steps of arg g between them, each arc proven to keep g away from 0
+       by a first-order bound from the Coulomb equation on how far g moves
+       along it, or else a second-order (Taylor) bound from the same
+       samples of g and g'.
+    4. Horner's fallback, in two cases only: the product pass leaves an
+       arc open, or the series' terms c_j or d_j leave the double range
+       (overflow, or powers of r below 2^-1000), whatever the order.  The
+       whole circle is then sampled again by Horner's scheme with its
+       running rounding bound, and the open arcs are bisected until they
+       close.
 
     None when steps 2 to 4 cannot prove the count: a section of J too
     short for r, a zero within rounding distance of the circle, or over
@@ -709,14 +719,12 @@ def weierstrass_eval(
 
     abs_error is a heuristic taken from the last included factor's deviation
     from 1 (zero when no factor is included); it tracks how much the newest
-    factor is still moving the product, not a rigorous bound.  A z that is
-    not finite raises DomainError, and a product or error that overflows
-    raises NoConvergence.
+    factor is still moving the product, not a rigorous bound.  An n_product
+    that is not an integer in [0, len(zeros)] raises InvalidParams (numpy
+    integers pass), a z that is not finite raises DomainError, and a
+    product or error that overflows raises NoConvergence.
     """
-    if n_product < 0 or n_product > len(zero_set.zeros):
-        raise ValueError(
-            f"n_product must lie in [0, {len(zero_set.zeros)}], got {n_product}"
-        )
+    n_product = _checked_int("n_product", n_product, 0, len(zero_set.zeros))
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
@@ -740,8 +748,6 @@ def product_convergence_report(
     eventually decreasing for z inside the trust radius.  A product or
     error that overflows raises NoConvergence, as in weierstrass_eval.
     """
-    from .series import eval_g
-
     z = complex(z)
     reference = eval_g(params, z, tol).value
     try:

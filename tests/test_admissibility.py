@@ -258,8 +258,8 @@ def _scalar_extremize(tag, m):
     arg = admissibility._golden_section(
         lambda t: sign * profile(t, m), a, b, admissibility._GOLDEN_XTOL
     )
-    if tag in ("A", "B") and arg >= 2 * math.pi:
-        arg -= 2 * math.pi
+    if tag in ("A", "B"):
+        arg %= 2 * math.pi
     if tag in ("U", "V"):
         for end in (lo, hi):
             if a <= end <= b and sign * profile(end, m) < sign * profile(arg, m):

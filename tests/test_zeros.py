@@ -506,14 +506,14 @@ ORIGIN_SEED_BITS = [
 ]
 
 
-class TestPolishPaths:
+class TestListedZeros:
     """What find_zeros lists from the eigenvalues, and what it leaves out."""
 
     @pytest.mark.parametrize(
         "params, radius", [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0),
                            (CoulombParams(-0.3 + 0.2j, 0.8 - 0.1j), 12.0)]
     )
-    def test_each_seed_twice_gives_the_same_bits(self, params, radius, monkeypatch):
+    def test_one_zero_per_eigenvalue_with_repeatable_bits(self, params, radius, monkeypatch):
         # each eigenvalue gives one zero: one _refine_mp call pairs the
         # count - 1 distinct zeros with their residuals, and a second
         # find_zeros gives the same bits
@@ -524,7 +524,7 @@ class TestPolishPaths:
         count = winding_number(table_for_radius(params, radius), radius)
         assert len(args[1]) == len(set(args[1])) == count - 1 == len(expected)
 
-    def test_seed_beyond_reach_is_skipped(self, monkeypatch):
+    def test_eigenvalue_below_one_over_r_is_not_listed(self, monkeypatch):
         # the section's eigenvalues below 1/R (zeros beyond 20, 7 pi among
         # them) are neither listed nor paired with a residual
         solved = _spy(monkeypatch, "eigvalsh", np.linalg)
@@ -544,7 +544,7 @@ class TestPolishPaths:
         assert sorted(z.real for z in beyond) == pytest.approx([-7 * math.pi, 7 * math.pi],
                                                                rel=2e-14)
 
-    def test_rejected_seed_frozen_bits(self):
+    def test_real_zeros_within_19_frozen_bits(self):
         # nine real zeros within 19 on g; at radius 20 the one more is 19.30,
         # and none lies near -19.87, where a companion seed was once rejected
         zs = find_zeros(CoulombParams(2.2, 2.7), 19.0)
@@ -556,13 +556,13 @@ class TestPolishPaths:
         "case, bits", [(REPEATED_ROOT_CASE, REPEATED_ROOT_BITS),
                        (ORIGIN_SEED_CASE, ORIGIN_SEED_BITS)]
     )
-    def test_refined_roots_are_deduplicated_in_one_pass(self, case, bits, monkeypatch):
+    def test_one_eigensolve_lists_each_zero_once(self, case, bits, monkeypatch):
         # one eigensolve lists each zero once, on g, with no dedup distance
         solved = _solvers(monkeypatch)
         _assert_near(find_zeros(*case), bits)
         assert len(solved) == 1
 
-    def test_stalled_seed_is_dropped(self):
+    def test_large_residuals_list_only_zeros_on_g(self):
         # double Newton once accepted a seed near 26.66 - 0.47i, where 8 eps
         # S(R) is about 13, and only the residual gate dropped it: the 19
         # zeros lie on g, none near it, though residuals reach 0.03 there
@@ -613,10 +613,10 @@ NEAR_ORIGIN_CASES = [
 ]
 
 
-class TestMomentSeeds:
+class TestConjugatePairsAndEdges:
     """Complex tables, real tables against their full circle, and zeros near the circle or the origin."""
 
-    def test_complex_tables_match_the_companion_path(self):
+    def test_complex_zeros_match_the_series_polynomial_roots(self):
         # each listed zero lies near a companion-matrix root of the table's
         # series polynomial, an independent route to the truncated g's
         # zeros; the series' rounding and np.roots part them by up to 4e-7
@@ -628,7 +628,7 @@ class TestMomentSeeds:
             for rho in zs.zeros:
                 assert np.min(np.abs(roots - rho)) <= 1e-6 * abs(rho), (params, radius, rho)
 
-    def test_real_table_off_the_brackets_takes_the_mirrored_samples(self, monkeypatch):
+    def test_real_tables_take_eigvalsh_and_list_real_zeros(self, monkeypatch):
         # real tables: one eigvalsh call each, every zero real; for the sine
         # case, g is odd, and each zero's negative is listed with its bits
         cases = [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0), (CoulombParams(1.2, -0.9), 15.0)]
@@ -641,7 +641,7 @@ class TestMomentSeeds:
 
     @pytest.mark.parametrize("params, radius", [(CoulombParams(0.5, 0.3), 12.0),
                                                 (CoulombParams(-1.7, 0.5), 10.0)])
-    def test_mirrored_samples_match_the_full_circle(self, params, radius, monkeypatch):
+    def test_real_count_and_zeros_match_the_complex_path(self, params, radius, monkeypatch):
         # the whole circle's count is the count find_zeros proves for the
         # real table, and the real solver lists what the complex symmetric
         # J lists
@@ -651,7 +651,7 @@ class TestMomentSeeds:
         assert _circle(params, radius) == count == len(zs.zeros) + 1
         _nearest_match(zs.zeros, find_zeros(params, radius).zeros, 1e-14)
 
-    def test_zero_just_outside_the_circle_falls_back(self):
+    def test_zero_just_outside_the_circle_is_not_listed(self):
         # the zero at 1.0006 R is listed at 1.01 R, not at R
         params, radius = NEAR_CIRCLE_CASE
         outside = [abs(rho) / radius for rho in find_zeros(params, 1.01 * radius).zeros]
@@ -1297,19 +1297,29 @@ class TestProductPass:
             assert block[k, j // 2] == w.real and block[181 + k, j // 2] == w.imag
         zeros_module._power_table(124)
         assert sum(b.nbytes for b in zeros_module._POWERS[1:]) == 362 * 124 * 8
+        # order 500, the largest table: 1.45 MB, with W_(180 * 501 mod 720)
+        # in the last column
+        roots, even, odd = zeros_module._power_table(502)
+        assert even.shape == odd.shape == (362, 251)
+        assert sum(b.nbytes for b in zeros_module._POWERS[1:]) == 362 * 502 * 8 == 1_453_792
+        w = roots[180 * 501 % 720]
+        assert odd[180, 250] == w.real and odd[361, 250] == w.imag
 
     def test_samples_lie_within_err(self):
-        # seeded complex tables with R up to 30: each product sample g_k
-        # lies within err - tail0 of the 50-digit truncated g at r omega^k,
-        # g'_k within 8 (order+2) eps M1 of g' there, and z_k within
-        # 1.5 eps r of r omega^k (every 7th k, and the quarter points)
+        # seeded complex tables with R up to 30, and one of order 183:
+        # each product sample g_k lies within err - tail0 of the 50-digit
+        # truncated g at r omega^k, g'_k within 8 (order+2) eps M1 of g'
+        # there, and z_k within 1.5 eps r of r omega^k (every 7th k, and
+        # the quarter points)
         rng = random.Random(20261031)
         cases = [(CoulombParams(complex(rng.uniform(-0.4, 1.4), rng.uniform(-0.3, 0.3)),
                                 complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))),
                   rng.uniform(3.0, 30.0)) for _ in range(4)]
         cases.append((CoulombParams(0.7 + 0.2j, -1.1 + 0.4j), 29.5))
-        for params, r in cases:
-            table = table_for_radius(params, r)
+        tables = [table_for_radius(params, r) for params, r in cases]
+        tables.append(make_coefficients(CoulombParams(0.4 - 0.25j, 0.6 + 0.3j), 183, 3.4))
+        for table in tables:
+            params, r = table.params, table.radius
             tail0 = _tail_bounds(table.coeffs, params, r)[0]
             _, z, g, g_prime, err, _ = zeros_module._product_samples(table, r, tail0, 0.0)
             assert g.size == 721
@@ -1356,22 +1366,24 @@ class TestProductPass:
 
     def test_refused_product_falls_through_to_horner(self, monkeypatch):
         # c_j that overflow (r = 1e300) or powers that reach 2^-1000 give
-        # None with no RuntimeWarning (pytest makes one an error), as does an
-        # order past _PRODUCT_MAX_ORDER; a refused product leaves the whole
-        # circle to Horner, 721 samples, and the same count
+        # None with no RuntimeWarning (pytest makes one an error); a refused
+        # product leaves the whole circle to Horner, 721 samples, and the
+        # same count.  Every order takes the product: an order-500 complex
+        # table at r = 3.7 settles with no Horner sample, and Horner's
+        # count of it is the same
         table = table_for_radius(CoulombParams(0.3 + 0.1j, 0.5 - 0.2j), 15.0)
         assert zeros_module._product_samples(table, 1e300, 0.0, 0.0) is None
         assert zeros_module._product_samples(table, 1e-6, 0.0, 0.0) is None
         assert zeros_module._product_samples(table, 1.0, 0.0, 0.0) is not None
-        top = zeros_module._PRODUCT_MAX_ORDER
-        for order, refused in [(top, False), (top + 1, True)]:
-            big = make_coefficients(table.params, order, 15.0)
-            assert (zeros_module._product_samples(big, 15.0, 0.0, 0.0) is None) == refused
+        big = make_coefficients(CoulombParams(0.9 - 0.2j, -0.7 + 0.1j), 500, 3.7)
+        calls = _spy(monkeypatch, "_bounded_horner")
+        product_count = zeros_module._arc_count(big, big.tails, 3.7)
+        assert product_count is not None and product_count > 1 and not calls
         assert _circle(table.params, 15.0) == 10
         monkeypatch.setattr(zeros_module, "_product_samples", lambda *args: None)
-        calls = _spy(monkeypatch, "_bounded_horner")
         assert _circle(table.params, 15.0) == 10
         assert calls[0][0][1].size == zeros_module._CIRCLE_SAMPLES + 1
+        assert zeros_module._arc_count(big, big.tails, 3.7) == product_count
 
     def test_import_builds_no_table(self):
         code = "import sys, coulombstar.zeros as z; sys.exit(bool(z._POWERS))"
@@ -1554,11 +1566,15 @@ class TestWeierstrassEval:
         assert weierstrass_eval(params, z, zs, 0).abs_error == 0.0
 
     def test_product_count_out_of_range(self):
+        # every refusal is a CoulombError; numpy integers pass
         zs = find_zeros(SINE, 4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams, match=r"n_product must lie in \[0, 2\], got 3"):
             weierstrass_eval(SINE, 0.5, zs, len(zs.zeros) + 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams, match="got -1"):
             weierstrass_eval(SINE, 0.5, zs, -1)
+        with pytest.raises(InvalidParams, match="n_product must be an integer, got 2.5"):
+            weierstrass_eval(SINE, 0.5, zs, 2.5)
+        assert weierstrass_eval(SINE, 0.5, zs, np.int64(2)) == weierstrass_eval(SINE, 0.5, zs, 2)
 
     @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(0.0, math.nan),
                                    complex(-math.inf, math.inf), math.nan])

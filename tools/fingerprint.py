@@ -14,7 +14,11 @@ It covers every output that a benchmark workload checks:
   3,000 inputs drawn from random.Random(20261019): R in U(0.3, 30), a third
   each real, complex and sine (L = eta = 0) parameters; then, for each
   answered find_zeros, product_convergence_report at a point of
-  random.Random(2) inside R/2, as the ``zeros`` workload calls it;
+  random.Random(2) inside R/2, as the ``zeros`` workload calls it, and
+  for every tenth answered input weierstrass_eval there at each n_product;
+* ``high_order_count``: winding_number on 100 complex make_coefficients
+  tables from random.Random(33), 25 each at orders 183, 275, 413 and 500,
+  at their own radius r in U(3, 4);
 * ``certify`` and ``condition``: 605 pairs from random.Random(11) (a third
   each from the sweep box, the wide real box and complex) on 5 grids and 3
   classes, and both sufficient conditions of each pair;
@@ -33,7 +37,7 @@ It covers every output that a benchmark workload checks:
   0 included), kummer_oracle at orders up to 12, and the two ODE residuals,
   100 seeded calls each, from random.Random(4).
 
-It prints 20,846 lines in about 8 s on one core.
+It prints 23,692 lines in about 10 s on one core.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import coulombstar as cs  # noqa: E402
 
 GRIDS = [(3, 0.3626), (12, 0.5), (90, 0.9), (720, 0.999), (1440, 0.75)]
 POINTWISE = (cs.eval_g, cs.eval_g_prime, cs.eval_g_second, cs.eval_f, cs.eval_p)
+HIGH_ORDERS = (183, 275, 413, 500)
 
 
 def fmt(x) -> str:
@@ -107,6 +112,19 @@ def zero_lines() -> None:
         zero_set = emit("zeros", i, lambda: cs.find_zeros(params, radius), zero_list)
         if zero_set is not None:
             emit("product", i, lambda: cs.product_convergence_report(params, z, zero_set))
+            if i % 10 == 0:
+                for n in range(len(zero_set.zeros) + 1):
+                    emit("weierstrass", i,
+                         lambda: evaluation(cs.weierstrass_eval(params, z, zero_set, n)))
+
+
+def high_order_lines() -> None:
+    rng = random.Random(33)
+    for i in range(100):
+        order, radius = HIGH_ORDERS[i % 4], rng.uniform(3.0, 4.0)
+        params = wide_params(rng, 1)
+        emit("high_order_count", i,
+             lambda: cs.winding_number(cs.make_coefficients(params, order, radius), radius))
 
 
 def certify_lines() -> None:
@@ -191,6 +209,7 @@ def series_lines() -> None:
 
 if __name__ == "__main__":
     zero_lines()
+    high_order_lines()
     certify_lines()
     scan_lines()
     pointwise_lines()
