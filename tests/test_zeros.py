@@ -613,10 +613,10 @@ NEAR_ORIGIN_CASES = [
 ]
 
 
-class TestConjugatePairsAndEdges:
+class TestMomentSeeds:
     """Complex tables, real tables against their full circle, and zeros near the circle or the origin."""
 
-    def test_complex_zeros_match_the_series_polynomial_roots(self):
+    def test_complex_tables_match_the_companion_path(self):
         # each listed zero lies near a companion-matrix root of the table's
         # series polynomial, an independent route to the truncated g's
         # zeros; the series' rounding and np.roots part them by up to 4e-7
@@ -628,7 +628,7 @@ class TestConjugatePairsAndEdges:
             for rho in zs.zeros:
                 assert np.min(np.abs(roots - rho)) <= 1e-6 * abs(rho), (params, radius, rho)
 
-    def test_real_tables_take_eigvalsh_and_list_real_zeros(self, monkeypatch):
+    def test_real_table_off_the_brackets_takes_the_mirrored_samples(self, monkeypatch):
         # real tables: one eigvalsh call each, every zero real; for the sine
         # case, g is odd, and each zero's negative is listed with its bits
         cases = [(SINE, 20.0), (CoulombParams(0.5, 0.3), 12.0), (CoulombParams(1.2, -0.9), 15.0)]
@@ -641,7 +641,7 @@ class TestConjugatePairsAndEdges:
 
     @pytest.mark.parametrize("params, radius", [(CoulombParams(0.5, 0.3), 12.0),
                                                 (CoulombParams(-1.7, 0.5), 10.0)])
-    def test_real_count_and_zeros_match_the_complex_path(self, params, radius, monkeypatch):
+    def test_mirrored_samples_match_the_full_circle(self, params, radius, monkeypatch):
         # the whole circle's count is the count find_zeros proves for the
         # real table, and the real solver lists what the complex symmetric
         # J lists
@@ -651,7 +651,7 @@ class TestConjugatePairsAndEdges:
         assert _circle(params, radius) == count == len(zs.zeros) + 1
         _nearest_match(zs.zeros, find_zeros(params, radius).zeros, 1e-14)
 
-    def test_zero_just_outside_the_circle_is_not_listed(self):
+    def test_zero_just_outside_the_circle_falls_back(self):
         # the zero at 1.0006 R is listed at 1.01 R, not at R
         params, radius = NEAR_CIRCLE_CASE
         outside = [abs(rho) / radius for rho in find_zeros(params, 1.01 * radius).zeros]
