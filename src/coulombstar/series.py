@@ -83,7 +83,13 @@ class CoulombParams:
 
 @dataclass(frozen=True)
 class ComplexValue:
-    """An evaluation result together with a certified absolute error bound."""
+    """An evaluation result together with an absolute error bound, abs_error >= 0.
+
+    What abs_error covers depends on the producer, and each producer's
+    docstring states it: eval_g's covers truncation only, gamma_complex's
+    rests on an assumed accuracy of mpmath's gamma, and
+    zeros.weierstrass_eval's is a heuristic, not a bound.
+    """
 
     value: complex
     abs_error: float
@@ -378,8 +384,8 @@ _GAMMA_REL = 1e-12  # assumed relative accuracy of mpmath.fp.gamma; see gamma_co
 
 
 def _normal_range(w: complex) -> bool:
-    """Whether w is finite and |w| is at least the smallest normal double."""
-    return cmath.isfinite(w) and math.hypot(w.real, w.imag) >= sys.float_info.min
+    """Whether |w| is finite and at least the smallest normal double (NaN fails)."""
+    return sys.float_info.min <= math.hypot(w.real, w.imag) < math.inf
 
 
 def gamma_complex(w: complex) -> ComplexValue:
@@ -422,6 +428,8 @@ def normalization_constant(params: CoulombParams) -> ComplexValue:
     A factor or product that overflows, or underflows below the normal
     double range, raises NoConvergence: a subnormal intermediate loses
     relative accuracy, so the relative error model would not bound it.
+    abs_error adds the two gamma factors' relative errors, gamma_complex's
+    stated model, and 1e-15 for the products, times |C|.
     """
     L, eta = params.L, params.eta
     top, top_error = _gamma(L + 1 + 1j * eta)
@@ -461,12 +469,20 @@ def eval_g(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) -> Compl
 
 
 def eval_g_prime(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) -> ComplexValue:
-    """Evaluate g'(z) by termwise differentiation of the series."""
+    """Evaluate g'(z) by termwise differentiation of the series.
+
+    abs_error is the certified tail bound of g' at |z|: as for eval_g, it
+    covers truncation, not floating-point rounding.
+    """
     return _eval_series(params, z, tol, 1)
 
 
 def eval_g_second(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) -> ComplexValue:
-    """Evaluate g''(z) by termwise differentiation of the series."""
+    """Evaluate g''(z) by termwise differentiation of the series.
+
+    abs_error is the certified tail bound of g'' at |z|: as for eval_g, it
+    covers truncation, not floating-point rounding.
+    """
     return _eval_series(params, z, tol, 2)
 
 
@@ -475,7 +491,14 @@ def eval_f(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) -> Compl
 
     z^L uses the principal branch.  At z = 0 the value is 0 when L is a
     nonnegative integer or Re L > 0 (the limit); otherwise the branch point
-    makes the request ill-posed and BranchPoint is raised.
+    makes the request ill-posed and BranchPoint is raised.  Elsewhere,
+    normalization_constant's range rule holds for z^L and F too: a z^L or
+    F that overflows, or falls below the normal double range (where it
+    rounds to a subnormal or to 0 and the relative error model fails),
+    raises NoConvergence, and so does an abs_error that overflows.
+    abs_error carries g's truncation bound and C's abs_error to first
+    order, plus 1e-15 |F| for the products; like eval_g's, it does not
+    cover the rounding of g's series.
     """
     z = complex(z)
     L = params.L
@@ -488,12 +511,18 @@ def eval_f(params: CoulombParams, z: complex, tol: float = DEFAULT_TOL) -> Compl
         )
     constant = normalization_constant(params)
     g = eval_g(params, z, tol)
-    power = cmath.exp(L * cmath.log(z))
+    try:
+        power = cmath.exp(L * cmath.log(z))
+    except OverflowError:
+        power = complex(math.inf)
     value = constant.value * power * g.value
-    abs_error = abs(power) * (
-        abs(constant.value) * g.abs_error + abs(g.value) * constant.abs_error
-    ) + abs(value) * 1e-15
-    return ComplexValue(value=value, abs_error=abs_error)
+    if _normal_range(power) and _normal_range(value):
+        abs_error = abs(power) * (
+            abs(constant.value) * g.abs_error + abs(g.value) * constant.abs_error
+        ) + abs(value) * 1e-15
+        if math.isfinite(abs_error):
+            return ComplexValue(value=value, abs_error=abs_error)
+    raise NoConvergence(f"F = C z^L g or its error bound is out of double range at z = {z!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,9 @@ EXPONENTIAL_THRESHOLD = _CONDITIONS[StarlikeClass.EXPONENTIAL][0]
 
 
 def _scalar_margin(w: complex, flavor: StarlikeClass) -> float:
-    return float(_margin_field(np.array([complex(w)]), flavor)[0])
+    # a w^2 that overflows gives the lemniscate margin -inf, not a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_margin_field(np.array([complex(w)]), flavor)[0])
 
 
 def classical_margin(w: complex) -> float:
@@ -68,7 +70,9 @@ def lemniscate_margin(w: complex) -> float:
     """min(1 - |w^2 - 1|, Re w); positive exactly inside the right loop.
 
     The left loop of the Bernoulli lemniscate (Re w < 0) is outside the
-    region, so w = -1 gets margin -1.
+    region, so w = -1 gets margin -1.  Where w^2 overflows (|w| above about
+    1.3e154) the margin is -inf: an inf - inf in the real part of w^2
+    leaves its imaginary part inf, so |w^2 - 1| is inf, not NaN.
     """
     return _scalar_margin(w, StarlikeClass.LEMNISCATE)
 

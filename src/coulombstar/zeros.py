@@ -2,8 +2,8 @@
 
 Zeros of the entire function g are counted first, and the table chooses
 the proof, whoever asks: _zero_count's docstring describes that routing.
-find_zeros counts a real table with L > -3/2 by _inertia_count directly,
-on the section that it then solves.
+find_zeros counts a _self_adjoint table by _inertia_count directly, on the
+_section that it then solves.
 
 find_zeros then lists the zeros by one eigensolve.  The nonzero zeros of g
 are the reciprocals of the eigenvalues of the tridiagonal Jacobi matrix J of
@@ -412,10 +412,9 @@ def _zero_count(table: CoefficientTable, r: float) -> int | None:
        on |z| = r, S = _abs_sum's S(r), and S + tail0 < 2r leaves g only
        the origin's zero in the closed disk.  One comparison, which
        settles almost every disk that certify asks about.
-    2. J's inertia, for a real table with L > -3/2, whose Jacobi matrix is
-       self-adjoint: _inertia_count on J_N, N = _section_size(params, r),
-       where two Sturm counts of the section bracket the number of its
-       eigenvalues beyond 1/r on each side, with no sample of g.
+    2. J's inertia, for a _self_adjoint table: _inertia_count on its
+       _section at r, where two Sturm counts of J_N bracket the number of
+       its eigenvalues beyond 1/r on each side, with no sample of g.
     3. The product pass of _arc_count, for every other table, whatever
        its order: g and g' at the 720 points r e^(2 pi i k / 720) from one
        matrix product with a cached table of the roots of unity's powers,
@@ -447,10 +446,8 @@ def _zero_count(table: CoefficientTable, r: float) -> int | None:
     # each, against a Horner sum of at least a_0 = 1); 1 + rho is a double.
     if (_abs_sum(table, r, 0) + tails[0]) * (1 + (table.order + 3) * _EPS) < 2 * r:
         return 1
-    L = table.params.L.real
-    if table.is_real and L > -1.5:
-        size = _section_size(table.params, r)
-        return _inertia_count(L, *_jacobi(L, table.params.eta.real, size + 2), r)
+    if _self_adjoint(table):
+        return _inertia_count(*_section(table, r), r)
     return _arc_count(table, tails, r)
 
 
@@ -514,6 +511,27 @@ def _section_size(params: CoulombParams, r: float) -> int:
     return max(math.ceil(r) + 20, turning + 16) + math.ceil(r / 10)
 
 
+def _self_adjoint(table: CoefficientTable) -> bool:
+    """Whether the table's Jacobi matrix J is self-adjoint: a real table with L > -3/2.
+
+    Then every w_n^2 > 0 (see _inertia_count), so the table's count comes
+    from J's inertia and its zeros from np.linalg.eigvalsh.
+    """
+    return table.is_real and table.params.L.real > -1.5
+
+
+def _section(table: CoefficientTable, r: float) -> tuple:
+    """(L, d, w2) of J's section at r: _jacobi at N + 2 rows, N = _section_size(params, r).
+
+    A real table passes L and eta's real parts, so that L is a float and d
+    and w2 are real arrays.  J_N is their leading N x N block, and rows N
+    and N + 1 give _inertia_count its tail.
+    """
+    params = table.params
+    L, eta = (params.L.real, params.eta.real) if table.is_real else (params.L, params.eta)
+    return (L, *_jacobi(L, eta, _section_size(params, r) + 2))
+
+
 def _sturm(diag: list, w2: list, x: float) -> int:
     """The number of negative pivots p_0 = d_0 - x, p_n = (d_n - x) - w_n^2 / p_(n-1).
 
@@ -531,10 +549,11 @@ def _sturm(diag: list, w2: list, x: float) -> int:
 
 
 def _inertia_count(L: float, d: np.ndarray, w2: np.ndarray, r: float) -> int | None:
-    """The proven count of the zeros of g in |z| < r from J's inertia, for real eta and L > -3/2, or None.
+    """The proven count of the zeros of g in |z| < r from J's inertia, for a _self_adjoint table, or None.
 
-    d and w2 are _jacobi's at size N + 2 (d_0 .. d_(N+1), w_1^2 .. w_(N+1)^2)
-    for the double L and eta, N >= 2; J_N is the leading N x N block.
+    L, d and w2 are the table's _section at r: _jacobi's d_0 .. d_(N+1) and
+    w_1^2 .. w_(N+1)^2 for the double L and eta, N >= 2; J_N is the leading
+    N x N block.
 
     Operator identity.  m_n = L + n + 1 > 1/2 for n >= 1, so every w_n^2 >
     0, and J with w_n > 0 is a bounded self-adjoint operator on l^2,
@@ -627,24 +646,21 @@ def find_zeros(
     table whose tail on |z| = R is below tol is built first (tol sizes that
     table alone; it gives the residuals and truncation_order).  The zero
     count over the trust circle is proven next, by _zero_count (see there),
-    except that a real table with L > -3/2 goes straight to _inertia_count
-    on J_N and its tail's first entries, the section that eigvalsh then
-    solves.  An unproven count raises WindingMismatch, and a count of 1
-    lists no zero.
+    except that a _self_adjoint table goes straight to _inertia_count on its
+    _section, the one that eigvalsh then solves.  An unproven count raises
+    WindingMismatch, and a count of 1 lists no zero.
 
     The zeros are then the 1/lambda for the eigenvalues lambda of the
-    Jacobi matrix J_N, N = _section_size(params, R), the leading block of
-    _jacobi at size N + 2, with
-    |lambda| R >= 1: one eigensolve, chosen by the table.  A complex table
-    takes np.linalg.eigvals on the complex symmetric J.  A real table with
-    L > -3/2, whose w_n^2 are all positive, takes np.linalg.eigvalsh, and
-    when eta = 0, where g is odd, lists +-1/lambda over the positive lambda,
-    so that each zero's negative has the same bits.  A real table with
-    L < -3/2, where some w_n^2 < 0, takes np.linalg.eigvals on the real
-    tridiagonal with |w_n| above the
-    diagonal and sign(w_n^2) |w_n| below it, which is similar to J: its real
-    zeros have imaginary part 0.0 and its conjugate pairs are exact.  An
-    eigensolver that fails raises NoConvergence.
+    Jacobi matrix J_N, the leading N x N block of the table's _section at R,
+    with |lambda| R >= 1: one eigensolve, chosen by the table.  A complex
+    table takes np.linalg.eigvals on the complex symmetric J.  A
+    _self_adjoint table takes np.linalg.eigvalsh, and when eta = 0, where g
+    is odd, lists +-1/lambda over the positive lambda, so that each zero's
+    negative has the same bits.  A real table with L < -3/2, where some
+    w_n^2 < 0, takes np.linalg.eigvals on the real tridiagonal with |w_n|
+    above the diagonal and sign(w_n^2) |w_n| below it, which is similar to
+    J: its real zeros have imaginary part 0.0 and its conjugate pairs are
+    exact.  An eigensolver that fails raises NoConvergence.
 
     The list plus the origin must match the count, or WindingMismatch.
     Zeros are sorted by modulus, ties broken by principal-branch argument,
@@ -654,21 +670,15 @@ def find_zeros(
     """
     _check_radius("trust_radius", trust_radius)
     table = table_for_radius(params, trust_radius, tol)
-    size = _section_size(params, trust_radius)
-    real = table.is_real
-    L, eta = (params.L.real, params.eta.real) if real else (params.L, params.eta)
-    symmetric = real and L > -1.5
-    d, w2 = _jacobi(L, eta, size + 2)
-    if symmetric:
-        count = _inertia_count(L, d, w2, trust_radius)
-    else:
-        count = _zero_count(table, trust_radius)
+    symmetric = _self_adjoint(table)
+    L, d, w2 = _section(table, trust_radius)
+    count = _inertia_count(L, d, w2, trust_radius) if symmetric else _zero_count(table, trust_radius)
     if count is None:
         raise WindingMismatch(f"winding count over |z| = {trust_radius} is unproven")
     if count == 1:
         return ZeroSet(params, trust_radius, table.order, (), ())
     d, w2 = d[:-2], w2[:-2]
-    if real:
+    if table.is_real:
         upper = np.sqrt(np.abs(w2))
         lower = np.sign(w2) * upper
     else:

@@ -285,6 +285,12 @@ class TestPsiLowerBound:
         assert abs(psi) == pytest.approx(9.107337927389695, abs=1e-12)
         assert bound.offset_abs == pytest.approx(abs(psi), rel=1e-14)
 
+    def test_chain_record_renders(self):
+        _, bound = psi_lower_bound(CoulombParams(0.5, 0.0), "lemniscate", 0.0, 1.0, 0.0)
+        assert bound.to_jsonable() == {"abs_psi": bound.abs_psi, "offset_abs": bound.offset_abs,
+                                       "shift_abs": bound.shift_abs,
+                                       "chain_value": bound.chain_value}
+
     def test_z_outside_disk(self):
         with pytest.raises(DomainError):
             psi_lower_bound(CoulombParams(0.5, 0.0), "lemniscate", 0.0, 1.0, 1.0)

@@ -40,6 +40,11 @@ class TestRenderJson:
     def test_key_order_is_insertion_order(self):
         assert render_json({"b": 1, "a": 2}) == '{"b": 1, "a": 2}'
 
+    @pytest.mark.parametrize("obj", [1 + 2j, object(), {1.0}])
+    def test_other_types_are_refused(self, obj):
+        with pytest.raises(TypeError, match="cannot render"):
+            render_json(obj)
+
 
 class TestEval:
     def test_g_at_one(self, runner):
@@ -85,6 +90,16 @@ class TestEval:
         assert result.exit_code == 4
         assert result.stdout == ""
 
+    def test_power_overflow_exit_four(self, runner):
+        # z^L = 10^960 overflows: one error line and no traceback
+        result = invoke(
+            runner,
+            ["eval", "--L=-3.2", "--eta", "0", "--z", "1e-300", "--function", "f"],
+        )
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
     def test_f_matches_g_for_sine(self, runner):
         result = invoke(
             runner, ["eval", "--L", "0", "--eta", "0", "--z", "1", "--function", "f"]
@@ -110,6 +125,11 @@ class TestEval:
     def test_complex_param_syntax(self, text, value):
         # only a final i is the imaginary unit, so the i of inf stays put
         assert ComplexParam().convert(text, None, None) == value
+
+    def test_complex_param_passes_a_complex_through(self):
+        # click converts a default value too, which may already be complex
+        w = complex(-0.0, 2.5)
+        assert ComplexParam().convert(w, None, None) is w
 
     @pytest.mark.parametrize("flag, text, code", [
         ("--L", "inf", 3), ("--L", "nan", 3), ("--eta", "Infinity", 3), ("--eta", "-infi", 3),

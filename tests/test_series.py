@@ -199,6 +199,14 @@ class TestMakeCoefficients:
         assert d1 <= bounds[1]
         assert d2 <= bounds[2]
 
+    def test_radius_zero_has_zero_tails(self):
+        coeffs = _recurrence_coefficients(CoulombParams(0.5, 0.1), 16)
+        assert _tail_bounds(coeffs, CoulombParams(0.5, 0.1), 0.0) == (0.0, 0.0, 0.0)
+
+    def test_tail_that_overflows_is_not_certified(self):
+        # q = 1/6 certifies, but mu = 1e308 makes tail1 = 1.96e308 overflow to inf
+        assert _tail_bounds([1.0, 0.0, 1e308], CoulombParams(0.0, 0.0), 1.0) is None
+
     def test_scheduled_table_matches_fresh_recurrence(self):
         # growing one list through the schedule gives the same bits as a
         # recurrence run from scratch at the chosen order
@@ -626,6 +634,27 @@ class TestEvalF:
         z = 1e-4
         got = eval_f(p, z).value
         assert abs(got - c * z**2) <= abs(c) * z**3
+
+    def test_power_overflow_refuses(self):
+        # z^L = 10^960 overflows: NoConvergence, not an untyped OverflowError
+        with pytest.raises(NoConvergence, match="out of double range"):
+            eval_f(CoulombParams(-3.2, 0.0), 1e-300)
+
+    @pytest.mark.parametrize("L, z", [(5.0, 1e-70), (40.0, 1e-9), (5.0, 1e-60)])
+    def test_underflow_refuses(self, L, z):
+        # F is about C 10^-420, C 10^-369 and C 10^-360, below the normal
+        # range (z^L itself underflows to 0 in the first two), so 0 with
+        # abs_error 0 would be a false bound
+        with pytest.raises(NoConvergence, match="out of double range"):
+            eval_f(CoulombParams(L, 0.0), z)
+
+    def test_small_normal_value_answers(self):
+        # F about 1e-304 stays in the normal range and keeps its relative accuracy
+        p, z = CoulombParams(5.0, 0.0), 1e-50
+        got = eval_f(p, z)
+        expected = complex(mp.coulombf(5, 0, z))
+        assert 1e-305 < abs(got.value) < 1e-303
+        assert abs(got.value - expected) <= got.abs_error + 1e-13 * abs(expected)
 
 
 # ---------------------------------------------------------------------------

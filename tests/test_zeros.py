@@ -848,9 +848,9 @@ class TestJacobi:
 
 
 def _inertia(params, radius):
-    """_inertia_count as find_zeros calls it: J_N and the tail's first entries."""
-    L, eta, size = params.L.real, params.eta.real, zeros_module._section_size(params, radius)
-    return zeros_module._inertia_count(L, *zeros_module._jacobi(L, eta, size + 2), radius)
+    """_inertia_count as find_zeros calls it, on the _section of the table it builds."""
+    table = table_for_radius(params, radius)
+    return zeros_module._inertia_count(*zeros_module._section(table, radius), radius)
 
 
 class TestInertiaCount:
@@ -924,6 +924,21 @@ class TestInertiaCount:
     def test_l_next_to_the_pole_is_unproven(self):
         # near L = -3/2 the rounding of 2 m_1 - 1 in w_1^2 is unbounded
         assert _inertia(CoulombParams(-1.5 + 1e-15, 0.3), 5.0) is None
+
+    def test_kappa_that_overflows_is_unproven(self):
+        # |d_0| + |d_1| = 2e308 overflows, while the tail t = 0.21 < a = 1
+        d = np.array([1e308, 1e308, 0.1, 0.1, 0.01, 0.01])
+        w2 = np.full(5, 0.01)
+        assert zeros_module._inertia_count(0.0, d, w2, 1.0) is None
+
+    def test_zero_pivot_is_unproven(self):
+        # at x = a + kappa, about 1, the pivots run -0.9, -0.89, 1e150, then
+        # (1e150 - x) - 1e300 / 1e150 = 0 exactly, and the next step divides by it
+        d = np.array([0.1, 0.1, 1e150, 1e150, 0.1, 0.01, 0.01])
+        w2 = np.array([0.01, 0.0, 1e300, 0.0, 0.01, 0.01])
+        with pytest.raises(ZeroDivisionError):
+            zeros_module._sturm(d[:5].tolist(), w2[:4].tolist(), 1.0)
+        assert zeros_module._inertia_count(0.0, d, w2, 1.0) is None
 
 
 class TestWindingNumber:

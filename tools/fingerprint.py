@@ -28,6 +28,9 @@ It covers every output that a benchmark workload checks:
   is refused as NaN rows;
 * ``eval_g``, ``eval_g_prime``, ``eval_g_second``, ``eval_f``, ``eval_p``:
   1,000 seeded scalar calls, 200 of each;
+* ``eval_f_small``: eval_f at 100 points from random.Random(34), with
+  real L in U(0, 6), eta in U(-1, 1) and |z| = 10^U(-300, -1), where z^L
+  or F may fall below the normal double range;
 * ``extremize``, ``constant_checks``, ``profile`` and ``psi``: the four
   profile extrema at 30 values of m from random.Random(3), m < 1 included,
   as the ``cli`` workload's verify-lemmas calls them, the threshold
@@ -37,7 +40,7 @@ It covers every output that a benchmark workload checks:
   0 included), kummer_oracle at orders up to 12, and the two ODE residuals,
   100 seeded calls each, from random.Random(4).
 
-It prints 23,692 lines in about 10 s on one core.
+It prints 23,792 lines in about 10 s on one core.
 """
 
 from __future__ import annotations
@@ -167,6 +170,14 @@ def pointwise_lines() -> None:
         emit(f.__name__, i, lambda: evaluation(f(params, z)))
 
 
+def small_f_lines() -> None:
+    rng = random.Random(34)
+    for i in range(100):
+        params = cs.CoulombParams(rng.uniform(0.0, 6.0), rng.uniform(-1.0, 1.0))
+        z = cmath.rect(10 ** rng.uniform(-300.0, -1.0), rng.uniform(-cmath.pi, cmath.pi))
+        emit("eval_f_small", i, lambda: evaluation(cs.eval_f(params, z)))
+
+
 def lemma_lines() -> None:
     rng = random.Random(3)
     for i in range(30):
@@ -213,5 +224,6 @@ if __name__ == "__main__":
     certify_lines()
     scan_lines()
     pointwise_lines()
+    small_f_lines()
     lemma_lines()
     series_lines()
