@@ -6,11 +6,13 @@ past which the offset profile U overflows, and large |eta|; the points
 have |z| from 1e-300 to 1e3.  Under the RuntimeWarning-as-error policy,
 each call must return, with a finite value and abs_error where it returns
 an evaluation, or raise a CoulombError.  Any other exception is a fault.
+certify and parameter_scan take grids down to the least normal r_max.
 """
 
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -56,7 +58,8 @@ def _zeros_and_products(params, radius, z):
 def _calls(params, z, rng):
     """(name, function, args) for every public evaluator, counter, certifier and profile."""
     radius = rng.choice((1e-300, 0.5, 3.0, 12.0, abs(z), 1e300))
-    grid = cs.ScanGrid(8, rng.choice((1e-300, 0.5, 0.999)))
+    # at the least normal r_max every power past z_k^1 underflows
+    grid = cs.ScanGrid(8, rng.choice((1e-300, 0.5, 0.999, sys.float_info.min)))
     theta, m = params.L.real, abs(params.eta.real) + 1.0
     inside = z if abs(z) < 1 else 0.5 * z / abs(z)
     calls = [(name, getattr(cs, name), (params, z)) for name in (

@@ -3,7 +3,9 @@
 import math
 import random
 import sys
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from coulombstar.series import CoefficientTable, _tail_bounds
 from coulombstar.zeros import _arc_count
 
 INSTANCE = CoulombParams(0.5, 0.1)
+EPS = sys.float_info.epsilon
 
 
 class TestMargins:
@@ -317,19 +320,25 @@ class TestCertify:
 
     def test_rouche_pair_evaluates_no_bounded_sample(self, monkeypatch):
         # S + tail0 < 2 r_max proves the disk: g is evaluated on the grid
-        # only, on its upper half for a real pair
+        # only, by one product over its upper half for a real pair, and by
+        # no Horner pass
         sizes = []
-        g_values = CoefficientTable.g_values
+        samples = starlike._samples
 
-        def counted(table, z):
-            sizes.append(np.size(z))
-            return g_values(table, z)
+        def counted(table, grid, m):
+            sizes.append(m)
+            return samples(table, grid, m)
 
         def sampled(*args):
             raise AssertionError("certify evaluated a bounded sample")
 
-        monkeypatch.setattr(CoefficientTable, "g_values", counted)
+        def horner(*args):
+            raise AssertionError("certify took a Horner pass")
+
+        monkeypatch.setattr(starlike, "_samples", counted)
         monkeypatch.setattr(zeros_module, "_bounded_horner", sampled)
+        monkeypatch.setattr(CoefficientTable, "g_values", horner)
+        monkeypatch.setattr(CoefficientTable, "g_prime_values", horner)
         certify(INSTANCE, StarlikeClass.LEMNISCATE)
         assert sizes == [361]
 
@@ -418,6 +427,106 @@ def _count_passes(monkeypatch, params, angles):
 def certify_table(params, r_max):
     """The table certify builds for a circle of radius r_max."""
     return table_for_radius(params, r_max, DEFAULT_TOL, 1)
+
+
+def _grid_samples(params, grid):
+    """certify's table, its sample points and its (g, g') product samples on the grid."""
+    table = certify_table(params, grid.r_max)
+    z = grid.points()
+    if table.is_real:
+        z = z[: z.size // 2 + 1]
+    return table, z, starlike._samples(table, grid, z.size)
+
+
+class TestGridProduct:
+    """certify's g and g' from one product with the grid's power table."""
+
+    @pytest.mark.parametrize("r_max", [1e-3, 0.3626, 0.999])
+    @pytest.mark.parametrize("angles", [1, 2, 3, 12, 101, 720, 1440])
+    def test_samples_lie_within_the_bound(self, angles, r_max):
+        # every g_k lies within 2 (order+3) eps S of the 40-digit truncated
+        # g at the double z_k, and g'_k within 2 (order+3) eps M1 of g'; S
+        # and M1 are taken at the largest |z_k|, which r_max's rounding may
+        # put a few ulp above r_max
+        rng = random.Random(20261021 + angles)
+        pairs = [(rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)),
+                 (complex(rng.uniform(-0.4, 1.4), rng.uniform(-0.3, 0.3)),
+                  complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))),
+                 (0.9, 6.0)]  # order 24 at r_max = 0.999
+        grid = ScanGrid(angles, r_max)
+        for L, eta in pairs:
+            table, z, (g, gp) = _grid_samples(CoulombParams(L, eta), grid)
+            with mp.workdps(40):
+                rho = max(abs(mp.mpc(p)) for p in z.tolist())
+                a = [mp.mpc(c) for c in table.coeffs]
+                S = sum(abs(c) * rho ** (j + 1) for j, c in enumerate(a))
+                M1 = sum((j + 1) * abs(c) * rho ** j for j, c in enumerate(a))
+                g_bound = 2 * (table.order + 3) * EPS * S
+                gp_bound = 2 * (table.order + 3) * EPS * M1
+                for k, p in enumerate(z.tolist()):
+                    h, h_prime = mp.polyval(a[::-1], mp.mpc(p), derivative=True)
+                    assert abs(mp.mpc(p) * h - mp.mpc(g[k])) <= g_bound, (L, eta, k)
+                    assert abs(h + mp.mpc(p) * h_prime - mp.mpc(gp[k])) <= gp_bound, (L, eta, k)
+
+    @pytest.mark.parametrize("angles", [1, 2, 3, 12, 101, 720, 1440])
+    def test_real_table_is_real_on_the_axis(self, angles):
+        # z_0 = r_max, and z_(n/2) = -r_max for even n: a real table's g and
+        # g' there have imaginary part 0 exactly
+        for L, eta in [(0.5, 0.1), (-0.4, 0.8), (0.9, 6.0)]:
+            table, z, samples = _grid_samples(CoulombParams(L, eta), ScanGrid(angles, 0.999))
+            axis = [0] if angles % 2 else [0, angles // 2]
+            assert table.is_real and z[axis].imag.tolist() == [0.0] * len(axis)
+            assert samples[:, axis].imag.tolist() == [[0.0] * len(axis)] * 2
+
+    def test_table_is_kept_and_grows_with_the_order(self):
+        # the same grid reuses its table; a larger order rebuilds it with
+        # more rows, a smaller one slices it, and a complex table's whole
+        # circle widens it
+        grid = ScanGrid(12, 0.999)
+        certify(INSTANCE, StarlikeClass.LEMNISCATE, grid)
+        kept = grid.__dict__["_powers"]
+        assert kept.shape == (18, 7) and not kept.flags.writeable
+        assert kept[1].tolist() == grid.points()[:7].tolist()
+        certify(CoulombParams(0.3, -0.2), StarlikeClass.CLASSICAL, grid)
+        assert grid.__dict__["_powers"] is kept
+        certify(CoulombParams(0.9, 6.0), StarlikeClass.CLASSICAL, grid)  # order 24
+        grown = grid.__dict__["_powers"]
+        assert grown.shape == (26, 7) and grown[:18].tolist() == kept.tolist()
+        certify(INSTANCE, StarlikeClass.LEMNISCATE, grid)
+        assert grid.__dict__["_powers"] is grown
+        certify(CoulombParams(0.5 + 0.05j, 0.1), StarlikeClass.LEMNISCATE, grid)
+        assert grid.__dict__["_powers"].shape == (26, 12)
+
+    def test_default_grid_keeps_its_table(self):
+        # certify and parameter_scan with no grid share one grid, equal to
+        # ScanGrid(), and its table
+        certify(INSTANCE, StarlikeClass.LEMNISCATE)
+        kept = starlike._DEFAULT_GRID.__dict__["_powers"]
+        report = certify(CoulombParams(0.3, -0.2), StarlikeClass.EXPONENTIAL)
+        parameter_scan((0.4, 0.5, 0.1), (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL)
+        assert report.grid is starlike._DEFAULT_GRID and report.grid == ScanGrid()
+        assert starlike._DEFAULT_GRID.__dict__["_powers"] is kept
+
+    @pytest.mark.parametrize("L, peak_limit", [(0.5, 2 * 9.13), (0.5 + 0.05j, 2 * 18.25)])
+    def test_large_grid_keeps_no_table(self, L, peak_limit):
+        # at 2^18 angles the table is built and multiplied in blocks and
+        # not kept: certify retains at most _TABLE_ENTRIES complex entries,
+        # and its traced peak stays within twice the 9.13 MiB (real) and
+        # 18.25 MiB (complex) that two Horner passes took
+        params = CoulombParams(L, 0.1)
+        certify(params, StarlikeClass.LEMNISCATE, ScanGrid(12, 0.999))
+        grid = ScanGrid(1 << 18, 0.999)
+        grid.points()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = certify(params, StarlikeClass.LEMNISCATE, grid)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.certified and "_powers" not in grid.__dict__
+        assert after - before <= 16 * starlike._TABLE_ENTRIES
+        assert peak - before <= peak_limit * 2**20
 
 
 class TestCircleWinding:

@@ -11,13 +11,17 @@ is ``python3 perfbench/run.py --workload W --seed S --seconds T`` from its
 own tree, T being ``BENCHMARK.json``'s ``run_seconds``, with
 ``PYTHONDONTWRITEBYTECODE=1`` and every ``__pycache__`` removed first, and
 the pairs alternate which tree runs first (REV first in even pairs).  The last stdout line of each run carries its metrics.
+After a workload's pairs comes one traced pair (``--trace 1``, REV first)
+on its first seed, whose last lines carry the per-layer metrics of
+``perfbench/spans.py`` instead.
 
 It writes ``BENCH_<N>.json`` in the layout of the earlier
 ``BENCH_*.json`` files: the SHA of REV, the git tree id of the change's
 ``src/``, a machine note, and for each workload and each end-to-end metric
 of ``BENCHMARK.json`` both sides' median, quartiles (linear, as numpy's
 25th and 75th percentiles), minimum, maximum and values, the pairs the
-change wins, and the ratio of the medians.  With --claim it adds whether
+change wins, and the ratio of the medians, and under ``trace`` each
+per-layer metric of both sides' traced runs.  With --claim it adds whether
 the metric is better on at least nine of ten pairs and better in the
 median by more than the distance between the parent's quartiles.  It
 prints one line per run as it goes.  Standard library only.
@@ -88,13 +92,13 @@ def src_tree_id() -> str:
         return git("rev-parse", git("write-tree", env=env) + ":src")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One run.py result from a tree with no bytecode cache."""
     for cache in list(tree.rglob("__pycache__")):
         shutil.rmtree(cache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if proc.returncode:
         sys.stderr.write(proc.stderr)
@@ -130,6 +134,30 @@ def compare(runs: dict[str, list[dict]], declared: list[dict]) -> dict:
     }
 
 
+def traced(runs: dict[str, list[dict]], seed: int) -> dict:
+    """One workload's traced record: each per-layer metric's unit and both sides' values."""
+    (parent,), (change,) = runs["parent"], runs["change"]
+    return {
+        "seed": seed, "all_correct": parent["correct"] and change["correct"],
+        "metrics": {name: {"unit": record["unit"], "parent": record["value"],
+                           "change": change["metrics"][name]["value"]}
+                    for name, record in parent["metrics"].items()},
+    }
+
+
+def alternate(trees: dict[str, Path], workload: str, pairs: list[int], seconds: float,
+              trace: int = 0) -> dict[str, list[dict]]:
+    """Both sides' runs on each seed of `pairs`, REV first in even pairs, each printed as it ends."""
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(pairs):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(run(trees[side], workload, seed, seconds, trace))
+            values = runs[side][-1]["metrics"]
+            print(workload, seed, side + (" traced" if trace else ""), " ".join(
+                f"{name}={values[name]['value']:.6g}" for name in values), flush=True)
+    return runs
+
+
 def claim(workloads: dict, text: str) -> dict:
     workload, metric = text.split()
     record = workloads[workload]["metrics"][metric]
@@ -159,7 +187,8 @@ def main(argv: list[str]) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}; "
                    "parent and change each run from a clean copy of their trees (no __pycache__), "
                    "alternating which side runs first (parent first in even pairs); quartiles are "
-                   "numpy's linear 25th and 75th percentiles; written by tools/bench_ab.py",
+                   "numpy's linear 25th and 75th percentiles; each workload's trace record holds the "
+                   "per-layer metrics of one --trace 1 pair on its first seed; written by tools/bench_ab.py",
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as base:
@@ -169,14 +198,10 @@ def main(argv: list[str]) -> int:
         extract(args.rev, trees["parent"])
         copy_working_tree(trees["change"])
         for workload, pairs in plan:
-            runs = {"parent": [], "change": []}
-            for i, seed in enumerate(pairs):
-                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    runs[side].append(run(trees[side], workload, seed, seconds))
-                    values = runs[side][-1]["metrics"]
-                    print(workload, seed, side, " ".join(
-                        f"{name}={values[name]['value']:.6g}" for name in values), flush=True)
+            runs = alternate(trees, workload, pairs, seconds)
             result["workloads"][workload] = {"seeds": pairs, **compare(runs, declared)}
+            runs = alternate(trees, workload, pairs[:1], seconds, trace=1)
+            result["workloads"][workload]["trace"] = traced(runs, pairs[0])
     if args.claim:
         result["claim"] = claim(result["workloads"], args.claim)
     out = ROOT / f"BENCH_{args.number}.json"
