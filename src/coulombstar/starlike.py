@@ -22,9 +22,10 @@ Positivity of the margin on the arcs between P's samples is not proven.
 For real (L, eta), g has real coefficients and g(conj z) = conj g(z), so
 P and each margin take the same value at conjugate points: the grid is
 conjugate-symmetric, and certify reads the margins of its upper half only.
-The grid keeps a table of its points' powers, and certify takes g and g'
-at the samples from one matrix product with it, under an a priori
-rounding bound (_samples).
+certify takes g and g' at the samples from zeros._circle_samples, the
+one product that the circle count samples by too: the radius rides on the
+series' coefficients, and one cached table of unit-root powers serves
+every grid of the same angle count, under an a priori rounding bound.
 Closed-form sufficient conditions on (L, eta), the rows of
 analytic._CONDITIONS, are provided alongside as fast pre-checks.
 """
@@ -40,11 +41,10 @@ import numpy as np
 
 from .analytic import _CONDITIONS, _near_zero_floor
 from .errors import CoulombError, InvalidParams
-from .series import DEFAULT_TOL, CoefficientTable, CoulombParams, _checked_int, table_for_radius
-from .zeros import _check_radius, _zero_count
+from .series import DEFAULT_TOL, CoulombParams, _checked_int, table_for_radius
+from .zeros import _check_radius, _circle_samples, _zero_count
 
 _MAX_ANGLES = 1 << 18  # angles on one grid: bounds the memory of its g, g', P and margins
-_TABLE_ENTRIES = 1 << 16  # powers that a grid keeps (1 MiB); a larger table is built in blocks and dropped
 
 
 class StarlikeClass(str, enum.Enum):
@@ -129,10 +129,6 @@ class ScanGrid:
     except that for even n the point k = n / 2 is -r_max itself; the lower
     half is its mirror image.  So for real (L, eta), where g(conj z) =
     conj g(z), certify reads the whole circle from the upper half.
-
-    The grid also keeps the powers z_k^j of its points that certify's
-    product reads (_power_blocks): one table for the points and the largest
-    order asked so far, while it holds at most _TABLE_ENTRIES entries.
     """
 
     angles_per_ring: int = 720
@@ -157,44 +153,11 @@ class ScanGrid:
         """Complex sample points on the circle, shape (angles_per_ring,); read-only."""
         return self._points
 
-    def _power_blocks(self, m: int, n: int):
-        """(start, Z) blocks, Z[j, i] = z_(start+i)^j for j < n, that cover the first m points.
-
-        One block, the kept table, when it covers (n, m), or when a table
-        of the larger of the kept and the asked rows and columns holds at
-        most _TABLE_ENTRIES entries (it is then built and kept).  Otherwise
-        blocks of at most that many entries, each built when it is reached
-        and dropped after, so a grid of 2^18 angles keeps no table.
-        """
-        kept = self.__dict__.get("_powers")
-        if kept is not None and kept.shape[0] >= n and kept.shape[1] >= m:
-            return [(0, kept[:n, :m])]
-        rows, cols = (n, m) if kept is None else (max(n, kept.shape[0]), max(m, kept.shape[1]))
-        if rows * cols <= _TABLE_ENTRIES:
-            kept = _powers(self._points[:cols], rows)
-            object.__setattr__(self, "_powers", kept)
-            return [(0, kept[:n, :m])]
-        step = max(1, _TABLE_ENTRIES // n)
-        return ((k, _powers(self._points[k:min(k + step, m)], n)) for k in range(0, m, step))
-
     def to_jsonable(self) -> dict:
         return {"angles_per_ring": self.angles_per_ring, "r_max": self.r_max}
 
 
-def _powers(z: np.ndarray, n: int) -> np.ndarray:
-    """Z[j, k] = z_k^j for j < n, one vectorized multiply per power (np.cumprod is about 3x slower).
-
-    Z[0] = 1 and Z[1] = z exactly; Z[j] = Z[j-1] * z after.  Read-only.
-    """
-    table = np.empty((n, z.size), dtype=complex)
-    table[0], table[1] = 1.0, z
-    for j in range(2, n):
-        np.multiply(table[j - 1], z, out=table[j])
-    table.flags.writeable = False
-    return table
-
-
-_DEFAULT_GRID = ScanGrid()  # certify's and parameter_scan's grid when none is given: its table is kept
+_DEFAULT_GRID = ScanGrid()  # certify's and parameter_scan's grid when none is given
 
 
 @dataclass(frozen=True)
@@ -238,58 +201,6 @@ def _margin_field(P: np.ndarray, flavor: StarlikeClass) -> np.ndarray:
     return margin
 
 
-def _samples(table: CoefficientTable, grid: ScanGrid, m: int) -> np.ndarray:
-    """g and g' at the grid's first m points z_k, the rows of one (2, m) array, from one product.
-
-    With n = order + 2, c_j = a_(j-1) (c_0 = 0) and d_j = (j+1) a_j
-    (d_(n-1) = 0), the truncated g(z_k) = sum_j c_j z_k^j and g'(z_k) =
-    sum_j d_j z_k^j.  The product multiplies the rows Re c and Re d (a real
-    table) or Re c, Im c, Re d and Im d (a complex one) with the real view
-    of the grid's power table (ScanGrid._power_blocks), so each entry is a
-    real inner product of n terms, of a row with Re z_k^j or with Im z_k^j.
-    A real table's g_k is its Re c row's pair; a complex table's g_k is A +
-    i B from the Re c row's pair A and the Im c row's pair B, one rounding
-    per part.  So a real table's samples at +-r_max are exactly real.
-
-    Bound (u = eps/2, gamma_m = m u / (1 - m u); Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, section 3.1).  Let S_k = sum
-    |c_j| |z_k|^j and M1_k = sum |d_j| |z_k|^j.  A complex product rounds by
-    at most sqrt(5) u relatively (Brent, Percival and Zimmermann, Math.
-    Comp. 76, 2007), or 2 u with a fused multiply-add (Jeannerod,
-    Kornerup, Louvet and Muller, Math. Comp. 86, 2017), so each power
-    z_k^j, j - 1 products from z_k, errs by at most 1.1181 (j - 1) eps
-    |z_k|^j for every order up to MAX_ORDER = 500.  A real inner product of
-    n terms errs by at most gamma_n sum |x_i y_i|, in any order of
-    summation, with fused multiply-adds or without (Lemma 3.1 and the remark
-    after it), so a row's pair errs by gamma_n sum_j |x_j| |z_k^j|
-    normwise.  A real table's g_k therefore lies within (1.1181 order +
-    0.5 (order+2)) (1 + 1e-12) eps S_k < 2 (order+3) eps S_k of g_T(z_k),
-    the truncated series at the double z_k.  A complex table's g_k adds one
-    rounding per part and |Re c| + |Im c| <= sqrt(2) |c|: within (1.1181
-    order + sqrt(2) gamma_(n+1) / eps) (1 + 1e-12) eps S_k <= (1.8253 order
-    + 2.1214) (1 + 1e-12) eps S_k < 2 (order+3) eps S_k.  g'_k errs in the
-    same way against M1_k, plus u M1_k for the rounding of d_j, and stays
-    below 2 (order+3) eps M1_k as well.  Each multiplication that
-    underflows adds at most 2^-1075 instead; these stay inside the spare
-    of at least 3.8 eps S_k >= 3.8 eps |z_k| while r_max >= 2^-1014 (1 +
-    sum_j |a_j|).  |z_k| is r_max to within a few u, so S_k is S(r_max) to
-    within about 2 (order+1) eps relatively.
-    """
-    n, a = table.order + 2, np.array(table.coeffs)
-    if table.is_real:
-        a = a.real
-    w = np.zeros((n, 2), dtype=a.dtype)
-    w[1:, 0] = a
-    w[:-1, 1] = np.arange(1, n) * a
-    rows = w.view(float).T  # Re c, Re d; or Re c, Im c, Re d, Im d
-    samples = np.empty((2, m), dtype=complex)
-    for start, powers in grid._power_blocks(m, n):
-        pairs = (rows @ powers.view(float)).view(complex)
-        samples[:, start:start + powers.shape[1]] = (
-            pairs if table.is_real else pairs[0::2] + 1j * pairs[1::2])
-    return samples
-
-
 def certify(
     params: CoulombParams,
     starlike_class: StarlikeClass,
@@ -307,10 +218,11 @@ def certify(
     report survives but cannot certify.  worst_point is the sample of least
     margin, ties resolving to the lowest angle index.
 
-    The grid's g and g' serve the margins only.  They come from one matrix
-    product of the series' coefficients with the grid's power table, each
-    sample within 2 (order+3) eps S of the truncated series at its double
-    point (_samples).  P = z g' / g is computed unmasked, and the margins of
+    The grid's g and g' serve the margins only.  They come from
+    zeros._circle_samples at zeta_k = r_max e^(2 pi i k / n), each within
+    2 (order+3) eps S of the truncated series there; P takes the grid's own
+    point z_k, within 5 eps r_max of zeta_k (the bound and this distance
+    are derived there).  P = z g' / g is computed unmasked, and the margins of
     samples below the near-zero floor are then overwritten.  For a real
     table, g(conj z) = conj g(z), so P and every margin take the same value
     at the grid's mirrored points n - k and k: they are computed on
@@ -324,7 +236,7 @@ def certify(
     z = grid.points()
     if table.is_real:  # the lower half's margins mirror the upper half's
         z = z[: z.size // 2 + 1]
-    g, gp = _samples(table, grid, z.size)
+    g, gp = _circle_samples(table, grid.r_max, grid.angles_per_ring, z.size)[0]
     # g ~ z at the origin: the near-zero floor of eval_p, at |z| = r_max
     near_zero = np.abs(g) < _near_zero_floor(tol, grid.r_max)
     with np.errstate(divide="ignore", invalid="ignore"):

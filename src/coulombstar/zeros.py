@@ -27,6 +27,7 @@ whose partial products converge to g as more zeros are included.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -82,111 +83,170 @@ class ZeroSet:
 
 _CIRCLE_SAMPLES = 720  # _arc_count's first samples on its circle
 _MAX_CIRCLE_SAMPLES = 1 << 18  # samples allowed on one circle, bisection included
-_POWERS: list[np.ndarray] = []  # _power_table's roots and blocks, once a count has built them
+_TABLE_ENTRIES = 1 << 18  # complex entries of the kept tables together (4 MiB); a block holds 1/4
+_TABLES: dict[int, np.ndarray] = {}  # angle count -> its kept _unit_powers table
 
 
-def _power_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 720 roots W_m, and Re and Im of W_(kj mod 720), k <= 180, for the even j < n and the odd.
+def _unit_roots(angles: int) -> np.ndarray:
+    """W_m, m < angles: omega^m to within tau, omega = e^(2 pi i / angles) (see _circle_samples)."""
+    quadrant, rest = np.divmod(np.arange(0, 4 * angles, 4, dtype=np.int32), angles)
+    flip = 2 * rest > angles  # past the first octant: i conj(e^(ix)) at the complement
+    roots = np.exp(1j * (np.where(flip, angles - rest, rest) * (np.pi / (2 * angles))))
+    np.conjugate(roots, out=roots, where=flip)
+    roots *= np.array([1, 1j, -1, -1j, 1])[quadrant + flip]
+    return roots
 
-    Each W_m lies within tau = eps of omega^m, omega = e^(2 pi i / 720):
-    cos and sin give the first octant, m <= 90 (angles m (pi/360) within
-    about 2u of their own), and W_(180-m) = i conj(W_m) and W_(m+180) =
-    i W_m the rest, exactly; the tests check tau against 50 digits.  Each
-    block has rows Re W (k = 0 .. 180), then Im W, and a column per j.
-    Built by the first count that asks (every _arc_count whose series'
-    terms stay in the double range, whatever its order), rebuilt only for
-    a larger n and sliced for a smaller one, so the blocks hold 362
-    doubles per column of the largest order counted: 240 kB at order 81,
-    1.45 MB at order 500 (n = 502), with an int32 index of at most 182 kB
-    while they are built, whose entries k j <= 180 * 501 fit int32.
+
+def _unit_powers(angles: int, n: int):
+    """Blocks W[j, i] = W_((start+i) j mod angles), j < n, that cover k <= angles / 2 in turn.
+
+    Returns (start, W) pairs.  One block, the kept table of these angles,
+    when it has n rows or more (sliced), or when its n (angles // 2 + 1)
+    entries fit _TABLE_ENTRIES: it is then built with n rows and kept.  The
+    kept tables hold at most _TABLE_ENTRIES entries together (4 MiB), so a
+    table that would pass that drops the others first.  certify's default
+    grid and the circle count share the table of 720 angles (2.9 MB at
+    order 500), and a grid of other angles keeps its own beside it, so that
+    certify and its count do not rebuild each other's table.  A larger
+    table, such as a 2^18-angle grid's, comes in blocks of a quarter of
+    _TABLE_ENTRIES (1 MiB, one column at least), each built when it is
+    reached and dropped after.
     """
-    if not _POWERS or _POWERS[1].shape[1] + _POWERS[2].shape[1] < n:
-        x = np.arange(91) * (np.pi / 360)
-        cos, sin = np.cos(x), np.sin(x)
-        quarter = np.concatenate((cos + 1j * sin, (sin + 1j * cos)[89:0:-1]))
-        _POWERS[:] = [np.concatenate((quarter, 1j * quarter, -quarter, -1j * quarter))]
-        for j in (0, 1):
-            index = np.outer(np.arange(181, dtype=np.int32), np.arange(j, n, 2, dtype=np.int32))
-            index %= _CIRCLE_SAMPLES
-            block = np.empty((362, index.shape[1]))
-            np.take(_POWERS[0].real, index, out=block[:181])
-            np.take(_POWERS[0].imag, index, out=block[181:])
-            _POWERS.append(block)
-    roots, even, odd = _POWERS
-    return roots, even[:, :(n + 1) // 2], odd[:, :n // 2]
+    half, kept = angles // 2 + 1, _TABLES.get(angles)
+    if kept is not None and kept.shape[0] >= n:
+        return [(0, kept[:n])]
+    fits, roots = n * half <= _TABLE_ENTRIES, _unit_roots(angles)
+    step = half if fits else max(1, _TABLE_ENTRIES // (4 * n))
+    blocks = ((k, roots[np.outer(np.arange(n), np.arange(k, min(k + step, half))) % angles])
+              for k in range(0, half, step))
+    if not fits:  # too large to keep
+        return blocks
+    kept = next(blocks)[1]
+    kept.flags.writeable = False
+    if kept.size + sum(t.size for key, t in _TABLES.items() if key != angles) > _TABLE_ENTRIES:
+        _TABLES.clear()
+    _TABLES[angles] = kept
+    return [(0, kept)]
 
 
-def _product_samples(table: CoefficientTable, r: float, tail0: float, err_p: float):
-    """g and g' at the 720 points r omega^k from one matrix product, as _arc_count's samples.
+@functools.lru_cache(maxsize=1)
+def _radius_weights(r: float, n: int) -> np.ndarray:
+    """(n, 2) weights (r^j, (j+1) r^j) of _circle_samples' c_j and d_j, read-only.
 
-    Returns the rows theta, z, g, g', err and u of _arc_count's samples at
-    k = 0 .. 720, the last repeating the first: theta 0 (unused), z_k =
-    fl(r W_k), the double that _taylor_closes takes for the exact point
-    zeta_k = r omega^k, g_k and g'_k the values at zeta_k itself, g_k
-    within err = 2 (order+3) eps S + tail0 of g(zeta_k), S being the
-    computed sum of the |c_j| below (S(r) for the rounded c_j), and u =
-    |g_k| + |g'_k| + err + err_p, err_p being _arc_count's.
-    Every order takes it; None, with no RuntimeWarning, only when a c_j or
-    d_j is not finite (r too large) or min(r, r^(order+1)) < 2^-1000.
+    r^j = fl(r^(j-1) r) by np.cumprod, and (j+1) r^j rounds once more.  The
+    last (r, n) is kept: certify asks for one r_max again and again, and
+    _arc_count reads r^(order+1) back after its sample call.  Past the
+    double range (r > 1 only) the weights overflow, under the caller's
+    np.errstate.
+    """
+    weights = np.full((n, 2), r)
+    weights[0] = 1.0
+    np.cumprod(weights[:, 0], out=weights[:, 0])
+    weights[:, 1] = weights[:, 0] * np.arange(1, n + 1)
+    weights.flags.writeable = False
+    return weights
 
-    Product.  With n = order + 2, c_j = a_(j-1) r^j (c_0 = 0) and d_j =
-    (j+1) a_j r^j (d_(n-1) = 0), the truncated g(zeta_k) = sum_j c_j
-    omega^(kj) and g'(zeta_k) = sum_j d_j omega^(kj).  _power_table holds
-    C_kj + i S_kj = W_(kj mod 720) for k <= 180, and the other rows follow
-    exactly from omega^((720-k) j) = conj omega^(kj) and omega^((360+-k) j)
-    = (-1)^j omega^(+-kj).  So two real products, of the even and the odd
-    block with the real and imaginary parts of c and d, give A_p = sum c_j
-    C_kj and B_p = sum c_j S_kj over the even and odd j, and g_k is
-    (A_e +- A_o) +- i (B_e +- B_o), g'_k likewise.  Sign changes and
-    products with i are exact, so each part of g_k is the real inner
-    product sum_j (+-Re c_j C_kj -+ Im c_j S_kj) of 2n terms, summed in
-    some order.
+
+def _circle_samples(table: CoefficientTable, r: float, angles: int, m: int):
+    """g and g' at zeta_k = r omega^k, omega = e^(2 pi i / angles), k < m, from one product.
+
+    m is angles // 2 + 1 at most for a real table's upper half, and up to
+    angles + 1 for the whole circle, k = angles repeating k = 0 as the
+    closing sample of a path.  Returns the rows g_k and g'_k of a (2, m)
+    array, and the (n, 2) array of the product's coefficients, n = order +
+    2: c_j = a_(j-1) r^j (c_0 = 0) and d_j = (j+1) a_j r^j (d_(n-1) = 0),
+    with _radius_weights, so that the truncated g(zeta_k) = sum_j c_j
+    omega^(kj) and g'(zeta_k) = sum_j d_j omega^(kj).  certify and the
+    circle count (_arc_count) both sample their circle here, whatever its
+    radius: the radius rides on the coefficients, and one table of unit
+    roots (_unit_powers) serves each angle count.
+
+    Product.  _unit_powers gives W[j, k] = W_(kj mod angles) on the upper
+    half circle, k <= angles / 2.  The rows Re c and Re d (a real table), or
+    Re c, Im c, Re d and Im d (a complex one), multiply the real view of W in
+    one BLAS product, so each entry is a real inner product of n terms, of
+    a row with Re W_(kj) or with Im W_(kj).  A real table's g_k is its Re c
+    row's pair; a complex table's is A + i B, from the pairs A of Re c and
+    B of Im c, one rounding per part.  The lower half, k > angles / 2,
+    follows exactly by conjugation, since omega^(kj) = conj
+    omega^((angles-k) j): g_k is conj g_(angles-k) for a real table, and
+    conj(A - i B) at angles - k for a complex one, written block by block
+    so that no second copy of the circle is held.  So a real table's
+    samples at k = 0 and k = angles / 2 are exactly real, and the closing
+    sample k = angles equals g_0.  Terms past the double range (r > 1
+    only) overflow to inf or nan; _arc_count, whose radius may reach
+    them, calls this under np.errstate and does not take such samples.
+
+    Roots (_unit_roots).  m / angles is reduced to the first octant in
+    integers, 4m = q angles + s: W_m = i^q (cos x + i sin x) at x = s h, or
+    i^q (sin x + i cos x) at x = (angles - s) h when 2s > angles, with h =
+    fl(pi / (2 angles)), so x <= pi/4.  The swaps, conjugate pairs and
+    products with i^q are exact: W_0 = 1 and W_(angles/2) = -1.  x lies
+    within 2.36 u x <= 1.86 u of its exact angle (fl(pi) is within 0.36 u
+    relative, and the quotient and s h round once each), and with the cos
+    and sin of e^(ix) within an ulp (u at most) each, every W_m lies within
+    tau = (1.86 + sqrt(2)) u < 1.64 eps of omega^m, for every angle count
+    from 1 to 2^18.  The tests find tau <= eps on all 720 and 1440 roots.
 
     Bound (u = eps/2, gamma_m = m u / (1 - m u); Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, section 3.1).  Let s be the
-    exact sum of the |c_j| as rounded.  The powers r^j = fl(r^(j-1) r) lie
-    within gamma_(j-1) of r^j, so each c_j part, one product more, lies
-    within gamma_j of its own: sum_j |c_j - exact| <= gamma_(order+1)
-    (1 + gamma_(order+1)) s.  Each W_m lies within tau = eps of omega^m
-    (_power_table).  A real inner product of m terms errs by at most
-    gamma_m sum |x_i y_i|, in any order of summation, with fused
-    multiply-adds or without (Lemma 3.1 and the remark after it), and |Re
-    c| |C| + |Im c| |S| <= |c| |W| (Cauchy-Schwarz), so each part of g_k
-    errs by gamma_(2n) (1 + tau) s at most, and g_k by sqrt(2) times that.
-    With min(r, r^(order+1)) >= 2^-1000 no power underflows, and a c_j part
-    or product that does errs by 2^-1075: below 2^-1064 <= 2^-11 u s for
-    all 4n <= 2008 per part, since s >= |c_1| = r.  In all, for every
-    order up to MAX_ORDER = 500 (n <= 502), |g_k - g_T(zeta_k)| <=
-    (sqrt(2) gamma_(2n) + tau + gamma_(order+1)) (1 + 1e-12) s + 2^-10 u s
-    <= (1.91422 order + 4.3285) eps s + 2^-10 u s <= (1.915 order + 4.34)
-    eps s for the truncated g_T (961.44 eps s before the underflows at
-    order 500), and 2 (order+3) eps exceeds that by (0.085 order + 1.66)
-    eps.  S, from np.abs within an ulp and a sum within gamma_(n-1), lies
-    within gamma_(n+1) < 1e-13 of s, and err rounds twice, so err - tail0
-    keeps a spare of over 3.2 u s >= 3.1 u |g_k| for _arc_count's
-    first-order test, and tail0 covers the rest of the series.  g'_k errs
-    in the same way, by (1.915 order + 4.34) eps M1 (1 + 1e-12) at most
-    (its d_j parts lie within gamma_(order+1) of their own), below
-    _arc_count's err_p - tail1 = 8 (order+2) eps M1, whose _abs_sum M1 is
-    exact within gamma_(2 order + 3).
+    Stability of Numerical Algorithms, 2002, section 3.1).  Let s = sum
+    |c_j| and M1 = sum |d_j| for the rounded c_j and d_j.  Each r^j =
+    fl(r^(j-1) r) lies within gamma_(j-1) of its own, so each part of c_j
+    lies within gamma_j, and of d_j within gamma_(j+1) ((j+1) r^j rounds
+    first): sum_j |c_j - exact| <= gamma_(order+1) (1 + gamma_(order+1)) s.
+    A real inner product of n terms errs by at most gamma_n sum |x_i y_i|,
+    in any order of summation, with fused multiply-adds or without (Lemma
+    3.1 and the remark after it).  So a real table's g_k, whose two parts'
+    errors add as a vector, lies within gamma_n sum_j |c_j| |W_(kj)| <=
+    gamma_n (1 + tau) s of sum_j c_j W_(kj); a complex table's part Re A -
+    Im B, one rounding more, within gamma_(n+1) sum_j (|Re c_j| |Re W| +
+    |Im c_j| |Im W|) <= gamma_(n+1) (1 + tau) s (Cauchy-Schwarz), and g_k
+    within sqrt(2) times that.  The roots add tau s.  For every order up to
+    MAX_ORDER = 500 (n <= 502), g_k therefore lies within (order + 3.15)
+    eps s (real) or (1.2072 order + 4.27) eps s (complex) of g_T(zeta_k),
+    the truncated series at the exact zeta_k, and 2 (order+3) eps s exceeds
+    both by (0.79 order + 1.73) eps s at least.  g'_k errs in the same way
+    against M1.  With min(r, r^(order+1)) >= 2^-1000 no r^j underflows, and
+    each part of a c_j or d_j or each product that does errs by 2^-1075 at
+    most instead: 4n <= 2008 of them per part, below 2^-1064 <= 2^-11 u s,
+    since s >= |c_1| = r (and M1 >= |d_0| = 1).  Below that radius (certify's
+    grids reach 2^-1022), the underflows are not covered.
+
+    The count's spare.  _arc_count's err = 2 (order+3) eps S + tail0, S the
+    computed sum of the |c_j| (np.abs within an ulp, the sum within
+    gamma_(n-1): within gamma_(n+1) < 1e-13 of s), rounds twice, so err -
+    tail0 keeps a spare of over 3.4 u s > 3.3 u |g_k| beyond g_k's error,
+    which _arc_count's first-order test needs.
+
+    Points.  zeta_k is exact.  The count's double z_k = fl(r W_k) lies
+    within r (tau + u (1 + tau)) < 2.15 eps r of it, and within 1.51 eps r
+    at its 720 angles, where tau <= eps.
+    certify's P takes the grid's own point instead, r_max e^(i theta_k) at
+    the double theta_k = 2 pi k / angles (ScanGrid.points): theta_k lies
+    within 2.36 u theta_k <= 7.42 u of its angle, the exponential's cos and
+    sin within an ulp each, and the product with r_max rounds once, so that
+    point lies within (7.42 + 1.42 + 1) u r < 5 eps r of zeta_k.  Both are r
+    at k = 0 and -r at k = angles / 2, exactly.
     """
     n, a = table.order + 2, np.array(table.coeffs)
-    w = np.zeros((n, 2), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.cumprod(np.full(n - 1, r))  # r^1 .. r^(order+1)
-        w[1:, 0] = a * powers
-        w[:-1, 1] = np.arange(1, n) * a * np.append(1.0, powers[:-1])
-    if not (np.isfinite(w).all() and min(r, powers[-1]) >= 2.0 ** -1000):
-        return None
-    x = w.view(float)  # columns Re c, Im c, Re d, Im d
-    roots, even, odd = _power_table(n)
-    ye, yo = (even @ x[0::2]).view(complex), (odd @ x[1::2]).view(complex)  # rows A_p, B_p
-    (p, q), (m, s) = ((y[:181], 1j * y[181:]) for y in (ye + yo, ye - yo))  # p, m = A_e +- A_o
-    # k = 0 .. 180 from p + q, 181 .. 359 from m - s, 360 .. 539 from m + s, 540 .. 719 from p - q
-    g = np.concatenate((p + q, (m - s)[179:0:-1], (m + s)[:180], (p - q)[180:0:-1], p[:1] + q[:1]))
-    err = np.full(_CIRCLE_SAMPLES + 1, 2 * (table.order + 3) * _EPS * np.abs(w[:, 0]).sum() + tail0)
-    u = np.abs(g[:, 0]) + np.abs(g[:, 1]) + err + err_p
-    return np.array((np.zeros_like(u), np.append(r * roots, r), g[:, 0], g[:, 1], err, u))
+    w = np.zeros((n, 2), dtype=float if table.is_real else complex)
+    w[1:, 0] = w[:-1, 1] = a.real if table.is_real else a  # a_(j-1) and a_j
+    w *= _radius_weights(r, n)
+    rows = w.view(float).T  # Re c, Re d; or Re c, Im c, Re d, Im d
+    half, blocks = angles // 2 + 1, _unit_powers(angles, n)
+    samples = np.empty((2, half if table.is_real and m <= half else angles + 1), dtype=complex)
+    for start, block in blocks:
+        stop = start + block.shape[1]
+        if table.is_real:  # the pairs are g_k and g'_k
+            np.matmul(rows, block.view(float), out=samples[:, start:stop].view(float))
+        else:  # g_k = A + i B, and g_(angles-k) = conj(A - i B)
+            pairs = (rows @ block.view(float)).view(complex)
+            re, im = pairs[0::2], 1j * pairs[1::2]
+            samples[:, start:stop] = re + im
+            samples[:, angles - stop + 1:angles - start + 1] = (re - im)[:, ::-1].conj()
+    if table.is_real and m > half:  # g_(angles-k) = conj g_k
+        samples[:, half:] = samples[:, angles - half::-1].conj()
+    return samples[:, :m], w
 
 
 def _bounded_horner(coeffs, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -259,13 +319,16 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     err_k + err_p bounds the exact |g| + |g'| at sample k's point.
 
     Samples.  The first pass, at every order, is one matrix product
-    (_product_samples): g_k and g'_k at the exact points zeta_k = r
-    omega^k, omega = e^(2 pi i / 720), k = 0 .. 720, with the a priori
-    err_k = 2 (order+3) eps S + tail0.  Its arcs are exact arcs of the
-    circle, of length at most l = r (theta_1 + 8 eps), theta_1 being the
-    double 2 pi / 720 (within 2e-18 of it).  When it closes all 720, their
-    angle steps give the count.  Horner's pass on the whole circle runs in
-    two cases only: the product leaves an arc open, or it returns None
+    (_circle_samples): g_k and g'_k at the exact points zeta_k = r
+    omega^k, omega = e^(2 pi i / 720), k = 0 .. 720 (the last repeats the
+    first), with the a priori err_k = 2 (order+3) eps S + tail0, and z_k =
+    fl(r W_k) from the sampler's table of roots.  It is taken when the
+    product's terms c_j and d_j are finite and min(r, r^(order+1)) >=
+    2^-1000, as its bound needs.  Its arcs are exact arcs of the circle, of
+    length at most l = r (theta_1 + 8 eps), theta_1 being the double
+    2 pi / 720 (within 2e-18 of it).  When it closes all 720, their angle
+    steps give the count.  Horner's pass on the whole circle runs in two
+    cases only: the product leaves an arc open, or it is not taken
     because the series' terms c_j or d_j leave the double range.  The
     count then drops the product's samples, so that each decision and
     refusal of the bisection loop below sees Horner's running bound: g at
@@ -298,8 +361,8 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
       r (1 - cos(phi/2)) <= l^2 / (8r) of the chord of its circle ends.
       For a Horner arc those ends, and the two excursions, lie within
       4 eps r of [z_k, z_(k+1)]; for a product arc each zeta_k lies within
-      r (tau + u (1 + tau)) < 1.51 eps r of fl(r W_k) = z_k, so the chord
-      moves by 3.02 eps r at most.  So with eta = l^2 / (8r) + 8 eps r, g
+      1.51 eps r of its z_k (_circle_samples), so the chord moves by 3.02
+      eps r at most.  So with eta = l^2 / (8r) + 8 eps r, g
       on the path and the computed g_(k+1) lie within R_k = |g'_k| eta +
       rho_k + err_(k+1) of the segment [g_k, g_k + q_k], q_k = g'_k d_k: a
       convex set that holds g_k, and excludes 0 when the segment's distance
@@ -322,7 +385,7 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     gamma_8 (|g_k| + |g'_k| |d_k|), and that is below err_k + err_p l:
     _bounded_horner's mu_k holds its last two terms, |s_1| r + |s_0| >=
     1.99 |g_k| (s_0 = s_1 z_k is g_k), so err_k >= 2.5 eps mu_k > 4.9 eps
-    |g_k| > gamma_8 |g_k|, a product sample's err_k >= 38 eps S is more,
+    |g_k| > gamma_8 |g_k|, a product sample's err_k >= 6 eps S is more,
     while err_p >= 16 eps M1 and |g'_k| |d_k| <= 1.01 M1 l (order <= 500,
     |d_k| <= l).  The computed rho_k, eta, l and c err by a relative
     gamma_30 at most, c l times that through e^(c l), which is finite
@@ -337,7 +400,7 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     of g_k that covers the 1.01 u |g_k|: 2.5 eps mu_k - (2 sqrt(2) + 1) u
     mu_k > 1.17 u mu_k > 2.33 u |g_k| for a Horner sample (mu_k >= 1.99
     |g_k| as above; mu_k's own rounding is below 1e-12 relative, order <=
-    500), over 3.1 u |g_k| for a product sample (_product_samples).  The
+    500), over 3.3 u |g_k| for a product sample (_circle_samples).  The
     computed D_k errs by a relative gamma_30 (1 + c l) < 3e-12 at most
     (c l < 710 where it is finite), so the second copy of D_k holds over
     0.99 of the exact D_k, on every arc however short.
@@ -372,8 +435,13 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
         return closed, size
 
     theta = 2 * np.pi * np.arange(_CIRCLE_SAMPLES + 1) / _CIRCLE_SAMPLES
-    product = _product_samples(table, r, tails[0], err_p)
-    if product is not None:
+    with np.errstate(over="ignore", invalid="ignore"):  # terms past the double range
+        samples, w = _circle_samples(table, r, _CIRCLE_SAMPLES, _CIRCLE_SAMPLES + 1)
+    if np.isfinite(w).all() and min(r, _radius_weights(r, table.order + 2)[-1, 0]) >= 2.0 ** -1000:
+        roots = _unit_powers(_CIRCLE_SAMPLES, 2)[0][1][1]  # the sampler's W_k, k <= 360
+        z = r * np.concatenate((roots, roots[-2::-1].conj()))  # z_720 = z_0 = r
+        err = np.full(z.size, 2 * (table.order + 3) * _EPS * np.abs(w[:, 0]).sum() + tails[0])
+        product = np.array((theta, z, *samples, err, np.abs(samples).sum(axis=0) + err + err_p))
         start, end = product[:, :-1], product[:, 1:]
         if closes(start, end, np.full(_CIRCLE_SAMPLES, r * (theta[1] + 8 * _EPS)))[0].all():
             return round(float(np.angle(end[2] / start[2]).sum()) / (2 * np.pi))
@@ -416,13 +484,14 @@ def _zero_count(table: CoefficientTable, r: float) -> int | None:
        _section at r, where two Sturm counts of J_N bracket the number of
        its eigenvalues beyond 1/r on each side, with no sample of g.
     3. The product pass of _arc_count, for every other table, whatever
-       its order: g and g' at the 720 points r e^(2 pi i k / 720) from one
-       matrix product with a cached table of the roots of unity's powers,
-       under an a priori rounding bound; the argument principle sums the
-       steps of arg g between them, each arc proven to keep g away from 0
-       by a first-order bound from the Coulomb equation on how far g moves
-       along it, or else a second-order (Taylor) bound from the same
-       samples of g and g'.
+       its order: g and g' at the 720 points r e^(2 pi i k / 720) from
+       _circle_samples, the one product that certify's samples also come
+       from, with the table of unit-root powers that certify's 720-angle
+       grids share, under an a priori rounding bound; the argument
+       principle sums the steps of arg g between them, each arc proven to
+       keep g away from 0 by a first-order bound from the Coulomb equation
+       on how far g moves along it, or else a second-order (Taylor) bound
+       from the same samples of g and g'.
     4. Horner's fallback, in two cases only: the product pass leaves an
        arc open, or the series' terms c_j or d_j leave the double range
        (overflow, or powers of r below 2^-1000), whatever the order.  The

@@ -323,11 +323,11 @@ class TestCertify:
         # only, by one product over its upper half for a real pair, and by
         # no Horner pass
         sizes = []
-        samples = starlike._samples
+        samples = starlike._circle_samples
 
-        def counted(table, grid, m):
+        def counted(table, r, angles, m):
             sizes.append(m)
-            return samples(table, grid, m)
+            return samples(table, r, angles, m)
 
         def sampled(*args):
             raise AssertionError("certify evaluated a bounded sample")
@@ -335,7 +335,7 @@ class TestCertify:
         def horner(*args):
             raise AssertionError("certify took a Horner pass")
 
-        monkeypatch.setattr(starlike, "_samples", counted)
+        monkeypatch.setattr(starlike, "_circle_samples", counted)
         monkeypatch.setattr(zeros_module, "_bounded_horner", sampled)
         monkeypatch.setattr(CoefficientTable, "g_values", horner)
         monkeypatch.setattr(CoefficientTable, "g_prime_values", horner)
@@ -408,19 +408,19 @@ class TestCertify:
 def _count_passes(monkeypatch, params, angles):
     """certify's report, and the samples in each of its count's Horner and product passes."""
     sizes, products = [], []
-    bounded_horner, product_samples = zeros_module._bounded_horner, zeros_module._product_samples
+    bounded_horner, circle_samples = zeros_module._bounded_horner, zeros_module._circle_samples
 
     def counted(coeffs, z, r):
         sizes.append(z.size)
         return bounded_horner(coeffs, z, r)
 
-    def multiplied(table, r, tail0, err_p):
-        out = product_samples(table, r, tail0, err_p)
-        products.append(out.shape[1])
+    def multiplied(table, r, angles, m):
+        out = circle_samples(table, r, angles, m)
+        products.append(m)
         return out
 
     monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
-    monkeypatch.setattr(zeros_module, "_product_samples", multiplied)
+    monkeypatch.setattr(zeros_module, "_circle_samples", multiplied)
     return certify(params, StarlikeClass.LEMNISCATE, ScanGrid(angles)), sizes, products
 
 
@@ -429,89 +429,92 @@ def certify_table(params, r_max):
     return table_for_radius(params, r_max, DEFAULT_TOL, 1)
 
 
-def _grid_samples(params, grid):
-    """certify's table, its sample points and its (g, g') product samples on the grid."""
-    table = certify_table(params, grid.r_max)
-    z = grid.points()
-    if table.is_real:
-        z = z[: z.size // 2 + 1]
-    return table, z, starlike._samples(table, grid, z.size)
-
-
 class TestGridProduct:
-    """certify's g and g' from one product with the grid's power table."""
+    """certify's g and g' from zeros._circle_samples, on the one table of its grid's angle count."""
 
     @pytest.mark.parametrize("r_max", [1e-3, 0.3626, 0.999])
     @pytest.mark.parametrize("angles", [1, 2, 3, 12, 101, 720, 1440])
-    def test_samples_lie_within_the_bound(self, angles, r_max):
-        # every g_k lies within 2 (order+3) eps S of the 40-digit truncated
-        # g at the double z_k, and g'_k within 2 (order+3) eps M1 of g'; S
-        # and M1 are taken at the largest |z_k|, which r_max's rounding may
-        # put a few ulp above r_max
+    def test_samples_lie_within_the_bound(self, monkeypatch, angles, r_max):
+        # certify samples g and g' at zeta_k = r_max omega^k by
+        # zeros._circle_samples, whose bound test_zeros.py's
+        # TestProductPass.test_samples_lie_within_err checks on these pairs
+        # and radii: the upper half for a real pair, the whole circle for a
+        # complex one, with the same bits as the whole circle that test
+        # reads.  P takes the grid's own point z_k, which lies within 5 eps
+        # r_max of zeta_k (50 digits), and is zeta_k at k = 0 and n/2
         rng = random.Random(20261021 + angles)
         pairs = [(rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)),
                  (complex(rng.uniform(-0.4, 1.4), rng.uniform(-0.3, 0.3)),
                   complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))),
                  (0.9, 6.0)]  # order 24 at r_max = 0.999
-        grid = ScanGrid(angles, r_max)
+        grid, calls = ScanGrid(angles, r_max), []
+        samples = starlike._circle_samples
+
+        def recorded(table, r, n, m):
+            calls.append((table, r, n, m))
+            out = samples(table, r, n, m)
+            assert out[0].tobytes() == samples(table, r, n, n + 1)[0][:, :m].tobytes()
+            return out
+
+        monkeypatch.setattr(starlike, "_circle_samples", recorded)
         for L, eta in pairs:
-            table, z, (g, gp) = _grid_samples(CoulombParams(L, eta), grid)
-            with mp.workdps(40):
-                rho = max(abs(mp.mpc(p)) for p in z.tolist())
-                a = [mp.mpc(c) for c in table.coeffs]
-                S = sum(abs(c) * rho ** (j + 1) for j, c in enumerate(a))
-                M1 = sum((j + 1) * abs(c) * rho ** j for j, c in enumerate(a))
-                g_bound = 2 * (table.order + 3) * EPS * S
-                gp_bound = 2 * (table.order + 3) * EPS * M1
-                for k, p in enumerate(z.tolist()):
-                    h, h_prime = mp.polyval(a[::-1], mp.mpc(p), derivative=True)
-                    assert abs(mp.mpc(p) * h - mp.mpc(g[k])) <= g_bound, (L, eta, k)
-                    assert abs(h + mp.mpc(p) * h_prime - mp.mpc(gp[k])) <= gp_bound, (L, eta, k)
+            certify(CoulombParams(L, eta), StarlikeClass.CLASSICAL, grid)
+        assert [(r, n, m) for table, r, n, m in calls] == [
+            (r_max, angles, angles // 2 + 1 if table.is_real else angles) for table, *_ in calls]
+        assert [table.is_real for table, *_ in calls] == [True, False, True]
+        z = grid.points()
+        assert z[0] == r_max and (angles % 2 or z[angles // 2] == -r_max)
+        with mp.workdps(50):
+            for k, point in enumerate(z.tolist()):
+                zeta = mp.mpf(r_max) * mp.expjpi(mp.mpf(2 * k) / angles)
+                assert abs(mp.mpc(point) - zeta) <= 5 * EPS * r_max, k
 
     @pytest.mark.parametrize("angles", [1, 2, 3, 12, 101, 720, 1440])
     def test_real_table_is_real_on_the_axis(self, angles):
         # z_0 = r_max, and z_(n/2) = -r_max for even n: a real table's g and
         # g' there have imaginary part 0 exactly
         for L, eta in [(0.5, 0.1), (-0.4, 0.8), (0.9, 6.0)]:
-            table, z, samples = _grid_samples(CoulombParams(L, eta), ScanGrid(angles, 0.999))
+            table = certify_table(CoulombParams(L, eta), 0.999)
+            samples, _ = zeros_module._circle_samples(table, 0.999, angles, angles // 2 + 1)
             axis = [0] if angles % 2 else [0, angles // 2]
-            assert table.is_real and z[axis].imag.tolist() == [0.0] * len(axis)
-            assert samples[:, axis].imag.tolist() == [[0.0] * len(axis)] * 2
+            assert table.is_real and samples[:, axis].imag.tolist() == [[0.0] * len(axis)] * 2
 
-    def test_table_is_kept_and_grows_with_the_order(self):
-        # the same grid reuses its table; a larger order rebuilds it with
-        # more rows, a smaller one slices it, and a complex table's whole
-        # circle widens it
-        grid = ScanGrid(12, 0.999)
-        certify(INSTANCE, StarlikeClass.LEMNISCATE, grid)
-        kept = grid.__dict__["_powers"]
+    def test_table_is_kept_and_grows_with_the_order(self, monkeypatch):
+        # grids of 12 angles read the one table of 12 angles, whatever their
+        # r_max: kept, rebuilt with more rows for a larger order, sliced for
+        # a smaller one, and read by a complex table too (its lower half by
+        # conjugation)
+        monkeypatch.setattr(zeros_module, "_TABLES", {})
+        tables = zeros_module._TABLES
+        certify(INSTANCE, StarlikeClass.LEMNISCATE, ScanGrid(12, 0.999))
+        kept = tables[12]
         assert kept.shape == (18, 7) and not kept.flags.writeable
-        assert kept[1].tolist() == grid.points()[:7].tolist()
-        certify(CoulombParams(0.3, -0.2), StarlikeClass.CLASSICAL, grid)
-        assert grid.__dict__["_powers"] is kept
-        certify(CoulombParams(0.9, 6.0), StarlikeClass.CLASSICAL, grid)  # order 24
-        grown = grid.__dict__["_powers"]
-        assert grown.shape == (26, 7) and grown[:18].tolist() == kept.tolist()
-        certify(INSTANCE, StarlikeClass.LEMNISCATE, grid)
-        assert grid.__dict__["_powers"] is grown
-        certify(CoulombParams(0.5 + 0.05j, 0.1), StarlikeClass.LEMNISCATE, grid)
-        assert grid.__dict__["_powers"].shape == (26, 12)
+        certify(CoulombParams(0.3, -0.2), StarlikeClass.CLASSICAL, ScanGrid(12, 0.5))
+        assert tables[12] is kept
+        certify(CoulombParams(0.9, 6.0), StarlikeClass.CLASSICAL, ScanGrid(12, 0.999))  # order 24
+        grown = tables[12]
+        assert grown.shape == (26, 7) and np.array_equal(grown[:18], kept)
+        certify(INSTANCE, StarlikeClass.LEMNISCATE, ScanGrid(12, 0.3626))
+        certify(CoulombParams(0.5 + 0.05j, 0.1), StarlikeClass.LEMNISCATE, ScanGrid(12, 0.999))
+        assert tables[12] is grown and list(tables) == [12]
 
-    def test_default_grid_keeps_its_table(self):
+    def test_default_grid_keeps_its_table(self, monkeypatch):
         # certify and parameter_scan with no grid share one grid, equal to
-        # ScanGrid(), and its table
+        # ScanGrid(), and its 720 angles' table, the circle count's
+        monkeypatch.setattr(zeros_module, "_TABLES", {})
         certify(INSTANCE, StarlikeClass.LEMNISCATE)
-        kept = starlike._DEFAULT_GRID.__dict__["_powers"]
+        kept = zeros_module._TABLES[720]
         report = certify(CoulombParams(0.3, -0.2), StarlikeClass.EXPONENTIAL)
         parameter_scan((0.4, 0.5, 0.1), (0.0, 0.0, 0.1), StarlikeClass.CLASSICAL)
         assert report.grid is starlike._DEFAULT_GRID and report.grid == ScanGrid()
-        assert starlike._DEFAULT_GRID.__dict__["_powers"] is kept
+        assert zeros_module._TABLES == {720: kept}
+        assert zeros_module._CIRCLE_SAMPLES == starlike._DEFAULT_GRID.angles_per_ring
 
     @pytest.mark.parametrize("L, peak_limit", [(0.5, 2 * 9.13), (0.5 + 0.05j, 2 * 18.25)])
     def test_large_grid_keeps_no_table(self, L, peak_limit):
         # at 2^18 angles the table is built and multiplied in blocks and
-        # not kept: certify retains at most _TABLE_ENTRIES complex entries,
-        # and its traced peak stays within twice the 9.13 MiB (real) and
+        # not kept: certify retains at most 1 MiB (2^16 complex entries, one
+        # block), and its traced peak stays within twice the 9.13 MiB (real) and
         # 18.25 MiB (complex) that two Horner passes took
         params = CoulombParams(L, 0.1)
         certify(params, StarlikeClass.LEMNISCATE, ScanGrid(12, 0.999))
@@ -524,8 +527,8 @@ class TestGridProduct:
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.certified and "_powers" not in grid.__dict__
-        assert after - before <= 16 * starlike._TABLE_ENTRIES
+        assert report.certified and (1 << 18) not in zeros_module._TABLES
+        assert after - before <= 16 << 16
         assert peak - before <= peak_limit * 2**20
 
 

@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import coulombstar.starlike as starlike_module
 import coulombstar.zeros as zeros_module
 
 from coulombstar import (
@@ -1086,17 +1087,20 @@ def _taylor_arcs(monkeypatch):
     """Record g's coefficients and each arc that the second-order bound closes.
 
     The coefficients are those of the count's product pass, (0, a_0, a_1,
-    ...), and err its samples' error bound; each arc is (start, end, l,
-    err_p, rho, eta, r), start and end being the records of its two samples.
+    ...), and err its samples' error bound, 2 (order+3) eps S + tail0 as
+    _arc_count forms it; each arc is (start, end, l, err_p, rho, eta, r),
+    start and end being the records of its two samples.
     """
     record = {"coeffs": None, "err": None, "arcs": []}
-    product_samples = zeros_module._product_samples
+    circle_samples = zeros_module._circle_samples
     taylor_closes = zeros_module._taylor_closes
 
-    def product(table, r, tail0, err_p):
-        out = product_samples(table, r, tail0, err_p)
-        record["coeffs"], record["err"] = (0.0,) + table.coeffs, out[4, 0].real
-        return out
+    def product(table, r, angles, m):
+        samples, w = circle_samples(table, r, angles, m)
+        tail0 = _tail_bounds(table.coeffs, table.params, r)[0]
+        record["coeffs"] = (0.0,) + table.coeffs
+        record["err"] = 2 * (table.order + 3) * EPS * np.abs(w[:, 0]).sum() + tail0
+        return samples, w
 
     def closes(start, end, length, c, err_p, r):
         closed, rho, eta = taylor_closes(start, end, length, c, err_p, r)
@@ -1104,7 +1108,7 @@ def _taylor_arcs(monkeypatch):
                            for k in np.flatnonzero(closed)]
         return closed, rho, eta
 
-    monkeypatch.setattr(zeros_module, "_product_samples", product)
+    monkeypatch.setattr(zeros_module, "_circle_samples", product)
     monkeypatch.setattr(zeros_module, "_taylor_closes", closes)
     return record
 
@@ -1258,7 +1262,7 @@ class TestArcCountSoundness:
         # sample; the last one leaves arcs open, so Horner samples the
         # whole circle again and bisects 4 times.  With the first-order
         # bound alone these take 2, 6 and 16 Horner passes
-        products = _spy(monkeypatch, "_product_samples")
+        products = _spy(monkeypatch, "_circle_samples")
         calls = _spy(monkeypatch, "_bounded_horner")
         assert _circle(params, radius) == count
         assert len(products) == 1
@@ -1285,69 +1289,151 @@ class TestArcCountSoundness:
 
 
 class TestProductPass:
-    """_arc_count's first pass: g and g' at the 720 roots of unity from one matrix product."""
+    """_circle_samples: g and g' on a circle from one product with a cached table of unit-root powers."""
+
+    ANGLES = (1, 2, 3, 12, 90, 101, 720, 1440)
+    TAU = 1.64 * EPS  # _circle_samples' tau, derived for every angle count up to 2^18
 
     def test_roots_lie_within_tau(self):
-        # tau = eps bounds every entry, against 50-digit e^(2 pi i m / 720)
-        roots = zeros_module._power_table(2)[0]
-        assert roots.shape == (720,)
+        # every root W_m lies within tau of the 50-digit e^(2 pi i m / N),
+        # and within eps where 8 | N; W_0 = 1 and W_(N/2) = -1 exactly.  The
+        # count's 721 points fl(r W_k), its path closed at z_720 = r, lie
+        # within 1.5 eps r of r omega^k.  A 2^18-angle table comes in blocks
+        # and is not kept; spot entries of it hold W_(kj mod N)
+        radii = [0.999, 3.7, 29.5] + [random.Random(20261031 + i).uniform(3.0, 30.0) for i in range(3)]
         with mp.workdps(50):
-            worst = max(abs(mp.mpc(w) - mp.expjpi(mp.mpf(2 * m) / 720))
-                        for m, w in enumerate(roots.tolist()))
-        assert worst <= EPS
+            for angles in self.ANGLES:
+                roots = zeros_module._unit_roots(angles)
+                exact = [mp.expjpi(mp.mpf(2 * m) / angles) for m in range(angles)]
+                worst = max(abs(mp.mpc(w) - x) for w, x in zip(roots.tolist(), exact))
+                assert worst <= (EPS if angles % 8 == 0 else self.TAU), angles
+                assert roots[0] == 1 and (angles % 2 or roots[angles // 2] == -1)
+            upper = zeros_module._unit_powers(720, 2)[0][1][1]
+            assert upper.tolist() == zeros_module._unit_roots(720)[:361].tolist()
+            for r in radii:
+                z = r * np.concatenate((upper, upper[-2::-1].conj()))
+                assert z.size == 721 and z[720] == r
+                assert max(abs(mp.mpc(p) - r * mp.expjpi(mp.mpf(2 * k) / 720))
+                           for k, p in enumerate(z.tolist())) <= 1.5 * EPS * r
+            angles, end, spots = 1 << 18, 0, {}
+            blocks = zeros_module._unit_powers(angles, 3)
+            assert not isinstance(blocks, list)
+            for start, block in blocks:
+                assert start == end and block.shape[0] == 3
+                assert block.size <= zeros_module._TABLE_ENTRIES // 4
+                for k in (0, 1, 12345, 87380, 87381, 99999, angles // 2):
+                    if start <= k < start + block.shape[1]:
+                        spots[k] = block[:, k - start]
+                end = start + block.shape[1]
+            assert end == angles // 2 + 1 and len(spots) == 7
+            assert angles not in zeros_module._TABLES
+            for k, column in spots.items():
+                for j, w in enumerate(column.tolist()):
+                    assert abs(mp.mpc(w) - mp.expjpi(mp.mpf(2 * (k * j)) / angles)) <= EPS
 
     def test_power_table_holds_the_largest_order(self, monkeypatch):
-        # built on first use, rebuilt only for more columns, sliced for
-        # fewer; each entry is a roots table entry, Re then Im
-        monkeypatch.setattr(zeros_module, "_POWERS", [])
-        roots, even, odd = zeros_module._power_table(83)
-        assert even.shape == (362, 42) and odd.shape == (362, 41)
-        built = list(zeros_module._POWERS)
-        small = zeros_module._power_table(56)
-        assert [b.shape for b in small[1:]] == [(362, 28), (362, 28)]
-        assert all(x is y for x, y in zip(zeros_module._POWERS, built))
-        for k, j in [(0, 0), (1, 1), (180, 81), (97, 40), (131, 77)]:
-            block = (even, odd)[j % 2]
-            w = roots[k * j % 720]
-            assert block[k, j // 2] == w.real and block[181 + k, j // 2] == w.imag
-        zeros_module._power_table(124)
-        assert sum(b.nbytes for b in zeros_module._POWERS[1:]) == 362 * 124 * 8
-        # order 500, the largest table: 1.45 MB, with W_(180 * 501 mod 720)
-        # in the last column
-        roots, even, odd = zeros_module._power_table(502)
-        assert even.shape == odd.shape == (362, 251)
-        assert sum(b.nbytes for b in zeros_module._POWERS[1:]) == 362 * 502 * 8 == 1_453_792
-        w = roots[180 * 501 % 720]
-        assert odd[180, 250] == w.real and odd[361, 250] == w.imag
+        # one kept table per angle count, built on first use with the rows
+        # asked, rebuilt only for more rows and sliced for fewer: row j,
+        # column k holds W_(kj mod N), k <= N/2.  The kept tables hold
+        # _TABLE_ENTRIES entries together at most (4 MiB): the 720-angle
+        # table keeps a 1440-angle one beside it until a table would pass
+        # that, which then drops the others.  A larger table comes in blocks
+        # of a quarter of that and is not kept
+        monkeypatch.setattr(zeros_module, "_TABLES", {})
+        tables = zeros_module._TABLES
+        [(start, table)] = zeros_module._unit_powers(720, 83)
+        assert start == 0 and table.shape == (83, 361) and not table.flags.writeable
+        assert tables == {720: table}
+        [(_, small)] = zeros_module._unit_powers(720, 56)
+        assert small.shape == (56, 361) and np.shares_memory(small, table)
+        roots = zeros_module._unit_roots(720)
+        for k, j in [(0, 0), (1, 1), (180, 81), (97, 40), (360, 82), (131, 77)]:
+            assert table[j, k] == roots[k * j % 720]
+        [(_, grown)] = zeros_module._unit_powers(720, 124)
+        assert grown.shape == (124, 361) and np.array_equal(grown[:83], table)
+        [(_, other)] = zeros_module._unit_powers(1440, 100)
+        assert tables == {720: grown, 1440: other}
+        # order 500, the count's largest table: 2.9 MB, beside the other
+        [(_, largest)] = zeros_module._unit_powers(720, 502)
+        assert largest.nbytes == 502 * 361 * 16 == 2_899_552
+        assert largest[501, 360] == roots[360 * 501 % 720] == -1
+        assert tables == {720: largest, 1440: other} and zeros_module._TABLE_ENTRIES == 1 << 18
+        assert largest.size + other.size <= zeros_module._TABLE_ENTRIES
+        [(_, wider)] = zeros_module._unit_powers(1440, 150)  # 502 * 361 + 150 * 721 > 2^18
+        assert tables == {1440: wider}
+        blocks = list(zeros_module._unit_powers(1 << 18, 2))  # 262,146 entries
+        assert sum(block.shape[1] for _, block in blocks) == (1 << 17) + 1 and len(blocks) == 5
+        assert tables == {1440: wider}
 
     def test_samples_lie_within_err(self):
-        # seeded complex tables with R up to 30, and one of order 183:
-        # each product sample g_k lies within err - tail0 of the 50-digit
-        # truncated g at r omega^k, g'_k within 8 (order+2) eps M1 of g'
-        # there, and z_k within 1.5 eps r of r omega^k (every 7th k, and
-        # the quarter points)
+        # each g_k lies within 2 (order+3) eps S(r), and g'_k within
+        # 2 (order+3) eps M1(r), of the 50-digit truncated g and g' at
+        # zeta_k = r omega^k, on every angle count and the whole circle with
+        # its closing sample k = N, for the count's tables (seeded complex
+        # ones with R up to 30, one of order 183, a real one with L < -3/2;
+        # k runs over the whole circle up to 101 angles, and over every 19th
+        # k, the quarter points and the last two beyond) and certify's
+        # (seeded real and complex pairs and (0.9, 6.0), order 24 at 0.999,
+        # at r_max 1e-3, 0.3626 and 0.999, drawn for each angle count; every
+        # k that certify reads: the upper half of a real table's circle)
         rng = random.Random(20261031)
         cases = [(CoulombParams(complex(rng.uniform(-0.4, 1.4), rng.uniform(-0.3, 0.3)),
                                 complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))),
                   rng.uniform(3.0, 30.0)) for _ in range(4)]
-        cases.append((CoulombParams(0.7 + 0.2j, -1.1 + 0.4j), 29.5))
+        cases += [(CoulombParams(0.7 + 0.2j, -1.1 + 0.4j), 29.5), (CoulombParams(-1.7, 0.4), 9.0)]
         tables = [table_for_radius(params, r) for params, r in cases]
         tables.append(make_coefficients(CoulombParams(0.4 - 0.25j, 0.6 + 0.3j), 183, 3.4))
         for table in tables:
-            params, r = table.params, table.radius
-            tail0 = _tail_bounds(table.coeffs, params, r)[0]
-            _, z, g, g_prime, err, _ = zeros_module._product_samples(table, r, tail0, 0.0)
-            assert g.size == 721
-            err = err.real
-            slack = 8 * (table.order + 2) * EPS * zeros_module._abs_sum(table, r, 1)
-            with mp.workdps(50):
-                a = [mp.mpc(c) for c in reversed(table.coeffs)]
-                for k in sorted(set(range(0, 721, 7)) | {180, 360, 540, 720}):
-                    zeta = mp.mpf(r) * mp.expjpi(mp.mpf(2 * k) / 720)
-                    h, h_prime = mp.polyval(a, zeta, derivative=True)
-                    assert abs(zeta * h - mp.mpc(g[k])) <= err[k] - tail0, (params, r, k)
-                    assert abs(h + zeta * h_prime - mp.mpc(g_prime[k])) <= slack
-                    assert abs(mp.mpc(z[k]) - zeta) <= 1.5 * EPS * r
+            for angles in self.ANGLES:
+                self._check_samples(table, angles, range(angles + 1) if angles <= 101 else sorted(
+                    set(range(0, angles, 19)) | {angles // 4, angles // 2, angles // 2 + 1,
+                                                3 * angles // 4, angles - 1, angles}))
+        kinds = set()
+        for angles in self.ANGLES:
+            rng = random.Random(20261021 + angles)
+            pairs = [(rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)),
+                     (complex(rng.uniform(-0.4, 1.4), rng.uniform(-0.3, 0.3)),
+                      complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))),
+                     (0.9, 6.0)]
+            for L, eta in pairs:
+                for r_max in (1e-3, 0.3626, 0.999):
+                    table = table_for_radius(CoulombParams(L, eta), r_max, DEFAULT_TOL, 1)
+                    kinds.add(table.is_real)
+                    ks = range(angles // 2 + 1 if table.is_real else angles + 1)
+                    self._check_samples(table, angles, ks)
+        assert kinds == {False, True}
+
+    @staticmethod
+    def _check_samples(table, angles, ks):
+        r = table.radius
+        (g, g_prime), _ = zeros_module._circle_samples(table, r, angles, angles + 1)
+        assert g.shape == (angles + 1,)
+        with mp.workdps(50):
+            a = [mp.mpc(c) for c in table.coeffs]
+            S = sum(abs(c) * mp.mpf(r) ** (j + 1) for j, c in enumerate(a))
+            M1 = sum((j + 1) * abs(c) * mp.mpf(r) ** j for j, c in enumerate(a))
+            bound = 2 * (table.order + 3) * EPS
+            for k in ks:
+                zeta = mp.mpf(r) * mp.expjpi(mp.mpf(2 * k) / angles)
+                h, h_prime = mp.polyval(a[::-1], zeta, derivative=True)
+                assert abs(zeta * h - mp.mpc(g[k])) <= bound * S, (table.params, r, angles, k)
+                assert abs(h + zeta * h_prime - mp.mpc(g_prime[k])) <= bound * M1
+
+    def test_certify_and_count_read_one_sample_set(self, monkeypatch):
+        # a complex pair that fails Rouche's test on the default grid (720
+        # angles, r = r_max = 0.999): certify's g and g' and the count's
+        # product samples, which add the closing sample, come from one
+        # product with the same bits, on the one 720-angle table
+        monkeypatch.setattr(zeros_module, "_TABLES", {})
+        sampled = _spy(monkeypatch, "_circle_samples", starlike_module)
+        counted = _spy(monkeypatch, "_circle_samples")
+        certify(CoulombParams(-0.35 + 0.1j, 0.9 - 0.2j), StarlikeClass.LEMNISCATE)
+        [((table, *args), (samples, _))] = sampled
+        [((count_table, *count_args), (count_samples, _))] = counted
+        assert table is count_table and args == [0.999, 720, 720] and count_args == [0.999, 720, 721]
+        assert samples.tobytes() == count_samples[:, :720].tobytes()
+        assert count_samples[:, 720].tolist() == samples[:, 0].tolist()
+        assert list(zeros_module._TABLES) == [720]
 
     def test_open_arcs_reach_the_bisection(self, monkeypatch):
         # a zero of g 1e-9 or 1e-13 (relative) inside or outside the
@@ -1380,28 +1466,40 @@ class TestProductPass:
         assert len(settled) == 144 and sum(settled) >= 135
 
     def test_refused_product_falls_through_to_horner(self, monkeypatch):
-        # c_j that overflow (r = 1e300) or powers that reach 2^-1000 give
-        # None with no RuntimeWarning (pytest makes one an error); a refused
-        # product leaves the whole circle to Horner, 721 samples, and the
-        # same count.  Every order takes the product: an order-500 complex
-        # table at r = 3.7 settles with no Horner sample, and Horner's
-        # count of it is the same
+        # terms c_j that overflow (r = 1e300) or powers that reach 2^-1000
+        # (r = 1e-6) leave the circle to Horner, with no RuntimeWarning
+        # (pytest makes one an error), where at r = 1 the product settles
+        # it.  A product whose terms are not finite leaves the whole circle
+        # to Horner, 721 samples, and the same count.  Every order takes the
+        # product: an order-500 complex table at r = 3.7 settles with no
+        # Horner sample, and Horner's count of it is the same
+        class Fallback(Exception):
+            pass
+
+        def fallback(*args):
+            raise Fallback
+
         table = table_for_radius(CoulombParams(0.3 + 0.1j, 0.5 - 0.2j), 15.0)
-        assert zeros_module._product_samples(table, 1e300, 0.0, 0.0) is None
-        assert zeros_module._product_samples(table, 1e-6, 0.0, 0.0) is None
-        assert zeros_module._product_samples(table, 1.0, 0.0, 0.0) is not None
+        monkeypatch.setattr(zeros_module, "_bounded_horner", fallback)
+        assert zeros_module._arc_count(table, _tail_bounds(table.coeffs, table.params, 1.0), 1.0) == 1
+        for r in (1e300, 1e-6):
+            with pytest.raises(Fallback):
+                zeros_module._arc_count(table, (0.0, 0.0, 0.0), r)
+        monkeypatch.undo()
         big = make_coefficients(CoulombParams(0.9 - 0.2j, -0.7 + 0.1j), 500, 3.7)
         calls = _spy(monkeypatch, "_bounded_horner")
         product_count = zeros_module._arc_count(big, big.tails, 3.7)
         assert product_count is not None and product_count > 1 and not calls
         assert _circle(table.params, 15.0) == 10
-        monkeypatch.setattr(zeros_module, "_product_samples", lambda *args: None)
+        circle_samples = zeros_module._circle_samples
+        monkeypatch.setattr(zeros_module, "_circle_samples",
+                            lambda *args: (circle_samples(*args)[0], np.full((1, 2), np.inf)))
         assert _circle(table.params, 15.0) == 10
         assert calls[0][0][1].size == zeros_module._CIRCLE_SAMPLES + 1
         assert zeros_module._arc_count(big, big.tails, 3.7) == product_count
 
     def test_import_builds_no_table(self):
-        code = "import sys, coulombstar.zeros as z; sys.exit(bool(z._POWERS))"
+        code = "import sys, coulombstar.zeros as z; sys.exit(bool(z._TABLES))"
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
@@ -1425,7 +1523,7 @@ class TestCountRecord:
         # open); each caller gets the same count
         rng, r, paths = random.Random(20261022), 0.999, set()
         sampled = _spy(monkeypatch, "_bounded_horner")
-        products = _spy(monkeypatch, "_product_samples")
+        products = _spy(monkeypatch, "_circle_samples")
         inertia = _spy(monkeypatch, "_inertia_count")
         for i in range(24):
             L, eta = rng.uniform(-0.9, 1.4), rng.uniform(-1.5, 1.5)
@@ -1447,7 +1545,7 @@ class TestCountRecord:
             else:
                 paths.add("circle")
                 assert not table.is_real
-                assert products[0][1].shape == (6, zeros_module._CIRCLE_SAMPLES + 1)
+                assert products[0][1][0].shape == (2, zeros_module._CIRCLE_SAMPLES + 1)
             assert winding_number(table, r) == count
             assert len(find_zeros(params, r).zeros) + 1 == count
             report = certify(params, StarlikeClass.CLASSICAL, ScanGrid(720, r))
@@ -1512,7 +1610,7 @@ class TestRouche:
             raise Counted
 
         monkeypatch.setattr(zeros_module, "_bounded_horner", counted)
-        monkeypatch.setattr(zeros_module, "_product_samples", counted)
+        monkeypatch.setattr(zeros_module, "_circle_samples", counted)
         monkeypatch.setattr(zeros_module, "_inertia_count", counted)
         r, rng, proven = 0.999, random.Random(20261019), 0
         for _ in range(20):
@@ -1558,7 +1656,7 @@ class TestRouche:
         assert zeros_module._abs_sum(table, r, 0) + tail0 < 2 * r
         inertia = _spy(monkeypatch, "_inertia_count")
         sampled = _spy(monkeypatch, "_bounded_horner")
-        products = _spy(monkeypatch, "_product_samples")
+        products = _spy(monkeypatch, "_circle_samples")
         assert zeros_module._zero_count(table, r) == 1
         assert [count for _, count in inertia] == [1] and not sampled and not products
         _complex_jacobi(monkeypatch)

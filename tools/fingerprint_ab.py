@@ -12,7 +12,11 @@ working tree's with ``+``, and then ``N of M lines moved``, the moved
 lines per tag (each block of moved lines counts, for each tag, the larger
 of its ``-`` and ``+`` lines), and how many outputs went from a refusal
 (an exception class name) to an answer and back, each output keyed by its
-tag, its input number and its place among that input's lines.  Moved lines
+tag, its input number and its place among that input's lines.  Last comes
+``beyond the margin: N``: N counts the moved ``certify`` and ``scan``
+outputs that still differ once their ``min_margin`` values are masked (a
+``certify`` line's ``min_margin=`` field and the 4th element of each
+``scan`` row), so that a move in margin digits alone reads 0.  Moved lines
 are for a change's notes to justify, so the exit status is non-zero only
 when ``git archive`` or a run fails; a run's stderr is passed through.
 Both runs inherit the environment, ``PYTHONWARNINGS`` included.  Standard
@@ -33,6 +37,8 @@ from pathlib import Path
 from bench_ab import ROOT, extract  # this script's directory is on sys.path
 
 REFUSAL = re.compile(r"[A-Z][A-Za-z]*")  # fingerprint.py prints a refusal as its class name
+MARGIN = re.compile(r"min_margin=\S+")  # a certify line's field
+ROW = re.compile(r"\[([^][]*)\]")  # a scan row: L eta slack min_margin certified zero_in_disk
 
 
 def outputs_by_key(lines: list[str]) -> dict[tuple[str, str, int], str]:
@@ -43,6 +49,14 @@ def outputs_by_key(lines: list[str]) -> dict[tuple[str, str, int], str]:
         seen[tag, i] += 1
         keyed[tag, i, seen[tag, i]] = out
     return keyed
+
+
+def masked(tag: str, out: str) -> str:
+    """A certify or scan output with its min_margin values replaced by ``*``."""
+    if tag == "certify":
+        return MARGIN.sub("min_margin=*", out)
+    return ROW.sub(lambda row: "[" + " ".join(
+        "*" if k == 3 else v for k, v in enumerate(row[1].split(" "))) + "]", out)
 
 
 def is_refusal(out: str) -> bool:
@@ -83,6 +97,10 @@ def main(argv: list[str]) -> int:
     paired = [(is_refusal(old[key]), is_refusal(new[key])) for key in old.keys() & new.keys()]
     print(f"refusal to answer: {paired.count((True, False))}, "
           f"answer to refusal: {paired.count((False, True))}")
+    beyond = sum(masked(key[0], old[key]) != masked(key[0], new[key])
+                 for key in old.keys() & new.keys()
+                 if key[0] in ("certify", "scan") and old[key] != new[key])
+    print(f"beyond the margin: {beyond}")
     return 0
 
 
