@@ -137,7 +137,7 @@ class ScanGrid:
     def __post_init__(self) -> None:
         angles = _checked_int("angles_per_ring", self.angles_per_ring, 1, _MAX_ANGLES)
         object.__setattr__(self, "angles_per_ring", angles)
-        _check_radius("r_max", self.r_max, 1.0)
+        object.__setattr__(self, "r_max", _check_radius("r_max", self.r_max, 1.0))
 
     @functools.cached_property
     def _points(self) -> np.ndarray:

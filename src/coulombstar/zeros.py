@@ -82,19 +82,26 @@ class ZeroSet:
 
 
 _CIRCLE_SAMPLES = 720  # _arc_count's first samples on its circle
+# D, the denominator of the count's angles 2 pi m / D: D = 720 * 2^K with K = 42, the largest K
+# with 2D < 2^53 (2D = 720 * 2^43 = 6.3e15 < 2^53 = 9.0e15 < 720 * 2^44), so every numerator
+# m <= D, and every sum of two, is an exact double in _arc_count's records; 4m < 2^63 in int64
+_ARC_ANGLES = _CIRCLE_SAMPLES << 42
+_CIRCLE_NUMERATORS = np.arange(_CIRCLE_SAMPLES + 1, dtype=np.int64) << 42  # k D / 720, k <= 720
 _MAX_CIRCLE_SAMPLES = 1 << 18  # samples allowed on one circle, bisection included
 _TABLE_ENTRIES = 1 << 18  # complex entries of the kept tables together (4 MiB); a block holds 1/4
 _TABLES: dict[int, np.ndarray] = {}  # angle count -> its kept _unit_powers table
 
 
-def _unit_roots(angles: int) -> np.ndarray:
-    """W_m, m < angles: omega^m to within tau, omega = e^(2 pi i / angles) (see _circle_samples)."""
-    quadrant, rest = np.divmod(np.arange(0, 4 * angles, 4, dtype=np.int32), angles)
+def _unit_roots(m: np.ndarray, angles: int) -> np.ndarray:
+    """W_m, m integers in [0, angles]: omega^m within tau, omega = e^(2 pi i / angles) (_circle_samples)."""
+    quadrant, rest = np.divmod(4 * m, angles)
     flip = 2 * rest > angles  # past the first octant: i conj(e^(ix)) at the complement
     roots = np.exp(1j * (np.where(flip, angles - rest, rest) * (np.pi / (2 * angles))))
     np.conjugate(roots, out=roots, where=flip)
-    roots *= np.array([1, 1j, -1, -1j, 1])[quadrant + flip]
-    return roots
+    return roots * np.array([1, 1j, -1, -1j, 1])[quadrant + flip]
+
+
+_CIRCLE_ROOTS = _unit_roots(_CIRCLE_NUMERATORS, _ARC_ANGLES)  # _arc_count's first 721 (W_D = 1)
 
 
 def _unit_powers(angles: int, n: int):
@@ -115,7 +122,7 @@ def _unit_powers(angles: int, n: int):
     half, kept = angles // 2 + 1, _TABLES.get(angles)
     if kept is not None and kept.shape[0] >= n:
         return [(0, kept[:n])]
-    fits, roots = n * half <= _TABLE_ENTRIES, _unit_roots(angles)
+    fits, roots = n * half <= _TABLE_ENTRIES, _unit_roots(np.arange(angles), angles)
     step = half if fits else max(1, _TABLE_ENTRIES // (4 * n))
     blocks = ((k, roots[np.outer(np.arange(n), np.arange(k, min(k + step, half))) % angles])
               for k in range(0, half, step))
@@ -185,8 +192,8 @@ def _circle_samples(table: CoefficientTable, r: float, angles: int, m: int):
     within 2.36 u x <= 1.86 u of its exact angle (fl(pi) is within 0.36 u
     relative, and the quotient and s h round once each), and with the cos
     and sin of e^(ix) within an ulp (u at most) each, every W_m lies within
-    tau = (1.86 + sqrt(2)) u < 1.64 eps of omega^m, for every angle count
-    from 1 to 2^18.  The tests find tau <= eps on all 720 and 1440 roots.
+    tau = (1.86 + sqrt(2)) u < 1.64 eps of omega^m wherever s is an exact
+    double.  The tests find tau <= eps on all 720 and 1440 roots.
 
     Bound (u = eps/2, gamma_m = m u / (1 - m u); Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, section 3.1).  Let s = sum
@@ -218,9 +225,9 @@ def _circle_samples(table: CoefficientTable, r: float, angles: int, m: int):
     tail0 keeps a spare of over 3.4 u s > 3.3 u |g_k| beyond g_k's error,
     which _arc_count's first-order test needs.
 
-    Points.  zeta_k is exact.  The count's double z_k = fl(r W_k) lies
-    within r (tau + u (1 + tau)) < 2.15 eps r of it, and within 1.51 eps r
-    at its 720 angles, where tau <= eps.
+    Points.  zeta_k is exact.  _arc_count's points z_m = fl(r W_m), m over
+    its D, lie within r (tau + u (1 + tau)) < 2.15 eps r of r e^(2 pi i m /
+    D), the first 721 of them, at the roots of 720 angles, within 1.51 eps r.
     certify's P takes the grid's own point instead, r_max e^(i theta_k) at
     the double theta_k = 2 pi k / angles (ScanGrid.points): theta_k lies
     within 2.36 u theta_k <= 7.42 u of its angle, the exponential's cos and
@@ -302,12 +309,13 @@ def _taylor_closes(start: np.ndarray, end: np.ndarray, length: np.ndarray, c: fl
         return reach > np.abs(slope) * eta + 2 * (rho + end_err), rho, eta
 
 
-def _check_radius(name: str, radius: float, below: float = math.inf) -> None:
-    """The radius rule of winding_number, find_zeros and starlike.ScanGrid: a
-    normal double below `below`, since on a subnormal circle g_(k+1)/g_k overflows."""
+def _check_radius(name: str, radius: float, below: float = math.inf) -> float:
+    """float(radius), checked by the radius rule of winding_number, find_zeros and starlike.ScanGrid:
+    a normal double below `below`, since on a subnormal circle g_(k+1)/g_k overflows."""
     if not (sys.float_info.min <= radius < below):
         rule = "a finite normal double" if below == math.inf else f"a normal double below {below}"
         raise InvalidParams(f"{name} must be {rule}, got {radius!r}")
+    return float(radius)
 
 
 def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
@@ -318,27 +326,25 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     each sample g'_k below, M1 being _abs_sum's, so u_k = |g_k| + |g'_k| +
     err_k + err_p bounds the exact |g| + |g'| at sample k's point.
 
-    Samples.  The first pass, at every order, is one matrix product
-    (_circle_samples): g_k and g'_k at the exact points zeta_k = r
-    omega^k, omega = e^(2 pi i / 720), k = 0 .. 720 (the last repeats the
-    first), with the a priori err_k = 2 (order+3) eps S + tail0, and z_k =
-    fl(r W_k) from the sampler's table of roots.  It is taken when the
-    product's terms c_j and d_j are finite and min(r, r^(order+1)) >=
-    2^-1000, as its bound needs.  Its arcs are exact arcs of the circle, of
-    length at most l = r (theta_1 + 8 eps), theta_1 being the double
-    2 pi / 720 (within 2e-18 of it).  When it closes all 720, their angle
-    steps give the count.  Horner's pass on the whole circle runs in two
-    cases only: the product leaves an arc open, or it is not taken
-    because the series' terms c_j or d_j leave the double range.  The
-    count then drops the product's samples, so that each decision and
-    refusal of the bisection loop below sees Horner's running bound: g at
-    z_k = fl(r e^(i theta_k)), theta_k = 2 pi k / 720 in doubles, by
-    _bounded_horner, err_k being its running rounding bound plus tail0, and
-    g'_k by series._horner (complex Horner rounds g' by about 5 (order+1)
-    eps M1); the last sample repeats z = r, so the path closes exactly.  A
-    Horner arc runs from z_k to the circle point at the double angle
-    theta_k (within 4 eps r), along the circle to theta_(k+1), and on to
-    z_(k+1); its length is at most l = r (theta_(k+1) - theta_k + 8 eps).
+    Samples.  Each lies at a point z_m = fl(r W_m) (_unit_roots), m the
+    integer numerator of its angle 2 pi m / D, D = _ARC_ANGLES, within 2.15
+    eps r of zeta_m = r e^(2 pi i m / D) (_circle_samples).  The first
+    pass, at every order, is one matrix product (_circle_samples): g and g'
+    at zeta_m for m = k D / 720, k = 0 .. 720 (W_D = 1, so z_D = z_0 = r),
+    with the a priori err_k = 2 (order+3) eps S + tail0.  It is taken when
+    the product's terms c_j and d_j are finite and min(r, r^(order+1)) >=
+    2^-1000, as its bound needs, and when it closes all 720 arcs, their
+    angle steps give the count.  Otherwise the count drops its samples, so
+    that each decision and refusal of the bisection loop below sees
+    Horner's running bound: g at the same 721 points z_m by _bounded_horner,
+    err_k being its running rounding bound plus tail0, and g'_k by
+    series._horner (complex Horner rounds g' by about 5 (order+1) eps M1).
+
+    Arcs.  An arc joins samples at numerators a < b, at points p_a and p_b
+    (zeta_m for a product sample, z_m for Horner's), by the path from p_a
+    to zeta_a, along the circle to zeta_b, and on to p_b, of length at
+    most r (2 pi (b - a) / D + 4.3 eps) <= l = r ((b - a) h + 8 eps), h =
+    fl(2 pi / D), as (b - a) h is within 3e-18 of that angle (<= 2 pi / 720).
 
     Bounds.  |g| + |g'| grows at rate at most c along a path, since z^2 g''
     + 2 L z g' + (z^2 - 2 eta z - 2L) g = 0 gives |g''| <= a |g'| + b |g|
@@ -346,28 +352,26 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     |g| + |g'| <= u_k e^(c t) at distance t along the path.  An arc closes
     when one of two bounds closes it:
 
-    * First order: g moves along it by at most D_k = u_k expm1(c l) / c
-      (_ode_bound), and the arc closes when |g_k| - err_k - err_(k+1) -
-      eps |g_k| > 2 D_k: the exact g on it and both computed ends then lie
-      in one disk about g_k that excludes 0, with the second copy of D_k
-      and eps |g_k| to spare for this test's own rounding (below).
+    * First order: g moves along it by at most Delta_k = u_k expm1(c l) /
+      c (_ode_bound), and the arc closes when |g_k| - err_k - err_(k+1) -
+      eps |g_k| > 2 Delta_k: the exact g on it and both computed ends then
+      lie in one disk about g_k that excludes 0, with the second copy of
+      Delta_k and eps |g_k| to spare for this test's own rounding (below).
     * Second order (_taylor_closes), on the arcs the first leaves open.
-      With w = z - p_k, p_k the point of sample k (z_k or zeta_k), Taylor's
-      theorem along the path, |g''| <= c (|g| + |g'|) <= c u_k e^(c t),
-      |g(p_k) - g_k| <= err_k and |g'(p_k) - g'_k| <= err_p give |g(z) -
-      g_k - g'_k w| <= rho_k = err_k + err_p l + (l^2 / 2) c u_k e^(c l).
-      And w lies within l^2 / (8r) + 4 eps r of the chord [0, d_k], d_k =
-      z_(k+1) - z_k: an arc of angle phi <= l / r lies within its sagitta
-      r (1 - cos(phi/2)) <= l^2 / (8r) of the chord of its circle ends.
-      For a Horner arc those ends, and the two excursions, lie within
-      4 eps r of [z_k, z_(k+1)]; for a product arc each zeta_k lies within
-      1.51 eps r of its z_k (_circle_samples), so the chord moves by 3.02
-      eps r at most.  So with eta = l^2 / (8r) + 8 eps r, g
-      on the path and the computed g_(k+1) lie within R_k = |g'_k| eta +
-      rho_k + err_(k+1) of the segment [g_k, g_k + q_k], q_k = g'_k d_k: a
-      convex set that holds g_k, and excludes 0 when the segment's distance
-      from 0, min over lambda in [0, 1] of |g_k + lambda q_k|, exceeds R_k.  The arc closes
-      when that distance, less |g'_k| eta, exceeds 2 (rho_k + err_(k+1)).
+      With w = z - p_k, Taylor's theorem along the path, |g''| <= c (|g| +
+      |g'|) <= c u_k e^(c t), |g(p_k) - g_k| <= err_k and |g'(p_k) - g'_k|
+      <= err_p give |g(z) - g_k - g'_k w| <= rho_k = err_k + err_p l + (l^2
+      / 2) c u_k e^(c l).  And w lies within l^2 / (8r) + 4.3 eps r of the
+      chord [0, d_k], d_k = z_(k+1) - z_k: the path's arc lies within its
+      sagitta r (1 - cos(phi/2)) <= l^2 / (8r), phi <= l / r, of the chord
+      [zeta_a, zeta_b], whose ends, like the path's excursions, lie within
+      2.15 eps r of z_a and z_b, as p_k does of z_k.  So with eta = l^2 /
+      (8r) + 8 eps r, g on the path and the computed g_(k+1) lie within R_k
+      = |g'_k| eta + rho_k + err_(k+1) of the segment [g_k, g_k + q_k], q_k
+      = g'_k d_k: a convex set that holds g_k, and excludes 0 when the
+      segment's distance from 0, min over lambda in [0, 1] of |g_k + lambda
+      q_k|, exceeds R_k.  The arc closes when that distance, less |g'_k|
+      eta, exceeds 2 (rho_k + err_(k+1)).
 
     Either way the exact g on the arc and both computed ends lie in one
     convex set that excludes 0, so the principal angle of g_(k+1)/g_k is the
@@ -390,43 +394,43 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
     |d_k| <= l).  The computed rho_k, eta, l and c err by a relative
     gamma_30 at most, c l times that through e^(c l), which is finite
     wherever the test can pass; the rest of the second copy, and eta's
-    8 eps r against the 4 eps r its proof needs (l < r), cover that.
+    8 eps r against the 4.3 eps r its proof needs (l < r), cover that.
 
     The first-order test's own rounding: np.abs rounds |g_k| by an ulp at
     most (2u relative), eps |g_k| is then exact (where it does not
     underflow), and the three subtractions round by u each, so a computed
-    left side above 2 D_k leaves the exact |g_k| - err_k - err_(k+1) above
-    2 (1 - 2u) D_k - 1.01 u |g_k|.  err_k holds a spare beyond the rounding
-    of g_k that covers the 1.01 u |g_k|: 2.5 eps mu_k - (2 sqrt(2) + 1) u
-    mu_k > 1.17 u mu_k > 2.33 u |g_k| for a Horner sample (mu_k >= 1.99
-    |g_k| as above; mu_k's own rounding is below 1e-12 relative, order <=
-    500), over 3.3 u |g_k| for a product sample (_circle_samples).  The
-    computed D_k errs by a relative gamma_30 (1 + c l) < 3e-12 at most
-    (c l < 710 where it is finite), so the second copy of D_k holds over
-    0.99 of the exact D_k, on every arc however short.
+    left side above 2 Delta_k leaves the exact |g_k| - err_k - err_(k+1)
+    above 2 (1 - 2u) Delta_k - 1.01 u |g_k|.  err_k holds a spare beyond the
+    rounding of g_k that covers the 1.01 u |g_k|: 2.5 eps mu_k - (2 sqrt(2)
+    + 1) u mu_k > 1.17 u mu_k > 2.33 u |g_k| for a Horner sample (mu_k >=
+    1.99 |g_k| as above; mu_k's own rounding is below 1e-12 relative, order
+    <= 500), over 3.3 u |g_k| for a product sample (_circle_samples).  The
+    computed Delta_k errs by a relative gamma_30 (1 + c l) < 3e-12 at most
+    (c l < 710 where it is finite), so the second copy of Delta_k holds
+    over 0.99 of the exact Delta_k, on every arc however short.
 
     The bisection loop adds up the angle steps of the arcs it closes and
-    bisects the rest at their midpoints, with Horner samples.  The count is
-    None when an arc cannot close: a sample within 2 err of 0 (or not
-    finite), a midpoint angle that rounds onto its arc's start, or over
-    _MAX_CIRCLE_SAMPLES samples.  The proof does not cover the
-    coefficients' own rounding yet.
+    bisects the rest at their integer midpoints (a + b) // 2, exact in
+    doubles since a + b <= 2D < 2^53, with Horner samples at z_m.  The
+    count is None when an arc cannot close: a sample within 2 err of 0 (or
+    not finite), an arc of width b - a = 1, or over _MAX_CIRCLE_SAMPLES
+    samples.  The proof does not cover the coefficients' own rounding yet.
     """
     L, eta = abs(table.params.L), abs(table.params.eta)
     c = max(1 + 2 * L / r, 1 + 2 * eta / r + 2 * L / r / r)
     err_p = tails[1] + 8 * (table.order + 2) * _EPS * _abs_sum(table, r, 1)
     g_coeffs = (0.0,) + table.coeffs
 
-    def evaluate(theta, z):
-        """Horner's samples at the angles theta, points z, as rows theta, z, g, g', err and u
-        (the real ones stored as complex)."""
+    def evaluate(m, z):
+        """Horner's samples at the numerators m, points z, as complex rows m, z, g, g', err and u."""
         g, err = _bounded_horner(g_coeffs, z, r)
         g_prime, err = table.g_prime_values(z), err + tails[0]
-        return np.array((theta, z, g, g_prime, err, np.abs(g) + np.abs(g_prime) + err + err_p))
+        return np.array((m, z, g, g_prime, err, np.abs(g) + np.abs(g_prime) + err + err_p))
 
-    def closes(start, end, length):
-        """Which arcs from the samples start to end, of lengths at most length, close; |g| at start."""
+    def closes(start, end):
+        """Which arcs from the samples start to end close; |g| at start."""
         err, end_err, u = start[4].real, end[4].real, start[5].real
+        length = r * ((end[0].real - start[0].real) * (2 * np.pi / _ARC_ANGLES) + 8 * _EPS)
         size = np.abs(start[2])
         closed = size - err - end_err - _EPS * size > 2 * _ode_bound(u, length, c)
         left = np.flatnonzero(~closed)
@@ -434,36 +438,31 @@ def _arc_count(table: CoefficientTable, tails, r: float) -> int | None:
             closed[left] = _taylor_closes(start[:, left], end[:, left], length[left], c, err_p, r)[0]
         return closed, size
 
-    theta = 2 * np.pi * np.arange(_CIRCLE_SAMPLES + 1) / _CIRCLE_SAMPLES
+    z = r * _CIRCLE_ROOTS
     with np.errstate(over="ignore", invalid="ignore"):  # terms past the double range
         samples, w = _circle_samples(table, r, _CIRCLE_SAMPLES, _CIRCLE_SAMPLES + 1)
     if np.isfinite(w).all() and min(r, _radius_weights(r, table.order + 2)[-1, 0]) >= 2.0 ** -1000:
-        roots = _unit_powers(_CIRCLE_SAMPLES, 2)[0][1][1]  # the sampler's W_k, k <= 360
-        z = r * np.concatenate((roots, roots[-2::-1].conj()))  # z_720 = z_0 = r
         err = np.full(z.size, 2 * (table.order + 3) * _EPS * np.abs(w[:, 0]).sum() + tails[0])
-        product = np.array((theta, z, *samples, err, np.abs(samples).sum(axis=0) + err + err_p))
+        product = np.array((_CIRCLE_NUMERATORS, z, *samples, err, np.abs(samples).sum(axis=0) + err + err_p))
         start, end = product[:, :-1], product[:, 1:]
-        if closes(start, end, np.full(_CIRCLE_SAMPLES, r * (theta[1] + 8 * _EPS)))[0].all():
+        if closes(start, end)[0].all():
             return round(float(np.angle(end[2] / start[2]).sum()) / (2 * np.pi))
-    z = r * np.exp(1j * theta)
-    z[-1] = r  # the path ends where it began
-    first = evaluate(theta, z)
+    first = evaluate(_CIRCLE_NUMERATORS, z)
     start, end = first[:, :-1], first[:, 1:]
     total, count = 0.0, _CIRCLE_SAMPLES + 1
     while True:
-        theta, end_theta = start[0].real, end[0].real
-        closed, size = closes(start, end, r * ((end_theta - theta) + 8 * _EPS))
+        closed, size = closes(start, end)
         total += float(np.angle(end[2, closed] / start[2, closed]).sum())
         if closed.all():
             return round(total / (2 * np.pi))
         keep = ~closed
-        theta = theta[keep]
-        mid = theta + (end_theta[keep] - theta) / 2
-        count += mid.size
+        m, end_m = start[0, keep].real, end[0, keep].real
+        count += m.size
         if (count > _MAX_CIRCLE_SAMPLES or not np.all(size[keep] > 2 * start[4, keep].real)
-                or np.any(mid == theta)):
+                or np.any(end_m - m < 2)):
             return None
-        middle = evaluate(mid, r * np.exp(1j * mid))
+        mid = ((m + end_m) // 2).astype(np.int64)
+        middle = evaluate(mid, r * _unit_roots(mid, _ARC_ANGLES))
         start = np.concatenate((start[:, keep], middle), axis=1)
         end = np.concatenate((middle, end[:, keep]), axis=1)
 
@@ -494,10 +493,9 @@ def _zero_count(table: CoefficientTable, r: float) -> int | None:
        from the same samples of g and g'.
     4. Horner's fallback, in two cases only: the product pass leaves an
        arc open, or the series' terms c_j or d_j leave the double range
-       (overflow, or powers of r below 2^-1000), whatever the order.  The
-       whole circle is then sampled again by Horner's scheme with its
-       running rounding bound, and the open arcs are bisected until they
-       close.
+       (overflow, or powers of r below 2^-1000), whatever the order.
+       Horner's scheme, with its running rounding bound, then samples the
+       same 721 points and bisects the open arcs at integer angles.
 
     None when steps 2 to 4 cannot prove the count: a section of J too
     short for r, a zero within rounding distance of the circle, or over
@@ -529,7 +527,7 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
     within rounding distance of the circle, a tail not certified at this
     radius, a section of J too short for it, or over 2^18 samples.
     """
-    _check_radius("radius", radius)
+    radius = _check_radius("radius", radius)
     count = _zero_count(table, radius)
     if count is None:
         raise NoConvergence(f"winding count on |z| = {radius} cannot be proven")
@@ -540,11 +538,11 @@ def _refine_mp(table: CoefficientTable, roots) -> list[tuple[complex, float]]:
     """Each root with its residual, |g| there by the table's own Horner: [(root, residual)].
 
     One batched table.g_values call on the double coefficients: the
-    series._horner bits that starlike.certify uses and that _arc_count's
-    _bounded_horner reproduces, so each residual lies within that routine's
-    2.5 eps mu of the exact |g| of the truncated series, and may round to
-    0.0.  It is not a distance to g's zero.  It does not refine: the name is
-    kept for perfbench/crosscheck.py, which times this step under it.
+    series._horner bits that _arc_count's _bounded_horner reproduces, so
+    each residual lies within that routine's 2.5 eps mu of the exact |g| of
+    the truncated series, and may round to 0.0.  It is not a distance to g's
+    zero.  It does not refine: the name is kept for perfbench/crosscheck.py,
+    which times this step under it.
     """
     return list(zip(roots, np.abs(table.g_values(np.array(roots, dtype=complex))).tolist()))
 
@@ -737,7 +735,7 @@ def find_zeros(
     2.5 eps mu of |g| on the double coefficients, possibly 0.0, and not a
     distance to g's zero.
     """
-    _check_radius("trust_radius", trust_radius)
+    trust_radius = _check_radius("trust_radius", trust_radius)
     table = table_for_radius(params, trust_radius, tol)
     symmetric = _self_adjoint(table)
     L, d, w2 = _section(table, trust_radius)

@@ -139,6 +139,27 @@ class TestScanGrid:
         with pytest.raises(InvalidParams):
             ScanGrid(angles_per_ring=2**18 + 1)
 
+    def test_radius_is_kept_as_a_float(self, monkeypatch):
+        # an np.float32 or np.float64 r_max is kept as the double it
+        # equals, so certify samples g in doubles with that double grid's
+        # bits (float32 weights put them 5.6e5 times their bound off)
+        samples = []
+        circle_samples = zeros_module._circle_samples
+
+        def recorded(table, r, angles, m):
+            out = circle_samples(table, r, angles, m)
+            samples.append((type(r), out[0].tobytes()))
+            return out
+
+        monkeypatch.setattr(starlike, "_circle_samples", recorded)
+        params = CoulombParams(-0.35 + 0.1j, 0.9 - 0.2j)
+        for r_max in (np.float32(0.999), np.float64(0.5)):
+            grid, double = ScanGrid(720, r_max), ScanGrid(720, float(r_max))
+            assert type(grid.r_max) is float and grid == double
+            reports = [certify(params, StarlikeClass.LEMNISCATE, g) for g in (grid, double)]
+            assert reports[0] == reports[1]
+            assert samples[-2] == samples[-1] and samples[-1][0] is float
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 720, 1440])
     def test_points_are_conjugate_symmetric(self, n):
         # points[n - k] = conj(points[k]): the real parts share their bits,

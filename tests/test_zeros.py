@@ -2,6 +2,7 @@
 
 import cmath
 import importlib
+import itertools
 import math
 import random
 import subprocess
@@ -977,6 +978,26 @@ class TestWindingNumber:
         assert winding_number(table_for_radius(SINE, radius), radius) == 1
         assert find_zeros(SINE, radius).zeros == ()
 
+    def test_radius_counts_as_its_float(self, monkeypatch):
+        # an int, np.int64 or np.float32 radius counts as the double it
+        # equals: the sampler gets that float and gives its sample bits in
+        # any call order (the weights' one-entry memo keys 12 and 12.0
+        # alike), and the product pass settles the count with no Horner
+        # sample.  Int weights wrapped from 12^18 on, and float32 ones
+        # rounded to single, far past the samples' bound
+        params = CoulombParams(0.3 + 0.1j, 0.5 - 0.2j)
+        products = _spy(monkeypatch, "_circle_samples")
+        horner = _spy(monkeypatch, "_bounded_horner")
+        for radii in ([12, np.int64(12), np.float32(12)], [np.float32(11.3)]):
+            r = float(radii[0])
+            table = table_for_radius(params, r)
+            for order in itertools.permutations(radii + [r]):
+                products.clear()
+                assert len({winding_number(table, radius) for radius in order}) == 1
+                assert all(type(args[1]) is float and args[1] == r for args, _ in products)
+                assert len({out[0].tobytes() for _, out in products}) == 1
+        assert not horner
+
     def test_uncertified_tail_refuses(self):
         # a table built for |z| <= 1 has no tail bound on |z| = 20
         with pytest.raises(NoConvergence):
@@ -1116,18 +1137,13 @@ def _taylor_arcs(monkeypatch):
 def _arc_path(start, end, product_err, r, steps):
     """The point of an arc's start sample and its path at the fractions steps, in mpmath.
 
-    A product arc (its samples' err is product_err) runs on the circle from
-    r omega^k, k read from the start's double z; a Horner arc from its
-    start's double z, on the circle between its two double angles (the
-    loop's excursions left out).
+    Every arc runs on the circle between its two integer angles m / D (the
+    loop's excursions left out).  A product arc's start sample (its err is
+    product_err) lies at that circle point, a Horner arc's at its double z.
     """
-    if start[4].real == product_err:
-        k = round(cmath.phase(start[1]) / (2 * math.pi) * 720) % 720
-        path = [mp.mpf(r) * mp.expjpi(2 * (k + mp.mpf(t)) / 720) for t in steps]
-        return path[0], np.array(path)
-    theta, end_theta = mp.mpf(start[0].real), mp.mpf(end[0].real)
-    path = [mp.mpf(r) * mp.expj(theta + mp.mpf(t) * (end_theta - theta)) for t in steps]
-    return mp.mpc(start[1]), np.array(path)
+    m, end_m, angles = int(start[0].real), int(end[0].real), zeros_module._ARC_ANGLES
+    path = [mp.mpf(r) * mp.expjpi(2 * (m + mp.mpf(t) * (end_m - m)) / angles) for t in steps]
+    return (path[0] if start[4].real == product_err else mp.mpc(start[1])), np.array(path)
 
 
 def _circle_count(params, radius, angles):
@@ -1268,6 +1284,37 @@ class TestArcCountSoundness:
         assert len(products) == 1
         assert len(calls) == (0 if passes == 1 else passes)
 
+    @pytest.mark.parametrize("params, radius, count, passes", [
+        (SINE, 30.0, 19, 1),
+        (SINE, math.pi * (1 + 1e-6), 3, 5),
+        (SINE, 3 * math.pi * (1 + 1e-9), 7, 11),
+        (CoulombParams(10.0, 1.0), 13.826667693385588, 2, 7),
+    ])
+    def test_horner_cases_keep_their_counts(self, monkeypatch, params, radius, count, passes):
+        # the cases that reach Horner's pass on the count's 721 points, and
+        # bisect on integer angles: each keeps its count and its number of
+        # Horner passes (the whole circle, then one per bisection)
+        calls = _spy(monkeypatch, "_bounded_horner")
+        assert _circle(params, radius) == count
+        assert len(calls) == passes and calls[0][0][1].size == zeros_module._CIRCLE_SAMPLES + 1
+
+    def test_bisection_refuses_at_width_one(self, monkeypatch):
+        # sine just outside pi bisects its open arcs 4 times (widths D / 720
+        # down to D / 11520): with D = 720 * 2^2 or 720 * 2^3 an arc reaches
+        # width 1 and the count refuses after 2 or 3 bisections, where with
+        # D = 720 * 2^4 it still answers.  The first roots have the same bits
+        # over every D
+        calls = _spy(monkeypatch, "_bounded_horner")
+        radius = math.pi * (1 + 1e-6)
+        for shift, count, passes in [(2, None, 3), (3, None, 4), (4, 3, 5)]:
+            calls.clear()
+            monkeypatch.setattr(zeros_module, "_ARC_ANGLES", 720 << shift)
+            monkeypatch.setattr(zeros_module, "_CIRCLE_NUMERATORS", np.arange(721) << shift)
+            roots = zeros_module._unit_roots(np.arange(721) << shift, 720 << shift)
+            assert roots.tobytes() == zeros_module._CIRCLE_ROOTS.tobytes()
+            assert _circle(SINE, radius) == count
+            assert len(calls) == passes
+
     def test_ode_bound_overflows_to_inf(self):
         # an e^(c l) past the double range gives an infinite bound, which
         # leaves its arc open, with no RuntimeWarning; c l = 700 stays finite
@@ -1297,21 +1344,25 @@ class TestProductPass:
     def test_roots_lie_within_tau(self):
         # every root W_m lies within tau of the 50-digit e^(2 pi i m / N),
         # and within eps where 8 | N; W_0 = 1 and W_(N/2) = -1 exactly.  The
-        # count's 721 points fl(r W_k), its path closed at z_720 = r, lie
+        # count's 721 roots, at the numerators k D / 720 over D, have the
+        # bits of k over 720, the table's row 1 on the upper half, and W = 1
+        # at k = 720; its points fl(r W_k), its path closed at z_720 = r, lie
         # within 1.5 eps r of r omega^k.  A 2^18-angle table comes in blocks
         # and is not kept; spot entries of it hold W_(kj mod N)
         radii = [0.999, 3.7, 29.5] + [random.Random(20261031 + i).uniform(3.0, 30.0) for i in range(3)]
         with mp.workdps(50):
             for angles in self.ANGLES:
-                roots = zeros_module._unit_roots(angles)
+                roots = zeros_module._unit_roots(np.arange(angles), angles)
                 exact = [mp.expjpi(mp.mpf(2 * m) / angles) for m in range(angles)]
                 worst = max(abs(mp.mpc(w) - x) for w, x in zip(roots.tolist(), exact))
                 assert worst <= (EPS if angles % 8 == 0 else self.TAU), angles
                 assert roots[0] == 1 and (angles % 2 or roots[angles // 2] == -1)
-            upper = zeros_module._unit_powers(720, 2)[0][1][1]
-            assert upper.tolist() == zeros_module._unit_roots(720)[:361].tolist()
+            numerators, points = zeros_module._CIRCLE_NUMERATORS, zeros_module._CIRCLE_ROOTS
+            assert numerators.tolist() == [k << 42 for k in range(721)]
+            assert points.tobytes() == zeros_module._unit_roots(np.arange(721), 720).tobytes()
+            assert points[:361].tobytes() == zeros_module._unit_powers(720, 2)[0][1][1].tobytes()
             for r in radii:
-                z = r * np.concatenate((upper, upper[-2::-1].conj()))
+                z = r * points
                 assert z.size == 721 and z[720] == r
                 assert max(abs(mp.mpc(p) - r * mp.expjpi(mp.mpf(2 * k) / 720))
                            for k, p in enumerate(z.tolist())) <= 1.5 * EPS * r
@@ -1331,6 +1382,23 @@ class TestProductPass:
                 for j, w in enumerate(column.tolist()):
                     assert abs(mp.mpc(w) - mp.expjpi(mp.mpf(2 * (k * j)) / angles)) <= EPS
 
+    def test_roots_at_odd_numerators_lie_within_tau(self):
+        # the bisection's points: W_m at odd numerators m over D, each a
+        # first midpoint that no coarser angle count holds, lies within tau
+        # of the 50-digit e^(2 pi i m / D), and fl(r W_m) within 2.15 eps r
+        # of r e^(2 pi i m / D)
+        angles, rng = zeros_module._ARC_ANGLES, random.Random(20261022)
+        m = [1, 3, angles // 8 - 1, angles // 8 + 1, angles // 2 - 1, angles // 2 + 1, angles - 1]
+        m += [2 * rng.randrange(angles // 2) + 1 for _ in range(200)]
+        roots = zeros_module._unit_roots(np.array(m, dtype=np.int64), angles)
+        radii = [0.999, 3.7, 29.5]
+        with mp.workdps(50):
+            for k, w in zip(m, roots.tolist()):
+                exact = mp.expjpi(mp.mpf(2 * k) / angles)
+                assert abs(mp.mpc(w) - exact) <= self.TAU, k
+                for r in radii:
+                    assert abs(mp.mpc(r * w) - r * exact) <= 2.15 * EPS * r, (k, r)
+
     def test_power_table_holds_the_largest_order(self, monkeypatch):
         # one kept table per angle count, built on first use with the rows
         # asked, rebuilt only for more rows and sliced for fewer: row j,
@@ -1346,7 +1414,7 @@ class TestProductPass:
         assert tables == {720: table}
         [(_, small)] = zeros_module._unit_powers(720, 56)
         assert small.shape == (56, 361) and np.shares_memory(small, table)
-        roots = zeros_module._unit_roots(720)
+        roots = zeros_module._unit_roots(np.arange(720), 720)
         for k, j in [(0, 0), (1, 1), (180, 81), (97, 40), (360, 82), (131, 77)]:
             assert table[j, k] == roots[k * j % 720]
         [(_, grown)] = zeros_module._unit_powers(720, 124)
@@ -1438,7 +1506,7 @@ class TestProductPass:
     def test_open_arcs_reach_the_bisection(self, monkeypatch):
         # a zero of g 1e-9 or 1e-13 (relative) inside or outside the
         # circle: the product pass leaves the arcs near it open, Horner
-        # samples the whole circle again and bisects the open arcs, and the
+        # samples its 721 points again and bisects the open arcs, and the
         # count is J's, 1 or 2; on the circle through the double |rho| it
         # refuses
         params = CoulombParams(0.3 + 0.1j, 0.5 - 0.2j)
