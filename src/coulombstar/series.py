@@ -204,10 +204,8 @@ class CoefficientTable:
     def is_real(self) -> bool:
         """Whether every coefficient is real, so that g(conj z) = conj g(z).
 
-        Then the truncated g takes conjugate values at conjugate points, bit
-        for bit up to the sign of a zero: Horner's complex products and its
-        sums of real coefficients round the real and imaginary parts of the
-        conjugate point by the same operations on negated operands.
+        certify then reads the circle's upper half only, and
+        zeros._circle_samples gives the lower half by exact conjugation.
         """
         return not any(c.imag for c in self.coeffs)
 
@@ -368,9 +366,10 @@ def table_for_radius(
     """Smallest scheduled table whose tail (for the given derivative) is < tol.
 
     NoConvergence past the schedule's last order; InvalidParams for a
-    radius that is negative or not finite.
+    radius that is negative or not finite, or a deriv other than 0, 1 or 2.
     """
     _check_table_radius(radius)
+    deriv = _checked_int("deriv", deriv, 0, 2)
     growth = _Growth(params, radius)
     order, tails = growth.first_order(tol, deriv)
     return CoefficientTable(params, tuple(growth.coeffs), order, tails, radius)

@@ -25,7 +25,9 @@ conjugate-symmetric, and certify reads the margins of its upper half only.
 certify takes g and g' at the samples from zeros._circle_samples, the
 one product that the circle count samples by too: the radius rides on the
 series' coefficients, and one cached table of unit-root powers serves
-every grid of the same angle count, under an a priori rounding bound.
+every grid of the same angle count, under an a priori rounding bound.  P
+takes its points from the same unit roots (zeros._unit_roots), the one
+formula for a circle point in the package.
 Closed-form sufficient conditions on (L, eta), the rows of
 analytic._CONDITIONS, are provided alongside as fast pre-checks.
 """
@@ -42,7 +44,7 @@ import numpy as np
 from .analytic import _CONDITIONS, _near_zero_floor
 from .errors import CoulombError, InvalidParams
 from .series import DEFAULT_TOL, CoulombParams, _checked_int, table_for_radius
-from .zeros import _check_radius, _circle_samples, _zero_count
+from .zeros import _check_radius, _circle_samples, _unit_roots, _zero_count
 
 _MAX_ANGLES = 1 << 18  # angles on one grid: bounds the memory of its g, g', P and margins
 
@@ -51,6 +53,11 @@ class StarlikeClass(str, enum.Enum):
     CLASSICAL = "classical"
     LEMNISCATE = "lemniscate"
     EXPONENTIAL = "exponential"
+
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(flavor.value for flavor in cls)
+        raise InvalidParams(f"starlike class must be one of {names}, got {value!r}")
 
 
 #: Hypothesis threshold of the lemniscate sufficient condition.
@@ -124,10 +131,10 @@ def exponential_condition(params: CoulombParams) -> tuple[bool, float]:
 class ScanGrid:
     """Certification circle |z| = r_max with equally spaced sample angles.
 
-    The points are exactly conjugate-symmetric: points[n - k] ==
-    conj(points[k]).  The upper half, k <= n // 2, is r_max exp(2 pi i k / n),
-    except that for even n the point k = n / 2 is -r_max itself; the lower
-    half is its mirror image.  So for real (L, eta), where g(conj z) =
+    The points are fl(r_max W_k), k < n, W_k the unit roots of n angles
+    that zeros._circle_samples' product uses (zeros._unit_roots): r_max at
+    k = 0, -r_max at k = n / 2, and exactly conjugate-symmetric, points[n -
+    k] == conj(points[k]).  So for real (L, eta), where g(conj z) =
     conj g(z), certify reads the whole circle from the upper half.
     """
 
@@ -141,11 +148,7 @@ class ScanGrid:
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
-        n = self.angles_per_ring
-        upper = self.r_max * np.exp(1j * (2 * np.pi * np.arange(n // 2 + 1) / n))
-        if n % 2 == 0:
-            upper[-1] = -self.r_max
-        points = np.concatenate((upper, upper[(n - 1) // 2:0:-1].conj()))
+        points = self.r_max * _unit_roots(np.arange(self.angles_per_ring), self.angles_per_ring)
         points.flags.writeable = False  # shared by every call on this grid
         return points
 
@@ -220,9 +223,10 @@ def certify(
 
     The grid's g and g' serve the margins only.  They come from
     zeros._circle_samples at zeta_k = r_max e^(2 pi i k / n), each within
-    2 (order+3) eps S of the truncated series there; P takes the grid's own
-    point z_k, within 5 eps r_max of zeta_k (the bound and this distance
-    are derived there).  P = z g' / g is computed unmasked, and the margins of
+    2 (order+3) eps S of the truncated series there; P takes the grid's
+    point z_k = fl(r_max W_k), at the unit root W_k that the product uses,
+    within 2.15 eps r_max of zeta_k (the bound and this distance are
+    derived there).  P = z g' / g is computed unmasked, and the margins of
     samples below the near-zero floor are then overwritten.  For a real
     table, g(conj z) = conj g(z), so P and every margin take the same value
     at the grid's mirrored points n - k and k: they are computed on

@@ -14,10 +14,10 @@ gives the zeros within R to about 1e-14 relative, from L and eta alone:
 the rounded coefficients a_n serve the count and the residuals, not the
 zeros.  Each zero's residual is |g| there by the table's own Horner
 (series._horner, whose bits _bounded_horner reproduces with its rounding
-bound): within 2.5 eps mu of |g| on the double coefficients, possibly 0.0,
-and not a distance to g's zero.  A count of 1 lists no zero, and a list
-that disagrees with the count raises WindingMismatch.  The located zeros
-feed the product
+bound on two points or more): within 2.5 eps mu of |g| on the double
+coefficients, possibly 0.0, and not a distance to g's zero.  A count of 1
+lists no zero, and a list that disagrees with the count raises
+WindingMismatch.  The located zeros feed the product
 
     g(z) = z * exp(eta z / (L+1)) * prod_n (1 - z/rho_n) e^{z/rho_n},
 
@@ -94,11 +94,13 @@ _TABLES: dict[int, np.ndarray] = {}  # angle count -> its kept _unit_powers tabl
 
 def _unit_roots(m: np.ndarray, angles: int) -> np.ndarray:
     """W_m, m integers in [0, angles]: omega^m within tau, omega = e^(2 pi i / angles) (_circle_samples)."""
-    quadrant, rest = np.divmod(4 * m, angles)
+    lower = 2 * m > angles  # past the upper half: conj W_(angles - m), exactly
+    quadrant, rest = np.divmod(4 * np.where(lower, angles - m, m), angles)
     flip = 2 * rest > angles  # past the first octant: i conj(e^(ix)) at the complement
     roots = np.exp(1j * (np.where(flip, angles - rest, rest) * (np.pi / (2 * angles))))
     np.conjugate(roots, out=roots, where=flip)
-    return roots * np.array([1, 1j, -1, -1j, 1])[quadrant + flip]
+    roots = roots * np.array([1, 1j, -1])[quadrant + flip]
+    return np.conjugate(roots, out=roots, where=lower)
 
 
 _CIRCLE_ROOTS = _unit_roots(_CIRCLE_NUMERATORS, _ARC_ANGLES)  # _arc_count's first 721 (W_D = 1)
@@ -184,16 +186,18 @@ def _circle_samples(table: CoefficientTable, r: float, angles: int, m: int):
     only) overflow to inf or nan; _arc_count, whose radius may reach
     them, calls this under np.errstate and does not take such samples.
 
-    Roots (_unit_roots).  m / angles is reduced to the first octant in
-    integers, 4m = q angles + s: W_m = i^q (cos x + i sin x) at x = s h, or
-    i^q (sin x + i cos x) at x = (angles - s) h when 2s > angles, with h =
-    fl(pi / (2 angles)), so x <= pi/4.  The swaps, conjugate pairs and
-    products with i^q are exact: W_0 = 1 and W_(angles/2) = -1.  x lies
-    within 2.36 u x <= 1.86 u of its exact angle (fl(pi) is within 0.36 u
-    relative, and the quotient and s h round once each), and with the cos
-    and sin of e^(ix) within an ulp (u at most) each, every W_m lies within
-    tau = (1.86 + sqrt(2)) u < 1.64 eps of omega^m wherever s is an exact
-    double.  The tests find tau <= eps on all 720 and 1440 roots.
+    Roots (_unit_roots).  An m past the upper half, 2m > angles, takes
+    conj W_(angles - m), so the roots are exactly conjugate-symmetric.  m /
+    angles is then reduced to the first octant in integers, 4m = q angles +
+    s: W_m = i^q (cos x + i sin x) at x = s h, or i^q (sin x + i cos x) at
+    x = (angles - s) h when 2s > angles, with h = fl(pi / (2 angles)), so x
+    <= pi/4.  The swaps, conjugate pairs and products with i^q are exact:
+    W_0 = W_angles = 1 and W_(angles/2) = -1.  x lies within 2.36 u x <=
+    1.86 u of its exact angle (fl(pi) is within 0.36 u relative, and the
+    quotient and s h round once each), and with the cos and sin of e^(ix)
+    within an ulp (u at most) each, every W_m lies within tau = (1.86 +
+    sqrt(2)) u < 1.64 eps of omega^m wherever s is an exact double.  The
+    tests find tau <= eps on all 720 and 1440 roots.
 
     Bound (u = eps/2, gamma_m = m u / (1 - m u); Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, section 3.1).  Let s = sum
@@ -225,15 +229,11 @@ def _circle_samples(table: CoefficientTable, r: float, angles: int, m: int):
     tail0 keeps a spare of over 3.4 u s > 3.3 u |g_k| beyond g_k's error,
     which _arc_count's first-order test needs.
 
-    Points.  zeta_k is exact.  _arc_count's points z_m = fl(r W_m), m over
-    its D, lie within r (tau + u (1 + tau)) < 2.15 eps r of r e^(2 pi i m /
-    D), the first 721 of them, at the roots of 720 angles, within 1.51 eps r.
-    certify's P takes the grid's own point instead, r_max e^(i theta_k) at
-    the double theta_k = 2 pi k / angles (ScanGrid.points): theta_k lies
-    within 2.36 u theta_k <= 7.42 u of its angle, the exponential's cos and
-    sin within an ulp each, and the product with r_max rounds once, so that
-    point lies within (7.42 + 1.42 + 1) u r < 5 eps r of zeta_k.  Both are r
-    at k = 0 and -r at k = angles / 2, exactly.
+    Points.  zeta_k is exact.  Every circle point of the package is z_m =
+    fl(r W_m), m over a denominator N: _arc_count's over its D, certify's
+    over its grid's angles (ScanGrid.points).  Each lies within r (tau + u
+    (1 + tau)) < 2.15 eps r of r e^(2 pi i m / N), and at the roots of 720
+    angles (the count's first 721, the default grid's 720) within 1.51 eps r.
     """
     n, a = table.order + 2, np.array(table.coeffs)
     w = np.zeros((n, 2), dtype=float if table.is_real else complex)
@@ -257,7 +257,12 @@ def _circle_samples(table: CoefficientTable, r: float, angles: int, m: int):
 
 
 def _bounded_horner(coeffs, z: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """series._horner's value (same bits) of sum coeffs[n] z^n, |z| <= r, and its rounding bound.
+    """series._horner's value of sum coeffs[n] z^n, |z| <= r, and its rounding bound.
+
+    The value has g_values' bits on an array of two points or more.  On a
+    one-point array numpy's in-place product here and g_values' out-of-place
+    * z may round differently (one fuses a multiply-add where the other does
+    not), and the two values then agree only within the bound.
 
     Running error bound (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, section 5.1): the step s_k = s_(k+1) z + a_k rounds its
@@ -537,12 +542,13 @@ def winding_number(table: CoefficientTable, radius: float) -> int:
 def _refine_mp(table: CoefficientTable, roots) -> list[tuple[complex, float]]:
     """Each root with its residual, |g| there by the table's own Horner: [(root, residual)].
 
-    One batched table.g_values call on the double coefficients: the
-    series._horner bits that _arc_count's _bounded_horner reproduces, so
-    each residual lies within that routine's 2.5 eps mu of the exact |g| of
-    the truncated series, and may round to 0.0.  It is not a distance to g's
-    zero.  It does not refine: the name is kept for perfbench/crosscheck.py,
-    which times this step under it.
+    One batched table.g_values call on the double coefficients, whose bits
+    _arc_count's _bounded_horner reproduces when two roots or more are
+    passed (see there for one).  Each residual lies within that routine's
+    2.5 eps mu of the exact |g| of the truncated series either way, and may
+    round to 0.0.  It is not a distance to g's zero.  It does not refine:
+    the name is kept for perfbench/crosscheck.py, which times this step
+    under it.
     """
     return list(zip(roots, np.abs(table.g_values(np.array(roots, dtype=complex))).tolist()))
 

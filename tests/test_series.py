@@ -407,7 +407,7 @@ class TestNonFiniteZ:
 
 
 class TestMalformedInput:
-    """A non-integer order or angle count, or a tol that is not positive: InvalidParams up front."""
+    """A non-integer order, angle count or deriv, or a tol that is not positive: InvalidParams up front."""
 
     PARAMS = CoulombParams(0.5, 0.1)
 
@@ -437,6 +437,15 @@ class TestMalformedInput:
     def test_integer_argument_not_an_integer(self, call):
         with pytest.raises(InvalidParams, match="must be an integer"):
             call(self.PARAMS)
+
+    @pytest.mark.parametrize("deriv, match", [
+        (3, "must lie in"), (-1, "must lie in"), (-2, "must lie in"), (1.5, "must be an integer"),
+    ])
+    def test_deriv_outside_the_tails(self, deriv, match):
+        # the table keeps three tails, of g, g' and g'': any other deriv
+        # would index past them or, negative, read another derivative's
+        with pytest.raises(InvalidParams, match=f"deriv {match}"):
+            table_for_radius(self.PARAMS, 1.0, 1e-12, deriv)
 
     def test_numpy_integers_pass(self):
         grid = ScanGrid(np.int64(90), 0.5)

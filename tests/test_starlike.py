@@ -160,7 +160,7 @@ class TestScanGrid:
             assert reports[0] == reports[1]
             assert samples[-2] == samples[-1] and samples[-1][0] is float
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 720, 1440])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 720, 1440, 1 << 18])
     def test_points_are_conjugate_symmetric(self, n):
         # points[n - k] = conj(points[k]): the real parts share their bits,
         # the imaginary parts are exact negatives (the points on the real
@@ -173,13 +173,29 @@ class TestScanGrid:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 720, 1440])
     def test_upper_half_keeps_the_angle_formula(self, n):
-        # k <= n // 2 keeps r exp(i 2 pi k / n), bit for bit, but for even n
-        # the point k = n / 2 is -r itself
+        # k <= n // 2 is r i^q e^(ix), bit for bit, at the first-octant angle
+        # of 4k = q n + s: x = s pi / (2n), or past pi/4 i^q i conj(e^(ix))
+        # at the complement x = (n - s) pi / (2n) (frozen here); only the
+        # lower half is mirrored, so for even n the point k = n / 2 is -r
+        k = np.arange(n // 2 + 1)
+        quadrant, rest = np.divmod(4 * k, n)
+        flip = 2 * rest > n
+        w = np.exp(1j * (np.where(flip, n - rest, rest) * (np.pi / (2 * n))))
+        w = np.where(flip, w.conj(), w) * np.array([1, 1j, -1])[quadrant + flip]
         points = ScanGrid(n, 0.999).points()[: n // 2 + 1]
-        expected = 0.999 * np.exp(1j * (2 * np.pi * np.arange(n) / n))[: n // 2 + 1]
-        if n % 2 == 0:
-            expected[-1] = -0.999
-        assert points.tobytes() == expected.tobytes()
+        assert points.tobytes() == (0.999 * w).tobytes()
+        assert n % 2 or points[-1] == -0.999
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 720, 1440, 1 << 18])
+    def test_points_are_the_samplers_unit_roots(self, n):
+        # the grid builds no point of its own: its points are fl(r W_k) at
+        # the unit roots of zeros._circle_samples' product, and the default
+        # grid's are the circle count's first 720, scaled by 0.999
+        roots = zeros_module._unit_roots(np.arange(n), n)
+        for r_max in (0.999, 0.3626, 1e-3):
+            assert ScanGrid(n, r_max).points().tobytes() == (r_max * roots).tobytes()
+        default = starlike._DEFAULT_GRID.points()
+        assert default.tobytes() == (0.999 * zeros_module._CIRCLE_ROOTS[:720]).tobytes()
 
     @pytest.mark.parametrize("r_max", [5e-324, 1e-310, math.nan])
     def test_subnormal_radius_is_refused(self, r_max):
@@ -222,6 +238,16 @@ def interior_grid_min(params, flavor, grid):
 
 
 class TestCertify:
+    @pytest.mark.parametrize("flavor", ["bogus", "Lemniscate", None])
+    def test_unknown_class_is_refused(self, flavor):
+        # parameter_scan takes any exception but a CoulombError for a
+        # fault, so an unknown class is a typed refusal at both entry points
+        with pytest.raises(InvalidParams, match="starlike class must be one of"):
+            certify(INSTANCE, flavor)
+        with pytest.raises(InvalidParams, match="starlike class must be one of"):
+            parameter_scan((0.5, 0.5, 0.1), (0.0, 0.0, 0.1), flavor)
+        assert certify(INSTANCE, "lemniscate") == certify(INSTANCE, StarlikeClass.LEMNISCATE)
+
     def test_lemniscate_instance(self):
         report = certify(INSTANCE, StarlikeClass.LEMNISCATE)
         assert report.certified
@@ -461,8 +487,9 @@ class TestGridProduct:
         # TestProductPass.test_samples_lie_within_err checks on these pairs
         # and radii: the upper half for a real pair, the whole circle for a
         # complex one, with the same bits as the whole circle that test
-        # reads.  P takes the grid's own point z_k, which lies within 5 eps
-        # r_max of zeta_k (50 digits), and is zeta_k at k = 0 and n/2
+        # reads.  P takes the grid's point z_k = fl(r_max W_k), which lies
+        # within 2.15 eps r_max of zeta_k (50 digits), and is zeta_k at k = 0
+        # and n/2
         rng = random.Random(20261021 + angles)
         pairs = [(rng.uniform(-0.4, 1.4), rng.uniform(-0.8, 0.8)),
                  (complex(rng.uniform(-0.4, 1.4), rng.uniform(-0.3, 0.3)),
@@ -488,7 +515,7 @@ class TestGridProduct:
         with mp.workdps(50):
             for k, point in enumerate(z.tolist()):
                 zeta = mp.mpf(r_max) * mp.expjpi(mp.mpf(2 * k) / angles)
-                assert abs(mp.mpc(point) - zeta) <= 5 * EPS * r_max, k
+                assert abs(mp.mpc(point) - zeta) <= 2.15 * EPS * r_max, k
 
     @pytest.mark.parametrize("angles", [1, 2, 3, 12, 101, 720, 1440])
     def test_real_table_is_real_on_the_axis(self, angles):

@@ -1382,6 +1382,24 @@ class TestProductPass:
                 for j, w in enumerate(column.tolist()):
                     assert abs(mp.mpc(w) - mp.expjpi(mp.mpf(2 * (k * j)) / angles)) <= EPS
 
+    def test_roots_are_conjugate_symmetric(self):
+        # W_(N-m) is conj W_m bit for bit, for every angle count and for the
+        # count's 721 numerators over D, and the self-mirror W_(N/2) is -1.
+        # The octant rule alone misses this by an ulp where 8 | N (W_450
+        # against conj W_270 at 720 angles), since cos(pi/4) and sin(pi/4)
+        # round apart
+        cases = [(np.arange(angles + 1), angles) for angles in self.ANGLES]
+        cases.append((zeros_module._CIRCLE_NUMERATORS, zeros_module._ARC_ANGLES))
+        for m, angles in cases:
+            roots = zeros_module._unit_roots(m, angles)
+            mirror = zeros_module._unit_roots(angles - m, angles)
+            for k in range(m.size):
+                if 2 * m[k] != angles:
+                    assert mirror[k].tobytes() == roots[k].conj().tobytes(), (angles, m[k])
+                else:
+                    assert roots[k] == -1
+        assert np.array_equal(zeros_module._CIRCLE_ROOTS[::-1], zeros_module._CIRCLE_ROOTS.conj())
+
     def test_roots_at_odd_numerators_lie_within_tau(self):
         # the bisection's points: W_m at odd numerators m over D, each a
         # first midpoint that no coarser angle count holds, lies within tau
